@@ -79,7 +79,7 @@ pub fn this_work_onchip_kb(adapter: &AdapterConfig) -> f64 {
 /// Builds this work's Fig. 6b point from simulation results.
 ///
 /// `spmv_gflops` should come from the pack-system simulation
-/// (`SpmvReport::gflops` averaged over the evaluation matrices);
+/// (`RunReport::gflops` averaged over the evaluation matrices);
 /// `stream_gbps` is the channel's achievable copy bandwidth (the paper's
 /// single HBM2 channel sustains close to its 32 GB/s ideal on streaming).
 pub fn this_work(adapter: &AdapterConfig, spmv_gflops: f64, stream_gbps: f64) -> EfficiencyPoint {

@@ -55,7 +55,7 @@ impl EnergyReport {
 
 impl EnergyModel {
     /// Estimates data-movement energy from the byte counts an
-    /// [`SpmvReport`](../nmpic_system/struct.SpmvReport.html)-style run
+    /// [`RunReport`](../nmpic_system/struct.RunReport.html)-style run
     /// exposes: off-chip traffic plus on-chip stream traffic (each
     /// element's value and gathered operand cross the L2 twice: fill and
     /// consume).

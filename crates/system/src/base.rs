@@ -10,11 +10,12 @@
 //! and value lines, then issue gathers at the VLSU's indexed-load rate,
 //! then accumulate.
 
-use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
+use nmpic_mem::{BackendConfig, Cache, CacheConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
+use nmpic_model::BaseAddrs;
 use nmpic_sparse::Csr;
 
-use crate::report::{bits_equal, golden_x, SpmvReport};
-use nmpic_mem::{Cache, CacheConfig};
+use crate::engine::{ExecMode, Executor, PlanFacts};
+use crate::report::{bits_equal, IterReport};
 
 /// Configuration of the baseline system.
 #[derive(Debug, Clone)]
@@ -69,42 +70,8 @@ enum GatherState {
     Done,
 }
 
-/// Runs naive CSR SpMV on the baseline system and reports Fig. 5 metrics.
-///
-/// The returned report's `verified` reflects a golden-model check of the
-/// result vector (the baseline datapath is exact by construction; the
-/// check guards the harness plumbing).
-///
-/// # Panics
-///
-/// Panics if the simulation exceeds its internal cycle budget (model
-/// deadlock) or the matrix is empty.
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sparse::gen::banded_fem;
-/// # #[allow(deprecated)]
-/// use nmpic_system::{run_base_spmv, BaseConfig};
-/// let m = banded_fem(256, 6, 16, 1);
-/// # #[allow(deprecated)]
-/// let r = run_base_spmv(&m, &BaseConfig::default());
-/// assert!(r.verified);
-/// assert!(r.cycles > 0);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..).system(SystemKind::Base)\
-            .build().prepare(csr).run(&x)` (see README § Engine API)"
-)]
-pub fn run_base_spmv(csr: &Csr, cfg: &BaseConfig) -> SpmvReport {
-    let mut chan = cfg.backend.build(Memory::new(base_memory_size(csr)));
-    #[allow(deprecated)]
-    run_base_spmv_on(&mut *chan, csr, cfg)
-}
-
-/// Memory footprint needed by [`run_base_spmv_on`] for a matrix (all five
-/// arrays plus slack), rounded to a power of two.
+/// Memory footprint of a baseline plan's image (all five arrays plus
+/// slack), rounded to a power of two.
 pub fn base_memory_size(csr: &Csr) -> usize {
     let need = 4 * (csr.rows() as u64 + 1)
         + 12 * csr.nnz() as u64
@@ -113,58 +80,110 @@ pub fn base_memory_size(csr: &Csr) -> usize {
     (need.next_multiple_of(BLOCK_BYTES as u64) as usize).next_power_of_two()
 }
 
-/// Generic-backend variant of [`run_base_spmv`]: runs the baseline system
-/// against any [`ChannelPort`] built by [`nmpic_mem::build_backend`]. The
-/// channel's backing memory must be at least [`base_memory_size`] bytes
-/// and is laid out by this function.
-///
-/// # Panics
-///
-/// Panics on an empty matrix, an undersized channel memory, or a
-/// cycle-budget overrun (model deadlock).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..).system(SystemKind::Base)\
-            .build().prepare(csr).run(&x)` (see README § Engine API)"
-)]
-pub fn run_base_spmv_on(chan: &mut dyn ChannelPort, csr: &Csr, cfg: &BaseConfig) -> SpmvReport {
-    let data_bytes_before = chan.data_bytes();
-    let layout = layout_base(chan, csr);
-    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
-    write_base_vector(chan, &layout, &x);
-    let mut llc = Cache::new(cfg.llc);
-    let mut y = vec![0.0f64; csr.rows()];
-    let run = exec_base(chan, csr, cfg, &layout, &mut llc, &x, &mut y);
-    let verified = bits_equal(&y, &csr.spmv(&x));
-    SpmvReport {
-        label: "base".to_string(),
-        cycles: run.cycles,
-        indir_cycles: run.indir_cycles,
-        nnz: csr.nnz() as u64,
-        entries: csr.nnz() as u64,
-        offchip_bytes: chan.data_bytes() - data_bytes_before,
-        ideal_bytes: base_ideal_bytes(csr, 1),
-        verified,
+/// The baseline system's prepared plan: matrix image resident in a warm
+/// channel, LLC allocated once.
+pub(crate) struct BasePlan {
+    mode: ExecMode,
+    cfg: BaseConfig,
+    csr: Csr,
+    chan: Box<dyn ChannelPort>,
+    /// DRAM home locations of the five arrays — one type for the
+    /// simulator and the analytic model that replays its accesses.
+    layout: BaseAddrs,
+    /// Plan-resident (rather than per-call) so the hot path reallocates
+    /// nothing; see [`Executor::cold_start`] for its lifecycle.
+    llc: Cache,
+}
+
+impl BasePlan {
+    /// Lays the matrix image out in a channel built from `cfg.backend`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty matrix.
+    pub(crate) fn prepare(csr: &Csr, cfg: BaseConfig, mode: ExecMode) -> Self {
+        let mut chan = cfg.backend.build(Memory::new(base_memory_size(csr)));
+        let layout = layout_base(&mut *chan, csr);
+        Self {
+            mode,
+            llc: Cache::new(cfg.llc),
+            cfg,
+            csr: csr.clone(),
+            chan,
+            layout,
+        }
+    }
+
+    fn model_params(&self) -> nmpic_model::BaseParams {
+        let cfg = &self.cfg;
+        nmpic_model::BaseParams {
+            chunk: cfg.chunk,
+            llc_hit_latency: cfg.llc_hit_latency,
+            gather_issue_interval: cfg.gather_issue_interval,
+            macs_per_cycle: cfg.macs_per_cycle as u64,
+            row_overhead_cycles: cfg.row_overhead_cycles,
+            chan: nmpic_model::ChannelModel::of(&cfg.backend),
+        }
     }
 }
 
-/// DRAM home locations of the baseline system's five arrays.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BaseLayout {
-    pub(crate) ptr_base: u64,
-    pub(crate) idx_base: u64,
-    pub(crate) val_base: u64,
-    pub(crate) vec_base: u64,
-    pub(crate) res_base: u64,
+impl Executor for BasePlan {
+    fn facts(&self) -> PlanFacts {
+        PlanFacts::of_csr("base".to_string(), &self.csr)
+    }
+
+    /// `run`/`run_batch` start from a cold LLC; across the vectors of a
+    /// batch and the `run_into` calls of a solver the **matrix** lines
+    /// stay warm — the reuse an `x ← f(A·x)` feedback loop produces.
+    fn cold_start(&mut self) {
+        self.llc.reset();
+    }
+
+    fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        assert_eq!(xs.len(), 1, "the baseline multiplies one vector per pass");
+        let (x, y) = (xs[0], &mut *ys[0]);
+        let BaseAddrs { vec_base, .. } = self.layout;
+        // Only the rewritten vector's lines are stale (none on a cold
+        // cache).
+        self.llc
+            .invalidate_range(vec_base, vec_base + 8 * self.csr.cols() as u64);
+        match self.mode {
+            ExecMode::CycleAccurate => {
+                self.chan.reset_run_state();
+                self.chan.memory_mut().write_f64_slice(vec_base, x);
+                exec_base(self, x, y)
+            }
+            ExecMode::Analytic => {
+                // The model replays the access stream against the same
+                // stateful LLC, so it is evaluated per vector.
+                let cost = nmpic_model::base_cost(
+                    &self.model_params(),
+                    &self.layout,
+                    self.csr.row_ptr(),
+                    self.csr.col_idx(),
+                    &mut self.llc,
+                );
+                self.csr.spmv_fast_into(x, y);
+                IterReport::modelled(&cost)
+            }
+        }
+    }
+
+    fn verify(&self, x: &[f64], y: &[f64]) -> bool {
+        // The golden reference runs through the parallel native kernel —
+        // byte-identical to `Csr::spmv` (pinned in nmpic-sparse's tests)
+        // and much faster on large matrices.
+        self.mode == ExecMode::Analytic || bits_equal(y, &self.csr.spmv_fast(x))
+    }
 }
 
 /// Allocates the baseline arrays in the channel's memory and writes the
 /// **matrix** image (row pointers, column indices, values). The vector is
-/// written separately — per run — by [`write_base_vector`].
-pub(crate) fn layout_base(chan: &mut dyn ChannelPort, csr: &Csr) -> BaseLayout {
+/// written separately, per run.
+fn layout_base(chan: &mut dyn ChannelPort, csr: &Csr) -> BaseAddrs {
     assert!(csr.nnz() > 0, "empty matrix");
     let mem = chan.memory_mut();
-    let layout = BaseLayout {
+    let layout = BaseAddrs {
         ptr_base: mem.alloc_array(csr.rows() as u64 + 1, 4),
         idx_base: mem.alloc_array(csr.nnz() as u64, 4),
         val_base: mem.alloc_array(csr.nnz() as u64, 8),
@@ -177,53 +196,27 @@ pub(crate) fn layout_base(chan: &mut dyn ChannelPort, csr: &Csr) -> BaseLayout {
     layout
 }
 
-/// Rewrites only the vector region of a laid-out memory image — the
-/// per-run step of a prepared plan.
-pub(crate) fn write_base_vector(chan: &mut dyn ChannelPort, layout: &BaseLayout, x: &[f64]) {
-    chan.memory_mut().write_f64_slice(layout.vec_base, x);
-}
-
-/// Compulsory off-chip bytes for `vectors` SpMVs on one laid-out matrix:
-/// the matrix arrays once, each vector and result once.
-pub(crate) fn base_ideal_bytes(csr: &Csr, vectors: u64) -> u64 {
-    4 * (csr.rows() as u64 + 1)
-        + 12 * csr.nnz() as u64
-        + vectors * 8 * (csr.cols() + csr.rows()) as u64
-}
-
-/// One baseline execution's measurements.
-pub(crate) struct BaseRun {
-    pub(crate) cycles: u64,
-    pub(crate) indir_cycles: u64,
-}
-
 /// Executes one baseline SpMV against an already laid-out memory image,
-/// starting the channel clock at 0. The result is accumulated into the
+/// starting the channel clock (and, the caller having reset the channel,
+/// its traffic counter) at 0. The result is accumulated into the
 /// caller's `y` buffer (overwritten, not accumulated into) in row-major
 /// element order — byte-identical to [`Csr::spmv`] — so a solver loop
 /// reuses one preallocated buffer instead of receiving a fresh vector
 /// per call.
-pub(crate) fn exec_base(
-    chan: &mut dyn ChannelPort,
-    csr: &Csr,
-    cfg: &BaseConfig,
-    layout: &BaseLayout,
-    llc: &mut Cache,
-    x: &[f64],
-    y: &mut [f64],
-) -> BaseRun {
+fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
+    let (chan, csr, cfg, llc) = (&mut *plan.chan, &plan.csr, &plan.cfg, &mut plan.llc);
     assert!(csr.nnz() > 0, "empty matrix");
     let nnz = csr.nnz();
     let rows = csr.rows();
     assert_eq!(y.len(), rows, "result buffer length must equal rows");
     y.fill(0.0);
-    let BaseLayout {
+    let BaseAddrs {
         ptr_base,
         idx_base,
         val_base,
         vec_base,
         res_base,
-    } = *layout;
+    } = plan.layout;
     let values = csr.values();
     let mut acc_row = 0usize;
 
@@ -382,9 +375,10 @@ pub(crate) fn exec_base(
         assert!(now < budget, "baseline drain deadlock");
     }
 
-    BaseRun {
+    IterReport {
         cycles: now,
         indir_cycles,
+        offchip_bytes: chan.data_bytes(),
     }
 }
 
@@ -396,8 +390,19 @@ fn drain_writes(chan: &mut dyn ChannelPort, pending: &mut Vec<WideRequest>, now:
     }
 }
 
+/// One golden-vector SpMV on a fresh baseline plan tuned by `cfg` — the
+/// in-module tests' way into the datapath.
 #[cfg(test)]
-#[allow(deprecated)]
+fn run_base_spmv(csr: &Csr, cfg: &BaseConfig) -> crate::RunReport {
+    let engine = crate::SpmvEngine::builder()
+        .backend(cfg.backend.clone())
+        .system(crate::SystemKind::Base)
+        .base_config(cfg.clone())
+        .build();
+    crate::engine::run_golden(engine.prepare(csr))
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use nmpic_sparse::gen::{banded_fem, random_uniform};
@@ -473,7 +478,6 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod behaviour_tests {
     use super::*;
     use nmpic_sparse::gen::banded_fem;

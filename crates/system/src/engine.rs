@@ -2,10 +2,9 @@
 //! run it against many vectors.
 //!
 //! The paper's value proposition is amortizing indirect-access cost
-//! across an entire SpMV workload, which the one-shot free functions
-//! (`run_base_spmv` & co.) could not express: they rebuilt memory,
-//! backend and unit state on every call. The session API splits the
-//! lifecycle the way SparseP-style systems do:
+//! across an entire SpMV workload, so memory, backend and unit state
+//! are built once and reused. The session API splits the lifecycle the
+//! way SparseP-style systems do:
 //!
 //! * [`SpmvEngine`] — immutable system choice: memory backend
 //!   ([`BackendConfig`]) plus [`SystemKind`] (baseline LLC system,
@@ -46,26 +45,15 @@
 use std::fmt;
 use std::str::FromStr;
 
-use nmpic_core::{stream_memory_size, AdapterConfig, IndirectStreamUnit, ScatterUnit};
-use nmpic_mem::{BackendConfig, ChannelPort, HbmStats, Memory};
-use nmpic_sim::stats::Extrema;
-use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
+use nmpic_core::AdapterConfig;
+use nmpic_mem::BackendConfig;
 use nmpic_sparse::{Csr, Sell};
 
-use crate::base::{
-    base_ideal_bytes, base_memory_size, exec_base, layout_base, write_base_vector, BaseLayout,
-};
-use crate::pack::{
-    exec_pack, layout_pack, pack_ideal_bytes, pack_plan_memory_size, row_map, write_pack_vector,
-    PackLayout,
-};
-use crate::report::{bits_equal, results_match, IterReport, RunReport, ShardDetail};
-use crate::shard::{
-    exec_merged_collection, exec_merged_writeback, exec_shard_gather, merge_order,
-    PartitionStrategy, ShardReport,
-};
+use crate::base::BasePlan;
+use crate::pack::PackPlan;
+use crate::report::{IterReport, RunReport, ShardDetail};
+use crate::shard::{PartitionStrategy, ShardedPlan};
 use crate::{BaseConfig, PackConfig};
-use nmpic_mem::Cache;
 
 /// Which end-to-end system a [`SpmvEngine`] simulates.
 #[derive(Debug, Clone, PartialEq)]
@@ -401,22 +389,18 @@ impl SpmvEngine {
                     backend: self.backend.clone(),
                     ..self.base.clone()
                 };
-                let mut chan = self.backend.build(Memory::new(base_memory_size(csr)));
-                let layout = layout_base(&mut *chan, csr);
-                let llc = Cache::new(cfg.llc);
-                SpmvPlan {
-                    exec: self.exec_mode,
-                    inner: PlanInner::Base(Box::new(BasePlan {
-                        cfg,
-                        csr: csr.clone(),
-                        chan,
-                        layout,
-                        llc,
-                    })),
-                }
+                self.plan(BasePlan::prepare(csr, cfg, self.exec_mode))
             }
             SystemKind::Pack(_) => self.prepare_sell_owned(Sell::from_csr_default(csr)),
-            SystemKind::Sharded { units, strategy } => self.prepare_sharded(csr, *units, *strategy),
+            SystemKind::Sharded { units, strategy } => self.plan(ShardedPlan::prepare(
+                csr,
+                *units,
+                *strategy,
+                &self.sharded_adapter,
+                &self.backend,
+                self.shard_workers,
+                self.exec_mode,
+            )),
         }
     }
 
@@ -446,186 +430,106 @@ impl SpmvEngine {
             backend: self.backend.clone(),
             ..self.pack.clone()
         };
-        let slots = self.batch_capacity;
-        let mut chan = self
-            .backend
-            .build(Memory::new(pack_plan_memory_size(&sell, slots)));
-        let layout = layout_pack(&mut *chan, &sell, slots);
-        let row_of = row_map(&sell);
-        let unit = IndirectStreamUnit::new(cfg.adapter.clone());
-        SpmvPlan {
-            exec: self.exec_mode,
-            inner: PlanInner::Pack(Box::new(PackPlan {
-                cfg,
-                sell,
-                row_of,
-                chan,
-                layout,
-                unit,
-            })),
-        }
+        self.plan(PackPlan::prepare(
+            sell,
+            cfg,
+            self.batch_capacity,
+            self.exec_mode,
+        ))
     }
 
-    fn prepare_sharded(&self, csr: &Csr, units: usize, strategy: PartitionStrategy) -> SpmvPlan {
-        assert!(units > 0, "at least one unit");
-        assert!(csr.rows() > 0 && csr.nnz() > 0, "empty matrix");
-        let partition = match strategy {
-            PartitionStrategy::ByNnz => by_nnz(csr, units),
-            PartitionStrategy::ByRows => by_rows(csr, units),
-        };
-        let per_unit_backend = self.backend.split(units);
-        let slots: Vec<ShardSlot> = (0..units)
-            .map(|i| {
-                let shard = partition.csr_shard(csr, i);
-                let indices = shard.col_idx();
-                let mut chan = per_unit_backend
-                    .build(Memory::new(stream_memory_size(indices.len(), csr.cols())));
-                let mem = chan.memory_mut();
-                let idx_base = mem.alloc_array(indices.len().max(1) as u64, 4);
-                let x_base = mem.alloc_array(csr.cols() as u64, 8);
-                mem.write_u32_slice(idx_base, indices);
-                let row_start = shard.rows().start;
-                // Stream positions map to rows *local to the shard*, so a
-                // worker thread can accumulate into its own buffer and the
-                // merge can place it by `row_start` — the per-worker unit
-                // state ownership the parallel executor relies on.
-                let row_of = shard
-                    .row_of_positions()
-                    .iter()
-                    // nmpic-lint: allow(L1) — in range: row_start ≤ every id in the (checked 32 b) position map, so the cast and subtraction cannot wrap
-                    .map(|&r| r - row_start as u32)
-                    .collect();
-                ShardSlot {
-                    chan,
-                    unit: IndirectStreamUnit::new(self.sharded_adapter.clone()),
-                    idx_base,
-                    x_base,
-                    row_start,
-                    rows: shard.n_rows(),
-                    nnz: shard.nnz() as u64,
-                    row_of,
-                    local_y: vec![0.0; shard.n_rows()],
-                }
-            })
-            .collect();
-
-        // The write-back port is one channel wide: splitting by the full
-        // channel count leaves exactly one channel of the configured
-        // kind. Its index array (the merge order) depends only on the
-        // partition, so it is written once, here.
-        let rows = csr.rows();
-        let collect_backend = self.backend.split(self.backend.kind.channels());
-        let mut collect_chan = collect_backend.build(Memory::new(stream_memory_size(rows, rows)));
-        let merge_rows = merge_order(&partition, units);
-        let mem = collect_chan.memory_mut();
-        let collect_idx_base = mem.alloc_array(rows as u64, 4);
-        let collect_res_base = mem.alloc_array(rows as u64, 8);
-        mem.write_u32_slice(collect_idx_base, &merge_rows);
-        let scatter = ScatterUnit::new(self.sharded_adapter.clone());
-
+    fn plan(&self, sys: impl Executor + 'static) -> SpmvPlan {
         SpmvPlan {
-            exec: self.exec_mode,
-            inner: PlanInner::Sharded(Box::new(ShardedPlan {
-                adapter: self.sharded_adapter.clone(),
-                backend: self.backend.clone(),
-                units,
-                csr: csr.clone(),
-                partition,
-                slots,
-                collect_chan,
-                scatter,
-                collect_idx_base,
-                collect_res_base,
-                merge_rows,
-                merge_bits: vec![0; rows],
-                workers: self.shard_workers,
-            })),
+            mode: self.exec_mode,
+            facts: sys.facts(),
+            sys: Box::new(sys),
         }
     }
 }
 
-struct BasePlan {
-    cfg: BaseConfig,
-    csr: Csr,
-    chan: Box<dyn ChannelPort>,
-    layout: BaseLayout,
-    /// The plan-resident LLC: [`SpmvPlan::run`]/[`SpmvPlan::run_batch`]
-    /// reset it to a cold start per call, [`SpmvPlan::run_into`] keeps
-    /// the matrix lines warm across a solver's iterations and only
-    /// invalidates the rewritten vector range. Plan-resident (rather
-    /// than per-call) so the hot path reallocates nothing.
-    llc: Cache,
+/// What a prepared plan knows about its matrix and system without
+/// running anything.
+pub(crate) struct PlanFacts {
+    /// Report label (`base`, `pack256`, `sharded x4 (...)`).
+    pub(crate) label: String,
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) nnz: usize,
+    /// Stream entries per vector (padded SELL entries for pack, nnz
+    /// otherwise).
+    pub(crate) entries: usize,
+    /// Compulsory off-chip bytes of the matrix arrays, moved once per
+    /// run however many vectors it multiplies.
+    pub(crate) matrix_bytes: u64,
 }
 
-struct PackPlan {
-    cfg: PackConfig,
-    sell: Sell,
-    row_of: Vec<u32>,
-    chan: Box<dyn ChannelPort>,
-    layout: PackLayout,
-    unit: IndirectStreamUnit,
+impl PlanFacts {
+    /// Facts of a system that streams the CSR arrays as they are (row
+    /// pointers and column indices at 4 B, values at 8 B).
+    pub(crate) fn of_csr(label: String, csr: &Csr) -> Self {
+        Self {
+            label,
+            rows: csr.rows(),
+            cols: csr.cols(),
+            nnz: csr.nnz(),
+            entries: csr.nnz(),
+            matrix_bytes: 4 * (csr.rows() as u64 + 1) + 12 * csr.nnz() as u64,
+        }
+    }
+
+    /// Compulsory off-chip bytes for `vectors` SpMVs: the matrix arrays
+    /// once, each vector and result once.
+    fn ideal_bytes(&self, vectors: usize) -> u64 {
+        self.matrix_bytes + vectors as u64 * 8 * (self.cols + self.rows) as u64
+    }
 }
 
-struct ShardSlot {
-    chan: Box<dyn ChannelPort>,
-    unit: IndirectStreamUnit,
-    idx_base: u64,
-    x_base: u64,
-    /// First global row of the shard (merge offset for the worker's
-    /// local accumulation buffer).
-    row_start: usize,
-    rows: usize,
-    nnz: u64,
-    /// Stream position → shard-local row.
-    row_of: Vec<u32>,
-    /// Worker-owned accumulation buffer, reused across runs so the
-    /// solver hot path allocates nothing per iteration.
-    local_y: Vec<f64>,
-}
+/// The contract each system implements exactly once. [`SpmvPlan::run`],
+/// [`SpmvPlan::run_batch`] and [`SpmvPlan::run_into`] all reach the same
+/// `exec`; the system consults its [`ExecMode`] (fixed at prepare) there
+/// to either step the simulators or evaluate the closed-form model in
+/// [`nmpic_model::analytic`], filling the same [`IterReport`] either way.
+pub(crate) trait Executor: Send {
+    /// The plan's static facts, read once at prepare.
+    fn facts(&self) -> PlanFacts;
 
-struct ShardedPlan {
-    adapter: AdapterConfig,
-    backend: BackendConfig,
-    units: usize,
-    csr: Csr,
-    partition: Partition,
-    slots: Vec<ShardSlot>,
-    collect_chan: Box<dyn ChannelPort>,
-    scatter: ScatterUnit,
-    collect_idx_base: u64,
-    collect_res_base: u64,
-    merge_rows: Vec<u32>,
-    /// Merge-order result bits staged for the collection phase, reused
-    /// across runs so the solver hot path allocates nothing per
-    /// iteration.
-    merge_bits: Vec<u64>,
-    /// Worker-thread override for parallel shard execution (`None` =
-    /// the shared pool's `NMPIC_JOBS` policy).
-    workers: Option<usize>,
-}
+    /// Returns plan-resident state that survives an `exec` to the
+    /// deterministic cold start every `run`/`run_batch` begins from
+    /// (`run_into` deliberately keeps it warm).
+    fn cold_start(&mut self) {}
 
-/// What one shard's worker thread hands back to the merge: everything the
-/// report needs, computed entirely on state the worker owned exclusively
-/// (the result rows themselves land in the slot's `local_y`).
-struct ShardOut {
-    cycles: u64,
-    stats: nmpic_core::AdapterStats,
-    dram: Option<HbmStats>,
-    data_bytes: u64,
-}
+    /// Most vectors one `exec` call multiplies.
+    fn chunk_capacity(&self) -> usize {
+        1
+    }
 
-enum PlanInner {
-    Base(Box<BasePlan>),
-    Pack(Box<PackPlan>),
-    Sharded(Box<ShardedPlan>),
+    /// Multiplies every vector of `xs` (at most
+    /// [`Executor::chunk_capacity`]) against the resident matrix image,
+    /// overwriting the matching buffer of `ys`, and reports the cost of
+    /// the whole chunk.
+    fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport;
+
+    /// `true` iff `y`, as produced by the `exec` that just ran `x`, is
+    /// bit-identical to the system's golden kernel (see
+    /// [`crate::report::bits_equal`]). Analytic plans compute `y` with
+    /// that kernel in the first place and answer `true` without a
+    /// second pass.
+    fn verify(&self, x: &[f64], y: &[f64]) -> bool;
+
+    /// Multi-unit detail of the last `exec`, scaled to a run of
+    /// `vectors` such executions.
+    fn shard_detail(&self, _vectors: usize) -> Option<ShardDetail> {
+        None
+    }
 }
 
 /// A prepared SpMV plan: matrix image resident in a warm backend,
 /// partitioning/conversion done. Run it against as many vectors as the
 /// workload brings.
 pub struct SpmvPlan {
-    exec: ExecMode,
-    inner: PlanInner,
+    mode: ExecMode,
+    facts: PlanFacts,
+    sys: Box<dyn Executor>,
 }
 
 impl SpmvPlan {
@@ -667,9 +571,9 @@ impl SpmvPlan {
     /// accumulation buffer or cache structure is allocated (they are
     /// plan-resident and reused). On the baseline system the LLC keeps
     /// its **matrix** lines warm across calls and only the stale `x`
-    /// range is invalidated ([`Cache::invalidate_range`]) — the same
-    /// reuse pattern as a batched run, which is exactly what an
-    /// `x ← f(A·x)` feedback loop produces.
+    /// range is invalidated ([`nmpic_mem::Cache::invalidate_range`]) —
+    /// the same reuse pattern as a batched run, which is exactly what
+    /// an `x ← f(A·x)` feedback loop produces.
     ///
     /// The result bytes are identical to [`SpmvPlan::run`] on the same
     /// plan (pinned by tests); unlike `run` this path performs **no
@@ -684,711 +588,84 @@ impl SpmvPlan {
     pub fn run_into(&mut self, x: &[f64], y: &mut [f64]) -> IterReport {
         assert_eq!(x.len(), self.cols(), "vector length must equal cols");
         assert_eq!(y.len(), self.rows(), "result buffer length must equal rows");
-        match (&mut self.inner, self.exec) {
-            (PlanInner::Base(p), ExecMode::CycleAccurate) => run_base_iter(p, x, y),
-            (PlanInner::Base(p), ExecMode::Analytic) => analytic_base_iter(p, x, y),
-            (PlanInner::Pack(p), ExecMode::CycleAccurate) => run_pack_iter(p, x, y),
-            (PlanInner::Pack(p), ExecMode::Analytic) => analytic_pack_iter(p, x, y),
-            (PlanInner::Sharded(p), ExecMode::CycleAccurate) => run_sharded_iter(p, x, y),
-            (PlanInner::Sharded(p), ExecMode::Analytic) => analytic_sharded_iter(p, x, y),
-        }
+        self.sys.exec(&[x], &mut [y])
     }
 
     /// The plan's execution mode (inherited from the engine).
     pub fn exec_mode(&self) -> ExecMode {
-        self.exec
+        self.mode
     }
 
     /// The plan's report label (`base`, `pack256`, `sharded x4 (...)`).
     pub fn label(&self) -> String {
-        match &self.inner {
-            PlanInner::Base(_) => "base".to_string(),
-            PlanInner::Pack(p) => p.cfg.adapter.label(),
-            PlanInner::Sharded(p) => sharded_label(p),
-        }
+        self.facts.label.clone()
     }
 
     /// Rows of the prepared matrix.
     pub fn rows(&self) -> usize {
-        match &self.inner {
-            PlanInner::Base(p) => p.csr.rows(),
-            PlanInner::Pack(p) => p.sell.rows(),
-            PlanInner::Sharded(p) => p.csr.rows(),
-        }
+        self.facts.rows
     }
 
     /// Columns of the prepared matrix (= required vector length).
     pub fn cols(&self) -> usize {
-        match &self.inner {
-            PlanInner::Base(p) => p.csr.cols(),
-            PlanInner::Pack(p) => p.sell.cols(),
-            PlanInner::Sharded(p) => p.csr.cols(),
-        }
+        self.facts.cols
     }
 
     /// Stored nonzeros of the prepared matrix.
     pub fn nnz(&self) -> usize {
-        match &self.inner {
-            PlanInner::Base(p) => p.csr.nnz(),
-            PlanInner::Pack(p) => p.sell.nnz(),
-            PlanInner::Sharded(p) => p.csr.nnz(),
-        }
+        self.facts.nnz
     }
 
+    /// The one driver behind [`SpmvPlan::run`] and
+    /// [`SpmvPlan::run_batch`]: cold start, then per chunk allocate the
+    /// result vectors, execute into them, accumulate and verify.
     fn run_vectors(&mut self, xs: &[&[f64]]) -> RunReport {
         assert!(!xs.is_empty(), "at least one vector");
         for x in xs {
             assert_eq!(x.len(), self.cols(), "vector length must equal cols");
         }
-        match (&mut self.inner, self.exec) {
-            (PlanInner::Base(p), ExecMode::CycleAccurate) => run_base_plan(p, xs),
-            (PlanInner::Base(p), ExecMode::Analytic) => analytic_base_plan(p, xs),
-            (PlanInner::Pack(p), ExecMode::CycleAccurate) => run_pack_plan(p, xs),
-            (PlanInner::Pack(p), ExecMode::Analytic) => analytic_pack_plan(p, xs),
-            (PlanInner::Sharded(p), ExecMode::CycleAccurate) => run_sharded_plan(p, xs),
-            (PlanInner::Sharded(p), ExecMode::Analytic) => analytic_sharded_plan(p, xs),
-        }
-    }
-}
-
-fn sharded_label(p: &ShardedPlan) -> String {
-    format!(
-        "sharded x{} ({}, {})",
-        p.units,
-        p.adapter.label(),
-        p.backend.label()
-    )
-}
-
-fn run_base_plan(plan: &mut BasePlan, xs: &[&[f64]]) -> RunReport {
-    let cols = plan.csr.cols();
-    let rows = plan.csr.rows();
-    let vec_lo = plan.layout.vec_base;
-    let vec_hi = vec_lo + 8 * cols as u64;
-    // One LLC for the whole batch, reset to the documented deterministic
-    // cold start: matrix lines stay warm across the batch's vectors (the
-    // batch amortization); the stale vector region is invalidated
-    // whenever x is rewritten.
-    plan.llc.reset();
-    let mut cycles = 0u64;
-    let mut indir_cycles = 0u64;
-    let mut offchip = 0u64;
-    let mut verified = true;
-    let mut ys = Vec::with_capacity(xs.len());
-    for (i, x) in xs.iter().enumerate() {
-        plan.chan.reset_run_state();
-        write_base_vector(&mut *plan.chan, &plan.layout, x);
-        if i > 0 {
-            plan.llc.invalidate_range(vec_lo, vec_hi);
-        }
-        let mut y = vec![0.0f64; rows];
-        let run = exec_base(
-            &mut *plan.chan,
-            &plan.csr,
-            &plan.cfg,
-            &plan.layout,
-            &mut plan.llc,
-            x,
-            &mut y,
-        );
-        cycles += run.cycles;
-        indir_cycles += run.indir_cycles;
-        offchip += plan.chan.data_bytes();
-        // The golden reference runs through the parallel native kernel —
-        // byte-identical to `Csr::spmv` (pinned in nmpic-sparse's tests)
-        // and much faster on large matrices.
-        verified &= bits_equal(&y, &plan.csr.spmv_fast(x));
-        ys.push(y);
-    }
-    RunReport {
-        label: "base".to_string(),
-        cycles,
-        vectors: xs.len(),
-        indir_cycles,
-        nnz: plan.csr.nnz() as u64,
-        entries: plan.csr.nnz() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: base_ideal_bytes(&plan.csr, xs.len() as u64),
-        verified,
-        ys,
-        shards: None,
-    }
-}
-
-fn run_pack_plan(plan: &mut PackPlan, xs: &[&[f64]]) -> RunReport {
-    let capacity = plan.layout.vec_bases.len();
-    let rows = plan.sell.rows();
-    let mut cycles = 0u64;
-    let mut indir_cycles = 0u64;
-    let mut offchip = 0u64;
-    let mut verified = true;
-    let mut ys = Vec::with_capacity(xs.len());
-    for chunk in xs.chunks(capacity) {
-        plan.chan.reset_run_state();
-        plan.unit.reset();
-        for (slot, x) in chunk.iter().enumerate() {
-            write_pack_vector(&mut *plan.chan, &plan.layout, slot, x);
-        }
-        let mut bufs: Vec<Vec<f64>> = chunk.iter().map(|_| vec![0.0f64; rows]).collect();
-        let mut refs: Vec<&mut [f64]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-        let run = exec_pack(
-            &mut *plan.chan,
-            &mut plan.unit,
-            &plan.sell,
-            &plan.cfg,
-            &plan.layout,
-            &plan.row_of,
-            chunk,
-            &mut refs,
-        );
-        cycles += run.cycles;
-        indir_cycles += run.indir_cycles;
-        offchip += plan.chan.data_bytes();
-        for (x, y) in chunk.iter().zip(bufs) {
-            verified &= results_match(&y, &plan.sell.spmv(x));
-            ys.push(y);
-        }
-    }
-    RunReport {
-        label: plan.cfg.adapter.label(),
-        cycles,
-        vectors: xs.len(),
-        indir_cycles,
-        nnz: plan.sell.nnz() as u64,
-        entries: plan.sell.padded_len() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: pack_ideal_bytes(&plan.sell, xs.len() as u64),
-        verified,
-        ys,
-        shards: None,
-    }
-}
-
-fn run_sharded_plan(plan: &mut ShardedPlan, xs: &[&[f64]]) -> RunReport {
-    let label = sharded_label(plan);
-    let workers = plan.workers.unwrap_or_else(nmpic_sim::pool::parallel_jobs);
-    let csr = &plan.csr;
-    let partition = &plan.partition;
-    let rows = csr.rows();
-    let mut gather_cycles = 0u64;
-    let mut collect_cycles = 0u64;
-    let mut payload_bytes = 0u64;
-    let mut offchip = 0u64;
-    let mut verified = true;
-    let mut ys = Vec::with_capacity(xs.len());
-    let mut per_shard: Vec<ShardReport> = Vec::new();
-    let mut cycle_ext = Extrema::new();
-    let mut bus_ext = Extrema::new();
-    let mut scatter_stats = None;
-    let mut dram_acc: Option<HbmStats> = None;
-
-    for (v, x) in xs.iter().enumerate() {
-        // Gather phase: every shard's unit simulation runs on its own
-        // worker thread. Each worker owns its slot exclusively (channel,
-        // unit, and a local accumulation buffer), so the simulations are
-        // bit-for-bit the same as the serial loop; the merge below walks
-        // shards in fixed index order, keeping reports and result bytes
-        // identical whatever the worker count.
-        let jobs: Vec<(usize, &mut ShardSlot)> = plan.slots.iter_mut().enumerate().collect();
-        let outs: Vec<ShardOut> = nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, slot)| {
-            slot.local_y.fill(0.0);
-            if slot.nnz == 0 {
-                return ShardOut {
-                    cycles: 0,
-                    stats: Default::default(),
-                    dram: None,
-                    data_bytes: 0,
-                };
-            }
-            slot.chan.reset_run_state();
-            slot.chan.memory_mut().write_f64_slice(slot.x_base, x);
-            slot.unit.reset();
-            let shard = partition.csr_shard(csr, i);
-            let (cycles, stats, dram) = exec_shard_gather(
-                &mut *slot.chan,
-                &mut slot.unit,
-                slot.idx_base,
-                slot.x_base,
-                shard.values(),
-                &slot.row_of,
-                &mut slot.local_y,
-            );
-            ShardOut {
-                cycles,
-                stats,
-                dram,
-                data_bytes: slot.chan.data_bytes(),
-            }
-        });
-
-        let mut y = vec![0.0f64; rows];
-        let mut vec_gather = 0u64;
-        for (i, (slot, out)) in plan.slots.iter().zip(&outs).enumerate() {
-            y[slot.row_start..slot.row_start + slot.rows].copy_from_slice(&slot.local_y);
-            offchip += out.data_bytes;
-            payload_bytes += out.stats.payload_bytes;
-            vec_gather = vec_gather.max(out.cycles);
-            // Detail stats (dram, scatter, per-shard rows) all describe
-            // one vector's worth of work; gather timing and DRAM
-            // counters do not depend on vector values, so the first
-            // vector is representative of every one in the batch.
-            if v == 0 {
-                if let Some(d) = out.dram {
-                    dram_acc = Some(match dram_acc {
-                        Some(acc) => acc.merge(&d),
-                        None => d,
-                    });
-                }
-                cycle_ext.add(out.cycles as f64);
-                if let Some(d) = &out.dram {
-                    bus_ext.add(d.bus_busy_cycles as f64);
-                }
-                per_shard.push(ShardReport {
-                    shard: i,
-                    rows: slot.rows,
-                    nnz: slot.nnz,
-                    cycles: out.cycles,
-                    indir_gbps: if out.cycles == 0 {
-                        0.0
-                    } else {
-                        out.stats.payload_bytes as f64 / out.cycles as f64
-                    },
-                    adapter: out.stats,
-                    dram: out.dram,
-                });
+        let facts = &self.facts;
+        let sys = &mut *self.sys;
+        sys.cold_start();
+        let mut total = IterReport::default();
+        let mut verified = true;
+        let mut ys: Vec<Vec<f64>> = Vec::with_capacity(xs.len());
+        for chunk in xs.chunks(sys.chunk_capacity()) {
+            let done = ys.len();
+            ys.extend(chunk.iter().map(|_| vec![0.0f64; facts.rows]));
+            let mut bufs: Vec<&mut [f64]> = ys[done..].iter_mut().map(Vec::as_mut_slice).collect();
+            let cost = sys.exec(chunk, &mut bufs);
+            total.cycles += cost.cycles;
+            total.indir_cycles += cost.indir_cycles;
+            total.offchip_bytes += cost.offchip_bytes;
+            // Verified before the next chunk executes: a system may check
+            // state the chunk left in its memory image.
+            for (x, y) in chunk.iter().zip(&ys[done..]) {
+                verified &= sys.verify(x, y);
             }
         }
-        gather_cycles += vec_gather;
-
-        // Merged collection of this vector's result rows, staged through
-        // the plan-resident buffer (shared with `run_sharded_iter`).
-        plan.collect_chan.reset_run_state();
-        plan.scatter.reset();
-        plan.merge_bits.clear();
-        plan.merge_bits
-            .extend(plan.merge_rows.iter().map(|&r| y[r as usize].to_bits()));
-        let (ccycles, sstats, result_bits) = exec_merged_collection(
-            &mut *plan.collect_chan,
-            &mut plan.scatter,
-            plan.collect_idx_base,
-            plan.collect_res_base,
-            &plan.merge_bits,
-            rows,
-        );
-        collect_cycles += ccycles;
-        offchip += plan.collect_chan.data_bytes();
-        scatter_stats.get_or_insert(sstats);
-        let golden_bits: Vec<u64> = csr.spmv_fast(x).iter().map(|v| v.to_bits()).collect();
-        verified &= result_bits == golden_bits;
-        ys.push(y);
-    }
-
-    let detail = ShardDetail {
-        units: plan.units,
-        gather_cycles,
-        collect_cycles,
-        aggregate_gbps: if gather_cycles == 0 {
-            0.0
-        } else {
-            payload_bytes as f64 / gather_cycles as f64
-        },
-        nnz_imbalance: partition.nnz_imbalance(),
-        cycle_imbalance: cycle_ext.imbalance(),
-        bus_imbalance: bus_ext.imbalance(),
-        scatter: scatter_stats.unwrap_or_default(),
-        dram: dram_acc,
-        per_shard,
-    };
-    RunReport {
-        label,
-        cycles: gather_cycles + collect_cycles,
-        vectors: xs.len(),
-        indir_cycles: gather_cycles,
-        nnz: csr.nnz() as u64,
-        entries: csr.nnz() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: base_ideal_bytes(csr, xs.len() as u64),
-        verified,
-        ys,
-        shards: Some(detail),
-    }
-}
-
-/// The baseline hot path: rewrite `x`, invalidate its stale LLC lines
-/// (matrix lines stay warm, like a batch continuation), execute into the
-/// caller's `y`.
-fn run_base_iter(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let vec_lo = plan.layout.vec_base;
-    let vec_hi = vec_lo + 8 * plan.csr.cols() as u64;
-    plan.chan.reset_run_state();
-    write_base_vector(&mut *plan.chan, &plan.layout, x);
-    plan.llc.invalidate_range(vec_lo, vec_hi);
-    let run = exec_base(
-        &mut *plan.chan,
-        &plan.csr,
-        &plan.cfg,
-        &plan.layout,
-        &mut plan.llc,
-        x,
-        y,
-    );
-    IterReport {
-        cycles: run.cycles,
-        indir_cycles: run.indir_cycles,
-        offchip_bytes: plan.chan.data_bytes(),
-    }
-}
-
-/// The pack hot path: one single-vector tiled pass into the caller's
-/// `y`, reusing batch slot 0's resident vector region.
-fn run_pack_iter(plan: &mut PackPlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    plan.chan.reset_run_state();
-    plan.unit.reset();
-    write_pack_vector(&mut *plan.chan, &plan.layout, 0, x);
-    let run = exec_pack(
-        &mut *plan.chan,
-        &mut plan.unit,
-        &plan.sell,
-        &plan.cfg,
-        &plan.layout,
-        &plan.row_of,
-        &[x],
-        &mut [y],
-    );
-    IterReport {
-        cycles: run.cycles,
-        indir_cycles: run.indir_cycles,
-        offchip_bytes: plan.chan.data_bytes(),
-    }
-}
-
-/// The sharded hot path: parallel per-shard gathers into the slots'
-/// resident `local_y` buffers, merge into the caller's `y`, then the
-/// merged write-back phase — skipping the per-shard detail rows and the
-/// verification read-back, and reusing the plan's staging buffers.
-fn run_sharded_iter(plan: &mut ShardedPlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let workers = plan.workers.unwrap_or_else(nmpic_sim::pool::parallel_jobs);
-    let csr = &plan.csr;
-    let partition = &plan.partition;
-    let jobs: Vec<(usize, &mut ShardSlot)> = plan.slots.iter_mut().enumerate().collect();
-    let outs: Vec<(u64, u64)> = nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, slot)| {
-        slot.local_y.fill(0.0);
-        if slot.nnz == 0 {
-            return (0, 0);
-        }
-        slot.chan.reset_run_state();
-        slot.chan.memory_mut().write_f64_slice(slot.x_base, x);
-        slot.unit.reset();
-        let shard = partition.csr_shard(csr, i);
-        let (cycles, _, _) = exec_shard_gather(
-            &mut *slot.chan,
-            &mut slot.unit,
-            slot.idx_base,
-            slot.x_base,
-            shard.values(),
-            &slot.row_of,
-            &mut slot.local_y,
-        );
-        (cycles, slot.chan.data_bytes())
-    });
-
-    let mut gather_cycles = 0u64;
-    let mut offchip = 0u64;
-    for (slot, &(cycles, bytes)) in plan.slots.iter().zip(&outs) {
-        y[slot.row_start..slot.row_start + slot.rows].copy_from_slice(&slot.local_y);
-        gather_cycles = gather_cycles.max(cycles);
-        offchip += bytes;
-    }
-
-    plan.collect_chan.reset_run_state();
-    plan.scatter.reset();
-    plan.merge_bits.clear();
-    plan.merge_bits
-        .extend(plan.merge_rows.iter().map(|&r| y[r as usize].to_bits()));
-    let (collect_cycles, _) = exec_merged_writeback(
-        &mut *plan.collect_chan,
-        &mut plan.scatter,
-        plan.collect_idx_base,
-        plan.collect_res_base,
-        &plan.merge_bits,
-        plan.csr.rows(),
-    );
-    offchip += plan.collect_chan.data_bytes();
-    IterReport {
-        cycles: gather_cycles + collect_cycles,
-        indir_cycles: gather_cycles,
-        offchip_bytes: offchip,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Analytic execution mode
-// ---------------------------------------------------------------------
-//
-// The analytic executors fill the same reports from the closed-form
-// model in `nmpic_model::analytic` instead of stepping the simulators.
-// Result values are computed natively (`Csr::spmv_fast` for CSR-order
-// systems, `Sell::spmv` for the pack system's padded order) and are
-// byte-identical to what the cycle-accurate executors accumulate — the
-// identity both kernels pin in their own test suites — so `verified`
-// reports an honest `true` and iterative solvers reproduce their
-// cycle-accurate residual trajectories exactly.
-
-fn analytic_base_params(cfg: &BaseConfig) -> nmpic_model::BaseParams {
-    nmpic_model::BaseParams {
-        chunk: cfg.chunk,
-        llc_hit_latency: cfg.llc_hit_latency,
-        gather_issue_interval: cfg.gather_issue_interval,
-        macs_per_cycle: cfg.macs_per_cycle as u64,
-        row_overhead_cycles: cfg.row_overhead_cycles,
-        chan: nmpic_model::ChannelModel::of(&cfg.backend),
-    }
-}
-
-fn analytic_base_addrs(l: &BaseLayout) -> nmpic_model::BaseAddrs {
-    nmpic_model::BaseAddrs {
-        ptr_base: l.ptr_base,
-        idx_base: l.idx_base,
-        val_base: l.val_base,
-        vec_base: l.vec_base,
-        res_base: l.res_base,
-    }
-}
-
-fn analytic_base_plan(plan: &mut BasePlan, xs: &[&[f64]]) -> RunReport {
-    let p = analytic_base_params(&plan.cfg);
-    let a = analytic_base_addrs(&plan.layout);
-    let vec_lo = plan.layout.vec_base;
-    let vec_hi = vec_lo + 8 * plan.csr.cols() as u64;
-    // Same LLC discipline as the cycle-accurate batch: cold start, matrix
-    // lines warm across vectors, stale vector range invalidated.
-    plan.llc.reset();
-    let mut cycles = 0u64;
-    let mut indir_cycles = 0u64;
-    let mut offchip = 0u64;
-    let mut ys = Vec::with_capacity(xs.len());
-    for (i, x) in xs.iter().enumerate() {
-        if i > 0 {
-            plan.llc.invalidate_range(vec_lo, vec_hi);
-        }
-        let cost = nmpic_model::base_cost(
-            &p,
-            &a,
-            plan.csr.row_ptr(),
-            plan.csr.col_idx(),
-            &mut plan.llc,
-        );
-        cycles += cost.cycles.round() as u64;
-        indir_cycles += cost.indir_cycles.round() as u64;
-        offchip += cost.offchip_bytes;
-        ys.push(plan.csr.spmv_fast(x));
-    }
-    RunReport {
-        label: "base".to_string(),
-        cycles,
-        vectors: xs.len(),
-        indir_cycles,
-        nnz: plan.csr.nnz() as u64,
-        entries: plan.csr.nnz() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: base_ideal_bytes(&plan.csr, xs.len() as u64),
-        verified: true,
-        ys,
-        shards: None,
-    }
-}
-
-fn analytic_base_iter(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let p = analytic_base_params(&plan.cfg);
-    let a = analytic_base_addrs(&plan.layout);
-    let vec_lo = plan.layout.vec_base;
-    let vec_hi = vec_lo + 8 * plan.csr.cols() as u64;
-    plan.llc.invalidate_range(vec_lo, vec_hi);
-    let cost = nmpic_model::base_cost(
-        &p,
-        &a,
-        plan.csr.row_ptr(),
-        plan.csr.col_idx(),
-        &mut plan.llc,
-    );
-    plan.csr.spmv_fast_into(x, y);
-    IterReport {
-        cycles: cost.cycles.round() as u64,
-        indir_cycles: cost.indir_cycles.round() as u64,
-        offchip_bytes: cost.offchip_bytes,
-    }
-}
-
-fn analytic_pack_params(plan: &PackPlan, vectors: usize) -> nmpic_model::PackParams {
-    nmpic_model::PackParams {
-        tile_entries: plan.cfg.tile_entries_batched(vectors).max(64),
-        ptr_count: plan.sell.slice_ptr().len(),
-        rows: plan.sell.rows(),
-        vectors,
-        compute_elems_per_cycle: plan.cfg.compute_elems_per_cycle,
-        adapter: plan.cfg.adapter.clone(),
-        chan: nmpic_model::ChannelModel::of(&plan.cfg.backend),
-        idx_base: plan.layout.idx_base,
-        vec_bases: plan.layout.vec_bases[..vectors.min(plan.layout.vec_bases.len())].to_vec(),
-    }
-}
-
-fn analytic_pack_plan(plan: &mut PackPlan, xs: &[&[f64]]) -> RunReport {
-    let capacity = plan.layout.vec_bases.len();
-    let mut cycles = 0u64;
-    let mut indir_cycles = 0u64;
-    let mut offchip = 0u64;
-    let mut ys = Vec::with_capacity(xs.len());
-    for chunk in xs.chunks(capacity) {
-        let params = analytic_pack_params(plan, chunk.len());
-        let cost = nmpic_model::pack_cost(&params, plan.sell.col_idx());
-        cycles += cost.cycles.round() as u64;
-        indir_cycles += cost.indir_cycles.round() as u64;
-        offchip += cost.offchip_bytes;
-        for x in chunk {
-            ys.push(plan.sell.spmv(x));
+        RunReport {
+            label: facts.label.clone(),
+            cycles: total.cycles,
+            vectors: xs.len(),
+            indir_cycles: total.indir_cycles,
+            nnz: facts.nnz as u64,
+            entries: facts.entries as u64,
+            offchip_bytes: total.offchip_bytes,
+            ideal_bytes: facts.ideal_bytes(xs.len()),
+            verified,
+            shards: sys.shard_detail(xs.len()),
+            ys,
         }
     }
-    RunReport {
-        label: plan.cfg.adapter.label(),
-        cycles,
-        vectors: xs.len(),
-        indir_cycles,
-        nnz: plan.sell.nnz() as u64,
-        entries: plan.sell.padded_len() as u64,
-        offchip_bytes: offchip,
-        ideal_bytes: pack_ideal_bytes(&plan.sell, xs.len() as u64),
-        verified: true,
-        ys,
-        shards: None,
-    }
 }
 
-fn analytic_pack_iter(plan: &mut PackPlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let params = analytic_pack_params(plan, 1);
-    let cost = nmpic_model::pack_cost(&params, plan.sell.col_idx());
-    y.copy_from_slice(&plan.sell.spmv(x));
-    IterReport {
-        cycles: cost.cycles.round() as u64,
-        indir_cycles: cost.indir_cycles.round() as u64,
-        offchip_bytes: cost.offchip_bytes,
-    }
-}
-
-/// Per-vector analytic sharded costs: the gather phase is the slowest
-/// shard's burst, the collection phase streams the merged result rows.
-/// Costs do not depend on vector values, so one evaluation covers every
-/// vector of a batch.
-fn analytic_sharded_costs(
-    plan: &ShardedPlan,
-) -> (Vec<nmpic_model::AnalyticCost>, nmpic_model::AnalyticCost) {
-    let unit_chan = nmpic_model::ChannelModel::of(&plan.backend.split(plan.units));
-    let collect_chan =
-        nmpic_model::ChannelModel::of(&plan.backend.split(plan.backend.kind.channels()));
-    // Each shard's replay is independent; fan them across the work pool
-    // (this is the analytic path's dominant cost on large matrices).
-    let jobs: Vec<(usize, u64, u64, u64)> = plan
-        .slots
-        .iter()
-        .enumerate()
-        .map(|(i, slot)| (i, slot.nnz, slot.idx_base, slot.x_base))
-        .collect();
-    let workers = nmpic_sim::pool::parallel_jobs();
-    // Capture only plain data: the plan also owns channel ports, which
-    // are not Sync.
-    let (partition, csr, adapter) = (&plan.partition, &plan.csr, &plan.adapter);
-    let per_shard =
-        nmpic_sim::pool::parallel_map_jobs(workers, jobs, |(i, nnz, idx_base, x_base)| {
-            if nnz == 0 {
-                return nmpic_model::AnalyticCost::default();
-            }
-            let shard = partition.csr_shard(csr, i);
-            nmpic_model::shard_gather_cost(adapter, &unit_chan, idx_base, x_base, shard.col_idx())
-        });
-    (
-        per_shard,
-        nmpic_model::collect_cost(plan.csr.rows(), &collect_chan),
-    )
-}
-
-fn analytic_sharded_plan(plan: &mut ShardedPlan, xs: &[&[f64]]) -> RunReport {
-    let (shard_costs, collect) = analytic_sharded_costs(plan);
-    let n = xs.len() as u64;
-    let mut gather_per_vec = 0u64;
-    let mut shard_bytes = 0u64;
-    let mut payload_per_vec = 0u64;
-    let mut cycle_ext = Extrema::new();
-    let bus_ext = Extrema::new();
-    let mut per_shard = Vec::with_capacity(plan.slots.len());
-    for (i, (slot, cost)) in plan.slots.iter().zip(&shard_costs).enumerate() {
-        let cyc = cost.cycles.round() as u64;
-        gather_per_vec = gather_per_vec.max(cyc);
-        shard_bytes += cost.offchip_bytes;
-        let payload = 8 * slot.nnz;
-        payload_per_vec += payload;
-        cycle_ext.add(cyc as f64);
-        per_shard.push(ShardReport {
-            shard: i,
-            rows: slot.rows,
-            nnz: slot.nnz,
-            cycles: cyc,
-            indir_gbps: if cyc == 0 {
-                0.0
-            } else {
-                payload as f64 / cyc as f64
-            },
-            adapter: Default::default(),
-            dram: None,
-        });
-    }
-    let gather_cycles = gather_per_vec * n;
-    let collect_cycles = collect.cycles.round() as u64 * n;
-    let ys: Vec<Vec<f64>> = xs.iter().map(|x| plan.csr.spmv_fast(x)).collect();
-    let detail = ShardDetail {
-        units: plan.units,
-        gather_cycles,
-        collect_cycles,
-        aggregate_gbps: if gather_cycles == 0 {
-            0.0
-        } else {
-            (payload_per_vec * n) as f64 / gather_cycles as f64
-        },
-        nnz_imbalance: plan.partition.nnz_imbalance(),
-        cycle_imbalance: cycle_ext.imbalance(),
-        bus_imbalance: bus_ext.imbalance(),
-        scatter: Default::default(),
-        dram: None,
-        per_shard,
-    };
-    RunReport {
-        label: sharded_label(plan),
-        cycles: gather_cycles + collect_cycles,
-        vectors: xs.len(),
-        indir_cycles: gather_cycles,
-        nnz: plan.csr.nnz() as u64,
-        entries: plan.csr.nnz() as u64,
-        offchip_bytes: (shard_bytes + collect.offchip_bytes) * n,
-        ideal_bytes: base_ideal_bytes(&plan.csr, n),
-        verified: true,
-        ys,
-        shards: Some(detail),
-    }
-}
-
-fn analytic_sharded_iter(plan: &mut ShardedPlan, x: &[f64], y: &mut [f64]) -> IterReport {
-    let (shard_costs, collect) = analytic_sharded_costs(plan);
-    let gather = shard_costs
-        .iter()
-        .map(|c| c.cycles.round() as u64)
-        .max()
-        .unwrap_or(0);
-    let shard_bytes: u64 = shard_costs.iter().map(|c| c.offchip_bytes).sum();
-    plan.csr.spmv_fast_into(x, y);
-    IterReport {
-        cycles: gather + collect.cycles.round() as u64,
-        indir_cycles: gather,
-        offchip_bytes: shard_bytes + collect.offchip_bytes,
-    }
+/// One SpMV of the golden vector on `plan` — how the system modules'
+/// in-module tests reach their datapath.
+#[cfg(test)]
+pub(crate) fn run_golden(mut plan: SpmvPlan) -> RunReport {
+    let x: Vec<f64> = (0..plan.cols()).map(crate::report::golden_x).collect();
+    plan.run(&x)
 }
 
 #[cfg(test)]
@@ -1507,42 +784,77 @@ mod tests {
 
     /// The tentpole guarantee of the parallel shard executor: any worker
     /// count produces the exact serial result — same bytes, same cycle
-    /// and traffic accounting, same per-shard detail.
+    /// and traffic accounting, same per-shard detail — in both execution
+    /// modes (the analytic replays fan out under the same setting).
     #[test]
     fn parallel_shard_execution_is_byte_identical_to_serial() {
         let csr = banded_fem(512, 8, 24, 11);
         let x = x_for(&csr);
-        let mut reference: Option<RunReport> = None;
-        for workers in [1usize, 2, 4, 8] {
-            let engine = SpmvEngine::builder()
-                .backend(BackendConfig::interleaved(4))
-                .system(SystemKind::Sharded {
-                    units: 4,
-                    strategy: PartitionStrategy::ByNnz,
-                })
-                .shard_workers(workers)
-                .build();
-            let mut plan = engine.prepare(&csr);
-            let r = plan.run(&x);
-            assert!(r.verified, "{workers} workers: golden mismatch");
-            match &reference {
-                None => reference = Some(r),
-                Some(serial) => {
-                    assert_eq!(r.y_bits(), serial.y_bits(), "{workers} workers");
-                    assert_eq!(r.cycles, serial.cycles, "{workers} workers");
-                    assert_eq!(r.offchip_bytes, serial.offchip_bytes, "{workers} workers");
-                    let (d, ds) = (
-                        r.shards().expect("sharded"),
-                        serial.shards().expect("sharded"),
-                    );
-                    assert_eq!(d.gather_cycles, ds.gather_cycles);
-                    assert_eq!(d.collect_cycles, ds.collect_cycles);
-                    for (a, b) in d.per_shard.iter().zip(&ds.per_shard) {
-                        assert_eq!(a.cycles, b.cycles, "shard {} drifted", a.shard);
-                        assert_eq!(a.nnz, b.nnz);
+        for mode in [ExecMode::CycleAccurate, ExecMode::Analytic] {
+            let mut reference: Option<RunReport> = None;
+            for workers in [1usize, 2, 4, 8] {
+                let ctx = format!("{mode}, {workers} workers");
+                let engine = SpmvEngine::builder()
+                    .backend(BackendConfig::interleaved(4))
+                    .system(SystemKind::Sharded {
+                        units: 4,
+                        strategy: PartitionStrategy::ByNnz,
+                    })
+                    .exec_mode(mode)
+                    .shard_workers(workers)
+                    .build();
+                let mut plan = engine.prepare(&csr);
+                let r = plan.run(&x);
+                assert!(r.verified, "{ctx}: golden mismatch");
+                match &reference {
+                    None => reference = Some(r),
+                    Some(serial) => {
+                        assert_eq!(r.y_bits(), serial.y_bits(), "{ctx}");
+                        assert_eq!(r.cycles, serial.cycles, "{ctx}");
+                        assert_eq!(r.offchip_bytes, serial.offchip_bytes, "{ctx}");
+                        let (d, ds) = (
+                            r.shards().expect("sharded"),
+                            serial.shards().expect("sharded"),
+                        );
+                        assert_eq!(d.gather_cycles, ds.gather_cycles, "{ctx}");
+                        assert_eq!(d.collect_cycles, ds.collect_cycles, "{ctx}");
+                        for (a, b) in d.per_shard.iter().zip(&ds.per_shard) {
+                            assert_eq!(a.cycles, b.cycles, "{ctx}: shard {} drifted", a.shard);
+                            assert_eq!(a.nnz, b.nnz);
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// The one verification rule is bit equality for every system: a
+    /// result one ulp off the golden kernel's must not pass (the pack
+    /// system used to accept anything within 1e-9 relative).
+    #[test]
+    fn verification_rejects_a_one_ulp_deviation() {
+        let csr = banded_fem(192, 6, 16, 4);
+        let x = x_for(&csr);
+        for system in [
+            SystemKind::Base,
+            SystemKind::Pack(AdapterConfig::mlp(64)),
+            SystemKind::Sharded {
+                units: 2,
+                strategy: PartitionStrategy::ByNnz,
+            },
+        ] {
+            let mut plan = SpmvEngine::builder()
+                .system(system.clone())
+                .build()
+                .prepare(&csr);
+            let r = plan.run(&x);
+            assert!(r.verified && plan.sys.verify(&x, r.y()), "{system}");
+            let mut off = r.y().to_vec();
+            off[17] = f64::from_bits(off[17].to_bits() + 1);
+            assert!(
+                !plan.sys.verify(&x, &off),
+                "{system}: accepted a 1-ulp error"
+            );
         }
     }
 

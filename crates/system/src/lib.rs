@@ -33,10 +33,6 @@
 //! p50/p99/p999 tail-latency accounting — plus parallel shard execution
 //! on the shared `NMPIC_JOBS` work pool.
 //!
-//! The legacy one-shot free functions (`run_base_spmv[_on]`,
-//! `run_pack_spmv[_on]`, `run_sharded_spmv`) remain as deprecated shims
-//! delegating to the engine.
-//!
 //! # Example
 //!
 //! ```
@@ -68,24 +64,18 @@ mod service;
 mod shard;
 mod solve;
 
-#[allow(deprecated)]
-pub use base::{base_memory_size, run_base_spmv, run_base_spmv_on, BaseConfig};
+pub use base::{base_memory_size, BaseConfig};
 pub use engine::{
     ExecMode, ParseExecModeError, ParseSystemError, SpmvEngine, SpmvEngineBuilder, SpmvPlan,
     SystemKind,
 };
 pub use nmpic_mem::{Cache, CacheConfig, CacheStats};
-#[allow(deprecated)]
-pub use pack::{pack_label, pack_memory_size, run_pack_spmv, run_pack_spmv_on, PackConfig};
-pub use report::{golden_x, results_match, IterReport, RunReport, ShardDetail, SpmvReport};
+pub use pack::PackConfig;
+pub use report::{golden_x, IterReport, RunReport, ShardDetail};
 pub use service::{
     Clock, Completed, CompletedSolve, LatencySnapshot, LogicalClock, MatrixKey, ServiceBuilder,
     ServiceError, ServiceStats, SolveRequest, SpmvService, Ticket, DEFAULT_DRAIN_BATCH,
     DEFAULT_LANES, DEFAULT_QUEUE_CAPACITY, MAX_LANES, RESULT_RETENTION_FACTOR,
 };
-#[allow(deprecated)]
-pub use shard::{
-    run_sharded_spmv, ParsePartitionError, PartitionStrategy, ShardReport, ShardedConfig,
-    ShardedReport,
-};
+pub use shard::{ParsePartitionError, PartitionStrategy, ShardReport};
 pub use solve::{SolveOptions, SolveReport, Solver};

@@ -27,7 +27,8 @@ use nmpic_core::{AdapterConfig, IndirectStreamUnit};
 use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
 use nmpic_sparse::Sell;
 
-use crate::report::{golden_x, results_match, SpmvReport};
+use crate::engine::{ExecMode, Executor, PlanFacts};
+use crate::report::{bits_equal, IterReport};
 
 /// Configuration of the pack system.
 #[derive(Debug, Clone)]
@@ -88,48 +89,10 @@ enum Stage {
     Indirect(usize),
 }
 
-/// Runs tiled SELL SpMV on the pack system and reports Fig. 5 metrics.
-///
-/// # Panics
-///
-/// Panics on an empty matrix or if the simulation exceeds its cycle
-/// budget (model deadlock).
-///
-/// # Example
-///
-/// ```
-/// use nmpic_core::AdapterConfig;
-/// use nmpic_sparse::{gen::banded_fem, Sell};
-/// # #[allow(deprecated)]
-/// use nmpic_system::{run_pack_spmv, PackConfig};
-///
-/// let sell = Sell::from_csr_default(&banded_fem(128, 6, 16, 1));
-/// # #[allow(deprecated)]
-/// let r = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp(64)));
-/// assert!(r.verified, "simulated result must match the golden SpMV");
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..)\
-            .system(SystemKind::Pack(adapter)).build().prepare_sell(sell).run(&x)` \
-            (see README § Engine API)"
-)]
-pub fn run_pack_spmv(sell: &Sell, cfg: &PackConfig) -> SpmvReport {
-    let mut chan = cfg.backend.build(Memory::new(pack_memory_size(sell)));
-    #[allow(deprecated)]
-    run_pack_spmv_on(&mut *chan, sell, cfg)
-}
-
-/// Memory footprint needed by [`run_pack_spmv_on`] for a matrix (the six
-/// logical arrays' home locations plus slack), rounded to a power of two.
-pub fn pack_memory_size(sell: &Sell) -> usize {
-    pack_plan_memory_size(sell, 1)
-}
-
 /// Memory footprint for a prepared pack plan holding `slots` resident
 /// vector/result pairs (batched runs keep every vector of a batch in
 /// DRAM simultaneously), rounded to a power of two.
-pub(crate) fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
+fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
     let slots = slots.max(1) as u64;
     let need = 4 * sell.slice_ptr().len() as u64
         + 12 * sell.padded_len() as u64
@@ -138,70 +101,116 @@ pub(crate) fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
     (need.next_multiple_of(BLOCK_BYTES as u64) as usize).next_power_of_two()
 }
 
-/// Generic-backend variant of [`run_pack_spmv`]: runs the pack system
-/// against any [`ChannelPort`] built by [`nmpic_mem::build_backend`]. The
-/// channel's backing memory must be at least [`pack_memory_size`] bytes
-/// and is laid out by this function.
-///
-/// # Panics
-///
-/// Panics on an empty matrix, an undersized channel memory, or a
-/// cycle-budget overrun (model deadlock).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..)\
-            .system(SystemKind::Pack(adapter)).build().prepare_sell(sell).run(&x)` \
-            (see README § Engine API)"
-)]
-pub fn run_pack_spmv_on(chan: &mut dyn ChannelPort, sell: &Sell, cfg: &PackConfig) -> SpmvReport {
-    let data_bytes_before = chan.data_bytes();
-    let layout = layout_pack(chan, sell, 1);
-    let x: Vec<f64> = (0..sell.cols()).map(golden_x).collect();
-    write_pack_vector(chan, &layout, 0, &x);
-    let row_of = row_map(sell);
-    let mut unit = IndirectStreamUnit::new(cfg.adapter.clone());
-    let mut y = vec![0.0f64; sell.rows()];
-    let run = exec_pack(
-        chan,
-        &mut unit,
-        sell,
-        cfg,
-        &layout,
-        &row_of,
-        &[&x],
-        &mut [&mut y],
-    );
-    let want = sell.spmv(&x);
-    let verified = results_match(&y, &want);
-    #[allow(deprecated)]
-    let label = pack_label(&cfg.adapter);
-    SpmvReport {
-        label,
-        cycles: run.cycles,
-        indir_cycles: run.indir_cycles,
-        nnz: sell.nnz() as u64,
-        entries: sell.padded_len() as u64,
-        offchip_bytes: chan.data_bytes() - data_bytes_before,
-        ideal_bytes: pack_ideal_bytes(sell, 1),
-        verified,
+/// The pack system's prepared plan: SELL image resident in a warm
+/// channel, stream-position map and adapter unit built once.
+pub(crate) struct PackPlan {
+    mode: ExecMode,
+    cfg: PackConfig,
+    sell: Sell,
+    row_of: Vec<u32>,
+    chan: Box<dyn ChannelPort>,
+    layout: PackLayout,
+    unit: IndirectStreamUnit,
+}
+
+impl PackPlan {
+    /// Lays the SELL image out, with `slots` resident vector/result
+    /// pairs, in a channel built from `cfg.backend`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty matrix.
+    pub(crate) fn prepare(sell: Sell, cfg: PackConfig, slots: usize, mode: ExecMode) -> Self {
+        let mut chan = cfg
+            .backend
+            .build(Memory::new(pack_plan_memory_size(&sell, slots)));
+        let layout = layout_pack(&mut *chan, &sell, slots);
+        Self {
+            mode,
+            row_of: row_map(&sell),
+            unit: IndirectStreamUnit::new(cfg.adapter.clone()),
+            cfg,
+            sell,
+            chan,
+            layout,
+        }
+    }
+
+    fn model_params(&self, vectors: usize) -> nmpic_model::PackParams {
+        nmpic_model::PackParams {
+            tile_entries: self.cfg.tile_entries_batched(vectors).max(64),
+            ptr_count: self.sell.slice_ptr().len(),
+            rows: self.sell.rows(),
+            vectors,
+            compute_elems_per_cycle: self.cfg.compute_elems_per_cycle,
+            adapter: self.cfg.adapter.clone(),
+            chan: nmpic_model::ChannelModel::of(&self.cfg.backend),
+            idx_base: self.layout.idx_base,
+            vec_bases: self.layout.vec_bases[..vectors].to_vec(),
+        }
+    }
+}
+
+impl Executor for PackPlan {
+    fn facts(&self) -> PlanFacts {
+        let sell = &self.sell;
+        PlanFacts {
+            label: self.cfg.adapter.label(),
+            rows: sell.rows(),
+            cols: sell.cols(),
+            nnz: sell.nnz(),
+            entries: sell.padded_len(),
+            matrix_bytes: 4 * sell.slice_ptr().len() as u64 + 12 * sell.padded_len() as u64,
+        }
+    }
+
+    /// One tiled pass multiplies as many vectors as the image has
+    /// resident slots, fetching each tile's contiguous streams once.
+    fn chunk_capacity(&self) -> usize {
+        self.layout.vec_bases.len()
+    }
+
+    fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        match self.mode {
+            ExecMode::CycleAccurate => {
+                self.chan.reset_run_state();
+                self.unit.reset();
+                for (x, &vec_base) in xs.iter().zip(&self.layout.vec_bases) {
+                    self.chan.memory_mut().write_f64_slice(vec_base, x);
+                }
+                exec_pack(self, xs, ys)
+            }
+            ExecMode::Analytic => {
+                let cost =
+                    nmpic_model::pack_cost(&self.model_params(xs.len()), self.sell.col_idx());
+                for (x, y) in xs.iter().zip(ys.iter_mut()) {
+                    y.copy_from_slice(&self.sell.spmv(x));
+                }
+                IterReport::modelled(&cost)
+            }
+        }
+    }
+
+    fn verify(&self, x: &[f64], y: &[f64]) -> bool {
+        self.mode == ExecMode::Analytic || bits_equal(y, &self.sell.spmv(x))
     }
 }
 
 /// DRAM home locations of the pack system's arrays. `vec_bases[s]` /
 /// `res_bases[s]` are the vector/result home of batch slot `s`.
 #[derive(Debug, Clone)]
-pub(crate) struct PackLayout {
-    pub(crate) ptr_base: u64,
-    pub(crate) idx_base: u64,
-    pub(crate) val_base: u64,
-    pub(crate) vec_bases: Vec<u64>,
-    pub(crate) res_bases: Vec<u64>,
+struct PackLayout {
+    ptr_base: u64,
+    idx_base: u64,
+    val_base: u64,
+    vec_bases: Vec<u64>,
+    res_bases: Vec<u64>,
 }
 
 /// Allocates the pack arrays (with `slots` resident vector/result pairs)
-/// and writes the **matrix** image. Vectors are written separately — per
-/// run — by [`write_pack_vector`].
-pub(crate) fn layout_pack(chan: &mut dyn ChannelPort, sell: &Sell, slots: usize) -> PackLayout {
+/// and writes the **matrix** image. Vectors are written separately, per
+/// run.
+fn layout_pack(chan: &mut dyn ChannelPort, sell: &Sell, slots: usize) -> PackLayout {
     assert!(sell.padded_len() > 0, "empty matrix");
     let slots = slots.max(1);
     let mem = chan.memory_mut();
@@ -226,49 +235,17 @@ pub(crate) fn layout_pack(chan: &mut dyn ChannelPort, sell: &Sell, slots: usize)
     }
 }
 
-/// Rewrites only batch slot `slot`'s vector region — the per-run step of
-/// a prepared plan.
-pub(crate) fn write_pack_vector(
-    chan: &mut dyn ChannelPort,
-    layout: &PackLayout,
-    slot: usize,
-    x: &[f64],
-) {
-    chan.memory_mut().write_f64_slice(layout.vec_bases[slot], x);
-}
-
-/// Compulsory off-chip bytes for `vectors` SpMVs on one laid-out SELL
-/// matrix.
-pub(crate) fn pack_ideal_bytes(sell: &Sell, vectors: u64) -> u64 {
-    4 * sell.slice_ptr().len() as u64
-        + 12 * sell.padded_len() as u64
-        + vectors * 8 * (sell.cols() + sell.rows()) as u64
-}
-
-/// One pack execution's measurements (a batch counts as one execution).
-pub(crate) struct PackRun {
-    pub(crate) cycles: u64,
-    pub(crate) indir_cycles: u64,
-}
-
 /// Executes tiled SELL SpMV for `xs.len()` vectors against an already
-/// laid-out memory image, starting the channel clock at 0. Per tile, the
+/// laid-out memory image, starting the channel clock (and, the caller
+/// having reset the channel, its traffic counter) at 0. Per tile, the
 /// slice-pointer and nonzero bursts run once and are followed by one
 /// indirect burst + accumulation pass per vector. Results are written
 /// into the caller's `ys` buffers (one per vector, overwritten) so a
 /// solver loop reuses one preallocated buffer instead of receiving
 /// fresh vectors per call.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_pack(
-    chan: &mut dyn ChannelPort,
-    unit: &mut IndirectStreamUnit,
-    sell: &Sell,
-    cfg: &PackConfig,
-    layout: &PackLayout,
-    row_of_pos: &[u32],
-    xs: &[&[f64]],
-    ys: &mut [&mut [f64]],
-) -> PackRun {
+fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+    let (chan, unit) = (&mut *plan.chan, &mut plan.unit);
+    let (sell, cfg, layout, row_of_pos) = (&plan.sell, &plan.cfg, &plan.layout, &plan.row_of);
     assert!(sell.padded_len() > 0, "empty matrix");
     let b_n = xs.len();
     assert!(b_n >= 1, "at least one vector");
@@ -446,21 +423,15 @@ pub(crate) fn exec_pack(
         );
     }
 
-    PackRun {
+    IterReport {
         cycles: now,
         indir_cycles,
+        offchip_bytes: chan.data_bytes(),
     }
 }
 
-/// Paper-style system label for an adapter variant (`pack0`, `pack64`,
-/// `pack256`, `packSEQ64`, ...).
-#[deprecated(since = "0.2.0", note = "use `AdapterConfig::label()` instead")]
-pub fn pack_label(adapter: &AdapterConfig) -> String {
-    adapter.label()
-}
-
 /// Maps each padded SELL stream position to its row.
-pub(crate) fn row_map(sell: &Sell) -> Vec<u32> {
+fn row_map(sell: &Sell) -> Vec<u32> {
     if u32::try_from(sell.rows().saturating_sub(1)).is_err() {
         // nmpic-lint: allow(L2) — documented panic: row ids in the position map are 32 b by the paper's index-width contract; the former per-entry cast silently wrapped and misrouted accumulation instead
         panic!("{} rows exceed the 32 b row-id width", sell.rows());
@@ -497,8 +468,19 @@ fn complete_rows(sell: &Sell, pos: usize) -> usize {
     done
 }
 
+/// One golden-vector SpMV on a fresh pack plan tuned by `cfg` — the
+/// in-module tests' way into the datapath.
 #[cfg(test)]
-#[allow(deprecated)]
+fn run_pack_spmv(sell: &Sell, cfg: &PackConfig) -> crate::RunReport {
+    let engine = crate::SpmvEngine::builder()
+        .backend(cfg.backend.clone())
+        .system(crate::SystemKind::Pack(cfg.adapter.clone()))
+        .pack_config(cfg.clone())
+        .build();
+    crate::engine::run_golden(engine.prepare_sell(sell))
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use nmpic_sparse::gen::{banded_fem, circuit};
@@ -561,16 +543,14 @@ mod tests {
 
     #[test]
     fn label_follows_paper_convention() {
-        assert_eq!(pack_label(&AdapterConfig::mlp_nc()), "pack0");
-        assert_eq!(pack_label(&AdapterConfig::mlp(64)), "pack64");
-        assert_eq!(pack_label(&AdapterConfig::seq(256)), "packSEQ256");
-        // The deprecated free function and the config method agree.
-        for a in [
-            AdapterConfig::mlp_nc(),
-            AdapterConfig::mlp(64),
-            AdapterConfig::seq(256),
+        for (adapter, want) in [
+            (AdapterConfig::mlp_nc(), "pack0"),
+            (AdapterConfig::mlp(64), "pack64"),
+            (AdapterConfig::seq(256), "packSEQ256"),
         ] {
-            assert_eq!(pack_label(&a), a.label());
+            let cfg = PackConfig::with_adapter(adapter);
+            let plan = PackPlan::prepare(sell(64), cfg, 1, ExecMode::CycleAccurate);
+            assert_eq!(plan.facts().label, want);
         }
     }
 
@@ -596,7 +576,6 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod behaviour_tests {
     use super::*;
     use nmpic_core::AdapterConfig;

@@ -1,83 +1,10 @@
-//! SpMV run reports: the unified session-API [`RunReport`] and the
-//! legacy [`SpmvReport`] the deprecated free-function shims still return.
+//! SpMV run reports: the unified [`RunReport`] of `run`/`run_batch` and
+//! the lean per-call [`IterReport`] of `run_into`.
 
 use nmpic_core::ScatterStats;
 use nmpic_mem::HbmStats;
 
 use crate::shard::ShardReport;
-
-/// Result of one end-to-end SpMV simulation (Fig. 5 metrics).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpmvReport {
-    /// System label (`base`, `pack0`, `pack64`, `pack256`).
-    pub label: String,
-    /// Total runtime in 1 GHz cycles.
-    pub cycles: u64,
-    /// Cycles attributed to indirect access (index fetch + gather for the
-    /// baseline; indirect-burst transfer time for pack systems).
-    pub indir_cycles: u64,
-    /// True nonzeros processed.
-    pub nnz: u64,
-    /// Padded SELL entries (pack systems) or nnz (baseline).
-    pub entries: u64,
-    /// Total off-chip bytes moved (reads + writes).
-    pub offchip_bytes: u64,
-    /// Compulsory off-chip bytes: each array once plus the vector once.
-    pub ideal_bytes: u64,
-    /// Whether the computed result matched the golden SpMV exactly
-    /// (within floating-point associativity tolerance).
-    pub verified: bool,
-}
-
-impl SpmvReport {
-    /// Off-chip traffic relative to the compulsory ideal (Fig. 5b, ≥ 1).
-    pub fn traffic_ratio(&self) -> f64 {
-        if self.ideal_bytes == 0 {
-            0.0
-        } else {
-            self.offchip_bytes as f64 / self.ideal_bytes as f64
-        }
-    }
-
-    /// Memory bandwidth utilization against a peak of `peak_gbps`
-    /// (Fig. 5b, the paper uses 32 GB/s). Returns 0.0 when either
-    /// denominator (cycles, peak) is zero, so degenerate runs report
-    /// zeros instead of NaN/inf.
-    pub fn bw_utilization(&self, peak_gbps: f64) -> f64 {
-        if self.cycles == 0 || peak_gbps == 0.0 {
-            return 0.0;
-        }
-        let gbps = self.offchip_bytes as f64 / self.cycles as f64; // 1 GHz
-        gbps / peak_gbps
-    }
-
-    /// Achieved GFLOP/s at 1 GHz (2 FLOPs per nonzero).
-    pub fn gflops(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            2.0 * self.nnz as f64 / self.cycles as f64
-        }
-    }
-
-    /// Runtime fraction spent on indirect access (Fig. 5a's `indir` bar).
-    pub fn indir_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.indir_cycles as f64 / self.cycles as f64
-        }
-    }
-
-    /// Speedup of `self` over `other` (other.cycles / self.cycles).
-    pub fn speedup_over(&self, other: &SpmvReport) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            other.cycles as f64 / self.cycles as f64
-        }
-    }
-}
 
 /// Sharded-execution detail carried by a [`RunReport`] when the plan ran
 /// on the multi-unit engine ([`crate::SystemKind::Sharded`]).
@@ -115,8 +42,7 @@ pub struct ShardDetail {
 }
 
 /// The unified report returned by [`crate::SpmvPlan::run`] and
-/// [`crate::SpmvPlan::run_batch`] for **every** system kind — the single
-/// type that replaces the old [`SpmvReport`] / `ShardedReport` split.
+/// [`crate::SpmvPlan::run_batch`] for **every** system kind.
 ///
 /// `cycles`, `offchip_bytes` and `ideal_bytes` cover the whole run (all
 /// `vectors` of a batch); the per-vector accessors divide by the batch
@@ -236,21 +162,6 @@ impl RunReport {
     pub fn shards(&self) -> Option<&ShardDetail> {
         self.shards.as_ref()
     }
-
-    /// Converts to the legacy [`SpmvReport`] (for the deprecated
-    /// free-function shims).
-    pub fn to_spmv_report(&self) -> SpmvReport {
-        SpmvReport {
-            label: self.label.clone(),
-            cycles: self.cycles,
-            indir_cycles: self.indir_cycles,
-            nnz: self.nnz,
-            entries: self.entries,
-            offchip_bytes: self.offchip_bytes,
-            ideal_bytes: self.ideal_bytes,
-            verified: self.verified,
-        }
-    }
 }
 
 /// The lean per-call report of [`crate::SpmvPlan::run_into`] — the
@@ -270,6 +181,16 @@ pub struct IterReport {
 }
 
 impl IterReport {
+    /// The report of an SpMV whose cost the closed-form model predicted
+    /// (cycle figures rounded to whole cycles).
+    pub(crate) fn modelled(cost: &nmpic_model::AnalyticCost) -> Self {
+        Self {
+            cycles: cost.cycles.round() as u64,
+            indir_cycles: cost.indir_cycles.round() as u64,
+            offchip_bytes: cost.offchip_bytes,
+        }
+    }
+
     /// Delivered off-chip bandwidth in GB/s at 1 GHz.
     pub fn gbps(&self) -> f64 {
         if self.cycles == 0 {
@@ -287,9 +208,10 @@ pub fn golden_x(i: usize) -> f64 {
     0.5 + ((i as u64).wrapping_mul(2654435761) % 1000) as f64 * 1e-3
 }
 
-/// `true` iff two result vectors are **bit-identical** — the strict
-/// check used wherever the datapath reproduces the golden accumulation
-/// order exactly (base, sharded, and cross-run plan determinism).
+/// `true` iff two result vectors are **bit-identical** — the one rule
+/// every system's golden verification applies: each datapath reproduces
+/// its golden kernel's accumulation order exactly ([`nmpic_sparse::Csr::spmv`]
+/// for base and sharded, [`nmpic_sparse::Sell::spmv`] for pack).
 pub(crate) fn bits_equal(got: &[f64], want: &[f64]) -> bool {
     got.len() == want.len()
         && got
@@ -298,32 +220,23 @@ pub(crate) fn bits_equal(got: &[f64], want: &[f64]) -> bool {
             .all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
-/// Compares a computed result against the golden result with a relative
-/// tolerance that absorbs accumulation-order differences.
-pub fn results_match(got: &[f64], want: &[f64]) -> bool {
-    if got.len() != want.len() {
-        return false;
-    }
-    got.iter().zip(want).all(|(g, w)| {
-        let scale = w.abs().max(1.0);
-        (g - w).abs() <= 1e-9 * scale
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(cycles: u64, indir: u64, bytes: u64, ideal: u64) -> SpmvReport {
-        SpmvReport {
+    fn report(cycles: u64, indir: u64, bytes: u64, ideal: u64) -> RunReport {
+        RunReport {
             label: "t".into(),
             cycles,
+            vectors: 1,
             indir_cycles: indir,
             nnz: 1000,
             entries: 1100,
             offchip_bytes: bytes,
             ideal_bytes: ideal,
             verified: true,
+            ys: vec![vec![]],
+            shards: None,
         }
     }
 
@@ -361,17 +274,10 @@ mod tests {
         assert_eq!(r.bw_utilization(0.0), 0.0);
 
         let rr = RunReport {
-            label: "t".into(),
-            cycles: 0,
             vectors: 0,
-            indir_cycles: 0,
             nnz: 0,
             entries: 0,
-            offchip_bytes: 0,
-            ideal_bytes: 0,
-            verified: true,
-            ys: vec![vec![]],
-            shards: None,
+            ..report(0, 0, 0, 0)
         };
         for v in [
             rr.cycles_per_vector(),
@@ -402,14 +308,5 @@ mod tests {
             assert!((0.5..1.5).contains(&v));
             assert_eq!(v, golden_x(i));
         }
-    }
-
-    #[test]
-    fn results_match_tolerates_round_off() {
-        let want = [1.0, 2.0, 3.0];
-        let got = [1.0 + 1e-12, 2.0, 3.0 - 1e-12];
-        assert!(results_match(&got, &want));
-        assert!(!results_match(&[1.0, 2.0], &want));
-        assert!(!results_match(&[1.0, 2.0, 4.0], &want));
     }
 }

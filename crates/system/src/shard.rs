@@ -33,15 +33,17 @@ use std::str::FromStr;
 
 use nmpic_axi::{ElemSize, PackRequest, Packer, Unpacker};
 use nmpic_core::{
-    AdapterConfig, AdapterStats, IndirectStreamUnit, MergedCollector, ScatterRequest, ScatterStats,
-    ScatterUnit,
+    stream_memory_size, AdapterConfig, AdapterStats, IndirectStreamUnit, MergedCollector,
+    ScatterRequest, ScatterStats, ScatterUnit,
 };
-use nmpic_mem::{BackendConfig, ChannelPort, HbmStats, BLOCK_BYTES};
-use nmpic_sparse::partition::Partition;
+use nmpic_mem::{BackendConfig, ChannelPort, HbmStats, Memory, BLOCK_BYTES};
+use nmpic_sim::pool;
+use nmpic_sim::stats::Extrema;
+use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
 use nmpic_sparse::Csr;
 
-use crate::engine::{SpmvEngine, SystemKind};
-use crate::report::golden_x;
+use crate::engine::{ExecMode, Executor, PlanFacts};
+use crate::report::{bits_equal, IterReport, ShardDetail};
 
 /// How rows are divided across units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -94,40 +96,7 @@ impl FromStr for PartitionStrategy {
     }
 }
 
-/// Configuration of the sharded engine.
-#[derive(Debug, Clone)]
-pub struct ShardedConfig {
-    /// Number of parallel indexing/coalescing units (K ≥ 1).
-    pub units: usize,
-    /// Adapter variant instantiated per unit.
-    pub adapter: AdapterConfig,
-    /// The **total** memory system; each unit drives
-    /// [`BackendConfig::split`]`(units)` of it.
-    pub backend: BackendConfig,
-    /// Row partitioning strategy.
-    pub strategy: PartitionStrategy,
-}
-
-impl ShardedConfig {
-    /// `units` MLP256 units over an 8-channel interleaved HBM stack —
-    /// the scaling-study configuration.
-    pub fn new(units: usize) -> Self {
-        Self {
-            units,
-            adapter: AdapterConfig::mlp(256),
-            backend: BackendConfig::interleaved(8),
-            strategy: PartitionStrategy::ByNnz,
-        }
-    }
-
-    /// Aggregate peak bytes/cycle across all units' backend slices.
-    pub fn peak_bytes_per_cycle(&self) -> u64 {
-        self.backend.split(self.units).peak_bytes_per_cycle() * self.units as u64
-    }
-}
-
-/// Per-shard measurement inside a [`ShardedReport`] or a
-/// [`crate::ShardDetail`].
+/// Per-shard measurement inside a [`crate::ShardDetail`].
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard index.
@@ -146,112 +115,345 @@ pub struct ShardReport {
     pub dram: Option<HbmStats>,
 }
 
-/// Result of one sharded SpMV run (the legacy report type; the session
-/// API returns the unified [`crate::RunReport`] instead).
-#[derive(Debug, Clone)]
-pub struct ShardedReport {
-    /// `sharded x{K} ({adapter label}, {backend})`.
-    pub label: String,
-    /// Number of units.
-    pub units: usize,
-    /// Gather-phase latency: the slowest unit's cycle count.
-    pub gather_cycles: u64,
-    /// Merged write-back phase latency.
-    pub collect_cycles: u64,
-    /// End-to-end latency (`gather + collect`; collection starts once the
-    /// slowest unit has drained).
-    pub cycles: u64,
-    /// Total stored nonzeros.
-    pub nnz: u64,
-    /// Aggregate delivered indirect bandwidth: payload bytes of all units
-    /// over the gather-phase latency, in GB/s at 1 GHz. This is the
-    /// number that breaks past one unit's 64 GB/s upstream-port cap.
-    pub aggregate_gbps: f64,
-    /// Cross-shard nonzero imbalance (`max/mean`, 1.0 = perfect).
-    pub nnz_imbalance: f64,
-    /// Cross-shard gather-cycle imbalance.
-    pub cycle_imbalance: f64,
-    /// Cross-shard DRAM bus-busy imbalance (1.0 when DRAM is not
-    /// modelled).
-    pub bus_imbalance: f64,
-    /// Write-back scatter statistics (merged collection).
-    pub scatter: ScatterStats,
-    /// DRAM statistics merged across every unit's backend slice.
-    pub dram: Option<HbmStats>,
-    /// Per-shard detail rows.
-    pub per_shard: Vec<ShardReport>,
-    /// The computed result vector (for cross-run equivalence checks).
-    pub y: Vec<f64>,
-    /// `true` iff the written-back result array is byte-identical to the
-    /// golden [`Csr::spmv`].
-    pub verified: bool,
+/// One unit's resident state: its slice of the memory system, its
+/// adapter, and where its rows land in the merged result.
+struct ShardSlot {
+    chan: Box<dyn ChannelPort>,
+    unit: IndirectStreamUnit,
+    idx_base: u64,
+    x_base: u64,
+    /// First global row of the shard (merge offset for the worker's
+    /// local accumulation buffer).
+    row_start: usize,
+    rows: usize,
+    nnz: u64,
+    /// Stream position → shard-local row.
+    row_of: Vec<u32>,
+    /// Worker-owned accumulation buffer, reused across runs so the
+    /// solver hot path allocates nothing per iteration.
+    local_y: Vec<f64>,
 }
 
-impl ShardedReport {
-    /// The result vector as raw bit patterns — byte-identity checks
-    /// across unit counts and backends compare these.
-    pub fn y_bits(&self) -> Vec<u64> {
-        self.y.iter().map(|v| v.to_bits()).collect()
+/// What one shard's gather contributed to the last SpMV: everything the
+/// reports need, computed entirely on state the shard's worker owned
+/// exclusively (the result rows themselves land in the slot's `local_y`).
+#[derive(Default)]
+struct ShardOut {
+    cycles: u64,
+    payload_bytes: u64,
+    data_bytes: u64,
+    stats: AdapterStats,
+    dram: Option<HbmStats>,
+}
+
+/// What the merged write-back phase contributed to the last SpMV.
+#[derive(Default)]
+struct CollectOut {
+    cycles: u64,
+    data_bytes: u64,
+    scatter: ScatterStats,
+}
+
+/// The sharded system's prepared plan: one warm channel/unit pair per
+/// shard plus the single-channel write-back port.
+pub(crate) struct ShardedPlan {
+    mode: ExecMode,
+    adapter: AdapterConfig,
+    backend: BackendConfig,
+    csr: Csr,
+    partition: Partition,
+    slots: Vec<ShardSlot>,
+    collect_chan: Box<dyn ChannelPort>,
+    scatter: ScatterUnit,
+    collect_idx_base: u64,
+    collect_res_base: u64,
+    merge_rows: Vec<u32>,
+    /// Merge-order result bits staged for the collection phase, reused
+    /// across runs so the solver hot path allocates nothing per
+    /// iteration.
+    merge_bits: Vec<u64>,
+    /// Worker-thread override for the per-shard fan-out (`None` = the
+    /// shared pool's `NMPIC_JOBS` policy).
+    workers: Option<usize>,
+    /// Per-shard and collection outcome of the last `exec` (`outs` is
+    /// empty before the first). The analytic outcome depends on plan
+    /// state only — not on vector values — so that mode evaluates it on
+    /// the first `exec` and keeps it.
+    outs: Vec<ShardOut>,
+    collect: CollectOut,
+}
+
+impl ShardedPlan {
+    /// Partitions `csr` across `units` units, each on its
+    /// [`BackendConfig::split`] share of `backend`, and writes every
+    /// index array (per-shard gather streams, merged write-back order).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero unit count or an empty matrix.
+    pub(crate) fn prepare(
+        csr: &Csr,
+        units: usize,
+        strategy: PartitionStrategy,
+        adapter: &AdapterConfig,
+        backend: &BackendConfig,
+        workers: Option<usize>,
+        mode: ExecMode,
+    ) -> Self {
+        assert!(units > 0, "at least one unit");
+        assert!(csr.rows() > 0 && csr.nnz() > 0, "empty matrix");
+        let partition = match strategy {
+            PartitionStrategy::ByNnz => by_nnz(csr, units),
+            PartitionStrategy::ByRows => by_rows(csr, units),
+        };
+        let per_unit_backend = backend.split(units);
+        let slots: Vec<ShardSlot> = (0..units)
+            .map(|i| {
+                let shard = partition.csr_shard(csr, i);
+                let indices = shard.col_idx();
+                let mut chan = per_unit_backend
+                    .build(Memory::new(stream_memory_size(indices.len(), csr.cols())));
+                let mem = chan.memory_mut();
+                let idx_base = mem.alloc_array(indices.len().max(1) as u64, 4);
+                let x_base = mem.alloc_array(csr.cols() as u64, 8);
+                mem.write_u32_slice(idx_base, indices);
+                let row_start = shard.rows().start;
+                // Stream positions map to rows *local to the shard*, so a
+                // worker thread can accumulate into its own buffer and the
+                // merge can place it by `row_start` — the per-worker unit
+                // state ownership the parallel executor relies on.
+                let row_of = shard
+                    .row_of_positions()
+                    .iter()
+                    // nmpic-lint: allow(L1) — in range: row_start ≤ every id in the (checked 32 b) position map, so the cast and subtraction cannot wrap
+                    .map(|&r| r - row_start as u32)
+                    .collect();
+                ShardSlot {
+                    chan,
+                    unit: IndirectStreamUnit::new(adapter.clone()),
+                    idx_base,
+                    x_base,
+                    row_start,
+                    rows: shard.n_rows(),
+                    nnz: shard.nnz() as u64,
+                    row_of,
+                    local_y: vec![0.0; shard.n_rows()],
+                }
+            })
+            .collect();
+
+        // The write-back port is one channel wide: splitting by the full
+        // channel count leaves exactly one channel of the configured
+        // kind. Its index array (the merge order) depends only on the
+        // partition, so it is written once, here.
+        let rows = csr.rows();
+        let collect_backend = backend.split(backend.kind.channels());
+        let mut collect_chan = collect_backend.build(Memory::new(stream_memory_size(rows, rows)));
+        let merge_rows = merge_order(&partition, units);
+        let mem = collect_chan.memory_mut();
+        let collect_idx_base = mem.alloc_array(rows as u64, 4);
+        let collect_res_base = mem.alloc_array(rows as u64, 8);
+        mem.write_u32_slice(collect_idx_base, &merge_rows);
+
+        Self {
+            mode,
+            adapter: adapter.clone(),
+            backend: backend.clone(),
+            csr: csr.clone(),
+            partition,
+            slots,
+            collect_chan,
+            scatter: ScatterUnit::new(adapter.clone()),
+            collect_idx_base,
+            collect_res_base,
+            merge_rows,
+            merge_bits: vec![0; rows],
+            workers,
+            outs: Vec::new(),
+            collect: CollectOut::default(),
+        }
+    }
+
+    /// The one place the per-shard fan-out width is decided, for the
+    /// cycle-accurate gathers and the analytic replays alike.
+    fn workers(&self) -> usize {
+        self.workers.unwrap_or_else(pool::parallel_jobs)
+    }
+
+    /// Cycle-accurate SpMV: parallel per-shard gathers into the slots'
+    /// resident `local_y` buffers, merge into `y`, then the merged
+    /// write-back phase.
+    fn simulate(&mut self, x: &[f64], y: &mut [f64]) {
+        // Every shard's unit simulation runs on its own worker thread.
+        // Each worker owns its slot exclusively (channel, unit, and a
+        // local accumulation buffer), so the simulations are bit-for-bit
+        // the same as a serial loop; the merge below walks shards in
+        // fixed index order, keeping reports and result bytes identical
+        // whatever the worker count.
+        let workers = self.workers();
+        let (csr, partition) = (&self.csr, &self.partition);
+        let jobs: Vec<(usize, &mut ShardSlot)> = self.slots.iter_mut().enumerate().collect();
+        self.outs = pool::parallel_map_jobs(workers, jobs, |(i, slot)| {
+            exec_shard_gather(slot, x, partition.csr_shard(csr, i).values())
+        });
+        for slot in &self.slots {
+            y[slot.row_start..slot.row_start + slot.rows].copy_from_slice(&slot.local_y);
+        }
+
+        self.merge_bits.clear();
+        self.merge_bits
+            .extend(self.merge_rows.iter().map(|&r| y[r as usize].to_bits()));
+        self.collect = exec_merged_writeback(self);
+    }
+
+    /// Analytic costs: the gather phase replays each shard's index
+    /// stream through the coalescer traffic model, the collection phase
+    /// streams the merged result rows.
+    fn model(&mut self) {
+        let unit_chan = nmpic_model::ChannelModel::of(&self.backend.split(self.slots.len()));
+        let collect_chan =
+            nmpic_model::ChannelModel::of(&self.backend.split(self.backend.kind.channels()));
+        // Each shard's replay is independent; fan them across the work
+        // pool (this is the analytic path's dominant cost on large
+        // matrices). The jobs carry plain data only: the slots also own
+        // channel ports, which are not Sync.
+        let jobs: Vec<(usize, u64, u64, u64)> = self
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| (i, slot.nnz, slot.idx_base, slot.x_base))
+            .collect();
+        let (partition, csr, adapter) = (&self.partition, &self.csr, &self.adapter);
+        self.outs = pool::parallel_map_jobs(self.workers(), jobs, |(i, nnz, idx_base, x_base)| {
+            if nnz == 0 {
+                return ShardOut::default();
+            }
+            let shard = partition.csr_shard(csr, i);
+            let cost = nmpic_model::shard_gather_cost(
+                adapter,
+                &unit_chan,
+                idx_base,
+                x_base,
+                shard.col_idx(),
+            );
+            ShardOut {
+                cycles: cost.cycles.round() as u64,
+                payload_bytes: 8 * nnz,
+                data_bytes: cost.offchip_bytes,
+                ..ShardOut::default()
+            }
+        });
+        let collect = nmpic_model::collect_cost(self.csr.rows(), &collect_chan);
+        self.collect = CollectOut {
+            cycles: collect.cycles.round() as u64,
+            data_bytes: collect.offchip_bytes,
+            scatter: ScatterStats::default(),
+        };
     }
 }
 
-/// Runs CSR SpMV on K parallel units over an nnz-balanced row partition
-/// and merges the result through one coalescing scatter unit.
-///
-/// # Panics
-///
-/// Panics on an empty matrix, a zero unit count, or a cycle-budget
-/// overrun in any phase (model deadlock).
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sparse::gen::banded_fem;
-/// # #[allow(deprecated)]
-/// use nmpic_system::{run_sharded_spmv, ShardedConfig};
-///
-/// let csr = banded_fem(256, 6, 16, 1);
-/// # #[allow(deprecated)]
-/// let r = run_sharded_spmv(&csr, &ShardedConfig::new(4));
-/// assert!(r.verified, "result array must match the golden SpMV bytes");
-/// assert_eq!(r.per_shard.len(), 4);
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "build a session instead: `SpmvEngine::builder().backend(..)\
-            .system(SystemKind::Sharded { units, strategy }).build().prepare(csr).run(&x)` \
-            (see README § Engine API)"
-)]
-pub fn run_sharded_spmv(csr: &Csr, cfg: &ShardedConfig) -> ShardedReport {
-    let engine = SpmvEngine::builder()
-        .backend(cfg.backend.clone())
-        .system(SystemKind::Sharded {
-            units: cfg.units,
-            strategy: cfg.strategy,
+impl Executor for ShardedPlan {
+    fn facts(&self) -> PlanFacts {
+        let label = format!(
+            "sharded x{} ({}, {})",
+            self.slots.len(),
+            self.adapter.label(),
+            self.backend.label()
+        );
+        PlanFacts::of_csr(label, &self.csr)
+    }
+
+    fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        assert_eq!(xs.len(), 1, "the units gather one vector per pass");
+        let (x, y) = (xs[0], &mut *ys[0]);
+        match self.mode {
+            ExecMode::CycleAccurate => self.simulate(x, y),
+            ExecMode::Analytic => {
+                if self.outs.is_empty() {
+                    self.model();
+                }
+                self.csr.spmv_fast_into(x, y);
+            }
+        }
+        // Units share nothing, so the gather phase lasts as long as its
+        // slowest shard; collection starts once that one has drained.
+        let gather = self.outs.iter().map(|o| o.cycles).max().unwrap_or(0);
+        let shard_bytes: u64 = self.outs.iter().map(|o| o.data_bytes).sum();
+        IterReport {
+            cycles: gather + self.collect.cycles,
+            indir_cycles: gather,
+            offchip_bytes: shard_bytes + self.collect.data_bytes,
+        }
+    }
+
+    /// Both the merged vector handed to the caller and the result array
+    /// the scatter unit wrote back must carry the golden bits.
+    fn verify(&self, x: &[f64], y: &[f64]) -> bool {
+        if self.mode == ExecMode::Analytic {
+            return true;
+        }
+        let golden = self.csr.spmv_fast(x);
+        let mem = self.collect_chan.memory();
+        bits_equal(y, &golden)
+            && golden.iter().enumerate().all(|(r, want)| {
+                mem.read_u64(self.collect_res_base + 8 * r as u64) == want.to_bits()
+            })
+    }
+
+    /// Gather timing, DRAM counters and scatter statistics do not depend
+    /// on vector values, so the last vector's outcome stands for every
+    /// vector of a batch: phase latencies and payload scale by
+    /// `vectors`, the per-vector rows are reported once.
+    fn shard_detail(&self, vectors: usize) -> Option<ShardDetail> {
+        let n = vectors as u64;
+        let mut gather = 0u64;
+        let mut payload = 0u64;
+        let mut cycle_ext = Extrema::new();
+        let mut bus_ext = Extrema::new();
+        let mut dram: Option<HbmStats> = None;
+        let mut per_shard = Vec::with_capacity(self.slots.len());
+        for (i, (slot, out)) in self.slots.iter().zip(&self.outs).enumerate() {
+            gather = gather.max(out.cycles);
+            payload += out.payload_bytes;
+            cycle_ext.add(out.cycles as f64);
+            if let Some(d) = out.dram {
+                bus_ext.add(d.bus_busy_cycles as f64);
+                dram = Some(match dram {
+                    Some(acc) => acc.merge(&d),
+                    None => d,
+                });
+            }
+            per_shard.push(ShardReport {
+                shard: i,
+                rows: slot.rows,
+                nnz: slot.nnz,
+                cycles: out.cycles,
+                indir_gbps: if out.cycles == 0 {
+                    0.0
+                } else {
+                    out.payload_bytes as f64 / out.cycles as f64
+                },
+                adapter: out.stats,
+                dram: out.dram,
+            });
+        }
+        let gather_cycles = gather * n;
+        Some(ShardDetail {
+            units: self.slots.len(),
+            gather_cycles,
+            collect_cycles: self.collect.cycles * n,
+            aggregate_gbps: if gather_cycles == 0 {
+                0.0
+            } else {
+                (payload * n) as f64 / gather_cycles as f64
+            },
+            nnz_imbalance: self.partition.nnz_imbalance(),
+            cycle_imbalance: cycle_ext.imbalance(),
+            bus_imbalance: bus_ext.imbalance(),
+            scatter: self.collect.scatter,
+            dram,
+            per_shard,
         })
-        .sharded_adapter(cfg.adapter.clone())
-        .build();
-    let mut plan = engine.prepare(csr);
-    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
-    let mut report = plan.run(&x);
-    // nmpic-lint: allow(L2) — invariant: plans prepared with SystemKind::Sharded always populate `shards`
-    let detail = report.shards.take().expect("sharded plan carries detail");
-    ShardedReport {
-        label: report.label,
-        units: detail.units,
-        gather_cycles: detail.gather_cycles,
-        collect_cycles: detail.collect_cycles,
-        cycles: report.cycles,
-        nnz: report.nnz,
-        aggregate_gbps: detail.aggregate_gbps,
-        nnz_imbalance: detail.nnz_imbalance,
-        cycle_imbalance: detail.cycle_imbalance,
-        bus_imbalance: detail.bus_imbalance,
-        scatter: detail.scatter,
-        dram: detail.dram,
-        per_shard: detail.per_shard,
-        y: report.ys.swap_remove(0),
-        verified: report.verified,
     }
 }
 
@@ -260,7 +462,7 @@ pub fn run_sharded_spmv(csr: &Csr, cfg: &ShardedConfig) -> ShardedReport {
 /// (8 rows) per round-robin grant so the scatter unit's write warps keep
 /// coalescing. Depends only on the partition, so prepared plans compute
 /// it once.
-pub(crate) fn merge_order(partition: &Partition, units: usize) -> Vec<u32> {
+fn merge_order(partition: &Partition, units: usize) -> Vec<u32> {
     let mut collector = MergedCollector::with_chunk(units, BLOCK_BYTES / 8);
     for i in 0..units {
         for row in partition.range(i) {
@@ -277,28 +479,28 @@ pub(crate) fn merge_order(partition: &Partition, units: usize) -> Vec<u32> {
     collector.drain().into_iter().map(|(row, _)| row).collect()
 }
 
-/// Runs one shard's indirect gather on a **warm** channel/unit pair (the
-/// caller resets both and writes `x` at `elem_base` beforehand; the index
-/// array at `idx_base` was written at prepare time) and accumulates the
-/// shard's rows of `y`. Returns `(cycles, adapter stats, dram stats)`.
-pub(crate) fn exec_shard_gather(
-    chan: &mut dyn ChannelPort,
-    unit: &mut IndirectStreamUnit,
-    idx_base: u64,
-    elem_base: u64,
-    values: &[f64],
-    row_of_pos: &[u32],
-    y: &mut [f64],
-) -> (u64, AdapterStats, Option<HbmStats>) {
+/// Runs one shard's indirect gather of `x` on its warm channel/unit pair
+/// (the index array at `idx_base` was written at prepare time) and
+/// accumulates the shard's rows into its `local_y`; `values` are the
+/// shard's nonzeros in stream order.
+fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], values: &[f64]) -> ShardOut {
+    slot.local_y.fill(0.0);
+    if values.is_empty() {
+        return ShardOut::default();
+    }
+    let (chan, unit) = (&mut *slot.chan, &mut slot.unit);
+    chan.reset_run_state();
+    chan.memory_mut().write_f64_slice(slot.x_base, x);
+    unit.reset();
     let count = values.len() as u64;
     unit.begin(PackRequest::Indirect {
-        idx_base,
+        idx_base: slot.idx_base,
         idx_size: ElemSize::B4,
         count,
-        elem_base,
+        elem_base: slot.x_base,
         elem_size: ElemSize::B8,
     })
-    // nmpic-lint: allow(L2) — invariant: the caller resets the unit before each shard, and a reset unit always accepts a burst
+    // nmpic-lint: allow(L2) — invariant: the unit was reset two lines up, and a reset unit always accepts a burst
     .expect("reset unit accepts a burst");
 
     let mut unpacker = Unpacker::new(ElemSize::B8);
@@ -314,7 +516,7 @@ pub(crate) fn exec_shard_gather(
                 // The packer restores stream order, so position `pos`
                 // pairs the gathered x element with its nonzero value;
                 // per-row accumulation order equals `Csr::spmv`'s.
-                y[row_of_pos[pos] as usize] += values[pos] * f64::from_bits(bits);
+                slot.local_y[slot.row_of[pos] as usize] += values[pos] * f64::from_bits(bits);
                 pos += 1;
             }
         }
@@ -322,58 +524,42 @@ pub(crate) fn exec_shard_gather(
         assert!(now < budget, "shard gather deadlock after {now} cycles");
     }
     assert_eq!(pos, values.len(), "every element delivered exactly once");
-    (now, unit.stats(), chan.dram_stats())
+    let stats = unit.stats();
+    ShardOut {
+        cycles: now,
+        payload_bytes: stats.payload_bytes,
+        data_bytes: chan.data_bytes(),
+        stats,
+        dram: chan.dram_stats(),
+    }
 }
 
-/// [`exec_merged_writeback`] plus a read-back of the result array's
-/// per-row bits, for golden verification. Returns
-/// `(cycles, scatter stats, per-row result bits)`.
-pub(crate) fn exec_merged_collection(
-    chan: &mut dyn ChannelPort,
-    unit: &mut ScatterUnit,
-    idx_base: u64,
-    res_base: u64,
-    bits_in_order: &[u64],
-    rows: usize,
-) -> (u64, ScatterStats, Vec<u64>) {
-    let (now, stats) = exec_merged_writeback(chan, unit, idx_base, res_base, bits_in_order, rows);
-    let result_bits = (0..rows as u64)
-        .map(|r| chan.memory().read_u64(res_base + 8 * r))
-        .collect();
-    (now, stats, result_bits)
-}
-
-/// Streams the merged result bits through a **warm** scatter unit (the
-/// caller resets the channel and unit; the merge-order index array at
-/// `idx_base` was written at prepare time) into the result array.
-/// Returns `(cycles, scatter stats)` without reading the array back —
-/// the allocation-free collection path [`crate::SpmvPlan::run_into`]
-/// uses (the caller already holds the merged `y`; the read-back only
-/// serves golden verification).
-pub(crate) fn exec_merged_writeback(
-    chan: &mut dyn ChannelPort,
-    unit: &mut ScatterUnit,
-    idx_base: u64,
-    res_base: u64,
-    bits_in_order: &[u64],
-    rows: usize,
-) -> (u64, ScatterStats) {
+/// Streams the plan's staged `merge_bits` through its warm scatter unit
+/// (the merge-order index array was written at prepare time) into the
+/// result array, without reading the array back: the caller already
+/// holds the merged `y`, and golden verification reads the array back
+/// separately.
+fn exec_merged_writeback(plan: &mut ShardedPlan) -> CollectOut {
+    let (chan, unit) = (&mut *plan.collect_chan, &mut plan.scatter);
+    chan.reset_run_state();
+    unit.reset();
+    let rows = plan.merge_bits.len() as u64;
     unit.begin(ScatterRequest {
-        idx_base,
+        idx_base: plan.collect_idx_base,
         idx_size: ElemSize::B4,
-        count: rows as u64,
-        elem_base: res_base,
+        count: rows,
+        elem_base: plan.collect_res_base,
         elem_size: ElemSize::B8,
     })
-    // nmpic-lint: allow(L2) — invariant: the caller resets the scatter unit before each write-back burst
+    // nmpic-lint: allow(L2) — invariant: the scatter unit was reset two lines up, and a reset unit always accepts a burst
     .expect("reset scatter unit");
 
     let mut packer = Packer::new(ElemSize::B8);
-    let mut pending = bits_in_order.iter().copied();
+    let mut pending = plan.merge_bits.iter().copied();
     let mut exhausted = false;
     let mut staged = None;
     let mut now = 0u64;
-    let budget = 200_000 + rows as u64 * 256;
+    let budget = 200_000 + rows * 256;
     while !unit.is_done(&*chan) {
         if staged.is_none() {
             while packer.pending() < 8 && !exhausted {
@@ -400,22 +586,56 @@ pub(crate) fn exec_merged_writeback(
         );
     }
 
-    (now, unit.stats())
+    CollectOut {
+        cycles: now,
+        data_bytes: chan.data_bytes(),
+        scatter: unit.stats(),
+    }
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::{RunReport, SpmvEngine, SystemKind};
     use nmpic_sparse::gen::{banded_fem, circuit};
+
+    /// One golden-vector SpMV on a fresh `units`-unit plan (MLP256 units)
+    /// — the in-module tests' way into the datapath.
+    fn run_on(
+        csr: &Csr,
+        units: usize,
+        backend: BackendConfig,
+        strategy: PartitionStrategy,
+    ) -> RunReport {
+        let engine = SpmvEngine::builder()
+            .backend(backend)
+            .system(SystemKind::Sharded { units, strategy })
+            .build();
+        crate::engine::run_golden(engine.prepare(csr))
+    }
+
+    /// [`run_on`] in the scaling-study configuration: nnz-balanced shards
+    /// over an 8-channel interleaved HBM stack.
+    fn run_sharded_spmv(csr: &Csr, units: usize) -> RunReport {
+        run_on(
+            csr,
+            units,
+            BackendConfig::interleaved(8),
+            PartitionStrategy::ByNnz,
+        )
+    }
+
+    fn detail(r: &RunReport) -> &ShardDetail {
+        r.shards().expect("sharded plan carries detail")
+    }
 
     #[test]
     fn sharded_result_is_byte_identical_across_unit_counts() {
         let csr = circuit(384, 4, 24, 0.1, 5, 11);
-        let baseline = run_sharded_spmv(&csr, &ShardedConfig::new(1));
+        let baseline = run_sharded_spmv(&csr, 1);
         assert!(baseline.verified);
         for units in [2, 3, 4, 8] {
-            let r = run_sharded_spmv(&csr, &ShardedConfig::new(units));
+            let r = run_sharded_spmv(&csr, units);
             assert!(r.verified, "x{units} failed golden verification");
             assert_eq!(r.y_bits(), baseline.y_bits(), "x{units} diverged");
         }
@@ -431,11 +651,7 @@ mod tests {
             BackendConfig::interleaved(4),
         ] {
             for units in [1usize, 4] {
-                let cfg = ShardedConfig {
-                    backend: backend.clone(),
-                    ..ShardedConfig::new(units)
-                };
-                let r = run_sharded_spmv(&csr, &cfg);
+                let r = run_on(&csr, units, backend.clone(), PartitionStrategy::ByNnz);
                 assert!(r.verified, "{} x{units}", backend.label());
                 match &references {
                     Some(bits) => assert_eq!(&r.y_bits(), bits, "{}", backend.label()),
@@ -448,20 +664,21 @@ mod tests {
     #[test]
     fn more_units_cut_gather_latency_and_raise_aggregate_bandwidth() {
         let csr = banded_fem(2048, 10, 48, 3);
-        let r1 = run_sharded_spmv(&csr, &ShardedConfig::new(1));
-        let r4 = run_sharded_spmv(&csr, &ShardedConfig::new(4));
+        let r1 = run_sharded_spmv(&csr, 1);
+        let r4 = run_sharded_spmv(&csr, 4);
         assert!(r1.verified && r4.verified);
+        let (d1, d4) = (detail(&r1), detail(&r4));
         assert!(
-            r4.gather_cycles < r1.gather_cycles,
+            d4.gather_cycles < d1.gather_cycles,
             "4 units must drain faster: {} vs {}",
-            r4.gather_cycles,
-            r1.gather_cycles
+            d4.gather_cycles,
+            d1.gather_cycles
         );
         assert!(
-            r4.aggregate_gbps > r1.aggregate_gbps,
+            d4.aggregate_gbps > d1.aggregate_gbps,
             "aggregate bandwidth must rise: {:.1} vs {:.1}",
-            r4.aggregate_gbps,
-            r1.aggregate_gbps
+            d4.aggregate_gbps,
+            d1.aggregate_gbps
         );
     }
 
@@ -486,21 +703,11 @@ mod tests {
     #[test]
     fn by_nnz_beats_by_rows_on_skewed_matrices() {
         let csr = skewed(512);
-        let nnz = run_sharded_spmv(
-            &csr,
-            &ShardedConfig {
-                strategy: PartitionStrategy::ByNnz,
-                ..ShardedConfig::new(4)
-            },
-        );
-        let rows = run_sharded_spmv(
-            &csr,
-            &ShardedConfig {
-                strategy: PartitionStrategy::ByRows,
-                ..ShardedConfig::new(4)
-            },
-        );
+        let hbm8 = BackendConfig::interleaved(8);
+        let nnz = run_on(&csr, 4, hbm8.clone(), PartitionStrategy::ByNnz);
+        let rows = run_on(&csr, 4, hbm8, PartitionStrategy::ByRows);
         assert!(nnz.verified && rows.verified);
+        let (nnz, rows) = (detail(&nnz), detail(&rows));
         // Equal rows put all dense rows in shard 0: imbalance ≈ 2.6.
         assert!(
             nnz.nnz_imbalance < 1.1 && rows.nnz_imbalance > 2.0,
@@ -519,16 +726,17 @@ mod tests {
     #[test]
     fn report_accounts_phases_and_stats() {
         let csr = banded_fem(256, 6, 16, 5);
-        let r = run_sharded_spmv(&csr, &ShardedConfig::new(2));
-        assert_eq!(r.cycles, r.gather_cycles + r.collect_cycles);
-        assert!(r.collect_cycles > 0);
+        let r = run_sharded_spmv(&csr, 2);
+        let d = detail(&r);
+        assert_eq!(r.cycles, d.gather_cycles + d.collect_cycles);
+        assert!(d.collect_cycles > 0);
         assert_eq!(r.nnz, csr.nnz() as u64);
-        assert!(r.nnz_imbalance >= 1.0 && r.cycle_imbalance >= 1.0);
-        assert_eq!(r.scatter.elements_in, csr.rows() as u64);
-        assert!(r.scatter.coalesce_rate() > 2.0, "rows coalesce into lines");
-        let dram = r.dram.expect("hbm-backed run has dram stats");
+        assert!(d.nnz_imbalance >= 1.0 && d.cycle_imbalance >= 1.0);
+        assert_eq!(d.scatter.elements_in, csr.rows() as u64);
+        assert!(d.scatter.coalesce_rate() > 2.0, "rows coalesce into lines");
+        let dram = d.dram.expect("hbm-backed run has dram stats");
         assert!(dram.reads > 0);
-        assert_eq!(r.per_shard.len(), 2);
+        assert_eq!(d.per_shard.len(), 2);
         assert!(r.label.contains("sharded x2"));
     }
 
@@ -536,22 +744,19 @@ mod tests {
     fn empty_shards_are_tolerated() {
         // 8 units over 3 rows: most shards own nothing.
         let csr = banded_fem(3, 2, 4, 1);
-        let r = run_sharded_spmv(&csr, &ShardedConfig::new(8));
+        let r = run_sharded_spmv(&csr, 8);
         assert!(r.verified);
-        assert_eq!(r.per_shard.iter().map(|s| s.nnz).sum::<u64>(), r.nnz);
+        assert_eq!(
+            detail(&r).per_shard.iter().map(|s| s.nnz).sum::<u64>(),
+            r.nnz
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one unit")]
     fn zero_units_panics() {
         let csr = banded_fem(8, 2, 4, 1);
-        let _ = run_sharded_spmv(
-            &csr,
-            &ShardedConfig {
-                units: 0,
-                ..ShardedConfig::new(1)
-            },
-        );
+        let _ = run_sharded_spmv(&csr, 0);
     }
 
     #[test]

@@ -2,13 +2,15 @@
 # Reproduces the CI matrix locally so contributors can pre-flight before
 # pushing. Mirrors .github/workflows/ci.yml job for job:
 #
-#   lint        cargo fmt --check + clippy -D warnings + -D deprecated
-#               on the bench/tests/examples targets (legacy-API gate),
-#               then nmpic-lint (workspace invariant checker: casts,
-#               panic paths, unordered floats, unsafe, Relaxed, clocks,
-#               unaudited service locks)
+#   lint        cargo fmt --check + clippy -D warnings, then nmpic-lint
+#               (workspace invariant checker: casts, panic paths,
+#               unordered floats, unsafe, Relaxed, clocks, unaudited
+#               service locks)
 #   test        release build + quick-scale test suite (stable, plus the
 #               MSRV toolchain when rustup has it installed)
+#   benchmark   the benchmark/ package's own tests + a 1 s smoke run of
+#               every BENCHMARK.json workload (build, golden checks and
+#               determinism guard of the benchmark driver)
 #   bench-smoke scaling_units + scaling_channels + batched_spmv +
 #               analytic_validation + service_throughput + service_soak +
 #               solver_convergence at NMPIC_QUICK=1, then gate the JSON
@@ -17,7 +19,7 @@
 #               unbounded retention / zero p99 for the service)
 #   doc         rustdoc with broken intra-doc links as errors
 #
-# Usage: scripts/ci-local.sh [lint|test|bench|doc]...  (default: all)
+# Usage: scripts/ci-local.sh [lint|test|benchmark|bench|doc]...  (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,9 +32,6 @@ run_lint() {
     cargo fmt --all --check
     step "lint: clippy -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
-    step "lint: no deprecated API outside the shims"
-    RUSTFLAGS="-D deprecated" cargo check -p nmpic-bench --all-targets
-    RUSTFLAGS="-D deprecated" cargo check -p nmpic --tests --examples
     step "lint: nmpic-lint workspace invariants"
     cargo run -q -p nmpic-lint --release
 }
@@ -51,6 +50,13 @@ run_test() {
         echo "note: MSRV $MSRV toolchain not installed; skipping the MSRV leg"
         echo "      (CI still runs it — install with: rustup toolchain install $MSRV)"
     fi
+}
+
+run_benchmark() {
+    step "benchmark: package tests"
+    cargo test --manifest-path benchmark/Cargo.toml
+    step "benchmark: smoke run (every workload, 1 s, untraced)"
+    bash benchmark/run.sh --seed 1 --seconds 1 --trace 0
 }
 
 run_bench() {
@@ -72,16 +78,17 @@ run_doc() {
 }
 
 if [ "$#" -eq 0 ]; then
-    set -- lint test bench doc
+    set -- lint test benchmark bench doc
 fi
 for job in "$@"; do
     case "$job" in
         lint) run_lint ;;
         test) run_test ;;
+        benchmark) run_benchmark ;;
         bench) run_bench ;;
         doc) run_doc ;;
         *)
-            echo "unknown job '$job' (want lint|test|bench|doc)" >&2
+            echo "unknown job '$job' (want lint|test|benchmark|bench|doc)" >&2
             exit 2
             ;;
     esac
