@@ -13,7 +13,7 @@
 //! | `L4` | `forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `L5` | `relaxed-ordering` | every `Ordering::Relaxed` carries a justification comment |
 //! | `L6` | `wall-clock` | no `Instant::now`/`SystemTime` outside `nmpic_bench::timing` |
-//! | `L7` | `service-lock` | no unaudited `std::sync::Mutex`/`RwLock` in the serving front-end (`crates/system/src/service.rs`) |
+//! | `L7` | `service-lock` | no unaudited `std::sync::Mutex`/`RwLock` in the serving front-end (every file under `crates/system/src/service/`) |
 //!
 //! Violations are suppressed only by an explicit, audited marker:
 //!
@@ -97,11 +97,12 @@ impl Workspace {
         path.replace('\\', "/").ends_with("bench/src/timing.rs")
     }
 
-    /// L7 scope: the serving front-end, whose concurrency contract is
+    /// L7 scope: the serving front-end (every file under
+    /// `system/src/service/`), whose concurrency contract is
     /// atomics-first — every blocking `Mutex`/`RwLock` there must be
     /// individually audited.
     pub fn service_lock_applies(&self, path: &str) -> bool {
-        path.replace('\\', "/").ends_with("system/src/service.rs")
+        path.replace('\\', "/").contains("system/src/service/")
     }
 }
 

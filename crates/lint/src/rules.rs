@@ -39,7 +39,7 @@ pub enum Rule {
     /// simulated results.
     WallClock,
     /// L7 — every `std::sync::Mutex`/`RwLock` in the serving front-end
-    /// (`crates/system/src/service.rs`) carries an audited allow-marker:
+    /// (`crates/system/src/service/`) carries an audited allow-marker:
     /// the service's hot paths are atomics-first, so each blocking lock
     /// must name the reason it is held briefly and never nested.
     ServiceLock,

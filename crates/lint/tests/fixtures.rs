@@ -172,7 +172,7 @@ fn l6_trips_everywhere_except_the_timing_module() {
 
 // --- L7: audited locks in the serving front-end ---------------------------
 
-const SERVICE: &str = "crates/system/src/service.rs";
+const SERVICE: &str = "crates/system/src/service/mod.rs";
 
 #[test]
 fn l7_trips_on_unaudited_mutex_and_rwlock_in_the_service() {
@@ -188,6 +188,13 @@ fn l7_applies_only_to_the_service_module() {
     let src = "use std::sync::Mutex;\npub struct S {\n    state: Mutex<u32>,\n}\n";
     assert_clean(&lint_source(LIB, src));
     assert_clean(&lint_source(BIN, src));
+    // Every file of the split service module is in scope...
+    assert_eq!(
+        rules(&lint_source("crates/system/src/service/drain.rs", src)),
+        [Rule::ServiceLock, Rule::ServiceLock]
+    );
+    // ...but its siblings in the same crate are not.
+    assert_clean(&lint_source("crates/system/src/solve.rs", src));
 }
 
 #[test]
