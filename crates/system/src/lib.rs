@@ -74,8 +74,8 @@ pub use pack::PackConfig;
 pub use report::{golden_x, IterReport, RunReport, ShardDetail};
 pub use service::{
     Clock, Completed, CompletedSolve, LatencySnapshot, LogicalClock, MatrixKey, ServiceBuilder,
-    ServiceError, ServiceStats, SolveRequest, SpmvService, Ticket, DEFAULT_DRAIN_BATCH,
-    DEFAULT_LANES, DEFAULT_QUEUE_CAPACITY, MAX_LANES, RESULT_RETENTION_FACTOR,
+    ServiceError, ServiceStats, SolveRequest, SpmvService, Ticket, DEFAULT_LANE_QUOTA, DRAIN_BATCH,
+    LANES, RESULT_RETENTION_FACTOR,
 };
 pub use shard::{ParsePartitionError, PartitionStrategy, ShardReport};
 pub use solve::{SolveOptions, SolveReport, Solver};

@@ -1,16 +1,17 @@
-//! Serving counters, the injectable latency clock, and the tail-latency
-//! snapshot type.
+//! Observability: serving counters, the injectable latency clock, the
+//! tail-latency snapshot, and the [`SpmvService`] accessors over them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use super::lane::LaneState;
+use super::SpmvService;
 #[cfg(doc)]
-use super::{ServiceError, SpmvService, RESULT_RETENTION_FACTOR};
+use super::{ServiceError, RESULT_RETENTION_FACTOR};
 #[cfg(doc)]
 use crate::engine::SpmvPlan;
 
-/// Serving counters. All monotonically increasing; snapshot with
-/// [`SpmvService::stats`] (a racy-but-consistent-enough read of
-/// independent atomics — no lock).
+/// Serving counters, all monotonically increasing; snapshot with
+/// [`SpmvService::stats`] (a lock-free read of independent atomics).
 ///
 /// Conservation invariants (exact once [`SpmvService::quiesce`] returns):
 /// `submitted == completed + solves_completed + failed`, and
@@ -24,33 +25,29 @@ pub struct ServiceStats {
     pub plan_cache_hits: u64,
     /// Requests accepted into a lane.
     pub submitted: u64,
-    /// Submissions refused by per-lane admission
-    /// ([`ServiceError::TenantQuotaExceeded`]).
+    /// Submissions refused by [`ServiceError::TenantQuotaExceeded`].
     pub rejected: u64,
     /// One-shot requests executed and published.
     pub completed: u64,
     /// [`SpmvPlan::run_batch`] calls issued by the drain
     /// (≤ `completed`: same-matrix requests share a batch).
     pub batches: u64,
-    /// Unredeemed results dropped by the per-lane bounded retention
-    /// window ([`RESULT_RETENTION_FACTOR`]` × lane_quota`, oldest
-    /// first).
+    /// Unredeemed results dropped, oldest first, by the per-lane
+    /// retention window ([`RESULT_RETENTION_FACTOR`]` × lane_quota`).
     pub evicted: u64,
     /// Iterative solves executed and published.
     pub solves_completed: u64,
-    /// Requests that reached a terminal `Failed` state because their
-    /// batch panicked or their lane was quarantined mid-flight.
+    /// Requests failed because their job panicked, their plan was
+    /// poisoned, or their lane was quarantined while they were queued.
     pub failed: u64,
-    /// Published entries consumed through `take`/`wait` (including
-    /// consumed failure notices).
+    /// Published entries (failure notices included) consumed through
+    /// `take`/`wait`.
     pub taken: u64,
 }
 
-/// A single monotone event counter.
-///
-/// All `Relaxed` orderings for the service's statistics live in this
-/// type: each counter is independent, and readers only ever take an
-/// approximate snapshot — no reader infers cross-counter ordering.
+/// A monotone event counter. All `Relaxed` orderings of the service's
+/// statistics live here: each counter is independent and no reader
+/// infers cross-counter ordering from a snapshot.
 #[derive(Default)]
 pub(super) struct Counter(AtomicU64);
 
@@ -101,22 +98,19 @@ impl AtomicStats {
     }
 }
 
-/// A monotone time source for per-request latency accounting.
-///
-/// The service never reads the wall clock itself (lint rule L6):
-/// production callers inject a wall clock from `nmpic_bench::timing`
-/// (the one clock-exempt module); tests and library defaults use
-/// [`LogicalClock`], which is deterministic.
+/// A monotone time source for per-request latency accounting. The
+/// service never reads the wall clock itself (lint rule L6): benchmarks
+/// inject one from `nmpic_bench::timing` (the one clock-exempt module);
+/// tests and the default use the deterministic [`LogicalClock`].
 pub trait Clock: Send + Sync {
     /// Current time in nanoseconds (or logical ticks) — only
     /// differences between two readings are ever used.
     fn now_ns(&self) -> u64;
 }
 
-/// The default [`Clock`]: a deterministic logical counter that advances
-/// by one tick per reading. Latencies measured with it count *events*
-/// between enqueue and publish, which is stable across runs — exactly
-/// what deterministic tests want.
+/// The default [`Clock`]: a logical counter advancing one tick per
+/// reading, so latencies count *events* between enqueue and publish —
+/// stable across runs.
 #[derive(Debug, Default)]
 pub struct LogicalClock {
     tick: AtomicU64,
@@ -136,7 +130,8 @@ impl Clock for LogicalClock {
 /// (nanoseconds under a wall clock, ticks under [`LogicalClock`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySnapshot {
-    /// Requests measured (completed + solves + failed).
+    /// Requests measured: completed SpMVs and solves (a failed request
+    /// records no sample).
     pub count: u64,
     /// Mean latency.
     pub mean_ns: f64,
@@ -148,4 +143,55 @@ pub struct LatencySnapshot {
     pub p999_ns: u64,
     /// Worst observed latency.
     pub max_ns: u64,
+}
+
+impl SpmvService {
+    /// Requests currently queued across all lanes (excludes batches a
+    /// drain worker has already popped).
+    pub fn pending(&self) -> usize {
+        self.lane_sum(|st| st.queue.len())
+    }
+
+    /// Published results currently retained (un-taken) across all
+    /// lanes; at most `lane_count × `[`RESULT_RETENTION_FACTOR`]` ×
+    /// lane_quota`.
+    pub fn retained(&self) -> usize {
+        self.lane_sum(|st| st.retained)
+    }
+
+    /// Number of lanes currently quarantined by drain panics.
+    pub fn quarantined_lanes(&self) -> usize {
+        self.lane_sum(|st| usize::from(st.quarantined))
+    }
+
+    /// Sums a per-lane figure, locking one lane at a time.
+    fn lane_sum(&self, f: impl Fn(&LaneState) -> usize) -> usize {
+        self.inner.lanes.iter().map(|l| f(&l.lock())).sum()
+    }
+
+    /// Snapshot of the serving counters (lock-free).
+    pub fn stats(&self) -> ServiceStats {
+        self.inner.stats.snapshot()
+    }
+
+    /// Tail-latency snapshot of every enqueue→publish interval recorded
+    /// so far, in the injected [`Clock`]'s units.
+    pub fn latency(&self) -> LatencySnapshot {
+        let h = &self.inner.latency;
+        LatencySnapshot {
+            count: h.count(),
+            mean_ns: h.mean(),
+            p50_ns: h.quantile(0.50),
+            p99_ns: h.quantile(0.99),
+            p999_ns: h.quantile(0.999),
+            max_ns: h.max(),
+        }
+    }
+
+    /// Discards recorded latencies (e.g. warmup samples before a timed
+    /// burst). Call only at quiescent moments — samples recorded
+    /// concurrently with the reset may be partially lost.
+    pub fn reset_latency(&self) {
+        self.inner.latency.reset();
+    }
 }

@@ -130,12 +130,9 @@ fn queue_is_bounded_and_rejections_counted() {
     svc.submit(key, x).unwrap();
 }
 
-/// The old single-mutex service needed a poisoned-mutex recovery
-/// policy because a panicking `engine.prepare` (e.g. the empty-matrix
-/// assert) unwound while holding the global state lock. The lane
-/// design retires that policy: the build panic is caught, the cache
-/// lock is released cleanly, and the panic re-raises on the caller —
-/// every other tenant keeps serving.
+/// A panicking `engine.prepare` (e.g. the empty-matrix assert) is
+/// caught, the cache lock is released cleanly, and the panic re-raises
+/// on the caller — every other tenant keeps serving.
 #[test]
 fn prepare_panics_propagate_without_poisoning_the_cache() {
     let svc = service(SystemKind::Base);
@@ -155,11 +152,10 @@ fn prepare_panics_propagate_without_poisoning_the_cache() {
     assert_eq!(svc.stats().completed, 1);
 }
 
-/// Port of `service_recovers_from_a_poisoned_state_mutex` to the
-/// lane design: a drain panicking **mid-batch** quarantines exactly
-/// the lane it was draining. Its tickets fail loudly, its tenants
-/// get `LaneQuarantined` on resubmission, and every other lane keeps
-/// serving byte-identical results.
+/// A drain panicking **mid-batch** quarantines exactly the lane it was
+/// draining. Its tickets fail loudly, its tenants get `LaneQuarantined`
+/// on resubmission, and every other lane keeps serving byte-identical
+/// results.
 #[test]
 fn drain_panic_quarantines_only_the_panicking_lane() {
     let svc = sync_service(SystemKind::Base);
@@ -517,12 +513,126 @@ fn errors_display_something_useful() {
 #[test]
 fn lanes_spread_keys_and_lane_of_is_stable() {
     let svc = sync_service(SystemKind::Base);
-    assert_eq!(svc.lane_count(), DEFAULT_LANES);
-    assert_eq!(svc.lane_quota(), DEFAULT_QUEUE_CAPACITY);
+    assert_eq!(svc.lane_count(), LANES);
+    assert_eq!(svc.lane_quota(), DEFAULT_LANE_QUOTA);
     for fp in 0..64u64 {
         let k = MatrixKey(fp);
         let li = svc.lane_of(k);
         assert!(li < svc.lane_count());
         assert_eq!(svc.lane_of(k), li, "lane assignment is stable");
+    }
+}
+
+/// A clock that parks its reader on a barrier: `admit` reads it after
+/// its pre-lock checks, so the test knows when a submitter is about to
+/// take the lane lock.
+struct BarrierClock(std::sync::Barrier);
+
+impl Clock for BarrierClock {
+    fn now_ns(&self) -> u64 {
+        self.0.wait();
+        0
+    }
+}
+
+/// Regression: the quarantine flag is read under the lane lock, so a
+/// submission that loses the lock to the quarantine flush bounces
+/// instead of sitting in a queue no drain visits again.
+#[test]
+fn a_submission_racing_a_quarantine_bounces_instead_of_stranding() {
+    let csr = banded_fem(64, 4, 8, 1);
+    let clock = Arc::new(BarrierClock(std::sync::Barrier::new(2)));
+    let svc = SpmvService::builder(SpmvEngine::builder().system(SystemKind::Base).build())
+        .drain_workers(0)
+        .clock(clock.clone())
+        .build();
+    let key = svc.prepare(&csr);
+    let mut st = svc.inner.lanes[svc.lane_of(key)].lock();
+    std::thread::scope(|s| {
+        let submitter = s.spawn(|| svc.submit(key, x_for(&csr, 0)));
+        // Past the barrier the submitter heads for the lock held here.
+        clock.0.wait();
+        st.quarantined = true;
+        drop(st);
+        assert_eq!(
+            submitter.join().expect("submitter"),
+            Err(ServiceError::LaneQuarantined { key })
+        );
+    });
+    assert_eq!(svc.inner.in_flight.load(Ordering::Acquire), 0);
+    assert_eq!((svc.pending(), svc.stats().submitted), (0, 0));
+}
+
+#[test]
+fn a_notify_between_check_and_park_is_not_lost() {
+    let s = Signal::default();
+    let seen = s.epoch();
+    s.notify();
+    assert!(s.wait_since(seen), "woken by the epoch, not the timeout");
+    assert!(!s.wait_since(s.epoch()), "no notify: the slice times out");
+}
+
+/// `publish` is the single path to a terminal state: whichever source
+/// feeds it, tickets are conserved, redeem to exactly one outcome, and
+/// are single-use.
+#[test]
+fn every_terminal_path_conserves_tickets_and_is_single_use() {
+    type Arm = fn(&SpmvService, MatrixKey);
+    let poison: Arm = |svc, key| {
+        let slot = svc.inner.plans_read()[&key.0].clone();
+        // A run panicking on another thread (wrong vector length)
+        // poisons the plan lock.
+        let run = std::thread::spawn(move || slot.plan.lock().unwrap().run(&[]));
+        assert!(run.join().is_err());
+    };
+    let cases: [(&str, usize, usize, Arm, bool); 4] = [
+        ("spmv group", 3, 0, |_, _| {}, true),
+        ("solve", 0, 1, |_, _| {}, true),
+        ("poisoned plan", 2, 1, poison, false),
+        // One more than a drain batch, so the panic finds a queued tail.
+        (
+            "quarantine",
+            DRAIN_BATCH + 1,
+            1,
+            |s, k| s.inject_batch_panic(k),
+            false,
+        ),
+    ];
+    let a = nmpic_sparse::gen::spd(48, 4, 6, 1);
+    for (name, spmvs, solves, arm, ok) in cases {
+        let svc = sync_service(SystemKind::Base);
+        let key = svc.prepare(&a);
+        let conserved = |taken: usize| {
+            let s = svc.stats();
+            let terminal = s.completed + s.solves_completed + s.failed;
+            assert_eq!(s.submitted, terminal, "{name}");
+            assert_eq!(terminal, s.taken + s.evicted + svc.retained() as u64);
+            assert_eq!((s.taken, svc.pending()), (taken as u64, 0), "{name}");
+        };
+        let redeem = |t: Ticket| match t.is_solve() {
+            true => svc.wait_solve(t).map(drop),
+            false => svc.wait(t).map(drop),
+        };
+        let mut tickets: Vec<Ticket> = (0..spmvs)
+            .map(|i| svc.submit(key, x_for(&a, i)).unwrap())
+            .collect();
+        let opts = SolveOptions::default();
+        tickets.extend((0..solves).map(|_| {
+            svc.submit_solve(key, SolveRequest::PowerIteration, opts.clone())
+                .unwrap()
+        }));
+        arm(&svc, key);
+        svc.quiesce();
+        conserved(0);
+        let want = if ok {
+            Ok(())
+        } else {
+            Err(ServiceError::ExecutionFailed { key })
+        };
+        for &t in &tickets {
+            assert_eq!(redeem(t), want, "{name}: {t}");
+            assert_eq!(redeem(t), Err(ServiceError::ResultEvicted), "{name}");
+        }
+        conserved(tickets.len());
     }
 }

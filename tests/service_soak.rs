@@ -12,6 +12,7 @@
 //! orders of magnitude faster).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use nmpic::sparse::gen::{banded_fem, spd};
 use nmpic::sparse::Csr;
@@ -289,21 +290,44 @@ fn drain_panic_under_load_quarantines_one_lane_and_conserves_tickets() {
     let mut a_accepted = Vec::new();
     let mut a_rejected = 0usize;
     let mut b_tickets = Vec::new();
-    for _ in 0..REQS {
-        // The worker may quarantine A's lane while we are still
-        // submitting; later submissions then bounce eagerly.
-        match svc.submit(ka, xa.clone()) {
-            Ok(t) => a_accepted.push(t),
-            Err(ServiceError::LaneQuarantined { key }) => {
-                assert_eq!(key, ka);
-                a_rejected += 1;
+    // A second producer hammers lane A while the worker quarantines it:
+    // each of its submissions must bounce or fail — one stranded in the
+    // flushed queue would keep `quiesce` from ever returning. Capped so
+    // the lane quota always has room for the REQS submissions below.
+    let cap = svc.lane_quota() - REQS;
+    let stop = AtomicBool::new(false);
+    let hammered = std::thread::scope(|s| {
+        let hammer = s.spawn(|| {
+            let mut accepted = Vec::new();
+            // Acquire pairs with the Release store after quiesce().
+            while !stop.load(Ordering::Acquire) && accepted.len() < cap {
+                match svc.submit(ka, xa.clone()) {
+                    Ok(t) => accepted.push(t),
+                    Err(ServiceError::LaneQuarantined { .. }) => std::thread::yield_now(),
+                    Err(e) => panic!("unexpected submit error: {e}"),
+                }
             }
-            Err(e) => panic!("unexpected submit error: {e}"),
+            accepted
+        });
+        for _ in 0..REQS {
+            // The worker may quarantine A's lane while we are still
+            // submitting; later submissions then bounce eagerly.
+            match svc.submit(ka, xa.clone()) {
+                Ok(t) => a_accepted.push(t),
+                Err(ServiceError::LaneQuarantined { key }) => {
+                    assert_eq!(key, ka);
+                    a_rejected += 1;
+                }
+                Err(e) => panic!("unexpected submit error: {e}"),
+            }
+            b_tickets.push(svc.submit(kb, xb.clone()).expect("healthy lane accepts"));
         }
-        b_tickets.push(svc.submit(kb, xb.clone()).expect("healthy lane accepts"));
-    }
-    assert_eq!(a_accepted.len() + a_rejected, REQS);
-    svc.quiesce();
+        assert_eq!(a_accepted.len() + a_rejected, REQS);
+        svc.quiesce();
+        stop.store(true, Ordering::Release);
+        hammer.join().expect("hammer")
+    });
+    a_accepted.extend(hammered);
 
     assert_eq!(svc.quarantined_lanes(), 1, "only the panicking lane");
     for t in a_accepted.iter() {
