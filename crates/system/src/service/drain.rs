@@ -5,11 +5,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use super::lane::{DoneEntry, Pending, Work};
 use super::{
-    Completed, CompletedSolve, MatrixKey, PlanSlot, ServiceInner, SolveRequest, DRAIN_BATCH, LANES,
+    Completed, CompletedSolve, MatrixKey, ServiceInner, SolveRequest, DRAIN_BATCH, LANES,
     RESULT_RETENTION_FACTOR,
 };
 use crate::solve::Solver;
@@ -27,7 +26,7 @@ impl ServiceInner {
     pub(super) fn drain_tick(&self) -> usize {
         // Relaxed: the cursor is only a load-spreading hint; any
         // interleaving of fetch_adds still visits every lane below.
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let start = self.cursor.fetch_add(1, Ordering::Relaxed) % LANES;
         (0..LANES)
             .map(|off| self.drain_lane((start + off) % LANES))
             .sum()
@@ -76,15 +75,10 @@ impl ServiceInner {
         batch.len()
     }
 
-    fn plan_slot(&self, key: MatrixKey) -> Arc<PlanSlot> {
-        self.plans_read()
-            .get(&key.0)
-            .cloned()
-            // nmpic-lint: allow(L2) — invariant: submit validated the key against the cache and plans are never evicted
-            .expect("plan resident while queued")
-    }
-
-    fn maybe_chaos(&self, key: MatrixKey) {
+    /// Runs one job (see [`same_job`]) against its plan, **outside** the
+    /// lane lock, and returns one terminal entry per request, in order.
+    fn execute(&self, job: &mut [Pending]) -> Vec<DoneEntry> {
+        let key = job[0].key;
         // Acquire pairs with the Release in inject_batch_panic().
         if self.chaos_armed.load(Ordering::Acquire)
             && self.chaos_key.load(Ordering::Acquire) == key.0
@@ -93,14 +87,12 @@ impl ServiceInner {
             // nmpic-lint: allow(L2) — deliberate: the documented chaos-testing hook; fires only after an explicit inject_batch_panic() call
             panic!("injected batch panic for {key} (chaos hook)");
         }
-    }
-
-    /// Runs one job (see [`same_job`]) against its plan, **outside** the
-    /// lane lock, and returns one terminal entry per request, in order.
-    fn execute(&self, job: &mut [Pending]) -> Vec<DoneEntry> {
-        let key = job[0].key;
-        self.maybe_chaos(key);
-        let slot = self.plan_slot(key);
+        let slot = self
+            .plans_read()
+            .get(&key.0)
+            .cloned()
+            // nmpic-lint: allow(L2) — invariant: submit validated the key against the cache and plans are never evicted
+            .expect("plan resident while queued");
         // A poisoned plan means a previous panic unwound mid-run on
         // another lane; its state is suspect, so the job fails instead
         // of recovering the lock.

@@ -481,12 +481,12 @@ impl SpmvService {
     }
 
     /// One blocking step of `quiesce`/`wait`: without background
-    /// workers the caller is the worker and drains inline; otherwise it
-    /// parks until a publish newer than epoch `seen` (or one slice).
+    /// workers the caller is the worker and drains inline. It parks,
+    /// until a publish newer than epoch `seen` or for one slice, when
+    /// the work is in other hands: a worker's, or — the inline drain
+    /// finding nothing — another caller's.
     fn park_or_drive(&self, seen: u64) {
-        if self.workers.is_empty() {
-            self.drain_now();
-        } else {
+        if !self.workers.is_empty() || self.drain_now() == 0 {
             self.inner.signal.wait_since(seen);
         }
     }

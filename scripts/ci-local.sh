@@ -19,6 +19,11 @@
 #               unbounded retention / zero p99 for the service)
 #   doc         rustdoc with broken intra-doc links as errors
 #
+# Not reproduced here: the nightly `sanitizers` job (needs the nightly
+# toolchain). Its TSan steps run `-p nmpic-system --lib service::` (the
+# service's in-module quarantine-race, wait/notify and publish tests)
+# and `-p nmpic --test service --test service_soak --test exec_mode`.
+#
 # Usage: scripts/ci-local.sh [lint|test|benchmark|bench|doc]...  (default: all)
 set -euo pipefail
 cd "$(dirname "$0")/.."
