@@ -1,6 +1,8 @@
-//! One submission lane — its bounded queue and its ticket map — plus the
-//! [`Ticket`] encoding that routes a redemption back to its lane and the
-//! completion [`Signal`] waiters park on.
+//! The vocabulary of a lane: the [`Ticket`] that routes a redemption
+//! back to its lane, the queued [`Pending`] request, what a ticket
+//! redeems to ([`Completed`], [`CompletedSolve`], [`ServiceError`]), the
+//! lane's queue and ticket map, and the completion [`Signal`] waiters
+//! park on.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -11,9 +13,7 @@ use std::time::Duration;
 
 use super::MatrixKey;
 #[cfg(doc)]
-use super::SpmvService;
-#[cfg(doc)]
-use super::RESULT_RETENTION_FACTOR;
+use super::{SpmvService, RESULT_RETENTION_FACTOR};
 use crate::solve::{SolveOptions, SolveReport};
 #[cfg(doc)]
 use crate::{engine::SpmvPlan, solve::Solver};

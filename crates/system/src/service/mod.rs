@@ -11,26 +11,21 @@
 //!    [`Csr::fingerprint`] and returns a [`MatrixKey`]; re-preparing a
 //!    resident matrix is a cache hit that reuses the warm DRAM image.
 //! 2. **Sharded submission lanes** — requests hash by [`MatrixKey`] onto
-//!    [`LANES`] independently locked, bounded queues, so tenants of
+//!    [`LANES`] independently locked, bounded queues: tenants of
 //!    different matrices never contend at submission, and a lane at its
-//!    quota rejects with [`ServiceError::TenantQuotaExceeded`] — one hub
-//!    tenant's burst cannot close the door on the others.
-//! 3. **Background drain** — drain workers
-//!    ([`nmpic_sim::pool::BackgroundWorker`]) visit lanes round-robin,
-//!    at most [`DRAIN_BATCH`] requests per lane per turn (SparseP-style
+//!    quota rejects only its own tenants
+//!    ([`ServiceError::TenantQuotaExceeded`]).
+//! 3. **Background drain** — drain workers visit lanes round-robin, at
+//!    most [`DRAIN_BATCH`] requests per lane per turn (SparseP-style
 //!    fairness: a skewed tenant cannot starve the rest), run same-matrix
 //!    requests as **one** [`SpmvPlan::run_batch`], and publish into the
-//!    lane's ticket map, evicting the oldest unredeemed results beyond
-//!    the retention window. [`SpmvService::take`] redeems without
-//!    blocking, [`SpmvService::wait`] blocks until published. With
-//!    [`ServiceBuilder::drain_workers`]`(0)` the service is synchronous:
-//!    the same drain runs inline on whichever caller blocks in
-//!    `wait`/`quiesce` or calls [`SpmvService::drain_now`] — the
-//!    deterministic mode tests use.
+//!    lane's ticket map, where [`SpmvService::take`] (non-blocking) and
+//!    [`SpmvService::wait`] redeem them. With
+//!    [`ServiceBuilder::drain_workers`]`(0)` the same drain runs inline
+//!    on the caller — the deterministic mode tests use.
 //! 4. **Latency accounting** — each request's enqueue→publish latency,
-//!    read through an injectable [`Clock`] (library code never reads
-//!    the wall clock), feeds a streaming
-//!    [`nmpic_sim::stats::Histogram`]; see [`SpmvService::latency`].
+//!    read through an injectable [`Clock`], feeds a streaming histogram
+//!    ([`SpmvService::latency`]).
 //!
 //! Every execution is byte-identical to the serial single-tenant path
 //! ([`SpmvPlan::run`]): batching, lanes, and drain concurrency change

@@ -585,18 +585,13 @@ fn every_terminal_path_conserves_tickets_and_is_single_use() {
         let run = std::thread::spawn(move || slot.plan.lock().unwrap().run(&[]));
         assert!(run.join().is_err());
     };
+    let chaos: Arm = |svc, key| svc.inject_batch_panic(key);
     let cases: [(&str, usize, usize, Arm, bool); 4] = [
         ("spmv group", 3, 0, |_, _| {}, true),
         ("solve", 0, 1, |_, _| {}, true),
         ("poisoned plan", 2, 1, poison, false),
         // One more than a drain batch, so the panic finds a queued tail.
-        (
-            "quarantine",
-            DRAIN_BATCH + 1,
-            1,
-            |s, k| s.inject_batch_panic(k),
-            false,
-        ),
+        ("quarantine", DRAIN_BATCH + 1, 1, chaos, false),
     ];
     let a = nmpic_sparse::gen::spd(48, 4, 6, 1);
     for (name, spmvs, solves, arm, ok) in cases {
