@@ -1,54 +1,40 @@
 //! # nmpic-bench — experiment harness regenerating every paper table and
 //! figure
 //!
-//! One binary per artifact (see DESIGN.md's experiment index):
+//! Every artifact (Table I, Figs. 3–6 and the extension studies) is one
+//! row of [`REGISTRY`], and one binary runs them:
 //!
-//! | Artifact | Binary | What it reproduces |
-//! |----------|--------|--------------------|
-//! | Table I  | `table1` | adapter/system parameters incl. 27 kB storage |
-//! | Fig. 3   | `fig3`   | indirect stream bandwidth, 20 matrices × 8 variants × 2 formats |
-//! | Fig. 4   | `fig4`   | bandwidth breakdown + coalesce rate |
-//! | Fig. 5a  | `fig5a`  | SpMV runtime split and speedup vs base |
-//! | Fig. 5b  | `fig5b`  | off-chip traffic vs ideal + bandwidth utilization |
-//! | Fig. 6a  | `fig6a`  | adapter area breakdown (kGE, mm²) |
-//! | Fig. 6b  | `fig6b`  | on-chip cost and SpMV efficiency vs A64FX / SX-Aurora |
-//! | extension | `scaling_channels` | indirect bandwidth vs interleaved channel count |
-//! | extension | `scaling_units` | sharded multi-unit SpMV vs unit count (aggregate GB/s + load imbalance) |
-//! | extension | `batched_spmv` | multi-vector SpMV on one prepared plan vs per-vector plan rebuild |
-//! | extension | `service_throughput` | multi-tenant `SpmvService` req/s + p50/p99/p999 latency vs background drain workers |
-//! | extension | `service_soak` | sustained mixed SpMV+solve soak: ticket conservation, bounded retention, byte-identity |
-//! | extension | `solver_convergence` | CG iterations-to-1e-10 + amortized per-iteration cycles/GB/s on resident plans |
-//! | extension | `analytic_validation` | analytic vs cycle-accurate cost metrics (rel. error per point) + large-matrix speedup |
-//! | all      | `all_experiments` | everything above, CSVs under `results/` |
+//! ```text
+//! cargo run --release -p nmpic-bench --bin experiments -- --list
+//! cargo run --release -p nmpic-bench --bin experiments -- all | smoke | <name>...
+//! ```
+//!
+//! `--list` prints the table (name, artifact, whether CI's bench-smoke
+//! job runs it, what it reproduces). A run prints each result table,
+//! writes `results/<stem>.csv` and `.json`, and exits non-zero if a
+//! table is empty, holds a NaN/infinite cell, or fails its experiment's
+//! own gates.
 //!
 //! Sweeps run their configuration points in parallel across CPU cores
-//! ([`runner::parallel_map`]); each point is an independent deterministic
-//! simulation.
+//! ([`nmpic_sim::pool::parallel_map`]); each point is an independent
+//! deterministic simulation.
 //!
 //! Scale control: experiments cap matrix size with
 //! `NMPIC_MAX_NNZ=<nnz>` (default 150 000) or `NMPIC_QUICK=1`; worker
 //! threads with `NMPIC_JOBS=<n>` (default: all cores). Experiments with
-//! a selectable system honour `NMPIC_SYSTEM=<base|packN|shardedK>` and
-//! `NMPIC_PARTITION=<nnz|rows>`; the execution mode is selected with
-//! `NMPIC_EXEC=<cycle|analytic>`.
+//! a selectable system honour `NMPIC_SYSTEM=<base|packN|shardedK>`,
+//! `NMPIC_PARTITION=<nnz|rows>` and `NMPIC_EXEC=<cycle|analytic>`
+//! ([`ExperimentOpts`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod experiments;
-pub mod output;
-pub mod runner;
+mod experiments;
+mod output;
 pub mod timing;
 
 pub use experiments::{
-    analytic_backends, analytic_systems, analytic_validation, batch_x, batched_spmv, fig3,
-    fig3_variants, fig4, fig4_variants, fig5, fig5_adapters, fig5_matrix, fig6a, fig6b,
-    measure_stream_gbps, scaling_channels, scaling_units, service_soak, service_throughput,
-    soak_requests, solver_backends, solver_convergence, solver_systems, AnalyticValidationRow,
-    BatchRow, ChannelScalingRow, ExperimentOpts, ExperimentOptsBuilder, ServiceRow, SoakRow,
-    SolverRow, StreamRow, SystemRow, UnitScalingRow, BATCH_SIZES, SCALING_CHANNELS, SCALING_UNITS,
-    SERVICE_REQUESTS, SERVICE_TENANTS, SERVICE_WORKERS, SOAK_PRODUCERS, SOAK_TENANTS, SOAK_WORKERS,
+    batch_x, listing, select, Experiment, ExperimentOpts, Outcome, Section, REGISTRY,
 };
 pub use output::{f, Table};
-pub use runner::{parallel_jobs, parallel_map, parallel_map_jobs};
 pub use timing::WallClock;

@@ -1,8 +1,12 @@
-//! Text-table and CSV output helpers shared by all experiment binaries.
+//! Text-table, CSV and JSON output shared by every experiment, plus the
+//! generic result gate every table must pass.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// One column of a typed table: its header and how a row renders its
+/// cell ([`Table::of`]).
+pub(crate) type Column<R> = (&'static str, fn(&R) -> String);
 
 /// A simple fixed-width text table with CSV export.
 ///
@@ -31,6 +35,16 @@ impl Table {
         }
     }
 
+    /// Creates a table with one row per item of `rows`, each column's
+    /// header spelled next to the function that renders its cell.
+    pub(crate) fn of<R>(rows: &[R], columns: &[Column<R>]) -> Self {
+        let mut table = Self::new(columns.iter().map(|(header, _)| *header).collect());
+        for r in rows {
+            table.row(columns.iter().map(|(_, cell)| cell(r)).collect());
+        }
+        table
+    }
+
     /// Appends one row.
     ///
     /// # Panics
@@ -53,6 +67,40 @@ impl Table {
     /// `true` when no data rows are present.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// The generic result gate: an experiment that produced no rows, or
+    /// a NaN / infinite cell (a meaningless bandwidth, a NaN residual),
+    /// yields one message per offence; a sound table yields none.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nmpic_bench::Table;
+    /// let mut t = Table::new(vec!["matrix", "GB/s"]);
+    /// assert_eq!(t.gate(), vec!["zero result rows"]);
+    /// t.row(vec!["pwtk".into(), "NaN".into()]);
+    /// assert_eq!(t.gate(), vec!["row 1 (pwtk): non-finite 'GB/s' = NaN"]);
+    /// ```
+    pub fn gate(&self) -> Vec<String> {
+        if self.rows.is_empty() {
+            return vec!["zero result rows".to_string()];
+        }
+        let mut failures = Vec::new();
+        for (i, row) in self.rows.iter().enumerate() {
+            for (header, cell) in self.headers.iter().zip(row) {
+                // `str::parse::<f64>` accepts every spelling `Display`
+                // gives a non-finite float (NaN, inf, -inf, infinity).
+                if cell.parse::<f64>().is_ok_and(|v| !v.is_finite()) {
+                    failures.push(format!(
+                        "row {} ({}): non-finite '{header}' = {cell}",
+                        i + 1,
+                        row[0]
+                    ));
+                }
+            }
+        }
+        failures
     }
 
     /// Renders an aligned text table.
@@ -95,22 +143,12 @@ impl Table {
         out
     }
 
-    /// Writes the CSV under `results/<name>.csv`, creating the directory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<PathBuf> {
-        self.write_file(name, "csv", &self.to_csv())
-    }
-
     /// Renders the table as a JSON array of row objects keyed by header.
     ///
     /// Cells that parse as **finite** numbers are emitted as JSON
     /// numbers; everything else — including `NaN`/`inf`, which JSON
-    /// cannot represent — is emitted as a string. CI's bench-smoke gate
-    /// relies on this: a NaN bandwidth shows up as the string `"NaN"`
-    /// and fails the result check.
+    /// cannot represent — is emitted as a string, so the uploaded file
+    /// stays valid JSON even when [`Table::gate`] fails the run.
     ///
     /// # Example
     ///
@@ -166,23 +204,20 @@ impl Table {
         }
     }
 
-    /// Writes the JSON under `results/<name>.json`, creating the
-    /// directory.
+    /// Writes `results/<stem>.csv` and `results/<stem>.json`, creating
+    /// the directory, and returns the two paths.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
-    pub fn write_json(&self, name: &str) -> std::io::Result<PathBuf> {
-        self.write_file(name, "json", &self.to_json())
-    }
-
-    fn write_file(&self, name: &str, ext: &str, content: &str) -> std::io::Result<PathBuf> {
+    pub fn write_results(&self, stem: &str) -> std::io::Result<[PathBuf; 2]> {
         let dir = Path::new("results");
         fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{name}.{ext}"));
-        let mut f = fs::File::create(&path)?;
-        f.write_all(content.as_bytes())?;
-        Ok(path)
+        let csv = dir.join(format!("{stem}.csv"));
+        fs::write(&csv, self.to_csv())?;
+        let json = dir.join(format!("{stem}.json"));
+        fs::write(&json, self.to_json())?;
+        Ok([csv, json])
     }
 }
 
@@ -194,7 +229,7 @@ pub fn f(value: f64, decimals: usize) -> String {
 /// `true` iff `s` is a valid **JSON** number literal. Stricter than
 /// `str::parse::<f64>`, which also accepts forms JSON forbids (`.5`,
 /// `5.`, `+1`, `inf`, `NaN`) — emitting those unquoted would corrupt
-/// the results files the CI gate consumes.
+/// the uploaded results files.
 fn is_json_number(s: &str) -> bool {
     let b = s.as_bytes();
     let mut i = 0;
@@ -261,6 +296,11 @@ mod tests {
         let mut t = Table::new(vec!["x", "y"]);
         t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "x,y\n1,2\n");
+        let typed = Table::of(
+            &[(1, 2.0)],
+            &[("x", |r| r.0.to_string()), ("y", |r| f(r.1, 0))],
+        );
+        assert_eq!(typed.to_csv(), t.to_csv());
     }
 
     #[test]
@@ -291,9 +331,27 @@ mod tests {
     fn json_nan_is_detectable_not_silent() {
         let mut t = Table::new(vec!["gbps"]);
         t.row(vec![format!("{}", f64::NAN)]);
-        // NaN cannot be a JSON number; it must surface as a string the
-        // CI result gate can grep for.
+        // NaN cannot be a JSON number; it surfaces as a string, and the
+        // result gate names the row and column.
         assert!(t.to_json().contains("\"NaN\""));
+        assert_eq!(t.gate(), vec!["row 1 (NaN): non-finite 'gbps' = NaN"]);
+    }
+
+    #[test]
+    fn gate_flags_empty_tables_and_every_non_finite_spelling() {
+        let mut t = Table::new(vec!["point", "gbps", "note"]);
+        assert_eq!(t.gate(), vec!["zero result rows"]);
+        t.row(vec!["a".into(), "31.25".into(), "-".into()]);
+        t.row(vec!["b".into(), "1e-3".into(), "info".into()]);
+        assert!(t.gate().is_empty(), "{:?}", t.gate());
+        for bad in ["NaN", "nan", "inf", "-inf", "Infinity"] {
+            let mut broken = t.clone();
+            broken.row(vec!["c".into(), bad.into(), "-".into()]);
+            assert_eq!(
+                broken.gate(),
+                vec![format!("row 3 (c): non-finite 'gbps' = {bad}")]
+            );
+        }
     }
 
     #[test]

@@ -1,78 +1,7 @@
-//! Minimal self-timed micro-benchmark harness (std-only stand-in for
-//! criterion, which is not vendored in this workspace).
-//!
-//! Each measurement runs a closure `iters` times after one warmup call and
-//! reports total wall time, per-iteration time, and an optional throughput
-//! in elements per second. Output is one aligned line per benchmark so the
-//! bench binaries stay grep-friendly in CI logs.
+//! Host-side wall-clock access for the experiment harness — the one
+//! module `nmpic-lint` rule L6 lets read the host clock.
 
 use std::time::{Duration, Instant};
-
-/// One benchmark measurement.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Benchmark name (`group/case`).
-    pub name: String,
-    /// Iterations timed (excluding warmup).
-    pub iters: u32,
-    /// Total wall time across all timed iterations.
-    pub total: Duration,
-    /// Elements processed per iteration (0 when not meaningful).
-    pub elems_per_iter: u64,
-}
-
-impl Measurement {
-    /// The floor below which a total elapsed time is indistinguishable
-    /// from timer resolution: dividing by it produces rates that are
-    /// noise, not throughput.
-    const RESOLUTION_FLOOR: Duration = Duration::from_micros(1);
-
-    /// Mean wall time of one iteration.
-    pub fn per_iter(&self) -> Duration {
-        self.total / self.iters.max(1)
-    }
-
-    /// `true` when the *total* measured time fell at or below the timer
-    /// resolution floor — the run finished too fast for the clock, and
-    /// any derived rate would be bogus.
-    pub fn under_resolution(&self) -> bool {
-        self.total <= Self::RESOLUTION_FLOOR
-    }
-
-    /// Throughput in elements per second, when `elems_per_iter` is set
-    /// and the measurement resolved. `None` both when no element count
-    /// was given and when the elapsed total was at or below timer
-    /// resolution ([`Measurement::under_resolution`]) — reporting a
-    /// quotient of a sub-resolution denominator would fabricate a rate.
-    pub fn elems_per_sec(&self) -> Option<f64> {
-        if self.elems_per_iter == 0 || self.under_resolution() {
-            return None;
-        }
-        let secs = self.per_iter().as_secs_f64();
-        (secs > 0.0).then(|| self.elems_per_iter as f64 / secs)
-    }
-
-    /// Renders the standard one-line report. Sub-resolution runs get a
-    /// visible warning instead of a fabricated rate — raise `iters`
-    /// until the total comfortably exceeds the timer resolution.
-    pub fn report(&self) -> String {
-        let per = self.per_iter();
-        if self.under_resolution() {
-            return format!(
-                "{:<40} {:>12.3?}/iter  [warning: total {:?} under timer \
-                 resolution; rate not reported — raise iters]",
-                self.name, per, self.total
-            );
-        }
-        match self.elems_per_sec() {
-            Some(eps) => format!(
-                "{:<40} {:>12.3?}/iter  {:>12.0} elems/s",
-                self.name, per, eps
-            ),
-            None => format!("{:<40} {:>12.3?}/iter", self.name, per),
-        }
-    }
-}
 
 /// A started wall-clock timer — the sanctioned way for bench code outside
 /// this module to read host time. Simulated results must never depend on
@@ -130,72 +59,9 @@ impl nmpic_system::Clock for WallClock {
     }
 }
 
-/// Times `f` for `iters` iterations (after one warmup call) and prints the
-/// one-line report. The closure's return value is consumed with
-/// [`std::hint::black_box`] so the compiler cannot elide the work.
-pub fn bench<T>(
-    name: &str,
-    iters: u32,
-    elems_per_iter: u64,
-    mut f: impl FnMut() -> T,
-) -> Measurement {
-    std::hint::black_box(f()); // warmup
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let m = Measurement {
-        name: name.to_string(),
-        iters,
-        total: start.elapsed(),
-        elems_per_iter,
-    };
-    println!("{}", m.report());
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_counts_iterations() {
-        let mut calls = 0u32;
-        let m = bench("test/count", 5, 10, || {
-            calls += 1;
-            calls
-        });
-        assert_eq!(calls, 6, "5 timed + 1 warmup");
-        assert_eq!(m.iters, 5);
-        // A trivial closure may finish under timer resolution, in which
-        // case the rate is (correctly) withheld.
-        assert_eq!(m.elems_per_sec().is_some(), !m.under_resolution());
-    }
-
-    #[test]
-    fn sub_resolution_runs_warn_instead_of_fabricating_a_rate() {
-        let m = Measurement {
-            name: "g/fast".into(),
-            iters: 1000,
-            total: Duration::from_nanos(10),
-            elems_per_iter: 1_000_000,
-        };
-        assert!(m.under_resolution());
-        assert_eq!(m.elems_per_sec(), None, "no rate from a ~0 denominator");
-        let r = m.report();
-        assert!(r.contains("under timer resolution"), "{r}");
-        assert!(!r.contains("elems/s"), "{r}");
-        // A resolved run still reports normally.
-        let ok = Measurement {
-            name: "g/slow".into(),
-            iters: 10,
-            total: Duration::from_millis(5),
-            elems_per_iter: 100,
-        };
-        assert!(!ok.under_resolution());
-        assert!(ok.elems_per_sec().is_some());
-        assert!(ok.report().contains("elems/s"));
-    }
 
     #[test]
     fn stopwatch_advances_and_floors_ms() {
@@ -216,17 +82,5 @@ mod tests {
         let b = c.now_ns();
         assert!(b > a, "the clock must advance across a sleep");
         assert!(b >= 2_000_000, "at least the slept 2 ms in ns");
-    }
-
-    #[test]
-    fn report_includes_name() {
-        let m = Measurement {
-            name: "g/x".into(),
-            iters: 1,
-            total: Duration::from_millis(2),
-            elems_per_iter: 0,
-        };
-        assert!(m.report().contains("g/x"));
-        assert!(m.elems_per_sec().is_none());
     }
 }

@@ -390,7 +390,7 @@ pub fn lint_file(ctx: &FileContext<'_>) -> FileReport {
                     line: i + 1,
                     rule: Rule::WallClock,
                     message: "wall-clock read outside `nmpic_bench::timing` — route timing \
-                              through `timing::Stopwatch`/`timing::bench` so simulated results \
+                              through `timing::Stopwatch` so simulated results \
                               stay deterministic"
                         .to_string(),
                 });

@@ -4,8 +4,8 @@
 //! The paper evaluates a single HBM2 channel (32 GB/s); real HBM stacks
 //! expose 8–16. This adapter-facing front-end interleaves consecutive
 //! 64 B blocks across N independent [`HbmChannel`]s and restores global
-//! in-order response delivery, enabling the scaling study in
-//! `nmpic-bench --bin scaling`.
+//! in-order response delivery, enabling the `scaling_channels`
+//! experiment of `nmpic-bench`.
 //!
 //! Data lives in one global [`Memory`]; the per-channel models are used
 //! for timing while reads return data from the global store at delivery

@@ -31,8 +31,8 @@ use nmpic_mem::{BackendConfig, BackendKind, Cache, BLOCK_BYTES};
 /// Pinned relative tolerance between analytic and cycle-accurate cost
 /// metrics (`cycles`, `offchip_bytes`, and the GB/s etc. derived from
 /// them) on the validation grid: ideal/hbm/hbm4/hbm8 ×
-/// base/pack/sharded at CI scale. Raising it needs a matching change in
-/// `scripts/check-results.sh`.
+/// base/pack/sharded at CI scale. The `analytic_validation` experiment's
+/// result gate and `tests/exec_mode.rs` read this constant directly.
 pub const PINNED_REL_TOL: f64 = 0.5;
 
 /// Estimated loaded latency of one HBM read (ACT + CAS + burst +

@@ -5,8 +5,8 @@
 //! different consumers share it, so they share one worker-count policy
 //! (`NMPIC_JOBS`) and one scheduling behaviour:
 //!
-//! * `nmpic_bench::runner` — fans a figure's sweep points (matrix ×
-//!   variant × backend) across cores;
+//! * `nmpic-bench`'s experiment sweeps — fan a figure's points (matrix
+//!   × variant × backend) across cores;
 //! * `nmpic_system`'s sharded engine — runs each shard's unit simulation
 //!   on its own thread inside a single `SpmvPlan::run`.
 //!

@@ -252,8 +252,8 @@ mod tests {
 
     /// Regression: every metric must return a **finite** number (0.0 by
     /// convention) on zero denominators — an empty or all-zero matrix
-    /// must never leak NaN/inf into reports, because the CI result gate
-    /// (`scripts/check-results.sh`) rejects them.
+    /// must never leak NaN/inf into reports, because the experiment
+    /// result gate (`nmpic_bench::Table::gate`) rejects them.
     #[test]
     fn zero_denominators_yield_zero_not_nan() {
         let r = report(0, 0, 0, 0);

@@ -11,12 +11,10 @@
 #   benchmark   the benchmark/ package's own tests + a 1 s smoke run of
 #               every BENCHMARK.json workload (build, golden checks and
 #               determinism guard of the benchmark driver)
-#   bench-smoke scaling_units + scaling_channels + batched_spmv +
-#               analytic_validation + service_throughput + service_soak +
-#               solver_convergence at NMPIC_QUICK=1, then gate the JSON
-#               results on zero rows / NaN values (plus zero iterations /
-#               non-convergence for the solver, and lost tickets /
-#               unbounded retention / zero p99 for the service)
+#   bench-smoke every registry experiment marked `smoke` (see
+#               `experiments --list`) at NMPIC_QUICK=1; the binary's exit
+#               code gates on empty tables, NaN values and each
+#               experiment's own checks
 #   doc         rustdoc with broken intra-doc links as errors
 #
 # Not reproduced here: the nightly `sanitizers` job (needs the nightly
@@ -65,16 +63,8 @@ run_benchmark() {
 }
 
 run_bench() {
-    step "bench-smoke: scaling_units + scaling_channels + batched_spmv + service_throughput + service_soak + solver_convergence + analytic_validation (NMPIC_QUICK=1)"
-    NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin scaling_units
-    NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin scaling_channels
-    NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin batched_spmv
-    NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin service_throughput
-    NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin service_soak
-    NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin solver_convergence
-    NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin analytic_validation
-    step "bench-smoke: gating results"
-    ./scripts/check-results.sh results/scaling_units.json results/scaling_channels.json results/batched_spmv.json results/service_throughput.json results/service_soak.json results/solver_convergence.json results/analytic_validation.json
+    step "bench-smoke: experiments smoke (NMPIC_QUICK=1, gated by exit code)"
+    NMPIC_QUICK=1 cargo run --release -p nmpic-bench --bin experiments -- smoke
 }
 
 run_doc() {
