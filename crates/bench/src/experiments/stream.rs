@@ -246,10 +246,7 @@ pub(crate) fn scaling_channels(opts: &ExperimentOpts) -> Vec<ChannelScalingRow> 
     parallel_map(jobs, move |(n, adapter)| {
         let backend = BackendConfig::interleaved(n);
         let peak_gbps = backend.peak_bytes_per_cycle() as f64;
-        let stream_opts = StreamOptions {
-            backend,
-            ..StreamOptions::default()
-        };
+        let stream_opts = StreamOptions { backend };
         let result = run_indirect_stream(&adapter, indices, cols, &stream_opts);
         assert!(
             result.verified,
@@ -388,7 +385,6 @@ fn ablation_dram_table(opts: &ExperimentOpts) -> Table {
                             },
                             ..BackendConfig::hbm()
                         },
-                        ..StreamOptions::default()
                     };
                     let r = run_indirect_stream(&adapter, sell.col_idx(), csr.cols(), &stream_opts);
                     assert!(r.verified);

@@ -7,6 +7,7 @@ use nmpic_mem::{ChannelPort, HbmChannel, HbmConfig, Memory, WideRequest};
 use nmpic_model::{adapter_area, AreaBreakdown, EfficiencyPoint, EnergyModel};
 use nmpic_sim::pool::parallel_map;
 use nmpic_sim::stats::{GeoMean, RunningMean};
+use nmpic_sim::SimClock;
 use nmpic_sparse::{Csr, Sell, EFFICIENCY_THREE, REPRESENTATIVE_SIX};
 use nmpic_system::{golden_x, RunReport, SpmvEngine, SystemKind};
 
@@ -352,8 +353,9 @@ pub(crate) fn measure_stream_gbps() -> f64 {
     );
     let mut issued = 0u64;
     let mut received = 0u64;
-    let mut now = 0u64;
+    let mut clk = SimClock::new("stream bandwidth measurement", blocks * 64);
     while received < blocks {
+        let now = clk.now();
         if issued < blocks
             && chan
                 .try_request(now, WideRequest::read(issued * 64, 0))
@@ -365,10 +367,9 @@ pub(crate) fn measure_stream_gbps() -> f64 {
         while chan.pop_response(now).is_some() {
             received += 1;
         }
-        now += 1;
-        assert!(now < blocks * 64, "stream measurement stalled");
+        clk.tick();
     }
-    blocks as f64 * 64.0 / now as f64
+    blocks as f64 * 64.0 / clk.now() as f64
 }
 
 /// Fig. 6b rows: the efficiency comparison. Runs pack256 SpMV on the

@@ -492,6 +492,7 @@ impl Coalescer {
 mod tests {
     use super::*;
     use nmpic_mem::BLOCK_BYTES;
+    use nmpic_sim::SimClock;
 
     fn cfg(window: usize) -> AdapterConfig {
         AdapterConfig::mlp(window)
@@ -522,7 +523,7 @@ mod tests {
         let mut in_flight: std::collections::VecDeque<u64> = Default::default();
         let mut outputs: Vec<ElemOut> = Vec::new();
         let mut next_seq_out = 0u64;
-        let mut now = 0;
+        let mut clk = SimClock::new("coalescer test stream", max_cycles);
         while outputs.len() < reqs.len() {
             // Feed requests in stream order, port = seq % ports.
             while let Some(&(seq, addr)) = pending.front() {
@@ -533,7 +534,7 @@ mod tests {
                     break;
                 }
             }
-            coal.tick(now);
+            coal.tick(clk.now());
             // Downstream memory: fixed 20-cycle latency modeled crudely by
             // serving one response per cycle after request order.
             if let Some(block) = coal.pop_wide_request() {
@@ -556,8 +557,7 @@ mod tests {
                     None => break,
                 }
             }
-            now += 1;
-            assert!(now < max_cycles, "coalescer deadlock after {now} cycles");
+            clk.tick();
         }
         (outputs, coal.stats())
     }
@@ -718,6 +718,7 @@ mod cross_window_tests {
     use super::*;
     use crate::config::AdapterConfig;
     use crate::request::ElemRequest;
+    use nmpic_sim::SimClock;
 
     /// Feeds identical-block requests across several windows and counts
     /// wide requests with cross-window coalescing on vs off.
@@ -729,7 +730,7 @@ mod cross_window_tests {
         let mut seq = 0u64;
         let mut out = 0usize;
         let total = 32usize; // four full windows, all hitting block 0
-        let mut now = 0;
+        let mut clk = SimClock::new("cross-window test stream", 50_000);
         while out < total {
             while seq < total as u64 {
                 let port = (seq % 8) as usize;
@@ -745,7 +746,7 @@ mod cross_window_tests {
                     break;
                 }
             }
-            coal.tick(now);
+            coal.tick(clk.now());
             if let Some(blk) = coal.pop_wide_request() {
                 in_flight.push_back(blk);
             }
@@ -761,8 +762,7 @@ mod cross_window_tests {
                     out += 1;
                 }
             }
-            now += 1;
-            assert!(now < 50_000, "deadlock");
+            clk.tick();
         }
         coal.stats().wide_requests
     }

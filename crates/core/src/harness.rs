@@ -55,34 +55,33 @@ pub struct StreamOptions {
     /// Memory backend (defaults to the paper's single HBM2 channel; see
     /// [`BackendConfig`] for the ideal and multi-channel alternatives).
     pub backend: BackendConfig,
-    /// Hard cycle bound per element (deadlock guard).
-    pub max_cycles_per_element: u64,
-    /// Additional fixed cycle budget.
-    pub max_cycles_base: u64,
 }
 
 impl Default for StreamOptions {
     fn default() -> Self {
         Self {
             backend: BackendConfig::hbm(),
-            max_cycles_per_element: 256,
-            max_cycles_base: 200_000,
         }
     }
 }
 
 /// Runs one full indirect stream (the entire `indices` array gathered
 /// from a `vec_len`-element vector of 64 b values) through the adapter
-/// and an HBM2 channel, verifying the gathered data.
+/// and the memory backend `opts` selects (an ideal channel, one HBM2
+/// channel, or an interleaved multi-channel stack), verifying the
+/// gathered data.
 ///
 /// This is the generator for Fig. 3 (indirect bandwidth) and Fig. 4
 /// (bandwidth breakdown + coalesce rate): pass a CSR `col_idx` array or a
-/// SELL `col_idx` array as `indices`.
+/// SELL `col_idx` array as `indices`. `row_hit_rate` comes from
+/// [`ChannelPort::dram_stats`] and is zero for backends that do not model
+/// DRAM internals.
 ///
 /// # Panics
 ///
-/// Panics if the simulation exceeds its cycle budget (a model deadlock)
-/// or `indices` is empty.
+/// Panics if `indices` is empty, or with `"indirect stream burst: cycle
+/// budget of <n> exceeded — model deadlock"` if the burst has not drained
+/// within `200_000 + 256 × indices.len()` cycles.
 ///
 /// # Example
 ///
@@ -99,42 +98,11 @@ pub fn run_indirect_stream(
     vec_len: usize,
     opts: &StreamOptions,
 ) -> StreamResult {
+    assert!(!indices.is_empty(), "empty index stream");
+    let count = indices.len() as u64;
     let mut chan = opts
         .backend
         .build(Memory::new(stream_memory_size(indices.len(), vec_len)));
-    run_indirect_stream_on(&mut *chan, cfg, indices, vec_len, opts)
-}
-
-/// Memory footprint needed by [`run_indirect_stream_on`] for a given
-/// stream (index array + vector + slack), rounded to a power of two.
-pub fn stream_memory_size(count: usize, vec_len: usize) -> usize {
-    let need = 4 * count as u64 + 8 * vec_len as u64 + 8192;
-    (need.next_multiple_of(BLOCK_BYTES as u64) as usize).next_power_of_two()
-}
-
-/// Generic-channel variant of [`run_indirect_stream`]: runs the stream
-/// against any [`ChannelPort`] (an ideal channel, one HBM2 channel, or an
-/// interleaved multi-channel backend built by
-/// [`nmpic_mem::build_backend`]). The channel's backing memory must be at
-/// least [`stream_memory_size`]`(indices.len(), vec_len)` bytes and is
-/// laid out by this function. `row_hit_rate` comes from
-/// [`ChannelPort::dram_stats`] and is zero for backends that do not model
-/// DRAM internals.
-///
-/// # Panics
-///
-/// Panics on an empty index stream, an undersized channel memory, or a
-/// cycle-budget overrun (model deadlock).
-pub fn run_indirect_stream_on(
-    chan: &mut dyn ChannelPort,
-    cfg: &AdapterConfig,
-    indices: &[u32],
-    vec_len: usize,
-    opts: &StreamOptions,
-) -> StreamResult {
-    assert!(!indices.is_empty(), "empty index stream");
-    let count = indices.len() as u64;
-    let data_bytes_before = chan.data_bytes();
 
     // Lay out the index array and the vector in DRAM.
     let mem = chan.memory_mut();
@@ -146,57 +114,51 @@ pub fn run_indirect_stream_on(
     }
 
     let mut unit = IndirectStreamUnit::new(cfg.clone());
-    unit.begin(PackRequest::Indirect {
-        idx_base,
-        idx_size: ElemSize::B4,
-        count,
-        elem_base,
-        elem_size: ElemSize::B8,
-    })
-    // nmpic-lint: allow(L2) — invariant: the unit was constructed immediately above, and a fresh unit accepts a burst
-    .expect("fresh unit accepts a burst");
-
     let mut unpacker = Unpacker::new(ElemSize::B8);
     let mut verified = true;
     let mut checked = 0u64;
-    let budget = opts.max_cycles_base + count * opts.max_cycles_per_element;
-    let mut now: Cycle = 0;
-    while !unit.is_done() {
-        unit.tick(now, chan);
-        chan.tick(now);
-        while let Some(beat) = unit.pop_beat() {
-            unpacker.push_beat(&beat);
-            while let Some(v) = unpacker.pop() {
-                let want = golden_element(indices[checked as usize] as u64);
-                if v != want {
-                    verified = false;
+    let cycles = unit
+        .run_burst(
+            &mut *chan,
+            PackRequest::Indirect {
+                idx_base,
+                idx_size: ElemSize::B4,
+                count,
+                elem_base,
+                elem_size: ElemSize::B8,
+            },
+            |beat| {
+                unpacker.push_beat(beat);
+                while let Some(v) = unpacker.pop() {
+                    let want = golden_element(indices[checked as usize] as u64);
+                    if v != want {
+                        verified = false;
+                    }
+                    checked += 1;
                 }
-                checked += 1;
-            }
-        }
-        now += 1;
-        assert!(now < budget, "indirect stream deadlock after {now} cycles");
-    }
+            },
+        )
+        // nmpic-lint: allow(L2) — invariant: the unit was constructed just above and the stream is non-empty, so the burst is accepted
+        .expect("fresh unit accepts a non-empty burst");
     verified &= checked == count;
 
     let stats = unit.stats();
     let freq = 1.0; // GHz
-    let gbps = |bytes: u64| bytes as f64 * freq / now as f64;
+    let gbps = |bytes: u64| bytes as f64 * freq / cycles as f64;
     let peak = chan.peak_bytes_per_cycle() as f64 * freq;
     let index_gbps = gbps(stats.idx_bytes());
     let elem_gbps = gbps(stats.elem_bytes());
     let row_hit_rate = chan.dram_stats().map_or(0.0, |s| s.row_hit_rate());
     // Utilization of the aggregate data bus: bytes actually moved over the
-    // peak the backend could have moved in `now` cycles.
-    let moved = chan.data_bytes() - data_bytes_before;
-    let bus_utilization = if now == 0 || peak == 0.0 {
+    // peak the backend could have moved in `cycles` cycles.
+    let bus_utilization = if cycles == 0 || peak == 0.0 {
         0.0
     } else {
-        moved as f64 / (now as f64 * peak)
+        chan.data_bytes() as f64 / (cycles as f64 * peak)
     };
     StreamResult {
         variant: cfg.variant_name(),
-        cycles: now,
+        cycles,
         elements: stats.elements_delivered,
         indir_gbps: gbps(stats.payload_bytes),
         index_gbps,
@@ -208,6 +170,13 @@ pub fn run_indirect_stream_on(
         row_hit_rate,
         bus_utilization,
     }
+}
+
+/// Memory footprint [`run_indirect_stream`] allocates for a given stream
+/// (index array + vector + slack), rounded to a power of two.
+pub fn stream_memory_size(count: usize, vec_len: usize) -> usize {
+    let need = 4 * count as u64 + 8 * vec_len as u64 + 8192;
+    (need.next_multiple_of(BLOCK_BYTES as u64) as usize).next_power_of_two()
 }
 
 #[cfg(test)]

@@ -55,8 +55,7 @@ mod unit;
 pub use coalescer::{Coalescer, CoalescerStats};
 pub use config::{AdapterConfig, CoalescerMode};
 pub use harness::{
-    golden_element, run_indirect_stream, run_indirect_stream_on, stream_memory_size, StreamOptions,
-    StreamResult,
+    golden_element, run_indirect_stream, stream_memory_size, StreamOptions, StreamResult,
 };
 pub use request::{ElemOut, ElemRequest};
 pub use scatter::{ScatterRequest, ScatterStats, ScatterUnit};

@@ -19,12 +19,12 @@
 
 use std::collections::VecDeque;
 
-use nmpic_axi::{Beat, ElemSize};
+use nmpic_axi::{Beat, ElemSize, Packer};
 use nmpic_mem::{block_addr, block_offset, Block, ChannelPort, WideRequest, BLOCK_BYTES};
-use nmpic_sim::{Cycle, Fifo};
+use nmpic_sim::{Cycle, Fifo, SimClock};
 
 use crate::config::AdapterConfig;
-use crate::unit::BeginError;
+use crate::unit::{burst_cycle_budget, BeginError};
 
 /// Routing tag for scatter index-fetch wide reads.
 const TAG_SCATTER_IDX: u64 = 4;
@@ -80,15 +80,17 @@ struct WriteWarp {
 
 /// The indirect scatter unit.
 ///
-/// Drive per cycle: feed packed data with [`ScatterUnit::push_beat`], call
-/// [`ScatterUnit::tick`], and poll [`ScatterUnit::is_done`]. All writes
-/// are issued in stream order, so duplicate indices resolve to
-/// last-writer-wins exactly like a scalar loop.
+/// [`ScatterUnit::run_burst`] runs one whole burst from a value stream.
+/// The per-cycle protocol underneath it: feed packed data with
+/// [`ScatterUnit::push_beat`], call [`ScatterUnit::tick`], and poll
+/// [`ScatterUnit::is_done`]. All writes are issued in stream order, so
+/// duplicate indices resolve to last-writer-wins exactly like a scalar
+/// loop.
 ///
 /// # Example
 ///
 /// ```
-/// use nmpic_axi::{ElemSize, Packer};
+/// use nmpic_axi::ElemSize;
 /// use nmpic_core::{AdapterConfig, ScatterRequest, ScatterUnit};
 /// use nmpic_mem::{ChannelPort, IdealChannel, Memory};
 ///
@@ -99,22 +101,13 @@ struct WriteWarp {
 ///
 /// let mut chan = IdealChannel::new(mem, 10, 2);
 /// let mut unit = ScatterUnit::new(AdapterConfig::mlp(64));
-/// unit.begin(ScatterRequest {
-///     idx_base, idx_size: ElemSize::B4, count: 4, elem_base: dst, elem_size: ElemSize::B8,
-/// }).unwrap();
-///
-/// let mut packer = Packer::new(ElemSize::B8);
-/// for v in [10u64, 20, 30, 40] { packer.push(v); }
-/// let beat = packer.flush().unwrap();
-/// unit.push_beat(&beat);
-///
-/// let mut now = 0;
-/// while !unit.is_done(&chan) {
-///     unit.tick(now, &mut chan);
-///     chan.tick(now);
-///     now += 1;
-///     assert!(now < 10_000);
-/// }
+/// unit.run_burst(
+///     &mut chan,
+///     ScatterRequest {
+///         idx_base, idx_size: ElemSize::B4, count: 4, elem_base: dst, elem_size: ElemSize::B8,
+///     },
+///     [10u64, 20, 30, 40],
+/// ).unwrap();
 /// assert_eq!(chan.memory().read_u64(dst + 8 * 2), 40, "last write wins");
 /// assert_eq!(chan.memory().read_u64(dst + 8 * 0), 20);
 /// assert_eq!(chan.memory().read_u64(dst + 8 * 5), 30);
@@ -266,6 +259,62 @@ impl ScatterUnit {
             && self.warp.is_none()
             && self.write_q.is_empty()
             && chan.is_idle()
+    }
+
+    /// Runs one whole scatter burst against `chan` from cycle 0, playing
+    /// the upstream manager: `values` (exactly `req.count` of them, in
+    /// stream order) are packed into beats and offered one beat per cycle,
+    /// a refused beat being held until the data queue has room. Returns
+    /// the cycle count once every write has reached the channel and the
+    /// channel has drained. A channel that served an earlier burst must
+    /// have had [`ChannelPort::reset_run_state`] called first, because
+    /// time restarts at 0.
+    ///
+    /// # Errors
+    ///
+    /// The [`ScatterUnit::begin`] errors; nothing has run then.
+    ///
+    /// # Panics
+    ///
+    /// Panics through [`SimClock::tick`] if the burst has not drained
+    /// within `200_000 + 256 × count` cycles — which is also how a
+    /// `values` stream of the wrong length ends.
+    #[inline]
+    pub fn run_burst(
+        &mut self,
+        chan: &mut dyn ChannelPort,
+        req: ScatterRequest,
+        values: impl IntoIterator<Item = u64>,
+    ) -> Result<Cycle, BeginError> {
+        let mut clk = SimClock::new("indirect scatter burst", burst_cycle_budget(req.count));
+        self.begin(req)?;
+        let per_beat = req.elem_size.per_beat();
+        let mut packer = Packer::new(req.elem_size);
+        let mut pending = values.into_iter();
+        let mut exhausted = false;
+        let mut staged = None;
+        while !self.is_done(&*chan) {
+            if staged.is_none() {
+                while packer.pending() < per_beat && !exhausted {
+                    match pending.next() {
+                        Some(bits) => packer.push(bits),
+                        None => exhausted = true,
+                    }
+                }
+                staged = packer
+                    .pop_beat()
+                    .or_else(|| if exhausted { packer.flush() } else { None });
+            }
+            if let Some(beat) = staged.take() {
+                if !self.push_beat(&beat) {
+                    staged = Some(beat);
+                }
+            }
+            self.tick(clk.now(), chan);
+            chan.tick(clk.now());
+            clk.tick();
+        }
+        Ok(clk.now())
     }
 
     /// Advances the unit by one cycle against the DRAM channel.
@@ -465,8 +514,17 @@ fn write_into(block: &mut Block, mask: &mut u64, lo: usize, value: u64, bytes: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmpic_axi::Packer;
-    use nmpic_mem::{HbmChannel, HbmConfig, IdealChannel, Memory};
+    use nmpic_mem::{BackendConfig, HbmChannel, HbmConfig, IdealChannel, Memory};
+
+    fn request(count: usize, idx_base: u64, dst: u64) -> ScatterRequest {
+        ScatterRequest {
+            idx_base,
+            idx_size: ElemSize::B4,
+            count: count as u64,
+            elem_base: dst,
+            elem_size: ElemSize::B8,
+        }
+    }
 
     fn run_scatter<C: ChannelPort>(
         chan: &mut C,
@@ -478,49 +536,12 @@ mod tests {
     ) -> ScatterStats {
         assert_eq!(indices.len(), values.len());
         let mut unit = ScatterUnit::new(cfg);
-        unit.begin(ScatterRequest {
-            idx_base,
-            idx_size: ElemSize::B4,
-            count: indices.len() as u64,
-            elem_base: dst,
-            elem_size: ElemSize::B8,
-        })
+        unit.run_burst(
+            chan,
+            request(indices.len(), idx_base, dst),
+            values.iter().copied(),
+        )
         .unwrap();
-        let mut packer = Packer::new(ElemSize::B8);
-        let mut pending: VecDeque<u64> = values.iter().copied().collect();
-        let mut staged: Option<Beat> = None;
-        let mut now = 0;
-        while !unit.is_done(chan) {
-            // Upstream manager: stream beats as fast as accepted.
-            if staged.is_none() {
-                while let Some(&v) = pending.front() {
-                    packer.push(v);
-                    pending.pop_front();
-                    if packer.pending() == 8 {
-                        break;
-                    }
-                }
-                staged = packer.pop_beat().or_else(|| {
-                    if pending.is_empty() {
-                        packer.flush()
-                    } else {
-                        None
-                    }
-                });
-            }
-            if let Some(beat) = staged.take() {
-                if !unit.push_beat(&beat) {
-                    staged = Some(beat);
-                }
-            }
-            unit.tick(now, chan);
-            chan.tick(now);
-            now += 1;
-            assert!(
-                now < 100_000 + indices.len() as u64 * 200,
-                "scatter deadlock"
-            );
-        }
         unit.stats()
     }
 
@@ -657,33 +678,82 @@ mod tests {
     #[test]
     fn begin_guards() {
         let mut unit = ScatterUnit::new(AdapterConfig::mlp(8));
-        assert_eq!(
-            unit.begin(ScatterRequest {
-                idx_base: 0,
-                idx_size: ElemSize::B4,
-                count: 0,
-                elem_base: 0,
-                elem_size: ElemSize::B8,
-            }),
-            Err(BeginError::EmptyBurst)
-        );
-        unit.begin(ScatterRequest {
-            idx_base: 0,
-            idx_size: ElemSize::B4,
-            count: 4,
-            elem_base: 0,
-            elem_size: ElemSize::B8,
-        })
-        .unwrap();
-        assert_eq!(
-            unit.begin(ScatterRequest {
-                idx_base: 0,
-                idx_size: ElemSize::B4,
-                count: 4,
-                elem_base: 0,
-                elem_size: ElemSize::B8,
-            }),
-            Err(BeginError::Busy)
-        );
+        assert_eq!(unit.begin(request(0, 0, 0)), Err(BeginError::EmptyBurst));
+        unit.begin(request(4, 0, 0)).unwrap();
+        assert_eq!(unit.begin(request(4, 0, 0)), Err(BeginError::Busy));
+    }
+
+    /// Reference protocol: this test spells out the raw
+    /// `begin`/`push_beat`/`tick` upstream-manager loop on purpose — with
+    /// its gather twin in `unit/tests.rs` it is one of the only two
+    /// hand-written tick loops left outside `crates/sim` — and holds
+    /// `run_burst` to the same cycle count, statistics and memory image.
+    #[test]
+    fn run_burst_matches_the_raw_protocol_loop() {
+        let indices: Vec<u32> = (0..500u32)
+            .map(|k| ((k as u64 * 48271) % 256) as u32)
+            .collect();
+        let values: Vec<u64> = (0..500u64).map(|v| v ^ 0xF0F0).collect();
+        let fresh = |backend: &BackendConfig| {
+            let (mem, idx_base, dst) = setup(&indices, 256);
+            (
+                backend.build(mem),
+                request(indices.len(), idx_base, dst),
+                dst,
+            )
+        };
+        let image = |chan: &dyn ChannelPort, dst: u64| -> Vec<u64> {
+            (0..256)
+                .map(|i| chan.memory().read_u64(dst + 8 * i))
+                .collect()
+        };
+        for cfg in [
+            AdapterConfig::mlp(64),
+            AdapterConfig::mlp_nc(),
+            AdapterConfig::seq(256),
+        ] {
+            for backend in [BackendConfig::ideal(), BackendConfig::hbm()] {
+                let (mut chan, req, dst) = fresh(&backend);
+                let mut raw = ScatterUnit::new(cfg.clone());
+                raw.begin(req).unwrap();
+                let mut packer = Packer::new(ElemSize::B8);
+                let mut next = 0;
+                let mut staged: Option<Beat> = None;
+                let mut now = 0;
+                while !raw.is_done(&*chan) {
+                    if staged.is_none() {
+                        while next < values.len() && packer.pending() < 8 {
+                            packer.push(values[next]);
+                            next += 1;
+                        }
+                        staged = packer.pop_beat();
+                        if staged.is_none() && next == values.len() {
+                            staged = packer.flush();
+                        }
+                    }
+                    if let Some(beat) = staged.take() {
+                        if !raw.push_beat(&beat) {
+                            staged = Some(beat);
+                        }
+                    }
+                    raw.tick(now, &mut *chan);
+                    chan.tick(now);
+                    now += 1;
+                    assert!(now < 1_000_000);
+                }
+                let raw_image = image(&*chan, dst);
+                assert_eq!(raw_image, golden(&indices, &values, 256));
+
+                let (mut chan, req, dst) = fresh(&backend);
+                let mut unit = ScatterUnit::new(cfg.clone());
+                let cycles = unit
+                    .run_burst(&mut *chan, req, values.iter().copied())
+                    .unwrap();
+                let what = format!("{} on {}", cfg.variant_name(), backend.label());
+                assert_eq!(cycles, now, "{what}: cycles");
+                assert_eq!(unit.stats(), raw.stats(), "{what}: stats");
+                assert_eq!(image(&*chan, dst), raw_image, "{what}: memory");
+            }
+        }
     }
 }

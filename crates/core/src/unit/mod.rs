@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 use nmpic_axi::{Beat, ElemSize, PackRequest, Packer};
 use nmpic_mem::{block_addr, Block, ChannelPort, WideRequest, BLOCK_BYTES};
-use nmpic_sim::{Cycle, Fifo};
+use nmpic_sim::{Cycle, Fifo, SimClock};
 
 use crate::coalescer::{Coalescer, CoalescerStats};
 use crate::config::{AdapterConfig, CoalescerMode};
@@ -44,6 +44,14 @@ const TAG_IDX: u64 = 1;
 const TAG_ELEM: u64 = 2;
 /// Routing tag for contiguous-burst wide reads.
 const TAG_CONTIG: u64 = 3;
+
+/// Cycle budget of one `count`-element burst, shared by
+/// [`IndirectStreamUnit::run_burst`] and [`crate::ScatterUnit::run_burst`]:
+/// a fixed part so tiny bursts survive cold-start DRAM latency, plus a
+/// per-element allowance far above one DRAM round trip per element.
+pub(crate) fn burst_cycle_budget(count: u64) -> Cycle {
+    200_000 + count * 256
+}
 
 /// Error returned by [`IndirectStreamUnit::begin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,16 +133,19 @@ enum ActiveBurst {
 
 /// The AXI-Pack adapter's indirect stream unit.
 ///
-/// Drive with [`IndirectStreamUnit::begin`], then call
-/// [`IndirectStreamUnit::tick`] once per cycle with the DRAM channel, and
-/// drain beats with [`IndirectStreamUnit::pop_beat`].
+/// [`IndirectStreamUnit::run_burst`] runs one whole burst against a DRAM
+/// channel. A system that interleaves the unit with other per-cycle work
+/// (the pack system's VPC) drives the protocol underneath it directly:
+/// [`IndirectStreamUnit::begin`], then [`IndirectStreamUnit::tick`] once
+/// per cycle with the channel, draining beats with
+/// [`IndirectStreamUnit::pop_beat`].
 ///
 /// # Example
 ///
 /// ```
 /// use nmpic_core::{AdapterConfig, IndirectStreamUnit};
 /// use nmpic_axi::{PackRequest, ElemSize, Unpacker};
-/// use nmpic_mem::{ChannelPort, IdealChannel, Memory};
+/// use nmpic_mem::{IdealChannel, Memory};
 ///
 /// let mut mem = Memory::new(1 << 16);
 /// let idx_base = mem.alloc(4 * 4, 64);
@@ -144,20 +155,16 @@ enum ActiveBurst {
 ///
 /// let mut chan = IdealChannel::new(mem, 10, 2);
 /// let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(8));
-/// unit.begin(PackRequest::Indirect {
-///     idx_base, idx_size: ElemSize::B4, count: 4, elem_base, elem_size: ElemSize::B8,
-/// }).unwrap();
-///
 /// let mut got = Unpacker::new(ElemSize::B8);
-/// let mut now = 0;
-/// while !unit.is_done() {
-///     unit.tick(now, &mut chan);
-///     chan.tick(now);
-///     while let Some(beat) = unit.pop_beat() { got.push_beat(&beat); }
-///     now += 1;
-///     assert!(now < 10_000);
-/// }
+/// let cycles = unit.run_burst(
+///     &mut chan,
+///     PackRequest::Indirect {
+///         idx_base, idx_size: ElemSize::B4, count: 4, elem_base, elem_size: ElemSize::B8,
+///     },
+///     |beat| got.push_beat(beat),
+/// ).unwrap();
 /// assert_eq!(got.drain(), vec![103, 100, 102, 103]);
+/// assert!(cycles > 10, "at least one DRAM round trip each for indices and elements");
 /// ```
 #[derive(Debug)]
 pub struct IndirectStreamUnit {
@@ -379,6 +386,41 @@ impl IndirectStreamUnit {
     /// Pops the next packed 512 b beat, if one is ready.
     pub fn pop_beat(&mut self) -> Option<Beat> {
         self.beats.pop()
+    }
+
+    /// Runs one whole burst against `chan` from cycle 0 — begin, then tick
+    /// unit and channel once per cycle until the burst has drained —
+    /// handing every packed beat to `sink` in stream order, and returns
+    /// the cycle count. A channel that served an earlier burst must have
+    /// had [`ChannelPort::reset_run_state`] called first, because time
+    /// restarts at 0.
+    ///
+    /// # Errors
+    ///
+    /// The [`IndirectStreamUnit::begin`] errors; nothing has run then.
+    ///
+    /// # Panics
+    ///
+    /// Panics through [`SimClock::tick`] if the burst has not drained
+    /// within `200_000 + 256 × count` cycles.
+    #[inline]
+    pub fn run_burst(
+        &mut self,
+        chan: &mut dyn ChannelPort,
+        req: PackRequest,
+        mut sink: impl FnMut(&Beat),
+    ) -> Result<Cycle, BeginError> {
+        let mut clk = SimClock::new("indirect stream burst", burst_cycle_budget(req.count()));
+        self.begin(req)?;
+        while !self.is_done() {
+            self.tick(clk.now(), chan);
+            chan.tick(clk.now());
+            while let Some(beat) = self.pop_beat() {
+                sink(&beat);
+            }
+            clk.tick();
+        }
+        Ok(clk.now())
     }
 
     /// Advances the unit by one cycle against the given DRAM channel.

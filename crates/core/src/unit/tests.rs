@@ -2,40 +2,45 @@
 //! variants, contiguous/strided bursts, and edge geometries.
 
 use super::*;
-use nmpic_mem::{HbmChannel, HbmConfig, IdealChannel, Memory};
+use nmpic_mem::{BackendConfig, HbmChannel, HbmConfig, IdealChannel, Memory};
 
-/// Runs a full indirect burst and returns (values, cycles).
-fn gather<C: ChannelPort>(
-    chan: &mut C,
+fn indirect(count: usize, idx_base: u64, elem_base: u64) -> PackRequest {
+    PackRequest::Indirect {
+        idx_base,
+        idx_size: ElemSize::B4,
+        count: count as u64,
+        elem_base,
+        elem_size: ElemSize::B8,
+    }
+}
+
+/// Runs one burst on `unit` and returns (values, cycles).
+fn run(
+    unit: &mut IndirectStreamUnit,
+    chan: &mut dyn ChannelPort,
+    req: PackRequest,
+) -> (Vec<u64>, u64) {
+    let mut got = nmpic_axi::Unpacker::new(req.elem_size());
+    let cycles = unit
+        .run_burst(chan, req, |beat| got.push_beat(beat))
+        .unwrap();
+    (got.drain(), cycles)
+}
+
+/// Runs a full indirect burst on a fresh unit and returns (values, cycles).
+fn gather(
+    chan: &mut dyn ChannelPort,
     cfg: AdapterConfig,
     indices: &[u32],
     elem_base: u64,
     idx_base: u64,
 ) -> (Vec<u64>, u64) {
     let mut unit = IndirectStreamUnit::new(cfg);
-    unit.begin(PackRequest::Indirect {
-        idx_base,
-        idx_size: ElemSize::B4,
-        count: indices.len() as u64,
-        elem_base,
-        elem_size: ElemSize::B8,
-    })
-    .unwrap();
-    let mut got = nmpic_axi::Unpacker::new(ElemSize::B8);
-    let mut now = 0;
-    while !unit.is_done() {
-        unit.tick(now, chan);
-        chan.tick(now);
-        while let Some(beat) = unit.pop_beat() {
-            got.push_beat(&beat);
-        }
-        now += 1;
-        assert!(
-            now < 200_000 + indices.len() as u64 * 200,
-            "adapter deadlock"
-        );
-    }
-    (got.drain(), now)
+    run(
+        &mut unit,
+        chan,
+        indirect(indices.len(), idx_base, elem_base),
+    )
 }
 
 fn setup(indices: &[u32], vec_len: usize) -> (Memory, u64, u64) {
@@ -58,36 +63,14 @@ fn golden(i: u64) -> u64 {
 fn check_all(cfg: AdapterConfig, indices: &[u32], vec_len: usize) -> (AdapterStats, u64) {
     let (mem, idx_base, elem_base) = setup(indices, vec_len);
     let mut chan = IdealChannel::new(mem, 20, 2);
-    let unit_stats;
-    let (values, cycles) = {
-        let mut unit = IndirectStreamUnit::new(cfg);
-        unit.begin(PackRequest::Indirect {
-            idx_base,
-            idx_size: ElemSize::B4,
-            count: indices.len() as u64,
-            elem_base,
-            elem_size: ElemSize::B8,
-        })
-        .unwrap();
-        let mut got = nmpic_axi::Unpacker::new(ElemSize::B8);
-        let mut now = 0;
-        while !unit.is_done() {
-            unit.tick(now, &mut chan);
-            chan.tick(now);
-            while let Some(beat) = unit.pop_beat() {
-                got.push_beat(&beat);
-            }
-            now += 1;
-            assert!(now < 100_000 + indices.len() as u64 * 300, "deadlock");
-        }
-        unit_stats = unit.stats();
-        (got.drain(), now)
-    };
+    let mut unit = IndirectStreamUnit::new(cfg);
+    let req = indirect(indices.len(), idx_base, elem_base);
+    let (values, cycles) = run(&mut unit, &mut chan, req);
     assert_eq!(values.len(), indices.len());
     for (k, &v) in values.iter().enumerate() {
         assert_eq!(v, golden(indices[k] as u64), "element {k}");
     }
-    (unit_stats, cycles)
+    (unit.stats(), cycles)
 }
 
 #[test]
@@ -220,24 +203,12 @@ fn contiguous_burst_streams_in_order() {
     }
     let mut chan = IdealChannel::new(mem, 10, 2);
     let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(8));
-    unit.begin(PackRequest::Contiguous {
+    let req = PackRequest::Contiguous {
         base,
         elem_size: ElemSize::B8,
         count: 100,
-    })
-    .unwrap();
-    let mut got = nmpic_axi::Unpacker::new(ElemSize::B8);
-    let mut now = 0;
-    while !unit.is_done() {
-        unit.tick(now, &mut chan);
-        chan.tick(now);
-        while let Some(beat) = unit.pop_beat() {
-            got.push_beat(&beat);
-        }
-        now += 1;
-        assert!(now < 10_000);
-    }
-    let vals = got.drain();
+    };
+    let (vals, _) = run(&mut unit, &mut chan, req);
     assert_eq!(vals, (1000..1100u64).collect::<Vec<_>>());
 }
 
@@ -250,25 +221,13 @@ fn strided_burst_gathers_every_other_element() {
     }
     let mut chan = IdealChannel::new(mem, 10, 2);
     let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(8));
-    unit.begin(PackRequest::Strided {
+    let req = PackRequest::Strided {
         base,
         stride: 16,
         elem_size: ElemSize::B8,
         count: 64,
-    })
-    .unwrap();
-    let mut got = nmpic_axi::Unpacker::new(ElemSize::B8);
-    let mut now = 0;
-    while !unit.is_done() {
-        unit.tick(now, &mut chan);
-        chan.tick(now);
-        while let Some(beat) = unit.pop_beat() {
-            got.push_beat(&beat);
-        }
-        now += 1;
-        assert!(now < 20_000);
-    }
-    let vals = got.drain();
+    };
+    let (vals, _) = run(&mut unit, &mut chan, req);
     assert_eq!(vals.len(), 64);
     for (k, &v) in vals.iter().enumerate() {
         assert_eq!(v, 7 * 2 * k as u64);
@@ -310,47 +269,15 @@ fn back_to_back_bursts_reuse_the_unit() {
     let mut chan = IdealChannel::new(mem, 10, 2);
     let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(16));
     for _ in 0..3 {
-        unit.begin(PackRequest::Indirect {
-            idx_base,
-            idx_size: ElemSize::B4,
-            count: 64,
-            elem_base,
-            elem_size: ElemSize::B8,
-        })
-        .unwrap();
-        let mut got = nmpic_axi::Unpacker::new(ElemSize::B8);
-        let mut now = 0;
-        while !unit.is_done() {
-            unit.tick(now, &mut chan);
-            chan.tick(now);
-            while let Some(beat) = unit.pop_beat() {
-                got.push_beat(&beat);
-            }
-            now += 1;
-            assert!(now < 50_000);
-        }
-        let vals = got.drain();
+        // The drained channel is reset because each burst restarts time.
+        chan.reset_run_state();
+        let (vals, _) = run(&mut unit, &mut chan, indirect(64, idx_base, elem_base));
         assert_eq!(vals.len(), 64);
         for (k, &v) in vals.iter().enumerate() {
             assert_eq!(v, golden(k as u64));
         }
     }
     assert_eq!(unit.stats().elements_delivered, 192);
-}
-
-fn drive(unit: &mut IndirectStreamUnit, chan: &mut IdealChannel) -> Vec<u64> {
-    let mut got = nmpic_axi::Unpacker::new(unit.config().elem_size);
-    let mut now = 0;
-    while !unit.is_done() {
-        unit.tick(now, chan);
-        chan.tick(now);
-        while let Some(beat) = unit.pop_beat() {
-            got.push_beat(&beat);
-        }
-        now += 1;
-        assert!(now < 500_000, "deadlock");
-    }
-    got.drain()
 }
 
 /// Element base that is element-aligned but not block-aligned: block
@@ -368,15 +295,7 @@ fn unaligned_element_base() {
     }
     let mut chan = IdealChannel::new(mem, 8, 2);
     let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(16));
-    unit.begin(PackRequest::Indirect {
-        idx_base,
-        idx_size: ElemSize::B4,
-        count: 32,
-        elem_base,
-        elem_size: ElemSize::B8,
-    })
-    .unwrap();
-    let vals = drive(&mut unit, &mut chan);
+    let (vals, _) = run(&mut unit, &mut chan, indirect(32, idx_base, elem_base));
     for (k, &v) in vals.iter().enumerate() {
         assert_eq!(v, 7000 + indices[k] as u64, "element {k}");
     }
@@ -392,24 +311,17 @@ fn contiguous_32b_burst() {
     mem.write_u32_slice(base, &data);
     let mut chan = IdealChannel::new(mem, 6, 2);
     let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(8));
-    unit.begin(PackRequest::Contiguous {
+    let req = PackRequest::Contiguous {
         base,
         elem_size: ElemSize::B4,
         count: 50,
+    };
+    let mut got = nmpic_axi::Unpacker::new(ElemSize::B4);
+    unit.run_burst(&mut chan, req, |beat| {
+        assert_eq!(beat.elem_size, ElemSize::B4);
+        got.push_beat(beat);
     })
     .unwrap();
-    let mut got = nmpic_axi::Unpacker::new(ElemSize::B4);
-    let mut now = 0;
-    while !unit.is_done() {
-        unit.tick(now, &mut chan);
-        chan.tick(now);
-        while let Some(beat) = unit.pop_beat() {
-            assert_eq!(beat.elem_size, ElemSize::B4);
-            got.push_beat(&beat);
-        }
-        now += 1;
-        assert!(now < 100_000);
-    }
     let vals = got.drain();
     assert_eq!(vals.len(), 50);
     for (k, &v) in vals.iter().enumerate() {
@@ -427,14 +339,13 @@ fn strided_burst_seq_mode() {
     }
     let mut chan = IdealChannel::new(mem, 6, 2);
     let mut unit = IndirectStreamUnit::new(AdapterConfig::seq(32));
-    unit.begin(PackRequest::Strided {
+    let req = PackRequest::Strided {
         base,
         stride: 24,
         elem_size: ElemSize::B8,
         count: 20,
-    })
-    .unwrap();
-    let vals = drive(&mut unit, &mut chan);
+    };
+    let (vals, _) = run(&mut unit, &mut chan, req);
     for (k, &v) in vals.iter().enumerate() {
         let i = 3 * k as u64;
         assert_eq!(v, i * i);
@@ -451,14 +362,13 @@ fn strided_burst_nocoal_mode() {
     }
     let mut chan = IdealChannel::new(mem, 6, 2);
     let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp_nc());
-    unit.begin(PackRequest::Strided {
+    let req = PackRequest::Strided {
         base,
         stride: 16,
         elem_size: ElemSize::B8,
         count: 30,
-    })
-    .unwrap();
-    let vals = drive(&mut unit, &mut chan);
+    };
+    let (vals, _) = run(&mut unit, &mut chan, req);
     assert_eq!(vals.len(), 30);
     for (k, &v) in vals.iter().enumerate() {
         assert_eq!(v, 1 + 4 * k as u64);
@@ -480,17 +390,115 @@ fn high_index_values() {
     }
     let mut chan = IdealChannel::new(mem, 8, 2);
     let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(8));
-    unit.begin(PackRequest::Indirect {
-        idx_base,
-        idx_size: ElemSize::B4,
-        count: 8,
-        elem_base,
-        elem_size: ElemSize::B8,
-    })
-    .unwrap();
-    let vals = drive(&mut unit, &mut chan);
+    let (vals, _) = run(&mut unit, &mut chan, indirect(8, idx_base, elem_base));
     for (k, &v) in vals.iter().enumerate() {
         let i = indices[k] as u64;
         assert_eq!(v, i << 32 | i);
     }
+}
+
+/// A gather workload with reuse on a fresh `backend` channel.
+fn reference_setup(backend: &BackendConfig) -> (Box<dyn ChannelPort>, PackRequest) {
+    let indices: Vec<u32> = (0..600u32)
+        .map(|k| ((k as u64 * 48271) % 512) as u32)
+        .collect();
+    let (mem, idx_base, elem_base) = setup(&indices, 512);
+    let req = indirect(indices.len(), idx_base, elem_base);
+    (backend.build(mem), req)
+}
+
+/// Reference protocol: this test spells out the raw
+/// `begin`/`tick`/`pop_beat` loop on purpose — with its scatter twin in
+/// `scatter.rs` it is one of the only two hand-written tick loops left
+/// outside `crates/sim` — and holds `run_burst` to the same beats and the
+/// same cycle count.
+#[test]
+fn run_burst_matches_the_raw_protocol_loop() {
+    for cfg in [
+        AdapterConfig::mlp(64),
+        AdapterConfig::mlp_nc(),
+        AdapterConfig::seq(256),
+    ] {
+        for backend in [BackendConfig::ideal(), BackendConfig::hbm()] {
+            let (mut chan, req) = reference_setup(&backend);
+            let mut unit = IndirectStreamUnit::new(cfg.clone());
+            unit.begin(req).unwrap();
+            let mut raw_beats = Vec::new();
+            let mut now = 0;
+            while !unit.is_done() {
+                unit.tick(now, &mut *chan);
+                chan.tick(now);
+                while let Some(beat) = unit.pop_beat() {
+                    raw_beats.push(beat);
+                }
+                now += 1;
+                assert!(now < 1_000_000);
+            }
+
+            let (mut chan, req) = reference_setup(&backend);
+            let mut unit = IndirectStreamUnit::new(cfg.clone());
+            let mut beats = Vec::new();
+            let cycles = unit
+                .run_burst(&mut *chan, req, |beat| beats.push(beat.clone()))
+                .unwrap();
+            let what = format!("{} on {}", cfg.variant_name(), backend.label());
+            assert_eq!(cycles, now, "{what}: cycles");
+            assert_eq!(beats, raw_beats, "{what}: beats");
+        }
+    }
+}
+
+/// A channel that accepts every request and never answers: the model
+/// deadlock the cycle budget exists to catch.
+struct BlackHole(Memory);
+
+impl ChannelPort for BlackHole {
+    fn try_request(&mut self, _: Cycle, _: WideRequest) -> Result<(), WideRequest> {
+        Ok(())
+    }
+    fn tick(&mut self, _: Cycle) {}
+    fn pop_response(&mut self, _: Cycle) -> Option<nmpic_mem::WideResponse> {
+        None
+    }
+    fn is_idle(&self) -> bool {
+        false
+    }
+    fn memory(&self) -> &Memory {
+        &self.0
+    }
+    fn memory_mut(&mut self) -> &mut Memory {
+        &mut self.0
+    }
+    fn data_bytes(&self) -> u64 {
+        0
+    }
+    fn peak_bytes_per_cycle(&self) -> u64 {
+        0
+    }
+    fn reset_run_state(&mut self) {}
+}
+
+#[test]
+#[should_panic(expected = "indirect stream burst: cycle budget of 201024 exceeded")]
+fn gather_burst_on_a_dead_channel_trips_the_watchdog() {
+    let mut chan = BlackHole(Memory::new(64));
+    let _ = IndirectStreamUnit::new(AdapterConfig::mlp(8)).run_burst(
+        &mut chan,
+        indirect(4, 0, 0),
+        |_| {},
+    );
+}
+
+#[test]
+#[should_panic(expected = "indirect scatter burst: cycle budget of 201024 exceeded")]
+fn scatter_burst_on_a_dead_channel_trips_the_watchdog() {
+    let mut chan = BlackHole(Memory::new(64));
+    let req = crate::ScatterRequest {
+        idx_base: 0,
+        idx_size: ElemSize::B4,
+        count: 4,
+        elem_base: 0,
+        elem_size: ElemSize::B8,
+    };
+    let _ = crate::ScatterUnit::new(AdapterConfig::mlp(8)).run_burst(&mut chan, req, [1, 2, 3, 4]);
 }

@@ -14,6 +14,7 @@
 //! | `L5` | `relaxed-ordering` | every `Ordering::Relaxed` carries a justification comment |
 //! | `L6` | `wall-clock` | no `Instant::now`/`SystemTime` outside `nmpic_bench::timing` |
 //! | `L7` | `service-lock` | no unaudited `std::sync::Mutex`/`RwLock` in the serving front-end (every file under `crates/system/src/service/`) |
+//! | `L8` | `tick-loop` | no hand-rolled `now += 1` in library code outside `crates/sim`: simulated time advances through `nmpic_sim::SimClock` |
 //!
 //! Violations are suppressed only by an explicit, audited marker:
 //!
@@ -103,6 +104,12 @@ impl Workspace {
     /// individually audited.
     pub fn service_lock_applies(&self, path: &str) -> bool {
         path.replace('\\', "/").contains("system/src/service/")
+    }
+
+    /// L8 scope: everywhere but `crates/sim`, the crate that owns
+    /// simulated time.
+    pub fn tick_loop_applies(&self, path: &str) -> bool {
+        !path.replace('\\', "/").contains("crates/sim/src/")
     }
 }
 

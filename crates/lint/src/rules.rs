@@ -1,4 +1,4 @@
-//! The seven domain rules and the allow-marker protocol.
+//! The domain rules and the allow-marker protocol.
 //!
 //! Every rule matches on the scanner's *code* channel only
 //! ([`crate::scan::Line::code`]), so trigger tokens inside strings, doc
@@ -10,9 +10,9 @@
 use crate::scan::Line;
 use crate::{FileKind, Workspace};
 
-/// The rules enforced by `nmpic-lint`. Display ids `L1`–`L6` match the
-/// issue/README nomenclature; slugs are accepted interchangeably in
-/// allow-markers.
+/// The rules enforced by `nmpic-lint`. Display ids (`L1` onwards, in the
+/// order of [`Rule::ALL`]) match the issue/README nomenclature; slugs are
+/// accepted interchangeably in allow-markers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rule {
     /// L1 — no narrowing `as` casts (`as u32`/`u16`/`u8` everywhere;
@@ -43,6 +43,11 @@ pub enum Rule {
     /// the service's hot paths are atomics-first, so each blocking lock
     /// must name the reason it is held briefly and never nested.
     ServiceLock,
+    /// L8 — no hand-rolled `now += 1` in library code outside
+    /// `crates/sim`: simulated time advances through
+    /// `nmpic_sim::SimClock`, so the cycle budget and the deadlock
+    /// watchdog exist once.
+    TickLoop,
     /// M0 — a malformed `nmpic-lint:` marker: unparseable, naming an
     /// unknown rule, or missing the mandatory reason text.
     Marker,
@@ -50,7 +55,7 @@ pub enum Rule {
 
 impl Rule {
     /// All suppressible rules, for marker validation.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::NarrowingCast,
         Rule::PanicPath,
         Rule::UnorderedFloat,
@@ -58,9 +63,10 @@ impl Rule {
         Rule::RelaxedOrdering,
         Rule::WallClock,
         Rule::ServiceLock,
+        Rule::TickLoop,
     ];
 
-    /// Short display id (`L1`..`L7`, `M0`).
+    /// Short display id (`L1`.., `M0`).
     pub fn id(self) -> &'static str {
         match self {
             Rule::NarrowingCast => "L1",
@@ -70,6 +76,7 @@ impl Rule {
             Rule::RelaxedOrdering => "L5",
             Rule::WallClock => "L6",
             Rule::ServiceLock => "L7",
+            Rule::TickLoop => "L8",
             Rule::Marker => "M0",
         }
     }
@@ -84,6 +91,7 @@ impl Rule {
             Rule::RelaxedOrdering => "relaxed-ordering",
             Rule::WallClock => "wall-clock",
             Rule::ServiceLock => "service-lock",
+            Rule::TickLoop => "tick-loop",
             Rule::Marker => "marker",
         }
     }
@@ -182,8 +190,11 @@ fn parse_marker(comment: &str) -> Option<ParsedMarker> {
             Some(r) => rules.push(r),
             None => {
                 return Some(ParsedMarker::Malformed(format!(
-                    "unknown rule `{}` (want L1-L6 or a slug like narrowing-cast)",
-                    name.trim()
+                    "unknown rule `{}` (want {}-{} or a slug like {})",
+                    name.trim(),
+                    Rule::ALL[0].id(),
+                    Rule::ALL[Rule::ALL.len() - 1].id(),
+                    Rule::ALL[0].slug()
                 )))
             }
         }
@@ -301,8 +312,9 @@ pub fn lint_file(ctx: &FileContext<'_>) -> FileReport {
     let mem_usize = ctx.ws.usize_cast_applies(ctx.path);
     let clock_exempt = ctx.ws.clock_exempt(ctx.path);
     let service_lock = ctx.ws.service_lock_applies(ctx.path);
+    let tick_loop = lib && ctx.ws.tick_loop_applies(ctx.path);
 
-    // --- L1 / L2 / L5 / L6: per-line token matchers ------------------------
+    // --- L1 / L2 / L5 / L6 / L7 / L8: per-line token matchers --------------
     for (i, line) in ctx.lines.iter().enumerate() {
         if line.test {
             continue;
@@ -349,6 +361,21 @@ pub fn lint_file(ctx: &FileContext<'_>) -> FileReport {
                     });
                 }
             }
+        }
+        let ticks_by_hand = |w: &[(usize, &str)]| {
+            let ((apos, a), (bpos, b)) = (w[0], w[1]);
+            a == "now" && b == "1" && code[apos + a.len()..bpos].trim() == "+="
+        };
+        if tick_loop && toks.windows(2).any(ticks_by_hand) {
+            raw.push(Violation {
+                path: ctx.path.to_string(),
+                line: i + 1,
+                rule: Rule::TickLoop,
+                message: "hand-rolled `now += 1` tick loop — advance simulated time through \
+                          `nmpic_sim::SimClock` so the cycle budget and deadlock watchdog \
+                          exist once"
+                    .to_string(),
+            });
         }
         if lib_or_bin {
             let s = stripped(code);

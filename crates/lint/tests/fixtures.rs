@@ -215,6 +215,39 @@ fn l7_is_suppressible_by_an_audited_marker() {
     assert!(Rule::from_name("service-lock").is_some());
 }
 
+// --- L8: hand-rolled tick loops --------------------------------------------
+
+const SIM: &str = "crates/sim/src/lib.rs";
+const TICK_LOOP: &str = "pub fn run(mut busy: u32) -> u64 {\n    let mut now = 0u64;\n    while busy > 0 {\n        busy -= 1;\n        now += 1;\n    }\n    now\n}\n";
+
+#[test]
+fn l8_trips_on_a_hand_rolled_tick_in_lib_code() {
+    let r = lint_source(LIB, TICK_LOOP);
+    assert_eq!(rules(&r), [Rule::TickLoop]);
+    assert_eq!(r.violations[0].line, 5);
+    let field = "pub fn step(s: &mut S) {\n    s.now+=1;\n}\n";
+    assert_eq!(rules(&lint_source(LIB, field)), [Rule::TickLoop]);
+}
+
+#[test]
+fn l8_passes_on_the_clock_and_on_other_increments() {
+    let src = "pub fn run(mut busy: u32) -> u64 {\n    let mut clk = nmpic_sim::SimClock::new(\"run\", 100);\n    while busy > 0 {\n        busy -= 1;\n        clk.tick();\n    }\n    clk.now()\n}\n";
+    assert_clean(&lint_source(LIB, src));
+    // Only the exact tick is the rule's business.
+    let src = "pub fn f(mut now: u64, mut known: u64) -> u64 {\n    now += 10;\n    known += 1;\n    now + known\n}\n";
+    assert_clean(&lint_source(LIB, src));
+}
+
+#[test]
+fn l8_exempts_the_sim_crate_bins_tests_and_cfg_test_modules() {
+    let src = format!("#![forbid(unsafe_code)]\n{TICK_LOOP}");
+    assert_clean(&lint_source(SIM, &src));
+    assert_clean(&lint_source(BIN, TICK_LOOP));
+    assert_clean(&lint_source(TEST, TICK_LOOP));
+    let src = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let mut now = 0;\n        now += 1;\n        assert_eq!(now, 1);\n    }\n}\n";
+    assert_clean(&lint_source(LIB, src));
+}
+
 // --- Allow-marker protocol -----------------------------------------------
 
 #[test]
@@ -256,9 +289,15 @@ fn markers_accept_slugs_and_only_suppress_the_named_rule() {
 
 #[test]
 fn malformed_markers_are_their_own_violation() {
-    // Unknown rule name.
+    // Unknown rule name; the hint spans the whole rule list.
     let src = "pub fn f() {} // nmpic-lint: allow(L9) — no such rule\n";
-    assert_eq!(rules(&lint_source(LIB, src)), [Rule::Marker]);
+    let r = lint_source(LIB, src);
+    assert_eq!(rules(&r), [Rule::Marker]);
+    assert!(
+        r.violations[0].message.contains("want L1-L8"),
+        "{}",
+        r.violations[0].message
+    );
     // Missing mandatory reason.
     let src = "pub fn f() {} // nmpic-lint: allow(L1)\n";
     assert_eq!(rules(&lint_source(LIB, src)), [Rule::Marker]);

@@ -316,20 +316,10 @@ impl<T: ChannelPort + ?Sized> ChannelPort for Box<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WideRequest;
 
     fn drain_one(chan: &mut dyn ChannelPort, addr: u64) -> u64 {
-        chan.try_request(0, WideRequest::read(addr, 9)).unwrap();
-        let mut now = 0;
-        loop {
-            chan.tick(now);
-            if let Some(r) = chan.pop_response(now) {
-                assert_eq!(r.tag, 9);
-                return u64::from_le_bytes(r.data[..8].try_into().unwrap());
-            }
-            now += 1;
-            assert!(now < 10_000, "no response");
-        }
+        let (resps, _) = crate::run_reads(chan, &[addr]);
+        u64::from_le_bytes(resps[0].data[..8].try_into().unwrap())
     }
 
     #[test]

@@ -501,28 +501,7 @@ impl ChannelPort for HbmChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn run_reads(chan: &mut HbmChannel, addrs: &[u64]) -> (Vec<WideResponse>, Cycle) {
-        let mut responses = Vec::new();
-        let mut pending: Vec<u64> = addrs.to_vec();
-        let mut now = 0;
-        let mut tag = 0;
-        while responses.len() < addrs.len() {
-            if let Some(&a) = pending.first() {
-                if chan.try_request(now, WideRequest::read(a, tag)).is_ok() {
-                    pending.remove(0);
-                    tag += 1;
-                }
-            }
-            chan.tick(now);
-            while let Some(r) = chan.pop_response(now) {
-                responses.push(r);
-            }
-            now += 1;
-            assert!(now < 1_000_000, "channel deadlock");
-        }
-        (responses, now)
-    }
+    use crate::run_reads;
 
     fn fresh(cfg: HbmConfig) -> HbmChannel {
         HbmChannel::new(cfg, Memory::new(1 << 22))
@@ -533,18 +512,10 @@ mod tests {
         let cfg = HbmConfig::default();
         let expected = cfg.t_rcd + cfg.t_cl + cfg.t_bl + cfg.response_overhead;
         let mut chan = fresh(cfg);
-        chan.try_request(0, WideRequest::read(0, 0)).unwrap();
-        let mut now = 0;
-        let got = loop {
-            chan.tick(now);
-            if chan.pop_response(now).is_some() {
-                break now;
-            }
-            now += 1;
-            assert!(now < 1000);
-        };
-        // Issued on cycle 0, so completion is exactly the closed-bank path.
-        assert_eq!(got, expected);
+        let (_, cycles) = run_reads(&mut chan, &[0]);
+        // Issued on cycle 0 and popped in cycle `cycles - 1` (the driver
+        // counts that cycle too): exactly the closed-bank path.
+        assert_eq!(cycles - 1, expected);
     }
 
     #[test]
@@ -689,29 +660,11 @@ mod tests {
 #[cfg(test)]
 mod policy_tests {
     use super::*;
-    use crate::{ChannelPort, WideRequest};
+    use crate::run_reads;
 
     fn run(cfg: HbmConfig, addrs: &[u64]) -> Cycle {
         let mut chan = HbmChannel::new(cfg, Memory::new(1 << 22));
-        let mut issued = 0usize;
-        let mut got = 0usize;
-        let mut now = 0;
-        while got < addrs.len() {
-            if issued < addrs.len()
-                && chan
-                    .try_request(now, WideRequest::read(addrs[issued], 0))
-                    .is_ok()
-            {
-                issued += 1;
-            }
-            chan.tick(now);
-            while chan.pop_response(now).is_some() {
-                got += 1;
-            }
-            now += 1;
-            assert!(now < 1_000_000, "deadlock");
-        }
-        now
+        run_reads(&mut chan, addrs).1
     }
 
     /// Interleaving requests between two rows of the same bank: FR-FCFS

@@ -212,28 +212,7 @@ impl ChannelPort for InterleavedChannels {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn run_reads(chans: &mut InterleavedChannels, addrs: &[u64]) -> (Vec<WideResponse>, Cycle) {
-        let mut out = Vec::new();
-        let mut i = 0;
-        let mut now = 0;
-        while out.len() < addrs.len() {
-            if i < addrs.len()
-                && chans
-                    .try_request(now, WideRequest::read(addrs[i], i as u64))
-                    .is_ok()
-            {
-                i += 1;
-            }
-            chans.tick(now);
-            while let Some(r) = chans.pop_response(now) {
-                out.push(r);
-            }
-            now += 1;
-            assert!(now < 1_000_000, "deadlock");
-        }
-        (out, now)
-    }
+    use crate::run_reads;
 
     #[test]
     fn mapping_rotates_blocks() {

@@ -241,6 +241,31 @@ pub trait ChannelPort: Send {
     fn reset_run_state(&mut self);
 }
 
+/// The read-trace driver of every channel model's tests: offers `addrs` as
+/// reads in order (tag = position), one attempt per cycle, until every
+/// response is back; returns the responses in delivery order and the
+/// cycle count.
+#[cfg(test)]
+pub(crate) fn run_reads(chan: &mut dyn ChannelPort, addrs: &[u64]) -> (Vec<WideResponse>, Cycle) {
+    let mut clk = nmpic_sim::SimClock::new("read trace", 1_000_000);
+    let mut responses = Vec::new();
+    let mut issued = 0;
+    while responses.len() < addrs.len() {
+        if issued < addrs.len() {
+            let req = WideRequest::read(addrs[issued], issued as u64);
+            if chan.try_request(clk.now(), req).is_ok() {
+                issued += 1;
+            }
+        }
+        chan.tick(clk.now());
+        while let Some(r) = chan.pop_response(clk.now()) {
+            responses.push(r);
+        }
+        clk.tick();
+    }
+    (responses, clk.now())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

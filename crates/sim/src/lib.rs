@@ -7,16 +7,14 @@
 //!
 //! The kernel is intentionally small and allocation-friendly:
 //!
-//! * [`Fifo`] — a bounded queue with capacity-based backpressure and
-//!   occupancy statistics. Every architectural queue in the adapter
-//!   (index queues, up/downsizer queues, hitmap queue, offsets queues,
-//!   element queues) is a `Fifo`.
-//! * [`LatencyPipe`] — a fixed-latency delay element, used for modeling
-//!   pipelined paths whose latency is known but whose internals are not of
-//!   interest.
-//! * [`Clocked`] — the trait every ticking component implements.
-//! * [`Clock`] and [`Simulation`] — cycle bookkeeping and a run loop with a
-//!   cycle-limit watchdog against deadlocks.
+//! * [`Fifo`] — a bounded queue with capacity-based backpressure. Every
+//!   architectural queue in the adapter (index queues, up/downsizer
+//!   queues, hitmap queue, offsets queues, element queues) is a `Fifo`.
+//! * [`SimClock`] — the one owner of simulated time: every run loop in the
+//!   workspace advances its cycle counter through it, so the cycle budget
+//!   and the deadlock watchdog exist exactly once.
+//! * [`SimRng`] — the vendored deterministic PRNG behind every generated
+//!   matrix and randomized test.
 //! * [`stats`] — bandwidth/utilization accounting shared by all experiments.
 //! * [`pool`] — the shared `NMPIC_JOBS` work pool that both the bench
 //!   sweep runner and the sharded engine's parallel shard executor fan
@@ -25,17 +23,19 @@
 //! # Example
 //!
 //! ```
-//! use nmpic_sim::{Fifo, Clock};
+//! use nmpic_sim::{Fifo, SimClock};
 //!
 //! let mut q: Fifo<u32> = Fifo::new("q", 2);
 //! assert!(q.try_push(1).is_ok());
 //! assert!(q.try_push(2).is_ok());
 //! assert!(q.try_push(3).is_err(), "capacity reached → backpressure");
-//! assert_eq!(q.pop(), Some(1));
 //!
-//! let mut clk = Clock::new();
-//! clk.advance();
-//! assert_eq!(clk.now(), 1);
+//! // Drain one element per cycle; the clock panics past its budget.
+//! let mut clk = SimClock::new("drain q", 100);
+//! while q.pop().is_some() {
+//!     clk.tick();
+//! }
+//! assert_eq!(clk.now(), 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -69,12 +69,11 @@ impl<T: fmt::Debug> fmt::Display for Full<T> {
 
 impl<T: fmt::Debug> std::error::Error for Full<T> {}
 
-/// A bounded FIFO queue with backpressure and occupancy statistics.
+/// A bounded FIFO queue with backpressure.
 ///
 /// This is the model of an RTL FIFO: `try_push` fails when the queue holds
 /// `capacity` elements, and the caller is expected to hold its element and
-/// retry on a later cycle. Occupancy statistics (`max_occupancy`,
-/// `total_pushes`) feed the storage model in `nmpic-model`.
+/// retry on a later cycle.
 ///
 /// # Example
 ///
@@ -89,12 +88,8 @@ impl<T: fmt::Debug> std::error::Error for Full<T> {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
-    name: &'static str,
     items: VecDeque<T>,
     capacity: usize,
-    total_pushes: u64,
-    total_pops: u64,
-    max_occupancy: usize,
 }
 
 impl<T> Fifo<T> {
@@ -107,18 +102,9 @@ impl<T> Fifo<T> {
     pub fn new(name: &'static str, capacity: usize) -> Self {
         assert!(capacity > 0, "fifo `{name}` must have nonzero capacity");
         Self {
-            name,
             items: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            total_pushes: 0,
-            total_pops: 0,
-            max_occupancy: 0,
         }
-    }
-
-    /// The debug name given at construction.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Attempts to push an element; on a full queue the element is returned
@@ -128,28 +114,17 @@ impl<T> Fifo<T> {
             return Err(Full(item));
         }
         self.items.push_back(item);
-        self.total_pushes += 1;
-        self.max_occupancy = self.max_occupancy.max(self.items.len());
         Ok(())
     }
 
     /// Removes and returns the oldest element.
     pub fn pop(&mut self) -> Option<T> {
-        let item = self.items.pop_front();
-        if item.is_some() {
-            self.total_pops += 1;
-        }
-        item
+        self.items.pop_front()
     }
 
     /// Returns a reference to the oldest element without removing it.
     pub fn peek(&self) -> Option<&T> {
         self.items.front()
-    }
-
-    /// Returns a reference to the `i`-th oldest element, if present.
-    pub fn get(&self, i: usize) -> Option<&T> {
-        self.items.get(i)
     }
 
     /// Number of elements currently held.
@@ -177,21 +152,6 @@ impl<T> Fifo<T> {
         self.capacity - self.items.len()
     }
 
-    /// Total successful pushes over the queue's lifetime.
-    pub fn total_pushes(&self) -> u64 {
-        self.total_pushes
-    }
-
-    /// Total pops over the queue's lifetime.
-    pub fn total_pops(&self) -> u64 {
-        self.total_pops
-    }
-
-    /// High-water mark of occupancy, for sizing studies.
-    pub fn max_occupancy(&self) -> usize {
-        self.max_occupancy
-    }
-
     /// Iterates elements from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
@@ -199,276 +159,81 @@ impl<T> Fifo<T> {
 
     /// Removes all elements and returns them, oldest first.
     pub fn drain_all(&mut self) -> Vec<T> {
-        let n = self.items.len() as u64;
-        self.total_pops += n;
         self.items.drain(..).collect()
     }
 }
 
-/// A fixed-latency delay element.
+/// The owner of simulated time for one run loop: a cycle counter with a
+/// cycle budget.
 ///
-/// Elements pushed at cycle `t` become visible to [`LatencyPipe::pop_ready`]
-/// at cycle `t + latency`. Order is preserved. The pipe is unbounded — use
-/// it only for paths whose occupancy is bounded by construction (e.g. an
-/// MSHR-limited miss path), or pair it with an upstream credit counter.
+/// Every loop that steps a timed model calls [`SimClock::tick`] once per
+/// simulated cycle; that call is the only place in the workspace where
+/// time advances by one and the only deadlock watchdog (`nmpic-lint` rule
+/// `L8` rejects a hand-rolled `now += 1` in library code elsewhere). A
+/// model that stops making progress therefore always ends in the same
+/// panic, naming the loop and its budget, instead of hanging.
 ///
 /// # Example
 ///
 /// ```
-/// use nmpic_sim::LatencyPipe;
-/// let mut p = LatencyPipe::new(3);
-/// p.push(0, "a");
-/// assert_eq!(p.pop_ready(2), None);
-/// assert_eq!(p.pop_ready(3), Some("a"));
+/// use nmpic_sim::SimClock;
+/// let mut remaining = 10u32;
+/// let mut clk = SimClock::new("countdown", 1_000);
+/// while remaining > 0 {
+///     remaining -= 1; // the model's work for cycle `clk.now()`
+///     clk.tick();
+/// }
+/// assert_eq!(clk.now(), 10);
 /// ```
-#[derive(Debug, Clone)]
-pub struct LatencyPipe<T> {
-    latency: Cycle,
-    items: VecDeque<(Cycle, T)>,
-}
-
-impl<T> LatencyPipe<T> {
-    /// Creates a pipe with the given latency in cycles.
-    pub fn new(latency: Cycle) -> Self {
-        Self {
-            latency,
-            items: VecDeque::new(),
-        }
-    }
-
-    /// Configured latency in cycles.
-    pub fn latency(&self) -> Cycle {
-        self.latency
-    }
-
-    /// Enqueues `item` at cycle `now`; it matures at `now + latency`.
-    pub fn push(&mut self, now: Cycle, item: T) {
-        self.items.push_back((now + self.latency, item));
-    }
-
-    /// Pops the oldest element if it has matured by cycle `now`.
-    pub fn pop_ready(&mut self, now: Cycle) -> Option<T> {
-        if let Some((ready, _)) = self.items.front() {
-            if *ready <= now {
-                return self.items.pop_front().map(|(_, item)| item);
-            }
-        }
-        None
-    }
-
-    /// Peeks the oldest element if it has matured by cycle `now`.
-    pub fn peek_ready(&self, now: Cycle) -> Option<&T> {
-        match self.items.front() {
-            Some((ready, item)) if *ready <= now => Some(item),
-            _ => None,
-        }
-    }
-
-    /// Number of in-flight elements (matured and not).
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when no elements are in flight.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-/// A component advanced by the global clock, one call per cycle.
-///
-/// Implementations must be *quiescence-friendly*: a tick with no input must
-/// not change observable state forever (this is what the cycle-limit
-/// watchdog in [`Simulation`] relies on to flag deadlocks).
-pub trait Clocked {
-    /// Advances the component by one cycle.
-    fn tick(&mut self, now: Cycle);
-}
-
-/// Cycle counter for a simulation.
-///
-/// A plain wrapper so call sites read `clk.now()` instead of threading a
-/// bare `u64`, and so the clock can carry its frequency for bandwidth math.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Clock {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimClock {
+    what: &'static str,
     now: Cycle,
-    freq_ghz: f64,
+    budget: Cycle,
 }
 
-impl Clock {
-    /// A 1 GHz clock starting at cycle 0 (the paper's system clock).
-    pub fn new() -> Self {
-        Self::with_freq_ghz(1.0)
-    }
-
-    /// A clock with an explicit frequency in GHz.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq_ghz` is not positive.
-    pub fn with_freq_ghz(freq_ghz: f64) -> Self {
-        assert!(freq_ghz > 0.0, "clock frequency must be positive");
-        Self { now: 0, freq_ghz }
+impl SimClock {
+    /// A clock at cycle 0 for the loop described by `what` (quoted in the
+    /// watchdog panic), which must finish in fewer than `budget` cycles.
+    pub fn new(what: &'static str, budget: Cycle) -> Self {
+        Self {
+            what,
+            now: 0,
+            budget,
+        }
     }
 
     /// Current cycle.
+    #[inline]
     pub fn now(&self) -> Cycle {
         self.now
     }
 
-    /// Clock frequency in GHz.
-    pub fn freq_ghz(&self) -> f64 {
-        self.freq_ghz
-    }
-
-    /// Advances by one cycle and returns the new cycle index.
-    pub fn advance(&mut self) -> Cycle {
-        self.now += 1;
-        self.now
-    }
-
-    /// Converts a cycle count into seconds at this clock's frequency.
-    pub fn cycles_to_seconds(&self, cycles: Cycle) -> f64 {
-        cycles as f64 / (self.freq_ghz * 1e9)
-    }
-}
-
-impl Default for Clock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Outcome of [`Simulation::run_until`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The predicate reported completion at the contained cycle.
-    Done(Cycle),
-    /// The cycle limit was reached before completion — almost always a
-    /// deadlock or a missing drain condition in the model under test.
-    CycleLimit(Cycle),
-}
-
-impl RunOutcome {
-    /// The cycle at which the run stopped.
-    pub fn cycle(&self) -> Cycle {
-        match self {
-            RunOutcome::Done(c) | RunOutcome::CycleLimit(c) => *c,
-        }
-    }
-
-    /// `true` if the run completed before hitting the cycle limit.
-    pub fn is_done(&self) -> bool {
-        matches!(self, RunOutcome::Done(_))
-    }
-}
-
-/// Minimal run-loop helper: ticks a closure once per cycle until a
-/// completion predicate holds or the cycle limit trips.
-///
-/// The closure receives the current cycle and returns `true` when the
-/// simulated workload has fully drained.
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sim::Simulation;
-/// let mut remaining = 10u32;
-/// let outcome = Simulation::new(1_000).run_until(|_now| {
-///     remaining = remaining.saturating_sub(1);
-///     remaining == 0
-/// });
-/// assert!(outcome.is_done());
-/// assert_eq!(outcome.cycle(), 9);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Simulation {
-    max_cycles: Cycle,
-}
-
-impl Simulation {
-    /// Creates a run loop bounded by `max_cycles`.
-    pub fn new(max_cycles: Cycle) -> Self {
-        Self { max_cycles }
-    }
-
-    /// Runs `step` once per cycle until it returns `true` or the bound trips.
-    pub fn run_until<F: FnMut(Cycle) -> bool>(&self, mut step: F) -> RunOutcome {
-        for now in 0..self.max_cycles {
-            if step(now) {
-                return RunOutcome::Done(now);
-            }
-        }
-        RunOutcome::CycleLimit(self.max_cycles)
-    }
-}
-
-/// A saturating credit counter for flow control (e.g. the index fetcher's
-/// bound on outstanding index blocks).
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sim::Credits;
-/// let mut c = Credits::new(2);
-/// assert!(c.try_take(1));
-/// assert!(c.try_take(1));
-/// assert!(!c.try_take(1));
-/// c.put(1);
-/// assert!(c.try_take(1));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Credits {
-    available: usize,
-    total: usize,
-}
-
-impl Credits {
-    /// Creates a pool holding `total` credits, all available.
-    pub fn new(total: usize) -> Self {
-        Self {
-            available: total,
-            total,
-        }
-    }
-
-    /// Takes `n` credits if available; returns whether it succeeded.
-    pub fn try_take(&mut self, n: usize) -> bool {
-        if self.available >= n {
-            self.available -= n;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Returns `n` credits to the pool.
+    /// Ends the current cycle: time advances by one.
     ///
     /// # Panics
     ///
-    /// Panics if more credits are returned than were ever taken — that is
-    /// always a protocol bug in the caller.
-    pub fn put(&mut self, n: usize) {
-        self.available += n;
+    /// Panics with `"<what>: cycle budget of <budget> exceeded — model
+    /// deadlock"` once the new cycle reaches the budget: a timed model
+    /// that has not drained by then is not going to.
+    #[inline]
+    pub fn tick(&mut self) {
+        self.now += 1;
         assert!(
-            self.available <= self.total,
-            "credit overflow: returned more credits than taken"
+            self.now < self.budget,
+            "{}: cycle budget of {} exceeded — model deadlock",
+            self.what,
+            self.budget
         );
     }
 
-    /// Currently available credits.
-    pub fn available(&self) -> usize {
-        self.available
-    }
-
-    /// Credits currently in use.
-    pub fn in_use(&self) -> usize {
-        self.total - self.available
-    }
-
-    /// Total pool size.
-    pub fn total(&self) -> usize {
-        self.total
+    /// Jumps over `cycles` cycles in which no component needs a tick (the
+    /// baseline core's MAC and per-row scalar phases). The watchdog is
+    /// not consulted: a jump is bounded by construction, and the next
+    /// [`SimClock::tick`] checks the budget again.
+    #[inline]
+    pub fn advance(&mut self, cycles: Cycle) {
+        self.now += cycles;
     }
 }
 
@@ -498,19 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_stats_track_activity() {
-        let mut f = Fifo::new("t", 4);
-        for i in 0..4 {
-            f.try_push(i).unwrap();
-        }
-        f.pop();
-        f.try_push(9).unwrap();
-        assert_eq!(f.total_pushes(), 5);
-        assert_eq!(f.total_pops(), 1);
-        assert_eq!(f.max_occupancy(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "nonzero capacity")]
     fn fifo_zero_capacity_panics() {
         let _ = Fifo::<u8>::new("bad", 0);
@@ -522,8 +274,8 @@ mod tests {
         f.try_push(10).unwrap();
         f.try_push(20).unwrap();
         assert_eq!(f.peek(), Some(&10));
-        assert_eq!(f.get(1), Some(&20));
-        assert_eq!(f.get(2), None);
+        assert_eq!(f.iter().nth(1), Some(&20));
+        assert_eq!(f.iter().nth(2), None);
     }
 
     #[test]
@@ -534,68 +286,45 @@ mod tests {
         let all = f.drain_all();
         assert_eq!(all, vec!['a', 'b']);
         assert!(f.is_empty());
-        assert_eq!(f.total_pops(), 2);
     }
 
     #[test]
-    fn latency_pipe_delays_by_exactly_latency() {
-        let mut p = LatencyPipe::new(5);
-        p.push(10, 1u8);
-        for now in 10..15 {
-            assert_eq!(p.pop_ready(now), None, "not ready at {now}");
+    fn sim_clock_counts_ticks() {
+        let mut clk = SimClock::new("t", 1_000);
+        assert_eq!(clk.now(), 0);
+        for _ in 0..37 {
+            clk.tick();
         }
-        assert_eq!(p.pop_ready(15), Some(1));
+        assert_eq!(clk.now(), 37);
     }
 
     #[test]
-    fn latency_pipe_preserves_order() {
-        let mut p = LatencyPipe::new(2);
-        p.push(0, "x");
-        p.push(1, "y");
-        assert_eq!(p.pop_ready(3), Some("x"));
-        assert_eq!(p.pop_ready(3), Some("y"));
+    fn sim_clock_advance_jumps_without_consulting_the_watchdog() {
+        let mut clk = SimClock::new("t", 10);
+        clk.tick();
+        clk.advance(500);
+        assert_eq!(clk.now(), 501, "a jump past the budget is not a tick");
     }
 
     #[test]
-    fn latency_pipe_zero_latency_same_cycle() {
-        let mut p = LatencyPipe::new(0);
-        p.push(4, 42);
-        assert_eq!(p.peek_ready(4), Some(&42));
-        assert_eq!(p.pop_ready(4), Some(42));
-    }
-
-    #[test]
-    fn clock_advances_and_converts() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), 0);
-        c.advance();
-        c.advance();
-        assert_eq!(c.now(), 2);
-        // 1000 cycles at 1 GHz is one microsecond.
-        assert!((c.cycles_to_seconds(1000) - 1e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn simulation_hits_cycle_limit_on_nontermination() {
-        let outcome = Simulation::new(100).run_until(|_| false);
-        assert!(!outcome.is_done());
-        assert_eq!(outcome.cycle(), 100);
-    }
-
-    #[test]
-    fn credits_roundtrip() {
-        let mut c = Credits::new(3);
-        assert!(c.try_take(2));
-        assert_eq!(c.in_use(), 2);
-        assert!(!c.try_take(2));
-        c.put(2);
-        assert_eq!(c.available(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "credit overflow")]
-    fn credits_overflow_panics() {
-        let mut c = Credits::new(1);
-        c.put(1);
+    fn sim_clock_watchdog_fires_on_the_same_tick_as_the_hand_rolled_assert() {
+        // The loops this type replaced ran `now += 1; assert!(now < budget)`,
+        // so tick number `budget` is the first to fail.
+        for budget in [1, 2, 7, 100] {
+            let mut clk = SimClock::new("drain", budget);
+            for _ in 1..budget {
+                clk.tick();
+            }
+            assert_eq!(clk.now(), budget - 1, "every earlier tick passes");
+            let caught = std::panic::catch_unwind(move || clk.tick());
+            let msg = *caught
+                .expect_err("the fatal tick panics")
+                .downcast::<String>()
+                .expect("formatted panic message");
+            assert_eq!(
+                msg,
+                format!("drain: cycle budget of {budget} exceeded — model deadlock")
+            );
+        }
     }
 }

@@ -7,62 +7,6 @@
 use crate::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts bytes moved on a link and converts to GB/s.
-///
-/// "GB/s" follows the paper's convention of decimal gigabytes
-/// (1 GB = 1e9 bytes), so a 32 B/cycle channel at 1 GHz reports 32 GB/s.
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sim::stats::ByteCounter;
-/// let mut c = ByteCounter::new();
-/// c.add(64);
-/// c.add(64);
-/// // 128 bytes over 4 cycles at 1 GHz = 32 GB/s.
-/// assert!((c.gbps(4, 1.0) - 32.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ByteCounter {
-    bytes: u64,
-    events: u64,
-}
-
-impl ByteCounter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one transfer of `bytes` bytes.
-    pub fn add(&mut self, bytes: u64) {
-        self.bytes += bytes;
-        self.events += 1;
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Number of transfers recorded.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Average bandwidth in GB/s over `cycles` at `freq_ghz`.
-    ///
-    /// Returns 0.0 when `cycles` is zero so callers can print unconditionally.
-    pub fn gbps(&self, cycles: Cycle, freq_ghz: f64) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        // bytes / (cycles / (freq_ghz * 1e9 Hz)) = bytes * freq_ghz * 1e9 / cycles,
-        // expressed in GB/s (1e9 bytes per second).
-        self.bytes as f64 * freq_ghz / cycles as f64
-    }
-}
-
 /// Tracks busy cycles of a shared resource (e.g. the DRAM data bus) for
 /// utilization reporting.
 ///
@@ -496,26 +440,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn byte_counter_bandwidth_math() {
-        let mut c = ByteCounter::new();
-        for _ in 0..1000 {
-            c.add(32);
-        }
-        // 32 B/cycle at 1 GHz = 32 GB/s.
-        assert!((c.gbps(1000, 1.0) - 32.0).abs() < 1e-9);
-        // Same bytes at 2 GHz over the same cycle count doubles GB/s.
-        assert!((c.gbps(1000, 2.0) - 64.0).abs() < 1e-9);
-        assert_eq!(c.events(), 1000);
-    }
-
-    #[test]
-    fn byte_counter_zero_cycles_is_zero() {
-        let mut c = ByteCounter::new();
-        c.add(100);
-        assert_eq!(c.gbps(0, 1.0), 0.0);
-    }
 
     #[test]
     fn busy_tracker_dedups_same_cycle() {

@@ -10,11 +10,14 @@
 //! and value lines, then issue gathers at the VLSU's indexed-load rate,
 //! then accumulate.
 
+use std::collections::VecDeque;
+
 use nmpic_mem::{BackendConfig, Cache, CacheConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
 use nmpic_model::BaseAddrs;
+use nmpic_sim::SimClock;
 use nmpic_sparse::Csr;
 
-use crate::engine::{ExecMode, Executor, PlanFacts};
+use crate::engine::{issue_write_back, ExecMode, Executor, PlanFacts};
 use crate::report::{bits_equal, IterReport};
 
 /// Configuration of the baseline system.
@@ -220,20 +223,19 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
     let values = csr.values();
     let mut acc_row = 0usize;
 
-    let mut now: u64 = 0;
+    let mut clk = SimClock::new("baseline SpMV", 2_000 + nnz as u64 * 600 + rows as u64 * 40);
     let mut indir_cycles: u64 = 0;
     let mut inflight: Vec<u64> = Vec::new(); // line addresses in MSHRs
-    let mut pending_writes: Vec<WideRequest> = Vec::new();
+    let mut pending_writes: VecDeque<WideRequest> = VecDeque::new();
     let mut rows_retired = 0usize;
     let col_idx = csr.col_idx();
-    let budget = 2_000 + nnz as u64 * 600 + rows as u64 * 40;
 
     let mut k0 = 0usize;
     while k0 < nnz {
         let k1 = (k0 + cfg.chunk).min(nnz);
 
         // --- Phase 1: demand-fetch this chunk's index/value/row-ptr lines.
-        let phase_start = now;
+        let phase_start = clk.now();
         let mut fetch: Vec<(u64, bool)> = Vec::new(); // (line, is_idx)
         let push_line = |fetch: &mut Vec<(u64, bool)>, llc: &mut Cache, addr: u64, is_idx: bool| {
             let line = addr & !(BLOCK_BYTES as u64 - 1);
@@ -248,10 +250,11 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
         // Row pointers consumed as rows advance (cheap, sequential).
         push_line(&mut fetch, llc, ptr_base + 4 * rows_retired as u64, true);
 
-        let mut idx_done_at = now;
+        let mut idx_done_at = clk.now();
         let mut to_issue = fetch.clone();
         let mut outstanding: Vec<(u64, bool)> = Vec::new();
         while !to_issue.is_empty() || !outstanding.is_empty() {
+            let now = clk.now();
             // Issue under the MSHR limit.
             while !to_issue.is_empty() && inflight.len() < cfg.mshrs {
                 let (line, is_idx) = to_issue[0];
@@ -264,7 +267,7 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
                     Err(_) => break,
                 }
             }
-            drain_writes(chan, &mut pending_writes, now);
+            issue_write_back(chan, &mut pending_writes, now);
             chan.tick(now);
             while let Some(resp) = chan.pop_response(now) {
                 llc.fill(resp.addr);
@@ -276,19 +279,19 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
                     }
                 }
             }
-            now += 1;
-            assert!(now < budget, "baseline fetch deadlock at element {k0}");
+            clk.tick();
         }
         indir_cycles += idx_done_at.saturating_sub(phase_start);
 
         // --- Phase 2: element-wise gather, coupled with the access stream.
-        let gather_start = now;
+        let gather_start = clk.now();
         let mut gathers: Vec<GatherState> = Vec::new();
-        let mut next_issue = now;
+        let mut next_issue = gather_start;
         let mut issued = 0usize;
         let total = k1 - k0;
         let mut done = 0usize;
         while done < total {
+            let now = clk.now();
             // Issue the next gather at the VLSU's indexed-load rate; every
             // outstanding gather (hit or miss) holds a VLSU slot until its
             // data returns.
@@ -316,7 +319,7 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
                 }
                 // else: stall this cycle (MSHRs or controller queue full).
             }
-            drain_writes(chan, &mut pending_writes, now);
+            issue_write_back(chan, &mut pending_writes, now);
             chan.tick(now);
             while let Some(resp) = chan.pop_response(now) {
                 llc.fill(resp.addr);
@@ -336,13 +339,12 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
                     }
                 }
             }
-            now += 1;
-            assert!(now < budget, "baseline gather deadlock at element {k0}");
+            clk.tick();
         }
-        indir_cycles += now - gather_start;
+        indir_cycles += clk.now() - gather_start;
 
         // --- Phase 3: MACs (coupled, so they serialize after the gather).
-        now += (total as u64).div_ceil(cfg.macs_per_cycle as u64);
+        clk.advance((total as u64).div_ceil(cfg.macs_per_cycle as u64));
         // Accumulate the chunk's products in row-major element order —
         // the same floating-point addition sequence as `Csr::spmv`.
         for k in k0..k1 {
@@ -357,10 +359,10 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
         // Results are written back one 64 B line (8 rows) at a time.
         while rows_retired < rows && csr.row_ptr()[rows_retired + 1] as usize <= k1 {
             rows_retired += 1;
-            now += cfg.row_overhead_cycles;
+            clk.advance(cfg.row_overhead_cycles);
             if rows_retired.is_multiple_of(8) || rows_retired == rows {
                 let line = (res_base + 8 * (rows_retired as u64 - 1)) & !(BLOCK_BYTES as u64 - 1);
-                pending_writes.push(WideRequest::write(line, 0, [0u8; BLOCK_BYTES]));
+                pending_writes.push_back(WideRequest::write(line, 0, [0u8; BLOCK_BYTES]));
             }
         }
         k0 = k1;
@@ -368,25 +370,16 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
 
     // Drain result writes.
     while !pending_writes.is_empty() || !chan.is_idle() {
-        drain_writes(chan, &mut pending_writes, now);
-        chan.tick(now);
-        while chan.pop_response(now).is_some() {}
-        now += 1;
-        assert!(now < budget, "baseline drain deadlock");
+        issue_write_back(chan, &mut pending_writes, clk.now());
+        chan.tick(clk.now());
+        while chan.pop_response(clk.now()).is_some() {}
+        clk.tick();
     }
 
     IterReport {
-        cycles: now,
+        cycles: clk.now(),
         indir_cycles,
         offchip_bytes: chan.data_bytes(),
-    }
-}
-
-fn drain_writes(chan: &mut dyn ChannelPort, pending: &mut Vec<WideRequest>, now: u64) {
-    if let Some(req) = pending.first() {
-        if chan.try_request(now, req.clone()).is_ok() {
-            pending.remove(0);
-        }
     }
 }
 

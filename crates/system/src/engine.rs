@@ -42,11 +42,13 @@
 //! assert_eq!(one.y_bits(), batch.y_bits(), "plan reuse is deterministic");
 //! ```
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
 use nmpic_core::AdapterConfig;
-use nmpic_mem::BackendConfig;
+use nmpic_mem::{BackendConfig, ChannelPort, WideRequest};
+use nmpic_sim::Cycle;
 use nmpic_sparse::{Csr, Sell};
 
 use crate::base::BasePlan;
@@ -523,6 +525,22 @@ pub(crate) trait Executor: Send {
     }
 }
 
+/// The result write-back port the base and pack systems share: offers the
+/// oldest pending write to the channel, one attempt per cycle, in issue
+/// order. A refused request returns to the head of the queue as it came
+/// back from `try_request`, so no block is copied per attempt.
+pub(crate) fn issue_write_back(
+    chan: &mut dyn ChannelPort,
+    pending: &mut VecDeque<WideRequest>,
+    now: Cycle,
+) {
+    if let Some(req) = pending.pop_front() {
+        if let Err(refused) = chan.try_request(now, req) {
+            pending.push_front(refused);
+        }
+    }
+}
+
 /// A prepared SpMV plan: matrix image resident in a warm backend,
 /// partitioning/conversion done. Run it against as many vectors as the
 /// workload brings.
@@ -538,8 +556,10 @@ impl SpmvPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from the matrix's column count, or on
-    /// a cycle-budget overrun (model deadlock).
+    /// Panics if `x.len()` differs from the matrix's column count, or —
+    /// in cycle-accurate mode, through [`nmpic_sim::SimClock::tick`] —
+    /// with `"<loop>: cycle budget of <n> exceeded — model deadlock"` if
+    /// a simulated loop has not drained within its budget.
     pub fn run(&mut self, x: &[f64]) -> RunReport {
         self.run_vectors(&[x])
     }
@@ -583,8 +603,10 @@ impl SpmvPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != cols`, `y.len() != rows`, or on a
-    /// cycle-budget overrun (model deadlock).
+    /// Panics if `x.len() != cols`, `y.len() != rows`, or — in
+    /// cycle-accurate mode, through [`nmpic_sim::SimClock::tick`] — with
+    /// `"<loop>: cycle budget of <n> exceeded — model deadlock"` if a
+    /// simulated loop has not drained within its budget.
     pub fn run_into(&mut self, x: &[f64], y: &mut [f64]) -> IterReport {
         assert_eq!(x.len(), self.cols(), "vector length must equal cols");
         assert_eq!(y.len(), self.rows(), "result buffer length must equal rows");

@@ -22,12 +22,15 @@
 //! delivered by the adapter are combined with the nonzeros to produce the
 //! result vector, which is checked against the golden CSR/SELL SpMV.
 
+use std::collections::VecDeque;
+
 use nmpic_axi::{ElemSize, PackRequest, Unpacker};
 use nmpic_core::{AdapterConfig, IndirectStreamUnit};
 use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
+use nmpic_sim::SimClock;
 use nmpic_sparse::Sell;
 
-use crate::engine::{ExecMode, Executor, PlanFacts};
+use crate::engine::{issue_write_back, ExecMode, Executor, PlanFacts};
 use crate::report::{bits_equal, IterReport};
 
 /// Configuration of the pack system.
@@ -281,7 +284,7 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
         || -> Vec<Vec<u64>> { (0..b_n).map(|_| Vec::with_capacity(tile_entries)).collect() };
     let mut tile_vecs: Vec<Vec<u64>> = fresh_vecs();
     type TileData = (Vec<u64>, Vec<Vec<u64>>);
-    let mut ready_tiles: std::collections::VecDeque<TileData> = Default::default();
+    let mut ready_tiles: VecDeque<TileData> = Default::default();
 
     // VPC state.
     let mut computed_tiles = 0usize;
@@ -290,13 +293,13 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
     let mut cur_tile: Option<TileData> = None;
     let mut pos_cursor = 0usize; // global stream position of computed data
     let mut rows_written = 0usize;
-    let mut pending_writes: Vec<WideRequest> = Vec::new();
+    let mut pending_writes: VecDeque<WideRequest> = VecDeque::new();
 
     let mut indir_cycles = 0u64;
-    let mut now = 0u64;
-    let budget = 500_000 + entries as u64 * 300 * b_n as u64;
+    let mut clk = SimClock::new("pack SpMV", 500_000 + entries as u64 * 300 * b_n as u64);
 
     while computed_tiles < n_tiles || !pending_writes.is_empty() || !chan.is_idle() {
+        let now = clk.now();
         // --- Prefetcher: fetch tiles while fewer than two are buffered
         // (double buffering).
         if pf_tile < n_tiles && fetched_tiles - computed_tiles < 2 {
@@ -401,7 +404,7 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
             while rows_written < rows_done {
                 for res_base in layout.res_bases.iter().take(b_n) {
                     let line = (res_base + 8 * rows_written as u64) & !(BLOCK_BYTES as u64 - 1);
-                    pending_writes.push(WideRequest::write(line, 0, [0u8; BLOCK_BYTES]));
+                    pending_writes.push_back(WideRequest::write(line, 0, [0u8; BLOCK_BYTES]));
                 }
                 rows_written += 8;
             }
@@ -409,22 +412,14 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
         }
 
         // Result write-back shares the channel with the adapter.
-        if let Some(req) = pending_writes.first() {
-            if chan.try_request(now, req.clone()).is_ok() {
-                pending_writes.remove(0);
-            }
-        }
+        issue_write_back(chan, &mut pending_writes, now);
 
         chan.tick(now);
-        now += 1;
-        assert!(
-            now < budget,
-            "pack system deadlock at tile {computed_tiles}/{n_tiles}"
-        );
+        clk.tick();
     }
 
     IterReport {
-        cycles: now,
+        cycles: clk.now(),
         indir_cycles,
         offchip_bytes: chan.data_bytes(),
     }

@@ -31,7 +31,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use nmpic_axi::{ElemSize, PackRequest, Packer, Unpacker};
+use nmpic_axi::{ElemSize, PackRequest, Unpacker};
 use nmpic_core::{
     stream_memory_size, AdapterConfig, AdapterStats, IndirectStreamUnit, MergedCollector,
     ScatterRequest, ScatterStats, ScatterUnit,
@@ -492,41 +492,33 @@ fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], values: &[f64]) -> ShardOu
     chan.reset_run_state();
     chan.memory_mut().write_f64_slice(slot.x_base, x);
     unit.reset();
-    let count = values.len() as u64;
-    unit.begin(PackRequest::Indirect {
+    let req = PackRequest::Indirect {
         idx_base: slot.idx_base,
         idx_size: ElemSize::B4,
-        count,
+        count: values.len() as u64,
         elem_base: slot.x_base,
         elem_size: ElemSize::B8,
-    })
-    // nmpic-lint: allow(L2) — invariant: the unit was reset two lines up, and a reset unit always accepts a burst
-    .expect("reset unit accepts a burst");
-
+    };
+    let (local_y, row_of) = (&mut slot.local_y, &slot.row_of);
     let mut unpacker = Unpacker::new(ElemSize::B8);
     let mut pos = 0usize;
-    let mut now = 0u64;
-    let budget = 200_000 + count * 256;
-    while !unit.is_done() {
-        unit.tick(now, chan);
-        chan.tick(now);
-        while let Some(beat) = unit.pop_beat() {
-            unpacker.push_beat(&beat);
+    let cycles = unit
+        .run_burst(chan, req, |beat| {
+            unpacker.push_beat(beat);
             while let Some(bits) = unpacker.pop() {
                 // The packer restores stream order, so position `pos`
                 // pairs the gathered x element with its nonzero value;
                 // per-row accumulation order equals `Csr::spmv`'s.
-                slot.local_y[slot.row_of[pos] as usize] += values[pos] * f64::from_bits(bits);
+                local_y[row_of[pos] as usize] += values[pos] * f64::from_bits(bits);
                 pos += 1;
             }
-        }
-        now += 1;
-        assert!(now < budget, "shard gather deadlock after {now} cycles");
-    }
+        })
+        // nmpic-lint: allow(L2) — invariant: the unit was reset just above and `values` is non-empty, so the burst is accepted
+        .expect("reset unit accepts a non-empty burst");
     assert_eq!(pos, values.len(), "every element delivered exactly once");
     let stats = unit.stats();
     ShardOut {
-        cycles: now,
+        cycles,
         payload_bytes: stats.payload_bytes,
         data_bytes: chan.data_bytes(),
         stats,
@@ -543,51 +535,20 @@ fn exec_merged_writeback(plan: &mut ShardedPlan) -> CollectOut {
     let (chan, unit) = (&mut *plan.collect_chan, &mut plan.scatter);
     chan.reset_run_state();
     unit.reset();
-    let rows = plan.merge_bits.len() as u64;
-    unit.begin(ScatterRequest {
+    let req = ScatterRequest {
         idx_base: plan.collect_idx_base,
         idx_size: ElemSize::B4,
-        count: rows,
+        count: plan.merge_bits.len() as u64,
         elem_base: plan.collect_res_base,
         elem_size: ElemSize::B8,
-    })
-    // nmpic-lint: allow(L2) — invariant: the scatter unit was reset two lines up, and a reset unit always accepts a burst
-    .expect("reset scatter unit");
-
-    let mut packer = Packer::new(ElemSize::B8);
-    let mut pending = plan.merge_bits.iter().copied();
-    let mut exhausted = false;
-    let mut staged = None;
-    let mut now = 0u64;
-    let budget = 200_000 + rows * 256;
-    while !unit.is_done(&*chan) {
-        if staged.is_none() {
-            while packer.pending() < 8 && !exhausted {
-                match pending.next() {
-                    Some(bits) => packer.push(bits),
-                    None => exhausted = true,
-                }
-            }
-            staged = packer
-                .pop_beat()
-                .or_else(|| if exhausted { packer.flush() } else { None });
-        }
-        if let Some(beat) = staged.take() {
-            if !unit.push_beat(&beat) {
-                staged = Some(beat);
-            }
-        }
-        unit.tick(now, chan);
-        chan.tick(now);
-        now += 1;
-        assert!(
-            now < budget,
-            "merged collection deadlock after {now} cycles"
-        );
-    }
+    };
+    let cycles = unit
+        .run_burst(chan, req, plan.merge_bits.iter().copied())
+        // nmpic-lint: allow(L2) — invariant: the scatter unit was reset just above and a prepared plan has at least one row, so the burst is accepted
+        .expect("reset scatter unit accepts a non-empty burst");
 
     CollectOut {
-        cycles: now,
+        cycles,
         data_bytes: chan.data_bytes(),
         scatter: unit.stats(),
     }

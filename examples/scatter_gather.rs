@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example scatter_gather`
 
-use nmpic::axi::{ElemSize, PackRequest, Packer, Unpacker};
+use nmpic::axi::{ElemSize, PackRequest, Unpacker};
 use nmpic::core::{AdapterConfig, IndirectStreamUnit, ScatterRequest, ScatterUnit};
 use nmpic::mem::{ChannelPort, HbmChannel, HbmConfig, Memory};
 
@@ -34,28 +34,21 @@ fn main() {
 
     // --- Gather pass.
     let mut gather = IndirectStreamUnit::new(AdapterConfig::mlp(256));
-    gather
-        .begin(PackRequest::Indirect {
-            idx_base,
-            idx_size: ElemSize::B4,
-            count: n,
-            elem_base: src,
-            elem_size: ElemSize::B8,
-        })
-        .expect("fresh unit");
     let mut stream = Unpacker::new(ElemSize::B8);
-    let mut now = 0u64;
-    while !gather.is_done() {
-        gather.tick(now, &mut chan);
-        chan.tick(now);
-        while let Some(beat) = gather.pop_beat() {
-            stream.push_beat(&beat);
-        }
-        now += 1;
-        assert!(now < 10_000_000);
-    }
+    let gather_cycles = gather
+        .run_burst(
+            &mut chan,
+            PackRequest::Indirect {
+                idx_base,
+                idx_size: ElemSize::B4,
+                count: n,
+                elem_base: src,
+                elem_size: ElemSize::B8,
+            },
+            |beat| stream.push_beat(beat),
+        )
+        .expect("fresh unit");
     let gathered = stream.drain();
-    let gather_cycles = now;
     println!(
         "gather:  {n} elements in {gather_cycles} cycles, {} wide reads (coalesce rate {:.2})",
         gather.stats().elem_wide_reads,
@@ -63,48 +56,26 @@ fn main() {
     );
 
     // --- Scatter pass: write the gathered stream back through the same
-    // permutation, so dst[perm[k]] = src[perm[k]].
+    // permutation, so dst[perm[k]] = src[perm[k]]. Each burst starts its
+    // own clock at cycle 0, so the drained channel's timing state is
+    // reset first (its memory image stays).
+    chan.reset_run_state();
     let mut scatter = ScatterUnit::new(AdapterConfig::mlp(256));
-    scatter
-        .begin(ScatterRequest {
-            idx_base,
-            idx_size: ElemSize::B4,
-            count: n,
-            elem_base: dst,
-            elem_size: ElemSize::B8,
-        })
+    let scatter_cycles = scatter
+        .run_burst(
+            &mut chan,
+            ScatterRequest {
+                idx_base,
+                idx_size: ElemSize::B4,
+                count: n,
+                elem_base: dst,
+                elem_size: ElemSize::B8,
+            },
+            gathered,
+        )
         .expect("fresh unit");
-    let mut packer = Packer::new(ElemSize::B8);
-    let mut next = 0usize;
-    let mut staged = None;
-    let scatter_start = now;
-    while !scatter.is_done(&chan) {
-        if staged.is_none() {
-            while next < gathered.len() && packer.pending() < 8 {
-                packer.push(gathered[next]);
-                next += 1;
-            }
-            staged = packer.pop_beat().or_else(|| {
-                if next == gathered.len() {
-                    packer.flush()
-                } else {
-                    None
-                }
-            });
-        }
-        if let Some(beat) = staged.take() {
-            if !scatter.push_beat(&beat) {
-                staged = Some(beat);
-            }
-        }
-        scatter.tick(now, &mut chan);
-        chan.tick(now);
-        now += 1;
-        assert!(now < 20_000_000);
-    }
     println!(
-        "scatter: {n} elements in {} cycles, {} wide masked writes (coalesce rate {:.2})",
-        now - scatter_start,
+        "scatter: {n} elements in {scatter_cycles} cycles, {} wide masked writes (coalesce rate {:.2})",
         scatter.stats().wide_writes,
         scatter.stats().coalesce_rate()
     );

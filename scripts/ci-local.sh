@@ -44,6 +44,8 @@ run_test() {
     cargo build --release --workspace --all-targets
     step "test: quick-scale suite (stable)"
     NMPIC_QUICK=1 cargo test -q --release --workspace
+    step "test: self-checking example (scatter_gather asserts dst == src)"
+    cargo run --release --example scatter_gather
     # The MSRV leg runs only when the pinned toolchain is available, so
     # the script stays useful on machines without rustup.
     if command -v rustup >/dev/null 2>&1 && rustup toolchain list | grep -q "^$MSRV"; then

@@ -46,34 +46,18 @@ fn gather_on(
         );
     }
 
-    let mut unit = IndirectStreamUnit::new(cfg.clone());
-    unit.begin(PackRequest::Indirect {
+    let req = PackRequest::Indirect {
         idx_base,
         idx_size: ElemSize::B4,
         count: indices.len() as u64,
         elem_base,
         elem_size: ElemSize::B8,
-    })
-    .expect("fresh unit");
+    };
     let mut got = Unpacker::new(ElemSize::B8);
-    let mut out = Vec::with_capacity(indices.len());
-    let mut now = 0u64;
-    while !unit.is_done() {
-        unit.tick(now, &mut *chan);
-        chan.tick(now);
-        while let Some(beat) = unit.pop_beat() {
-            got.push_beat(&beat);
-            out.extend(got.drain());
-        }
-        now += 1;
-        assert!(
-            now < 200_000 + indices.len() as u64 * 300,
-            "deadlock on {}",
-            backend.label()
-        );
-    }
-    out.extend(got.drain());
-    out
+    IndirectStreamUnit::new(cfg.clone())
+        .run_burst(&mut *chan, req, |beat| got.push_beat(beat))
+        .expect("fresh unit");
+    got.drain()
 }
 
 /// The acceptance property: `IdealChannel`, `HbmChannel` and
@@ -108,10 +92,7 @@ fn stream_harness_runs_on_every_backend() {
     let indices: Vec<u32> = (0..1500u32).map(|k| (k * 37) % 700).collect();
     for backend in all_backends() {
         let kind = backend.kind;
-        let opts = StreamOptions {
-            backend,
-            ..StreamOptions::default()
-        };
+        let opts = StreamOptions { backend };
         let r = run_indirect_stream(&AdapterConfig::mlp(256), &indices, 700, &opts);
         assert!(r.verified, "{kind}");
         assert_eq!(r.elements, indices.len() as u64, "{kind}");

@@ -106,7 +106,7 @@ fn adapter_gathers_any_stream() {
 }
 
 mod scatter_props {
-    use nmpic::axi::{ElemSize, Packer};
+    use nmpic::axi::ElemSize;
     use nmpic::core::{AdapterConfig, ScatterRequest, ScatterUnit};
     use nmpic::mem::{ChannelPort, HbmChannel, HbmConfig, Memory};
     use nmpic::sim::SimRng;
@@ -132,43 +132,16 @@ mod scatter_props {
             mem.write_u64(dst + 8 * i, i * 11);
         }
         let mut chan = HbmChannel::new(HbmConfig::default(), mem);
-        let mut unit = ScatterUnit::new(AdapterConfig::mlp(64));
-        unit.begin(ScatterRequest {
+        let req = ScatterRequest {
             idx_base,
             idx_size: ElemSize::B4,
             count: indices.len() as u64,
             elem_base: dst,
             elem_size: ElemSize::B8,
-        })
-        .expect("fresh unit");
-        let mut packer = Packer::new(ElemSize::B8);
-        let mut next = 0usize;
-        let mut staged = None;
-        let mut now = 0u64;
-        while !unit.is_done(&chan) {
-            if staged.is_none() {
-                while next < values.len() && packer.pending() < 8 {
-                    packer.push(values[next]);
-                    next += 1;
-                }
-                staged = packer.pop_beat().or_else(|| {
-                    if next == values.len() {
-                        packer.flush()
-                    } else {
-                        None
-                    }
-                });
-            }
-            if let Some(beat) = staged.take() {
-                if !unit.push_beat(&beat) {
-                    staged = Some(beat);
-                }
-            }
-            unit.tick(now, &mut chan);
-            chan.tick(now);
-            now += 1;
-            assert!(now < 200_000 + indices.len() as u64 * 300, "deadlock");
-        }
+        };
+        ScatterUnit::new(AdapterConfig::mlp(64))
+            .run_burst(&mut chan, req, values.iter().copied())
+            .expect("fresh unit");
         (0..dst_len as u64)
             .map(|i| chan.memory().read_u64(dst + 8 * i))
             .collect()
