@@ -8,7 +8,7 @@
 //! were preloaded into the HBM model."
 
 use nmpic_axi::{ElemSize, PackRequest, Unpacker};
-use nmpic_mem::{BackendConfig, ChannelPort, Memory, BLOCK_BYTES};
+use nmpic_mem::{BackendConfig, Memory, BLOCK_BYTES};
 use nmpic_sim::Cycle;
 
 use crate::config::AdapterConfig;
@@ -74,8 +74,8 @@ impl Default for StreamOptions {
 /// This is the generator for Fig. 3 (indirect bandwidth) and Fig. 4
 /// (bandwidth breakdown + coalesce rate): pass a CSR `col_idx` array or a
 /// SELL `col_idx` array as `indices`. `row_hit_rate` comes from
-/// [`ChannelPort::dram_stats`] and is zero for backends that do not model
-/// DRAM internals.
+/// [`nmpic_mem::ChannelPort::dram_stats`] and is zero for backends that do
+/// not model DRAM internals.
 ///
 /// # Panics
 ///

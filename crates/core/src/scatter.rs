@@ -78,6 +78,52 @@ struct WriteWarp {
     merged: u64,
 }
 
+/// One arbiter source: a request queue plus the slot that holds its head
+/// while the channel refuses it. A held request still occupies its queue
+/// slot, so the producer sees the same backpressure as if it had never
+/// left the queue.
+#[derive(Debug)]
+struct ReqSource {
+    q: Fifo<WideRequest>,
+    held: Option<WideRequest>,
+}
+
+impl ReqSource {
+    fn new(name: &'static str, depth: usize) -> Self {
+        Self {
+            q: Fifo::new(name, depth),
+            held: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.q.len() + usize::from(self.held.is_some())
+    }
+
+    fn is_full(&self) -> bool {
+        self.len() >= self.q.capacity()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Queues a request; the caller has checked [`ReqSource::is_full`].
+    fn push(&mut self, req: WideRequest) {
+        // nmpic-lint: allow(L2) — invariant: the caller checked fullness of this source this cycle
+        self.q.try_push(req).expect("checked not full");
+    }
+
+    /// Offers the oldest request to the channel; `true` if it was taken.
+    fn offer(&mut self, now: Cycle, chan: &mut dyn ChannelPort) -> bool {
+        let Some(req) = self.held.take().or_else(|| self.q.pop()) else {
+            return false;
+        };
+        self.held = chan.try_request(now, req).err();
+        self.held.is_none()
+    }
+}
+
 /// The indirect scatter unit.
 ///
 /// [`ScatterUnit::run_burst`] runs one whole burst from a value stream.
@@ -125,7 +171,7 @@ pub struct ScatterUnit {
     idx_elems_left: u64,
     idx_cursor: u64,
     idx_outstanding: usize,
-    idx_req_q: Fifo<WideRequest>,
+    idx_req_q: ReqSource,
     idx_block_meta: VecDeque<(usize, usize)>,
     idx_staging: VecDeque<Block>,
     idx_q: Fifo<u32>,
@@ -138,7 +184,7 @@ pub struct ScatterUnit {
     // Write coalescing.
     warp: Option<WriteWarp>,
     warp_idle: u32,
-    write_q: Fifo<WideRequest>,
+    write_q: ReqSource,
     written: u64,
 
     arb_toggle: bool,
@@ -163,7 +209,7 @@ impl ScatterUnit {
             idx_elems_left: 0,
             idx_cursor: 0,
             idx_outstanding: 0,
-            idx_req_q: Fifo::new("sc_idx_req", 2),
+            idx_req_q: ReqSource::new("sc_idx_req", 2),
             idx_block_meta: VecDeque::new(),
             idx_staging: VecDeque::new(),
             idx_q: Fifo::new("sc_idx_q", depth),
@@ -172,7 +218,7 @@ impl ScatterUnit {
             target: 0,
             warp: None,
             warp_idle: 0,
-            write_q: Fifo::new("sc_write_q", 4),
+            write_q: ReqSource::new("sc_write_q", 4),
             written: 0,
             arb_toggle: false,
             stats: ScatterStats::default(),
@@ -419,8 +465,7 @@ impl ScatterUnit {
         }
         let req = WideRequest::write_masked(w.tag, 0, w.data, w.mask);
         let merged = w.merged;
-        // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-        self.write_q.try_push(req).expect("checked space");
+        self.write_q.push(req);
         self.stats.wide_writes += 1;
         self.written += merged;
         self.warp = None;
@@ -462,9 +507,7 @@ impl ScatterUnit {
             return;
         }
         self.idx_req_q
-            .try_push(WideRequest::read(self.idx_next_block, TAG_SCATTER_IDX))
-            // nmpic-lint: allow(L2) — invariant: fullness was checked before issuing this request
-            .expect("checked not full");
+            .push(WideRequest::read(self.idx_next_block, TAG_SCATTER_IDX));
         self.idx_block_meta.push_back((start, cnt));
         self.idx_outstanding += cnt;
         self.idx_next_block += BLOCK_BYTES as u64;
@@ -475,30 +518,18 @@ impl ScatterUnit {
     }
 
     fn tick_arbiter(&mut self, now: Cycle, chan: &mut dyn ChannelPort) {
-        // Round-robin between index reads and write warps, one per cycle.
+        // Round-robin between index reads and write warps, one per cycle;
+        // a refused source does not block the other one this cycle.
         let first_writes = self.arb_toggle;
         self.arb_toggle = !self.arb_toggle;
-        let order: [bool; 2] = [first_writes, !first_writes];
-        for is_write in order {
-            let q = if is_write {
+        for is_write in [first_writes, !first_writes] {
+            let src = if is_write {
                 &mut self.write_q
             } else {
                 &mut self.idx_req_q
             };
-            if let Some(req) = q.pop() {
-                if let Err(back) = chan.try_request(now, req) {
-                    // Put it back at the head by re-queueing via a fresh
-                    // fifo push; depth ≥ 1 is free because we just popped.
-                    let mut items = q.drain_all();
-                    // nmpic-lint: allow(L2) — invariant: the pop above freed exactly one slot in this fixed-depth queue
-                    q.try_push(back).expect("slot freed by pop");
-                    for item in items.drain(..) {
-                        // nmpic-lint: allow(L2) — invariant: re-pushing items just drained from this queue cannot exceed its depth
-                        q.try_push(item).expect("restoring same elements");
-                    }
-                } else {
-                    return;
-                }
+            if src.offer(now, chan) {
+                return;
             }
         }
     }
@@ -526,8 +557,8 @@ mod tests {
         }
     }
 
-    fn run_scatter<C: ChannelPort>(
-        chan: &mut C,
+    fn run_scatter(
+        chan: &mut dyn ChannelPort,
         cfg: AdapterConfig,
         indices: &[u32],
         values: &[u64],

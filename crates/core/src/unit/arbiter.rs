@@ -34,16 +34,14 @@ impl IndirectStreamUnit {
                     _ => self.contig_req_q.pop(),
                 };
                 if let Some(req) = req {
-                    self.held_req = Some((req, 0));
+                    self.held_req = Some(req);
                     self.arb_rr = (src + 1) % 3;
                     break;
                 }
             }
         }
-        if let Some((req, _)) = self.held_req.take() {
-            if let Err(back) = chan.try_request(now, req) {
-                self.held_req = Some((back, 0));
-            }
+        if let Some(req) = self.held_req.take() {
+            self.held_req = chan.try_request(now, req).err();
         }
     }
 }

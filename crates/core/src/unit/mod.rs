@@ -215,7 +215,7 @@ pub struct IndirectStreamUnit {
 
     // DRAM arbiter.
     arb_rr: usize,
-    held_req: Option<(WideRequest, u64)>,
+    held_req: Option<WideRequest>,
 
     stats: AdapterStats,
 }

@@ -4,22 +4,21 @@
 //! layer generalizes the memory side into a first-class configuration
 //! axis so every consumer — the stream unit, the scatter unit, the SpMV
 //! system models and the experiment drivers — can run unchanged against
-//! an ideal channel, the cycle-level HBM2 model, or an N-channel
-//! block-interleaved HBM stack ([`InterleavedChannels`], the SparseP-style
-//! memory-level-parallelism scenario).
+//! an ideal channel or the cycle-level HBM2 port with one or N
+//! block-interleaved channels (the SparseP-style memory-level-parallelism
+//! scenario).
 //!
-//! [`BackendConfig::build`] (or the free function [`build_backend`]) is
-//! the single construction point: it returns a boxed [`ChannelPort`], and
-//! everything downstream drives `dyn ChannelPort`.
+//! [`BackendConfig::build`] is the single construction point: it returns
+//! a boxed [`ChannelPort`], and everything downstream drives
+//! `dyn ChannelPort`.
 //!
 //! # Example
 //!
 //! ```
-//! use nmpic_mem::{build_backend, BackendConfig, BackendKind, Memory, WideRequest};
+//! use nmpic_mem::{BackendConfig, Memory, WideRequest};
 //!
-//! for kind in [BackendKind::Ideal, BackendKind::Hbm, BackendKind::Interleaved { channels: 4 }] {
-//!     let cfg = BackendConfig { kind, ..BackendConfig::default() };
-//!     let mut chan = build_backend(&cfg, Memory::new(1 << 16));
+//! for cfg in [BackendConfig::ideal(), BackendConfig::hbm(), BackendConfig::interleaved(4)] {
+//!     let mut chan = cfg.build(Memory::new(1 << 16));
 //!     chan.memory_mut().write_u64(256, 4242);
 //!     chan.try_request(0, WideRequest::read(256, 0)).unwrap();
 //!     let mut now = 0;
@@ -38,9 +37,9 @@ use std::str::FromStr;
 
 use nmpic_sim::Cycle;
 
-use crate::channel::{HbmChannel, HbmConfig, HbmStats};
+use crate::channel::HbmChannel;
+use crate::controller::HbmConfig;
 use crate::ideal::IdealChannel;
-use crate::interleave::InterleavedChannels;
 use crate::memory::Memory;
 use crate::ChannelPort;
 
@@ -51,12 +50,11 @@ pub enum BackendKind {
     /// adapter behaviour from DRAM scheduling, and provides upper-bound
     /// reference curves.
     Ideal,
-    /// One cycle-level HBM2 channel ([`HbmChannel`]) — the paper's
-    /// Table I environment.
-    Hbm,
-    /// `channels` block-interleaved HBM2 channels behind a single port
-    /// ([`InterleavedChannels`]) — the multi-channel scaling scenario.
-    Interleaved {
+    /// The cycle-level HBM2 port ([`HbmChannel`]): `channels`
+    /// block-interleaved channels behind a single port. One channel is
+    /// the paper's Table I environment; more is the multi-channel scaling
+    /// scenario.
+    Hbm {
         /// Number of identical HBM2 channels (must be nonzero).
         channels: usize,
     },
@@ -66,8 +64,8 @@ impl BackendKind {
     /// Number of physical channels behind the port.
     pub fn channels(&self) -> usize {
         match self {
-            BackendKind::Ideal | BackendKind::Hbm => 1,
-            BackendKind::Interleaved { channels } => *channels,
+            BackendKind::Ideal => 1,
+            BackendKind::Hbm { channels } => *channels,
         }
     }
 }
@@ -76,8 +74,8 @@ impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendKind::Ideal => write!(f, "ideal"),
-            BackendKind::Hbm => write!(f, "hbm"),
-            BackendKind::Interleaved { channels } => write!(f, "hbm x{channels}"),
+            BackendKind::Hbm { channels: 1 } => write!(f, "hbm"),
+            BackendKind::Hbm { channels } => write!(f, "hbm x{channels}"),
         }
     }
 }
@@ -106,20 +104,17 @@ impl FromStr for BackendKind {
     /// flag or environment variable.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let t = s.trim().to_ascii_lowercase();
-        match t.as_str() {
-            "ideal" => Ok(BackendKind::Ideal),
-            "hbm" | "hbm1" => Ok(BackendKind::Hbm),
-            _ => {
-                if let Some(n) = t.strip_prefix("hbm") {
-                    if let Ok(channels) = n.parse::<usize>() {
-                        if channels > 0 {
-                            return Ok(BackendKind::Interleaved { channels });
-                        }
-                    }
-                }
-                Err(ParseBackendError(s.to_string()))
-            }
+        if t == "ideal" {
+            return Ok(BackendKind::Ideal);
         }
+        let channels = match t.strip_prefix("hbm") {
+            Some("") => Some(1),
+            Some(n) => n.parse().ok().filter(|&n| n > 0),
+            None => None,
+        };
+        channels
+            .map(|channels| BackendKind::Hbm { channels })
+            .ok_or_else(|| ParseBackendError(s.to_string()))
     }
 }
 
@@ -128,7 +123,7 @@ impl FromStr for BackendKind {
 pub struct BackendConfig {
     /// Which channel model to build.
     pub kind: BackendKind,
-    /// HBM2 channel timing/geometry (used by `Hbm` and `Interleaved`).
+    /// HBM2 channel timing/geometry (used by `Hbm`).
     pub hbm: HbmConfig,
     /// Access latency of the ideal channel, in cycles.
     pub ideal_latency: Cycle,
@@ -141,7 +136,7 @@ impl Default for BackendConfig {
     /// The paper's environment: one HBM2 channel.
     fn default() -> Self {
         Self {
-            kind: BackendKind::Hbm,
+            kind: BackendKind::Hbm { channels: 1 },
             hbm: HbmConfig::default(),
             ideal_latency: 20,
             ideal_burst: 2,
@@ -171,7 +166,7 @@ impl BackendConfig {
     pub fn interleaved(channels: usize) -> Self {
         assert!(channels > 0, "at least one channel");
         Self {
-            kind: BackendKind::Interleaved { channels },
+            kind: BackendKind::Hbm { channels },
             ..Self::default()
         }
     }
@@ -187,7 +182,7 @@ impl BackendConfig {
     /// organization, where each unit sits in front of its own slice of
     /// the HBM stack.
     ///
-    /// An `Interleaved { channels }` backend splits into
+    /// An `Hbm { channels }` backend splits into
     /// `max(1, channels / units)` channels per unit. When `units` does
     /// not divide `channels`, the `channels % units` remainder channels
     /// are **left unused** — every unit gets the same `floor` share, so
@@ -196,8 +191,7 @@ impl BackendConfig {
     /// bandwidth from the split result, keeping the numbers honest).
     /// When `units ≥ channels` each unit gets one full channel,
     /// modelling the paper's one-unit-per-channel replication. `Ideal`
-    /// and `Hbm` are single-channel models, so every unit gets its own
-    /// copy.
+    /// is a single-channel model, so every unit gets its own copy.
     ///
     /// # Panics
     ///
@@ -206,25 +200,19 @@ impl BackendConfig {
     /// # Example
     ///
     /// ```
-    /// use nmpic_mem::{BackendConfig, BackendKind};
+    /// use nmpic_mem::BackendConfig;
     /// let hbm8 = BackendConfig::interleaved(8);
-    /// assert_eq!(hbm8.split(4).kind, BackendKind::Interleaved { channels: 2 });
-    /// assert_eq!(hbm8.split(8).kind, BackendKind::Hbm);
-    /// assert_eq!(hbm8.split(1).kind, hbm8.kind);
+    /// assert_eq!(hbm8.split(4), BackendConfig::interleaved(2));
+    /// assert_eq!(hbm8.split(8), BackendConfig::hbm());
+    /// assert_eq!(hbm8.split(1), hbm8);
     /// ```
     pub fn split(&self, units: usize) -> BackendConfig {
         assert!(units > 0, "at least one unit");
         let kind = match self.kind {
             BackendKind::Ideal => BackendKind::Ideal,
-            BackendKind::Hbm => BackendKind::Hbm,
-            BackendKind::Interleaved { channels } => {
-                let per_unit = (channels / units).max(1);
-                if per_unit == 1 {
-                    BackendKind::Hbm
-                } else {
-                    BackendKind::Interleaved { channels: per_unit }
-                }
-            }
+            BackendKind::Hbm { channels } => BackendKind::Hbm {
+                channels: (channels / units).max(1),
+            },
         };
         Self {
             kind,
@@ -236,10 +224,7 @@ impl BackendConfig {
     pub fn peak_bytes_per_cycle(&self) -> u64 {
         match self.kind {
             BackendKind::Ideal => crate::BLOCK_BYTES as u64 / self.ideal_burst.max(1),
-            BackendKind::Hbm => self.hbm.peak_bytes_per_cycle(),
-            BackendKind::Interleaved { channels } => {
-                self.hbm.peak_bytes_per_cycle() * channels as u64
-            }
+            BackendKind::Hbm { channels } => self.hbm.peak_bytes_per_cycle() * channels as u64,
         }
     }
 
@@ -251,65 +236,10 @@ impl BackendConfig {
                 self.ideal_latency,
                 self.ideal_burst,
             )),
-            BackendKind::Hbm => Box::new(HbmChannel::new(self.hbm.clone(), memory)),
-            BackendKind::Interleaved { channels } => {
-                Box::new(InterleavedChannels::new(self.hbm.clone(), memory, channels))
+            BackendKind::Hbm { channels } => {
+                Box::new(HbmChannel::interleaved(self.hbm.clone(), memory, channels))
             }
         }
-    }
-}
-
-/// Builds a memory backend from its configuration — the single
-/// construction point every consumer goes through.
-pub fn build_backend(cfg: &BackendConfig, memory: Memory) -> Box<dyn ChannelPort> {
-    cfg.build(memory)
-}
-
-/// Forward [`ChannelPort`] through boxes so factory-built backends drive
-/// the same generic code paths as concrete channels.
-impl<T: ChannelPort + ?Sized> ChannelPort for Box<T> {
-    fn try_request(
-        &mut self,
-        now: Cycle,
-        req: crate::WideRequest,
-    ) -> Result<(), crate::WideRequest> {
-        (**self).try_request(now, req)
-    }
-
-    fn tick(&mut self, now: Cycle) {
-        (**self).tick(now)
-    }
-
-    fn pop_response(&mut self, now: Cycle) -> Option<crate::WideResponse> {
-        (**self).pop_response(now)
-    }
-
-    fn is_idle(&self) -> bool {
-        (**self).is_idle()
-    }
-
-    fn memory(&self) -> &Memory {
-        (**self).memory()
-    }
-
-    fn memory_mut(&mut self) -> &mut Memory {
-        (**self).memory_mut()
-    }
-
-    fn data_bytes(&self) -> u64 {
-        (**self).data_bytes()
-    }
-
-    fn peak_bytes_per_cycle(&self) -> u64 {
-        (**self).peak_bytes_per_cycle()
-    }
-
-    fn dram_stats(&self) -> Option<HbmStats> {
-        (**self).dram_stats()
-    }
-
-    fn reset_run_state(&mut self) {
-        (**self).reset_run_state()
     }
 }
 
@@ -326,9 +256,9 @@ mod tests {
     fn factory_builds_every_kind() {
         for kind in [
             BackendKind::Ideal,
-            BackendKind::Hbm,
-            BackendKind::Interleaved { channels: 2 },
-            BackendKind::Interleaved { channels: 8 },
+            BackendKind::Hbm { channels: 1 },
+            BackendKind::Hbm { channels: 2 },
+            BackendKind::Hbm { channels: 8 },
         ] {
             let cfg = BackendConfig {
                 kind,
@@ -336,7 +266,7 @@ mod tests {
             };
             let mut mem = Memory::new(1 << 14);
             mem.write_u64(512, 0xFEED);
-            let mut chan = build_backend(&cfg, mem);
+            let mut chan = cfg.build(mem);
             assert_eq!(drain_one(&mut *chan, 512), 0xFEED, "{kind}");
             assert!(chan.is_idle());
         }
@@ -345,12 +275,10 @@ mod tests {
     #[test]
     fn kind_parses_from_str() {
         assert_eq!("ideal".parse::<BackendKind>().unwrap(), BackendKind::Ideal);
-        assert_eq!("hbm".parse::<BackendKind>().unwrap(), BackendKind::Hbm);
-        assert_eq!("HBM1".parse::<BackendKind>().unwrap(), BackendKind::Hbm);
-        assert_eq!(
-            "hbm4".parse::<BackendKind>().unwrap(),
-            BackendKind::Interleaved { channels: 4 }
-        );
+        let hbm = |channels| BackendKind::Hbm { channels };
+        assert_eq!("hbm".parse::<BackendKind>().unwrap(), hbm(1));
+        assert_eq!("HBM1".parse::<BackendKind>().unwrap(), hbm(1));
+        assert_eq!("hbm4".parse::<BackendKind>().unwrap(), hbm(4));
         assert!("hbm0".parse::<BackendKind>().is_err());
         assert!("dramsys".parse::<BackendKind>().is_err());
     }
@@ -360,8 +288,25 @@ mod tests {
         assert_eq!(BackendConfig::ideal().label(), "ideal");
         assert_eq!(BackendConfig::hbm().label(), "hbm");
         assert_eq!(BackendConfig::interleaved(4).label(), "hbm x4");
-        assert_eq!(BackendKind::Interleaved { channels: 4 }.channels(), 4);
-        assert_eq!(BackendKind::Hbm.channels(), 1);
+        assert_eq!(BackendConfig::interleaved(4).kind.channels(), 4);
+        assert_eq!(BackendConfig::hbm().kind.channels(), 1);
+    }
+
+    /// One channel is one channel however it was asked for: same kind,
+    /// same label, and the same built port.
+    #[test]
+    fn interleaved_one_is_hbm() {
+        assert_eq!(BackendConfig::interleaved(1), BackendConfig::hbm());
+        assert_eq!(BackendConfig::interleaved(1).label(), "hbm");
+        let run = |cfg: BackendConfig| {
+            let mut chan = cfg.build(Memory::new(1 << 14));
+            let addrs: Vec<u64> = (0..64u64).map(|i| i * 5 % 64 * 256).collect();
+            (crate::run_reads(&mut *chan, &addrs), chan.dram_stats())
+        };
+        assert_eq!(
+            run(BackendConfig::interleaved(1)),
+            run(BackendConfig::hbm())
+        );
     }
 
     #[test]
@@ -377,13 +322,13 @@ mod tests {
             );
         }
         // More units than channels: each unit still gets a full channel.
-        assert_eq!(hbm8.split(16).kind, BackendKind::Hbm);
+        assert_eq!(hbm8.split(16), BackendConfig::hbm());
         // Non-dividing unit counts floor the share; the remainder
         // channels go unused (3 units × 2 channels models 6 of 8).
-        assert_eq!(hbm8.split(3).kind, BackendKind::Interleaved { channels: 2 });
+        assert_eq!(hbm8.split(3), BackendConfig::interleaved(2));
         // Single-channel kinds replicate.
-        assert_eq!(BackendConfig::hbm().split(4).kind, BackendKind::Hbm);
-        assert_eq!(BackendConfig::ideal().split(4).kind, BackendKind::Ideal);
+        assert_eq!(BackendConfig::hbm().split(4), BackendConfig::hbm());
+        assert_eq!(BackendConfig::ideal().split(4), BackendConfig::ideal());
     }
 
     #[test]
@@ -402,7 +347,7 @@ mod tests {
         ] {
             let mut mem = Memory::new(1 << 12);
             mem.write_u64(128, 77);
-            let mut chan = build_backend(&cfg, mem);
+            let mut chan = cfg.build(mem);
             assert_eq!(drain_one(&mut *chan, 128), 77);
             assert!(chan.data_bytes() > 0);
             chan.reset_run_state();
@@ -418,12 +363,12 @@ mod tests {
 
     #[test]
     fn dram_stats_present_for_hbm_kinds_only() {
-        let mut ideal = build_backend(&BackendConfig::ideal(), Memory::new(1 << 12));
+        let mut ideal = BackendConfig::ideal().build(Memory::new(1 << 12));
         assert!(ideal.dram_stats().is_none());
         drain_one(&mut *ideal, 0);
 
         for cfg in [BackendConfig::hbm(), BackendConfig::interleaved(2)] {
-            let mut chan = build_backend(&cfg, Memory::new(1 << 12));
+            let mut chan = cfg.build(Memory::new(1 << 12));
             drain_one(&mut *chan, 0);
             let stats = chan.dram_stats().expect("hbm-backed");
             assert_eq!(stats.reads, 1);

@@ -13,6 +13,12 @@ use crate::{ChannelPort, WideCommand, WideRequest, WideResponse, BLOCK_BYTES};
 /// Useful for isolating adapter behaviour from DRAM scheduling effects in
 /// unit tests, and for "ideal" reference curves in experiments.
 ///
+/// Unlike the HBM port, a response becomes visible at
+/// `pop_response(now)` once `now` reaches its completion cycle, not in
+/// `tick`; a write commits when it issues, and its acknowledgement keeps
+/// `is_idle()` false until a `pop_response` at or after its completion
+/// cycle drops it.
+///
 /// # Example
 ///
 /// ```
@@ -36,9 +42,11 @@ pub struct IdealChannel {
     queue: VecDeque<WideRequest>,
     in_flight: VecDeque<(Cycle, Option<WideResponse>)>,
     next_issue_at: Cycle,
-    queue_depth: usize,
     data_bytes: u64,
 }
+
+/// Request queue depth (the HBM controller's default).
+const QUEUE_DEPTH: usize = 32;
 
 impl IdealChannel {
     /// Creates an ideal channel with the given access `latency` and a
@@ -51,21 +59,14 @@ impl IdealChannel {
             queue: VecDeque::new(),
             in_flight: VecDeque::new(),
             next_issue_at: 0,
-            queue_depth: 32,
             data_bytes: 0,
         }
-    }
-
-    /// Sets the request queue depth (default 32).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
-        self
     }
 }
 
 impl ChannelPort for IdealChannel {
     fn try_request(&mut self, _now: Cycle, req: WideRequest) -> Result<(), WideRequest> {
-        if self.queue.len() >= self.queue_depth {
+        if self.queue.len() >= QUEUE_DEPTH {
             return Err(req);
         }
         self.queue.push_back(req);
@@ -91,9 +92,7 @@ impl ChannelPort for IdealChannel {
                         ));
                     }
                     WideCommand::Write { data, mask } => {
-                        let mut block = self.memory.read_block(req.addr);
-                        crate::apply_masked_write(&mut block, &data, mask);
-                        self.memory.write_block(req.addr, &block);
+                        self.memory.write_masked(req.addr, &data, mask);
                         self.in_flight.push_back((complete, None));
                     }
                 }

@@ -1,24 +1,39 @@
-//! # nmpic-mem — cycle-level HBM2 channel model and byte-accurate memory
+//! # nmpic-mem — cycle-level HBM2 model and byte-accurate memory
 //!
 //! This crate stands in for DRAMSys in the paper's methodology (Table I):
-//! one HBM2 channel at 1 GHz with 32 GB/s ideal bandwidth, a 512 b (64 B)
-//! access granularity, and an **open-adaptive FR-FCFS** controller.
+//! HBM2 channels at 1 GHz with 32 GB/s ideal bandwidth each, a 512 b
+//! (64 B) access granularity, and an **open-adaptive FR-FCFS**
+//! controller.
 //!
-//! Three layers:
+//! Everything the adapter in `nmpic-core` and the systems above it see
+//! of memory is the [`ChannelPort`] trait: wide requests in, in-order
+//! read responses out. A port is a *data store* plus a *timing model*:
 //!
-//! * [`Memory`] — a flat, byte-accurate backing store with a bump
+//! * [`Memory`] — the store: a flat, byte-accurate image with a bump
 //!   allocator ([`Memory::alloc`]). All simulated data (index arrays,
 //!   nonzeros, vectors) actually lives here, so gather results can be
-//!   checked against a golden model.
-//! * [`HbmChannel`] — the timed channel: 16 banks in 4 bank groups,
-//!   row-buffer state machines, FR-FCFS scheduling with an adaptive
-//!   open-page policy, a shared 32 B/cycle data bus, and in-order response
-//!   delivery through a reorder buffer (single AXI ID semantics).
-//! * [`IdealChannel`] — a fixed-latency, full-bandwidth channel for unit
+//!   checked against a golden model. Every port owns exactly one.
+//! * [`HbmChannel`] — the HBM2 port. It owns the store, the request
+//!   order and one reorder buffer, in front of `channels ≥ 1`
+//!   block-interleaved, crate-private timing controllers (16 banks in 4
+//!   bank groups, row-buffer state machines, FR-FCFS with an adaptive
+//!   open-page policy, a 32 B/cycle data bus each) that never touch
+//!   data.
+//! * [`IdealChannel`] — a fixed-latency, full-bandwidth port for unit
 //!   tests and upper-bound studies.
 //!
-//! Both channels implement [`ChannelPort`], the interface the AXI-Pack
-//! adapter in `nmpic-core` drives.
+//! [`BackendConfig`] names and builds them (`ideal`, `hbm`, `hbm xN`);
+//! [`Cache`] is the tag-only LLC model the baseline system and the
+//! analytic model share.
+//!
+//! The ports differ in two rules that drivers rely on. **Visibility:** an
+//! HBM read response appears in the [`ChannelPort::tick`] that retires
+//! it; an ideal one at [`ChannelPort::pop_response`]`(now)` once `now`
+//! reaches its completion cycle, whatever `tick` did. **Writes:** the HBM
+//! port commits the data at accept (program order) and queues only the
+//! timing; the ideal port commits when the write issues, and its
+//! acknowledgement keeps [`ChannelPort::is_idle`] false until a
+//! `pop_response` at or after completion drops it.
 //!
 //! # Example
 //!
@@ -47,15 +62,15 @@
 mod backend;
 mod cache;
 mod channel;
+mod controller;
 mod ideal;
-mod interleave;
 mod memory;
 
-pub use backend::{build_backend, BackendConfig, BackendKind, ParseBackendError};
+pub use backend::{BackendConfig, BackendKind, ParseBackendError};
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use channel::{HbmChannel, HbmConfig, HbmStats, PagePolicy, SchedPolicy};
+pub use channel::HbmChannel;
+pub use controller::{HbmConfig, HbmStats, PagePolicy, SchedPolicy};
 pub use ideal::IdealChannel;
-pub use interleave::InterleavedChannels;
 pub use memory::Memory;
 
 use nmpic_sim::Cycle;
@@ -153,20 +168,6 @@ impl WideRequest {
             },
         }
     }
-
-    /// `true` for reads.
-    pub fn is_read(&self) -> bool {
-        matches!(self.command, WideCommand::Read)
-    }
-}
-
-/// Applies a masked write to a block in place.
-pub fn apply_masked_write(target: &mut Block, data: &Block, mask: u64) {
-    for i in 0..BLOCK_BYTES {
-        if mask & (1 << i) != 0 {
-            target[i] = data[i];
-        }
-    }
 }
 
 /// A wide response carrying one block of data (reads only; writes are
@@ -241,21 +242,20 @@ pub trait ChannelPort: Send {
     fn reset_run_state(&mut self);
 }
 
-/// The read-trace driver of every channel model's tests: offers `addrs` as
-/// reads in order (tag = position), one attempt per cycle, until every
-/// response is back; returns the responses in delivery order and the
-/// cycle count.
+/// The trace driver of every channel model's tests: offers `reqs` in
+/// order, one attempt per cycle, and ticks until the channel has drained;
+/// returns the read responses in delivery order and the cycle count.
 #[cfg(test)]
-pub(crate) fn run_reads(chan: &mut dyn ChannelPort, addrs: &[u64]) -> (Vec<WideResponse>, Cycle) {
-    let mut clk = nmpic_sim::SimClock::new("read trace", 1_000_000);
+pub(crate) fn run_trace(
+    chan: &mut dyn ChannelPort,
+    reqs: &[WideRequest],
+) -> (Vec<WideResponse>, Cycle) {
+    let mut clk = nmpic_sim::SimClock::new("request trace", 1_000_000);
     let mut responses = Vec::new();
     let mut issued = 0;
-    while responses.len() < addrs.len() {
-        if issued < addrs.len() {
-            let req = WideRequest::read(addrs[issued], issued as u64);
-            if chan.try_request(clk.now(), req).is_ok() {
-                issued += 1;
-            }
+    while issued < reqs.len() || !chan.is_idle() {
+        if issued < reqs.len() && chan.try_request(clk.now(), reqs[issued].clone()).is_ok() {
+            issued += 1;
         }
         chan.tick(clk.now());
         while let Some(r) = chan.pop_response(clk.now()) {
@@ -264,6 +264,16 @@ pub(crate) fn run_reads(chan: &mut dyn ChannelPort, addrs: &[u64]) -> (Vec<WideR
         clk.tick();
     }
     (responses, clk.now())
+}
+
+/// [`run_trace`] over reads of `addrs` (tag = position).
+#[cfg(test)]
+pub(crate) fn run_reads(chan: &mut dyn ChannelPort, addrs: &[u64]) -> (Vec<WideResponse>, Cycle) {
+    let reqs: Vec<WideRequest> = (0u64..)
+        .zip(addrs)
+        .map(|(tag, &addr)| WideRequest::read(addr, tag))
+        .collect();
+    run_trace(chan, &reqs)
 }
 
 #[cfg(test)]
@@ -284,8 +294,8 @@ mod tests {
         let r = WideRequest::read(100, 7);
         assert_eq!(r.addr, 64);
         assert_eq!(r.tag, 7);
-        assert!(r.is_read());
+        assert_eq!(r.command, WideCommand::Read);
         let w = WideRequest::write(100, 3, [0u8; BLOCK_BYTES]);
-        assert!(!w.is_read());
+        assert_ne!(w.command, WideCommand::Read);
     }
 }

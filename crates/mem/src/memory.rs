@@ -122,6 +122,32 @@ impl Memory {
         self.data[base..base + BLOCK_BYTES].copy_from_slice(block);
     }
 
+    /// Writes the bytes of `data` that `mask` enables (bit *i* for byte
+    /// *i*, AXI write strobes) into the 64 B block containing `addr`,
+    /// leaving the other bytes untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block lies outside memory.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nmpic_mem::Memory;
+    /// let mut m = Memory::new(128);
+    /// m.write_u32(64, 0x1111_1111);
+    /// m.write_masked(64, &[0xAB; 64], 0b0110);
+    /// assert_eq!(m.read_u32(64), 0x11AB_AB11);
+    /// ```
+    pub fn write_masked(&mut self, addr: u64, data: &Block, mask: u64) {
+        let base = self.index(block_addr(addr));
+        for (i, byte) in self.data[base..base + BLOCK_BYTES].iter_mut().enumerate() {
+            if mask & (1 << i) != 0 {
+                *byte = data[i];
+            }
+        }
+    }
+
     /// Reads a little-endian `u32` at `addr`.
     pub fn read_u32(&self, addr: u64) -> u32 {
         let a = self.index(addr);

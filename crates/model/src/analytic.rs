@@ -109,7 +109,7 @@ impl ChannelModel {
                 stream_eff: 1.0,
                 scatter_eff: 1.0,
             },
-            BackendKind::Hbm | BackendKind::Interleaved { .. } => Self {
+            BackendKind::Hbm { .. } => Self {
                 latency: HBM_LATENCY,
                 peak_bpc,
                 stream_eff: HBM_STREAM_EFF,

@@ -156,11 +156,6 @@ impl<T> Fifo<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
-
-    /// Removes all elements and returns them, oldest first.
-    pub fn drain_all(&mut self) -> Vec<T> {
-        self.items.drain(..).collect()
-    }
 }
 
 /// The owner of simulated time for one run loop: a cycle counter with a
@@ -276,16 +271,6 @@ mod tests {
         assert_eq!(f.peek(), Some(&10));
         assert_eq!(f.iter().nth(1), Some(&20));
         assert_eq!(f.iter().nth(2), None);
-    }
-
-    #[test]
-    fn fifo_drain_all_preserves_order_and_counts() {
-        let mut f = Fifo::new("t", 4);
-        f.try_push('a').unwrap();
-        f.try_push('b').unwrap();
-        let all = f.drain_all();
-        assert_eq!(all, vec!['a', 'b']);
-        assert!(f.is_empty());
     }
 
     #[test]

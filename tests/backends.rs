@@ -1,18 +1,18 @@
 //! Cross-backend end-to-end tests: every memory backend built by the
-//! `nmpic_mem::build_backend` factory must drive the full adapter stack
-//! to byte-identical gathered data, and the SpMV systems must verify on
-//! every backend.
+//! `nmpic_mem::BackendConfig::build` factory must drive the full adapter
+//! stack to byte-identical gathered data, and the SpMV systems must
+//! verify on every backend.
 
 use nmpic::axi::{ElemSize, PackRequest, Unpacker};
 use nmpic::core::{
     run_indirect_stream, stream_memory_size, AdapterConfig, IndirectStreamUnit, StreamOptions,
 };
-use nmpic::mem::{build_backend, BackendConfig, BackendKind, ChannelPort, Memory};
+use nmpic::mem::{BackendConfig, BackendKind, Memory};
 use nmpic::sparse::{by_name, Sell};
 use nmpic::system::{golden_x, SpmvEngine, SystemKind};
 
 /// Every backend kind the factory can produce, including the acceptance
-/// sweep `Interleaved {2, 4, 8}`.
+/// sweep `hbm x{2, 4, 8}`.
 fn all_backends() -> Vec<BackendConfig> {
     vec![
         BackendConfig::ideal(),
@@ -31,10 +31,7 @@ fn gather_on(
     indices: &[u32],
     vec_len: usize,
 ) -> Vec<u64> {
-    let mut chan = build_backend(
-        backend,
-        Memory::new(stream_memory_size(indices.len(), vec_len)),
-    );
+    let mut chan = backend.build(Memory::new(stream_memory_size(indices.len(), vec_len)));
     let mem = chan.memory_mut();
     let idx_base = mem.alloc_array(indices.len() as u64, 4);
     let elem_base = mem.alloc_array(vec_len as u64, 8);
@@ -60,8 +57,8 @@ fn gather_on(
     got.drain()
 }
 
-/// The acceptance property: `IdealChannel`, `HbmChannel` and
-/// `Interleaved{2,4,8}` all run behind the same factory, and the gathered
+/// The acceptance property: `IdealChannel` and `HbmChannel` on 1, 2, 4
+/// and 8 channels all run behind the same factory, and the gathered
 /// data is byte-identical across every backend.
 #[test]
 fn gather_is_byte_identical_across_backends() {
