@@ -11,6 +11,7 @@ use nmpic_axi::{ElemSize, PackRequest, Unpacker};
 use nmpic_mem::{BackendConfig, Memory, BLOCK_BYTES};
 use nmpic_sim::Cycle;
 
+use crate::coalescer::CoalescerStats;
 use crate::config::AdapterConfig;
 use crate::unit::{AdapterStats, IndirectStreamUnit};
 
@@ -43,6 +44,9 @@ pub struct StreamResult {
     pub verified: bool,
     /// Raw adapter statistics.
     pub adapter: AdapterStats,
+    /// Raw coalescer statistics (`None` for `MLPnc`, which has no
+    /// coalescer).
+    pub coalescer: Option<CoalescerStats>,
     /// DRAM row-buffer hit rate over the run.
     pub row_hit_rate: f64,
     /// DRAM data-bus utilization over the run.
@@ -167,6 +171,7 @@ pub fn run_indirect_stream(
         coalesce_rate: stats.coalesce_rate(),
         verified,
         adapter: stats,
+        coalescer: unit.coalescer_stats(),
         row_hit_rate,
         bus_utilization,
     }
