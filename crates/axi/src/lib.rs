@@ -221,7 +221,7 @@ impl PackRequest {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Beat {
     /// Bus-width data, elements packed densely from byte 0.
-    pub data: Vec<u8>,
+    pub data: [u8; BUS_BYTES],
     /// Number of valid elements in this beat.
     pub elems: usize,
     /// Element width used for packing.
@@ -327,7 +327,7 @@ impl Packer {
 
     fn emit(&mut self, n: usize) -> Beat {
         let w = self.elem_size.bytes();
-        let mut data = vec![0u8; BUS_BYTES];
+        let mut data = [0u8; BUS_BYTES];
         for i in 0..n {
             // nmpic-lint: allow(L2) — invariant: callers size n by pending.len(), so the queue cannot run dry mid-beat
             let v = self.pending.pop_front().expect("n <= pending");

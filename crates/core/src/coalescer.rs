@@ -28,31 +28,124 @@
 //!
 //! The **downsizer** pops element queues in exactly the upsizer's
 //! distribution order, restoring per-port FIFO order.
+//!
+//! # Host-side layout
+//!
+//! The hardware does all of this out of ~27 kB of flat SRAM and compares
+//! the whole window against the tag in one cycle. The model keeps the same
+//! shape — no per-queue allocation, no per-cycle allocation — and spends
+//! host time in proportion to what *moves* in a cycle, not to W:
+//!
+//! * **Queues.** Each of the three W-wide queue families (request,
+//!   offsets, element) is one [`FifoBank`]: `W × depth` slots in a single
+//!   allocation with per-queue `head`/`len` and running totals, so "any
+//!   request waiting?", "how many queues are occupied?" and
+//!   [`Coalescer::is_drained`] are O(1).
+//! * **Bit sets.** The window's valid bits, the CSHR hitmap and every
+//!   hitmap-queue entry are `W/64` `u64` words; the hitmap queue is one
+//!   preallocated ring of such entries. The response splitter walks the
+//!   set bits of the head entry.
+//! * **Window snapshot.** A window entry is the *head* of its request
+//!   queue when the regulator opens the window, and that head cannot
+//!   change until the watcher accepts it (pushes go to the back). So the
+//!   regulator does the W-proportional work once per window:
+//!   it records every entry's block, offset and sequence number, links
+//!   the entries of each block into a *chain* through a small
+//!   open-addressed block table, and fixes the window's *age order* (the
+//!   entries are read in the upsizer's dealing order starting at the
+//!   oldest, which is already sorted for a stream dealt the usual way;
+//!   the sort that follows is then a linear check).
+//! * **Watcher.** A cycle walks only the chain of the CSHR's block
+//!   (O(hits)); "oldest miss" is a cursor over the age order that only
+//!   moves forward while the window lives.
+//!
+//! [`CoalescerStats::slots_examined`] counts every window slot these
+//! stages look at, so the proportionality is checkable without a clock.
 
-use nmpic_mem::{block_addr, block_offset, Block};
-use nmpic_sim::{Cycle, Fifo};
+use nmpic_mem::{block_addr, block_offset, Block, BLOCK_BYTES};
+use nmpic_sim::{Cycle, Fifo, FifoBank};
 
 use crate::config::AdapterConfig;
 use crate::request::{ElemOut, ElemRequest};
 
-/// One hitmap metadata entry: which window slots were merged into a wide
-/// access, and whether this entry retires its wide response.
-#[derive(Debug, Clone)]
-struct HitmapEntry {
-    bits: Vec<bool>,
-    /// `false` when the same wide response must also serve the following
-    /// entry (cross-window coalescing).
-    last: bool,
-}
+/// "No slot": the end of a chain, or a CSHR block absent from the window.
+const NONE: usize = usize::MAX;
 
 /// An offsets-queue entry: the element offset inside the wide block.
 ///
 /// The `seq` field is simulator bookkeeping only (it lets the model check
 /// stream ordering end-to-end); hardware recovers ordering structurally.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct OffsetEntry {
     offset: u8,
     seq: u64,
+}
+
+/// The hitmap metadata queue: a ring of `depth` entries, each the `W/64`
+/// hitmap words of one wide access (which window slots were merged into
+/// it) followed by one word holding the `last` flag — `false` when the
+/// same wide response must also serve the following entry (cross-window
+/// coalescing).
+#[derive(Debug)]
+struct HitmapQueue {
+    ring: Vec<u64>,
+    words: usize,
+    depth: usize,
+    head: usize,
+    len: usize,
+}
+
+impl HitmapQueue {
+    fn new(depth: usize, words: usize) -> Self {
+        Self {
+            ring: vec![0; depth * (words + 1)],
+            words,
+            depth,
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn free(&self) -> usize {
+        self.depth - self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Moves `hitmap` into a new entry, leaving it all-zero for the next
+    /// tag. The caller has checked [`HitmapQueue::free`].
+    fn push(&mut self, hitmap: &mut [u64], last: bool) {
+        assert!(self.len < self.depth, "hitmap queue overflow");
+        let at = (self.head + self.len) % self.depth * (self.words + 1);
+        self.ring[at..at + self.words].copy_from_slice(hitmap);
+        self.ring[at + self.words] = u64::from(last);
+        hitmap.fill(0);
+        self.len += 1;
+    }
+
+    /// The head entry's hitmap words and `last` flag.
+    fn front(&self) -> Option<(&[u64], bool)> {
+        let at = self.head * (self.words + 1);
+        (self.len > 0).then(|| {
+            (
+                &self.ring[at..at + self.words],
+                self.ring[at + self.words] != 0,
+            )
+        })
+    }
+
+    fn pop(&mut self) {
+        debug_assert!(self.len > 0);
+        self.head = (self.head + 1) % self.depth;
+        self.len -= 1;
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
 }
 
 /// Statistics of one coalescer run.
@@ -72,6 +165,11 @@ pub struct CoalescerStats {
     pub windows_opened: u64,
     /// Elements returned upstream.
     pub elements_out: u64,
+    /// Window slots the model's regulator, watcher and splitter looked at
+    /// — host work, not a simulated quantity. It stays within a small
+    /// multiple of `requests_coalesced + W × windows_opened`: a window
+    /// costs O(W) once, a cycle O(hits).
+    pub slots_examined: u64,
 }
 
 /// The request coalescer of the indirect stream unit.
@@ -93,31 +191,52 @@ pub struct Coalescer {
     cross_window: bool,
 
     /// W request queues (upsizer outputs / regulator inputs).
-    req_q: Vec<Fifo<ElemRequest>>,
+    req_q: FifoBank<ElemRequest>,
     up_rr: Vec<usize>,
 
-    /// Regulator window state: which queue heads belong to the current
-    /// window and are not yet coalesced.
-    win_valid: Vec<bool>,
+    /// Regulator window state. Slot `w` of the window is the head of
+    /// request queue `w` at the moment the window opened; `win_valid`
+    /// marks the slots not yet coalesced.
     win_active: bool,
     fill_timer: u32,
+    win_valid: Vec<u64>,
+    win_valid_count: usize,
+    /// Per slot: the entry's offset and sequence number.
+    win_entry: Vec<OffsetEntry>,
+    /// Per slot: the block-table index of the entry's block.
+    win_chain: Vec<usize>,
+    /// Per slot: the next slot of the same block, or [`NONE`].
+    chain_next: Vec<usize>,
+    /// The window's slots, oldest first, and how far the oldest-valid
+    /// search has advanced through them.
+    age_order: Vec<usize>,
+    age_cursor: usize,
 
-    /// CSHR.
+    /// Block table of the current window (open addressing, `2 W` slots):
+    /// an index is live when its stamp equals `win_stamp`.
+    tbl_stamp: Vec<u64>,
+    tbl_block: Vec<u64>,
+    tbl_head: Vec<usize>,
+    win_stamp: u64,
+
+    /// CSHR. `tag_chain` is the tag's block-table index in the current
+    /// window, [`NONE`] when no window is active or no entry hits it.
     tag: Option<u64>,
-    hitmap: Vec<bool>,
+    tag_chain: usize,
+    hitmap: Vec<u64>,
     hit_count: usize,
     watchdog_timer: u32,
 
     /// Metadata queues.
-    hitmap_q: Fifo<HitmapEntry>,
-    offsets_q: Vec<Fifo<OffsetEntry>>,
+    hitmap_q: HitmapQueue,
+    offsets_q: FifoBank<OffsetEntry>,
 
     /// Wide requests awaiting the unit's DRAM arbiter.
     wide_out: Fifo<u64>,
 
     /// Response path.
     cur_resp: Option<Block>,
-    elem_q: Vec<Fifo<ElemOut>>,
+    elem_q: FifoBank<ElemOut>,
     down_rr: Vec<usize>,
 
     stats: CoalescerStats,
@@ -133,6 +252,7 @@ impl Coalescer {
         cfg.assert_valid();
         let window = cfg.window;
         let ports = cfg.ports();
+        let words = window.div_ceil(64);
         Self {
             window,
             ports,
@@ -141,29 +261,61 @@ impl Coalescer {
             regulator_timeout: cfg.regulator_timeout,
             watchdog_timeout: cfg.watchdog_timeout,
             cross_window: cfg.cross_window,
-            req_q: (0..window)
-                .map(|_| Fifo::new("req_q", cfg.req_queue_depth))
-                .collect(),
+            req_q: FifoBank::new("req_q", window, cfg.req_queue_depth),
             up_rr: vec![0; ports],
-            win_valid: vec![false; window],
             win_active: false,
             fill_timer: 0,
+            win_valid: vec![0; words],
+            win_valid_count: 0,
+            win_entry: vec![OffsetEntry::default(); window],
+            win_chain: vec![NONE; window],
+            chain_next: vec![NONE; window],
+            age_order: Vec::with_capacity(window),
+            age_cursor: 0,
+            tbl_stamp: vec![0; 2 * window],
+            tbl_block: vec![0; 2 * window],
+            tbl_head: vec![NONE; 2 * window],
+            win_stamp: 0,
             tag: None,
-            hitmap: vec![false; window],
+            tag_chain: NONE,
+            hitmap: vec![0; words],
             hit_count: 0,
             watchdog_timer: 0,
-            hitmap_q: Fifo::new("hitmap_q", cfg.hitmap_queue_depth),
-            offsets_q: (0..window)
-                .map(|_| Fifo::new("offsets_q", cfg.offsets_queue_depth))
-                .collect(),
+            hitmap_q: HitmapQueue::new(cfg.hitmap_queue_depth, words),
+            offsets_q: FifoBank::new("offsets_q", window, cfg.offsets_queue_depth),
             wide_out: Fifo::new("wide_out", 4),
             cur_resp: None,
-            elem_q: (0..window)
-                .map(|_| Fifo::new("elem_q", cfg.elem_queue_depth))
-                .collect(),
+            elem_q: FifoBank::new("elem_q", window, cfg.elem_queue_depth),
             down_rr: vec![0; ports],
             stats: CoalescerStats::default(),
         }
+    }
+
+    /// Returns the coalescer to its just-constructed state without
+    /// releasing any of its storage.
+    pub fn reset(&mut self) {
+        self.req_q.clear();
+        self.up_rr.fill(0);
+        self.win_active = false;
+        self.fill_timer = 0;
+        self.win_valid.fill(0);
+        self.win_valid_count = 0;
+        self.age_order.clear();
+        self.age_cursor = 0;
+        self.tbl_stamp.fill(0);
+        self.win_stamp = 0;
+        self.tag = None;
+        self.tag_chain = NONE;
+        self.hitmap.fill(0);
+        self.hit_count = 0;
+        self.watchdog_timer = 0;
+        self.hitmap_q.clear();
+        self.offsets_q.clear();
+        self.wide_out.clear();
+        self.cur_resp = None;
+        self.elem_q.clear();
+        self.down_rr.fill(0);
+        self.stats = CoalescerStats::default();
     }
 
     /// Number of input/output ports.
@@ -178,8 +330,7 @@ impl Coalescer {
 
     /// `true` if the next request on `port` can be accepted this cycle.
     pub fn can_accept(&self, port: usize) -> bool {
-        let q = port * self.group + self.up_rr[port];
-        !self.req_q[q].is_full()
+        !self.req_q.is_full(port * self.group + self.up_rr[port])
     }
 
     /// Upsizer: accepts one narrow request on `port`, dealing it to the
@@ -187,12 +338,12 @@ impl Coalescer {
     /// round-robin pointer unchanged) when the target queue is full.
     pub fn try_push_request(&mut self, port: usize, req: ElemRequest) -> bool {
         let q = port * self.group + self.up_rr[port];
-        if self.req_q[q].try_push(req).is_ok() {
-            self.up_rr[port] = (self.up_rr[port] + 1) % self.group;
-            true
-        } else {
-            false
+        if self.req_q.is_full(q) {
+            return false;
         }
+        self.req_q.push(q, req);
+        self.up_rr[port] = (self.up_rr[port] + 1) % self.group;
+        true
     }
 
     /// Pops the next wide block address to request downstream, if any.
@@ -212,8 +363,7 @@ impl Coalescer {
 
     /// Downsizer: pops the next in-order element for `port`, if available.
     pub fn pop_output(&mut self, port: usize) -> Option<ElemOut> {
-        let q = port * self.group + self.down_rr[port];
-        let out = self.elem_q[q].pop();
+        let out = self.elem_q.pop(port * self.group + self.down_rr[port]);
         if out.is_some() {
             self.down_rr[port] = (self.down_rr[port] + 1) % self.group;
         }
@@ -227,9 +377,9 @@ impl Coalescer {
             && self.cur_resp.is_none()
             && self.hitmap_q.is_empty()
             && self.wide_out.is_empty()
-            && self.req_q.iter().all(Fifo::is_empty)
-            && self.elem_q.iter().all(Fifo::is_empty)
-            && self.offsets_q.iter().all(Fifo::is_empty)
+            && self.req_q.total() == 0
+            && self.elem_q.total() == 0
+            && self.offsets_q.total() == 0
     }
 
     /// Advances regulator, request watcher and response splitter by one
@@ -240,22 +390,20 @@ impl Coalescer {
         self.tick_regulator();
         // Watchdog: force-issue the pending CSHR when the watcher makes no
         // progress (stream tail, stalled hits, or no new window).
-        if self.tag.is_some() {
-            if progress {
-                self.watchdog_timer = 0;
-            } else {
+        match self.tag {
+            Some(_) if progress => self.watchdog_timer = 0,
+            Some(tag) => {
                 self.watchdog_timer += 1;
                 if self.watchdog_timer > self.watchdog_timeout
-                    && !self.hitmap_q.is_full()
+                    && self.hitmap_q.free() >= 1
                     && !self.wide_out.is_full()
                 {
-                    self.issue_current(true);
+                    self.issue(tag);
                     self.stats.watchdog_fires += 1;
                     self.watchdog_timer = 0;
                 }
             }
-        } else {
-            self.watchdog_timer = 0;
+            None => self.watchdog_timer = 0,
         }
     }
 
@@ -267,17 +415,14 @@ impl Coalescer {
             self.fill_timer = 0;
             return;
         }
-        let occupied = self.req_q.iter().filter(|q| !q.is_empty()).count();
+        let occupied = self.req_q.occupied();
         if occupied == 0 {
             self.fill_timer = 0;
             return;
         }
         let full = occupied == self.window;
         if full || self.fill_timer >= self.regulator_timeout {
-            for w in 0..self.window {
-                self.win_valid[w] = !self.req_q[w].is_empty();
-            }
-            self.win_active = true;
+            self.open_window();
             self.fill_timer = 0;
             self.stats.windows_opened += 1;
             if !full {
@@ -286,6 +431,95 @@ impl Coalescer {
         } else {
             self.fill_timer += 1;
         }
+    }
+
+    /// Snapshots the occupied queue heads as the new window: the one
+    /// W-proportional pass of a window's life. Records each entry, chains
+    /// it to the other entries of its block, and fixes the age order.
+    fn open_window(&mut self) {
+        debug_assert!(self.win_valid.iter().all(|&word| word == 0));
+        self.win_stamp += 1;
+        self.age_order.clear();
+        let mut oldest = (u64::MAX, 0);
+        // Dealing order (round r of every port, then round r + 1) visits
+        // a stream dealt by `seq mod ports` in ascending `seq`, up to a
+        // rotation.
+        for r in 0..self.group {
+            for p in 0..self.ports {
+                let w = p * self.group + r;
+                let Some(req) = self.req_q.peek(w) else {
+                    continue;
+                };
+                // nmpic-lint: allow(L1) — in range: block offsets are below BLOCK_BYTES (64), so the lane offset fits 8 bits
+                let offset = (block_offset(req.addr) / self.elem_bytes) as u8;
+                self.win_entry[w] = OffsetEntry {
+                    offset,
+                    seq: req.seq,
+                };
+                let chain = self.chain_of(block_addr(req.addr));
+                self.win_chain[w] = chain;
+                self.chain_next[w] = self.tbl_head[chain];
+                self.tbl_head[chain] = w;
+                set_bit(&mut self.win_valid, w);
+                if req.seq < oldest.0 {
+                    oldest = (req.seq, self.age_order.len());
+                }
+                self.age_order.push(w);
+            }
+        }
+        self.age_order.rotate_left(oldest.1);
+        // Already sorted (a linear check) unless the producer dealt the
+        // stream some other way; ties break towards the lower slot.
+        let entries = &self.win_entry;
+        self.age_order
+            .sort_unstable_by_key(|&w| (entries[w].seq, w));
+        self.age_cursor = 0;
+        self.win_valid_count = self.age_order.len();
+        self.win_active = true;
+        // A tag carried over from the last window meets its new chain.
+        self.tag_chain = match self.tag {
+            Some(tag) => self.find_chain(tag).unwrap_or(NONE),
+            None => NONE,
+        };
+        self.stats.slots_examined += self.window as u64;
+    }
+
+    /// First probe position of `block` in the block table.
+    fn table_slot(&self, block: u64) -> usize {
+        let hashed = (block / BLOCK_BYTES as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (hashed >> 32) as usize & (self.tbl_stamp.len() - 1)
+    }
+
+    /// Probes the block table for `block`: `Ok` with its index when the
+    /// current window has entries in it, `Err` with the free index where
+    /// it would go when not.
+    fn find_chain(&self, block: u64) -> Result<usize, usize> {
+        let mask = self.tbl_stamp.len() - 1;
+        let mut i = self.table_slot(block);
+        while self.tbl_stamp[i] == self.win_stamp {
+            if self.tbl_block[i] == block {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+        Err(i)
+    }
+
+    /// The block-table index of `block` in the current window, claiming a
+    /// free one (with an empty chain) when the block is new.
+    fn chain_of(&mut self, block: u64) -> usize {
+        self.find_chain(block).unwrap_or_else(|free| {
+            self.tbl_stamp[free] = self.win_stamp;
+            self.tbl_block[free] = block;
+            self.tbl_head[free] = NONE;
+            free
+        })
+    }
+
+    /// Closes the active window; its chains die with it.
+    fn close_window(&mut self) {
+        self.win_active = false;
+        self.tag_chain = NONE;
     }
 
     /// Request watcher: returns `true` if it made progress this cycle.
@@ -299,14 +533,14 @@ impl Coalescer {
         // `last = false` (cross-window coalescing keeps the tag) and let
         // the regulator form the next window. The tag may also be None
         // here if the watchdog force-issued mid-window.
-        if !self.win_valid.iter().any(|&v| v) {
-            if self.tag.is_some() && self.hit_count > 0 {
+        if self.win_valid_count == 0 {
+            if let Some(tag) = self.tag.filter(|_| self.hit_count > 0) {
                 if !self.cross_window {
                     // Ablation mode: retire the CSHR at every window
                     // boundary instead of carrying it over.
                     if self.hitmap_q.free() >= 1 && !self.wide_out.is_full() {
-                        self.issue_current(false);
-                        self.win_active = false;
+                        self.issue(tag);
+                        self.close_window();
                         return true;
                     }
                     return false;
@@ -314,89 +548,70 @@ impl Coalescer {
                 // One extra hitmap slot stays reserved for the eventual
                 // `last = true` entry of this tag (deadlock freedom).
                 if self.hitmap_q.free() >= 2 {
-                    let entry = HitmapEntry {
-                        bits: std::mem::replace(&mut self.hitmap, vec![false; self.window]),
-                        last: false,
-                    };
-                    // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-                    self.hitmap_q.try_push(entry).expect("checked space");
+                    self.hitmap_q.push(&mut self.hitmap, false);
                     self.hit_count = 0;
                     self.stats.cross_window_merges += 1;
-                    self.win_active = false;
+                    self.close_window();
                     return true;
                 }
                 return false;
             }
-            self.win_active = false;
+            self.close_window();
             return true;
         }
 
         // Adopt a tag from the oldest valid entry if the CSHR is idle.
         if self.tag.is_none() {
-            if let Some(w) = self.oldest_valid(None) {
-                // nmpic-lint: allow(L2) — invariant: win_valid marks exactly the windows whose request queue is nonempty
-                let addr = self.req_q[w].peek().expect("valid head").addr;
-                self.tag = Some(block_addr(addr));
-                progress = true;
-            }
+            progress |= self.retag_from_oldest();
         }
         let Some(tag) = self.tag else {
             return progress;
         };
 
         // Parallel hit check: accept every valid window entry in the
-        // CSHR's block (subject to offsets-queue space).
-        let mut stalled_hit = false;
-        for w in 0..self.window {
-            if !self.win_valid[w] {
-                continue;
+        // CSHR's block (subject to offsets-queue space). Those entries
+        // are exactly the tag's chain; a stalled one stays linked.
+        let mut stalled = 0;
+        if self.tag_chain != NONE {
+            let mut prev = NONE;
+            let mut w = self.tbl_head[self.tag_chain];
+            while w != NONE {
+                self.stats.slots_examined += 1;
+                let next = self.chain_next[w];
+                if self.offsets_q.is_full(w) {
+                    stalled += 1;
+                    prev = w;
+                } else {
+                    let popped = self.req_q.pop(w);
+                    debug_assert_eq!(popped.map(|r| r.seq), Some(self.win_entry[w].seq));
+                    self.offsets_q.push(w, self.win_entry[w]);
+                    debug_assert!(!test_bit(&self.hitmap, w), "slot coalesced twice");
+                    set_bit(&mut self.hitmap, w);
+                    self.hit_count += 1;
+                    self.win_valid[w / 64] &= !(1 << (w % 64));
+                    self.win_valid_count -= 1;
+                    self.stats.requests_coalesced += 1;
+                    progress = true;
+                    if prev == NONE {
+                        self.tbl_head[self.tag_chain] = next;
+                    } else {
+                        self.chain_next[prev] = next;
+                    }
+                }
+                w = next;
             }
-            // nmpic-lint: allow(L2) — invariant: win_valid marks exactly the windows whose request queue is nonempty
-            let head = self.req_q[w].peek().expect("valid head exists");
-            if block_addr(head.addr) != tag {
-                continue;
-            }
-            if self.offsets_q[w].is_full() {
-                stalled_hit = true;
-                continue;
-            }
-            // nmpic-lint: allow(L2) — invariant: the same head was peeked this cycle, so the queue is nonempty
-            let req = self.req_q[w].pop().expect("peeked");
-            // nmpic-lint: allow(L1) — in range: block offsets are below BLOCK_BYTES (64), so the lane offset fits 8 bits
-            let offset = (block_offset(req.addr) / self.elem_bytes) as u8;
-            self.offsets_q[w]
-                .try_push(OffsetEntry {
-                    offset,
-                    seq: req.seq,
-                })
-                // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-                .expect("checked space");
-            debug_assert!(!self.hitmap[w], "window slot coalesced twice");
-            self.hitmap[w] = true;
-            self.hit_count += 1;
-            self.win_valid[w] = false;
-            self.stats.requests_coalesced += 1;
-            progress = true;
         }
 
-        let misses_remain = (0..self.window).any(|w| {
-            // nmpic-lint: allow(L2) — invariant: win_valid marks exactly the windows whose request queue is nonempty
-            self.win_valid[w] && block_addr(self.req_q[w].peek().expect("valid head").addr) != tag
-        });
-
-        if misses_remain && !stalled_hit {
+        // Whatever is still valid outside the tag's chain is a miss.
+        let misses_remain = self.win_valid_count > stalled;
+        if misses_remain && stalled == 0 {
             // Issue the current warp and re-tag from the oldest miss. The
             // issued entry is the final (`last = true`) one for this tag,
             // so it may use the reserved hitmap slot.
             if self.hitmap_q.free() >= 1 && !self.wide_out.is_full() {
-                self.issue_current(false);
-                let next = self
-                    .oldest_valid(Some(tag))
-                    // nmpic-lint: allow(L2) — invariant: misses_remain just observed a valid window whose head misses the tag
-                    .expect("misses_remain guarantees a candidate");
-                // nmpic-lint: allow(L2) — invariant: win_valid marks exactly the windows whose request queue is nonempty
-                let addr = self.req_q[next].peek().expect("valid head").addr;
-                self.tag = Some(block_addr(addr));
+                self.issue(tag);
+                let retagged = self.retag_from_oldest();
+                debug_assert!(retagged, "misses_remain guarantees a candidate");
                 progress = true;
             }
         }
@@ -404,94 +619,107 @@ impl Coalescer {
         progress
     }
 
-    /// Issues the current CSHR: pushes the hitmap entry (with `last`
-    /// always true here — `false` entries are pushed by the window-close
-    /// path) and the wide request.
-    fn issue_current(&mut self, from_watchdog: bool) {
-        // nmpic-lint: allow(L2) — invariant: callers only issue while a coalescing tag is open
-        let tag = self.tag.take().expect("issue requires a tag");
-        let entry = HitmapEntry {
-            bits: std::mem::replace(&mut self.hitmap, vec![false; self.window]),
-            last: true,
-        };
-        // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-        self.hitmap_q.try_push(entry).expect("caller checked space");
+    /// Issues the CSHR holding `tag`: pushes its final (`last = true`)
+    /// hitmap entry — `false` entries are pushed by the window-close path
+    /// — and the wide request, and frees the CSHR. The caller has checked
+    /// space in both queues.
+    fn issue(&mut self, tag: u64) {
+        self.hitmap_q.push(&mut self.hitmap, true);
         // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
         self.wide_out.try_push(tag).expect("caller checked space");
+        self.tag = None;
+        self.tag_chain = NONE;
         self.hit_count = 0;
         self.stats.wide_requests += 1;
-        let _ = from_watchdog;
     }
 
-    /// Oldest (minimum sequence) valid window entry, optionally excluding
-    /// entries that hit `exclude_tag`.
-    fn oldest_valid(&self, exclude_tag: Option<u64>) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for w in 0..self.window {
-            if !self.win_valid[w] {
-                continue;
+    /// Tags the CSHR with the block of the oldest (minimum sequence)
+    /// valid window entry; `false` when the window has none left. Valid
+    /// bits are only ever cleared while a window lives, so the search
+    /// resumes where the last one stopped.
+    fn retag_from_oldest(&mut self) -> bool {
+        while let Some(&w) = self.age_order.get(self.age_cursor) {
+            self.stats.slots_examined += 1;
+            if test_bit(&self.win_valid, w) {
+                self.tag_chain = self.win_chain[w];
+                self.tag = Some(self.tbl_block[self.tag_chain]);
+                return true;
             }
-            // nmpic-lint: allow(L2) — invariant: win_valid marks exactly the windows whose request queue is nonempty
-            let head = self.req_q[w].peek().expect("valid head");
-            if let Some(t) = exclude_tag {
-                if block_addr(head.addr) == t {
-                    continue;
-                }
-            }
-            if best.is_none_or(|(s, _)| head.seq < s) {
-                best = Some((head.seq, w));
-            }
+            self.age_cursor += 1;
         }
-        best.map(|(_, w)| w)
+        false
     }
 
     /// Response splitter: serves one hitmap entry per cycle from the
     /// current wide response, distributing elements to the element queues.
     fn tick_response_splitter(&mut self) {
         let Some(resp) = self.cur_resp else { return };
-        let Some(meta) = self.hitmap_q.peek() else {
+        let Some((hits, last)) = self.hitmap_q.front() else {
             return;
         };
         // Parallel extraction requires space in every hit element queue.
-        let bits: Vec<usize> = meta
-            .bits
-            .iter()
-            .enumerate()
-            .filter_map(|(w, &b)| b.then_some(w))
-            .collect();
-        if bits.iter().any(|&w| self.elem_q[w].is_full()) {
+        let mut examined = 0;
+        let blocked = set_bits(hits).any(|w| {
+            examined += 1;
+            self.elem_q.is_full(w)
+        });
+        self.stats.slots_examined += examined;
+        if blocked {
             return;
         }
-        let last = meta.last;
-        self.hitmap_q.pop();
-        for w in bits {
-            let off = self.offsets_q[w]
-                .pop()
+        let mut served = 0;
+        for w in set_bits(hits) {
+            served += 1;
+            let off = self
+                .offsets_q
+                .pop(w)
                 // nmpic-lint: allow(L2) — invariant: an offset is enqueued for every accepted request, in the same order
                 .expect("offset pushed at accept time");
             let lo = off.offset as usize * self.elem_bytes;
             let mut buf = [0u8; 8];
             buf[..self.elem_bytes].copy_from_slice(&resp[lo..lo + self.elem_bytes]);
-            let value = u64::from_le_bytes(buf);
-            self.elem_q[w]
-                .try_push(ElemOut {
+            self.elem_q.push(
+                w,
+                ElemOut {
                     seq: off.seq,
-                    value,
-                })
-                // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-                .expect("checked space");
-            self.stats.elements_out += 1;
+                    value: u64::from_le_bytes(buf),
+                },
+            );
         }
+        self.stats.elements_out += served;
+        self.stats.slots_examined += served;
+        self.hitmap_q.pop();
         if last {
             self.cur_resp = None;
         }
     }
 }
 
+fn test_bit(words: &[u64], bit: usize) -> bool {
+    words[bit / 64] >> (bit % 64) & 1 == 1
+}
+
+fn set_bit(words: &mut [u64], bit: usize) {
+    words[bit / 64] |= 1 << (bit % 64);
+}
+
+/// The indices of the set bits of a `u64`-word bit set, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i * 64 + bit
+            })
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmpic_mem::BLOCK_BYTES;
     use nmpic_sim::SimClock;
 
     fn cfg(window: usize) -> AdapterConfig {
@@ -701,6 +929,36 @@ mod tests {
             coal.tick(1_000 + now);
         }
         assert!(coal.is_drained());
+    }
+
+    /// The age order does not depend on how the producer dealt the
+    /// stream: with sequence numbers running against the dealing order
+    /// (port p carries seq 7 - p) the watcher still tags oldest-first.
+    #[test]
+    fn oldest_first_tagging_survives_an_unusual_dealing_order() {
+        let mut coal = Coalescer::new(&cfg(8));
+        for port in 0..8u64 {
+            let req = ElemRequest {
+                seq: 7 - port,
+                addr: 64 * (port + 1),
+            };
+            assert!(coal.try_push_request(port as usize, req));
+        }
+        let mut issued = Vec::new();
+        for now in 0..200 {
+            coal.tick(now);
+            issued.extend(coal.pop_wide_request());
+        }
+        let oldest_first: Vec<u64> = (1..=8u64).rev().map(|port| 64 * port).collect();
+        assert_eq!(issued, oldest_first);
+    }
+
+    #[test]
+    fn set_bits_walks_every_word_in_ascending_order() {
+        let words = [0b1001, 0, 1 << 63 | 1];
+        assert_eq!(set_bits(&words).collect::<Vec<_>>(), vec![0, 3, 128, 191]);
+        assert_eq!(set_bits(&[0, 0]).count(), 0);
+        assert!(test_bit(&words, 191) && !test_bit(&words, 190));
     }
 
     #[test]

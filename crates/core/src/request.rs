@@ -7,7 +7,7 @@
 /// the packing order at the upstream port. In hardware ordering is
 /// recovered structurally (round-robin lane/queue discipline); the model
 /// carries `seq` explicitly so every stage can assert it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElemRequest {
     /// Stream position of this element.
     pub seq: u64,
@@ -16,7 +16,7 @@ pub struct ElemRequest {
 }
 
 /// One retrieved narrow element on its way to the element packer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElemOut {
     /// Stream position of this element.
     pub seq: u64,

@@ -108,6 +108,11 @@ impl ReqSource {
         self.len() == 0
     }
 
+    fn clear(&mut self) {
+        self.q.clear();
+        self.held = None;
+    }
+
     /// Queues a request; the caller has checked [`ReqSource::is_full`].
     fn push(&mut self, req: WideRequest) {
         // nmpic-lint: allow(L2) — invariant: the caller checked fullness of this source this cycle
@@ -245,7 +250,52 @@ impl ScatterUnit {
                 || (self.written == self.target && self.warp.is_none() && self.write_q.is_empty()),
             "reset with writes in flight"
         );
-        *self = Self::new(self.cfg.clone());
+        // Every field by name, so a new one cannot be forgotten here.
+        let Self {
+            cfg,
+            active,
+            elem_base,
+            elem_bytes,
+            idx_next_block,
+            idx_blocks_left,
+            idx_elems_left,
+            idx_cursor,
+            idx_outstanding,
+            idx_req_q,
+            idx_block_meta,
+            idx_staging,
+            idx_q,
+            data_q,
+            accepted,
+            target,
+            warp,
+            warp_idle,
+            write_q,
+            written,
+            arb_toggle,
+            stats,
+        } = self;
+        *active = false;
+        *elem_base = 0;
+        *elem_bytes = cfg.elem_size.bytes();
+        (
+            *idx_next_block,
+            *idx_blocks_left,
+            *idx_elems_left,
+            *idx_cursor,
+        ) = (0, 0, 0, 0);
+        *idx_outstanding = 0;
+        idx_req_q.clear();
+        idx_block_meta.clear();
+        idx_staging.clear();
+        idx_q.clear();
+        data_q.clear();
+        (*accepted, *target, *written) = (0, 0, 0);
+        *warp = None;
+        *warp_idle = 0;
+        write_q.clear();
+        *arb_toggle = false;
+        *stats = ScatterStats::default();
     }
 
     /// Starts a scatter burst.
@@ -378,7 +428,7 @@ impl ScatterUnit {
     fn route_responses(&mut self, now: Cycle, chan: &mut dyn ChannelPort) {
         while let Some(resp) = chan.pop_response(now) {
             debug_assert_eq!(resp.tag, TAG_SCATTER_IDX);
-            self.idx_staging.push_back(*resp.data);
+            self.idx_staging.push_back(resp.data);
         }
     }
 
@@ -712,6 +762,40 @@ mod tests {
         assert_eq!(unit.begin(request(0, 0, 0)), Err(BeginError::EmptyBurst));
         unit.begin(request(4, 0, 0)).unwrap();
         assert_eq!(unit.begin(request(4, 0, 0)), Err(BeginError::Busy));
+    }
+
+    /// `reset` clears the unit in place; a reset unit must replay a burst
+    /// with a fresh unit's cycle count, statistics and memory image.
+    #[test]
+    fn reset_unit_replays_a_fresh_unit_bit_for_bit() {
+        let indices: Vec<u32> = (0..300u32)
+            .map(|k| ((k as u64 * 48271) % 128) as u32)
+            .collect();
+        let values: Vec<u64> = (0..300u64).map(|v| v ^ 0xA5A5).collect();
+        let replay = |unit: &mut ScatterUnit, backend: &BackendConfig| {
+            let (mem, idx_base, dst) = setup(&indices, 128);
+            let mut chan = backend.build(mem);
+            let req = request(indices.len(), idx_base, dst);
+            let cycles = unit
+                .run_burst(&mut *chan, req, values.iter().copied())
+                .unwrap();
+            let image: Vec<u64> = (0..128)
+                .map(|i| chan.memory().read_u64(dst + 8 * i))
+                .collect();
+            (cycles, unit.stats(), image)
+        };
+        for backend in [BackendConfig::ideal(), BackendConfig::hbm()] {
+            let cfg = AdapterConfig::mlp(64);
+            let want = replay(&mut ScatterUnit::new(cfg.clone()), &backend);
+            let mut unit = ScatterUnit::new(cfg);
+            let (mem, idx_base, dst) = setup(&[9, 3, 3, 100, 7], 128);
+            let mut chan = backend.build(mem);
+            unit.run_burst(&mut *chan, request(5, idx_base, dst), [1, 2, 3, 4, 5])
+                .unwrap();
+            unit.reset();
+            assert_eq!(unit.stats(), ScatterStats::default());
+            assert_eq!(replay(&mut unit, &backend), want, "{}", backend.label());
+        }
     }
 
     /// Reference protocol: this test spells out the raw

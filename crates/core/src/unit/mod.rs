@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 use nmpic_axi::{Beat, ElemSize, PackRequest, Packer};
 use nmpic_mem::{block_addr, Block, ChannelPort, WideRequest, BLOCK_BYTES};
-use nmpic_sim::{Cycle, Fifo, SimClock};
+use nmpic_sim::{Cycle, Fifo, FifoBank, SimClock};
 
 use crate::coalescer::{Coalescer, CoalescerStats};
 use crate::config::{AdapterConfig, CoalescerMode};
@@ -186,7 +186,7 @@ pub struct IndirectStreamUnit {
     // Index splitter.
     split_cur: Option<(Block, usize, usize)>,
     next_split_seq: u64,
-    lane_q: Vec<Fifo<(u64, u32)>>,
+    lane_q: FifoBank<(u64, u32)>,
 
     // Element request generation.
     next_gen_seq: u64,
@@ -245,9 +245,7 @@ impl IndirectStreamUnit {
             idx_staging: VecDeque::new(),
             split_cur: None,
             next_split_seq: 0,
-            lane_q: (0..lanes)
-                .map(|_| Fifo::new("lane_idx_q", cfg.idx_queue_depth))
-                .collect(),
+            lane_q: FifoBank::new("lane_idx_q", lanes, cfg.idx_queue_depth),
             next_gen_seq: 0,
             coal,
             coal_held: None,
@@ -374,7 +372,77 @@ impl IndirectStreamUnit {
     /// Panics if a burst is still in flight.
     pub fn reset(&mut self) {
         assert!(self.is_done_internal(), "reset with a burst in flight");
-        *self = Self::new(self.cfg.clone());
+        // Every field by name, so a new one cannot be forgotten here.
+        let Self {
+            cfg,
+            burst,
+            burst_target,
+            burst_delivered,
+            idx_next_block,
+            idx_blocks_left,
+            idx_elems_left,
+            idx_cursor,
+            idx_outstanding,
+            idx_req_q,
+            idx_block_meta,
+            idx_staging,
+            split_cur,
+            next_split_seq,
+            lane_q,
+            next_gen_seq,
+            coal,
+            coal_held,
+            elem_staging,
+            nocoal_meta,
+            nocoal_req_q,
+            nocoal_outstanding,
+            nocoal_out,
+            contig_req_q,
+            contig_block_meta,
+            contig_staging,
+            contig_outstanding,
+            next_pack_seq,
+            packer,
+            beats,
+            arb_rr,
+            held_req,
+            stats,
+        } = self;
+        *burst = None;
+        (*burst_target, *burst_delivered) = (0, 0);
+        (
+            *idx_next_block,
+            *idx_blocks_left,
+            *idx_elems_left,
+            *idx_cursor,
+        ) = (0, 0, 0, 0);
+        *idx_outstanding = 0;
+        idx_req_q.clear();
+        idx_block_meta.clear();
+        idx_staging.clear();
+        *split_cur = None;
+        *next_split_seq = 0;
+        lane_q.clear();
+        *next_gen_seq = 0;
+        if let Some(coal) = coal {
+            coal.reset();
+        }
+        *coal_held = None;
+        elem_staging.clear();
+        nocoal_meta.clear();
+        nocoal_req_q.clear();
+        *nocoal_outstanding = 0;
+        nocoal_out.clear();
+        contig_req_q.clear();
+        contig_block_meta.clear();
+        contig_staging.clear();
+        *contig_outstanding = 0;
+        *next_pack_seq = 0;
+        *packer = Packer::new(cfg.elem_size);
+        beats.clear();
+        *arb_rr = 0;
+        *held_req = None;
+        *stats = AdapterStats::default();
     }
 
     fn is_done_internal(&self) -> bool {
@@ -446,9 +514,9 @@ impl IndirectStreamUnit {
     fn route_responses(&mut self, now: Cycle, chan: &mut dyn ChannelPort) {
         while let Some(resp) = chan.pop_response(now) {
             match resp.tag {
-                TAG_IDX => self.idx_staging.push_back(*resp.data),
-                TAG_ELEM => self.elem_staging.push_back(*resp.data),
-                TAG_CONTIG => self.contig_staging.push_back(*resp.data),
+                TAG_IDX => self.idx_staging.push_back(resp.data),
+                TAG_ELEM => self.elem_staging.push_back(resp.data),
+                TAG_CONTIG => self.contig_staging.push_back(resp.data),
                 other => unreachable!("unknown response tag {other}"),
             }
         }

@@ -28,11 +28,12 @@ impl IndirectStreamUnit {
                 // nmpic-lint: allow(L2) — invariant: parallel mode constructs the unit with a coalescer
                 let coal = self.coal.as_mut().expect("parallel mode has coalescer");
                 for lane in 0..self.cfg.lanes {
-                    if self.lane_q[lane].is_empty() || !coal.can_accept(lane) {
+                    if !coal.can_accept(lane) {
                         continue;
                     }
-                    // nmpic-lint: allow(L2) — invariant: emptiness was checked in the branch condition above
-                    let (seq, idx) = self.lane_q[lane].pop().expect("nonempty");
+                    let Some((seq, idx)) = self.lane_q.pop(lane) else {
+                        continue;
+                    };
                     let addr = elem_base + idx as u64 * elem_bytes;
                     let ok = coal.try_push_request(lane, ElemRequest { seq, addr });
                     debug_assert!(ok, "can_accept checked");
@@ -44,9 +45,10 @@ impl IndirectStreamUnit {
                 // nmpic-lint: allow(L2) — invariant: sequential mode constructs the unit with a coalescer
                 let coal = self.coal.as_mut().expect("seq mode has coalescer");
                 let lane = (self.next_gen_seq % self.cfg.lanes as u64) as usize;
-                if !self.lane_q[lane].is_empty() && coal.can_accept(0) {
-                    // nmpic-lint: allow(L2) — invariant: emptiness was checked in the branch condition above
-                    let (seq, idx) = self.lane_q[lane].pop().expect("nonempty");
+                if !coal.can_accept(0) {
+                    return;
+                }
+                if let Some((seq, idx)) = self.lane_q.pop(lane) {
                     debug_assert_eq!(seq, self.next_gen_seq);
                     let addr = elem_base + idx as u64 * elem_bytes;
                     let ok = coal.try_push_request(0, ElemRequest { seq, addr });
@@ -62,11 +64,10 @@ impl IndirectStreamUnit {
                     && self.nocoal_outstanding < self.cfg.nocoal_outstanding
                 {
                     let lane = (self.next_gen_seq % self.cfg.lanes as u64) as usize;
-                    let Some(&(seq, idx)) = self.lane_q[lane].peek() else {
+                    let Some((seq, idx)) = self.lane_q.pop(lane) else {
                         break;
                     };
                     debug_assert_eq!(seq, self.next_gen_seq);
-                    self.lane_q[lane].pop();
                     let addr = elem_base + idx as u64 * elem_bytes;
                     // nmpic-lint: allow(L1) — in range: block offsets are below BLOCK_BYTES (64), so the lane offset fits 8 bits
                     let offset = (block_offset(addr) / elem_bytes as usize) as u8;

@@ -25,17 +25,14 @@ impl IndirectStreamUnit {
         let (block, start, cnt) = self.split_cur.as_mut().expect("set above");
         while *cnt > 0 {
             let lane = (self.next_split_seq % lanes) as usize;
-            if self.lane_q[lane].is_full() {
+            if self.lane_q.is_full(lane) {
                 return; // stall mid-block; resume next cycle
             }
             let lo = *start * idx_bytes;
             let mut buf = [0u8; 4];
             buf.copy_from_slice(&block[lo..lo + idx_bytes.min(4)]);
             let idx = u32::from_le_bytes(buf);
-            self.lane_q[lane]
-                .try_push((self.next_split_seq, idx))
-                // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-                .expect("checked space");
+            self.lane_q.push(lane, (self.next_split_seq, idx));
             self.next_split_seq += 1;
             *start += 1;
             *cnt -= 1;

@@ -280,6 +280,61 @@ fn back_to_back_bursts_reuse_the_unit() {
     assert_eq!(unit.stats().elements_delivered, 192);
 }
 
+/// `reset` clears the unit in place instead of rebuilding it; a reset
+/// unit must be indistinguishable from a fresh one. For every coalescer
+/// mode: dirty a unit with a burst whose odd length leaves the upsizer's
+/// and downsizer's round-robin pointers, the window stamp and the
+/// sequence counters mid-rotation, reset it, and replay a reference
+/// burst — beats, cycle count and both statistics blocks must equal a
+/// fresh unit's bit for bit.
+#[test]
+fn reset_unit_replays_a_fresh_unit_bit_for_bit() {
+    let reference: Vec<u32> = (0..700u32)
+        .map(|k| ((k as u64 * 2654435761) % 512) as u32)
+        .collect();
+    let dirt: Vec<u32> = (0..77u32).map(|k| (k * 5) % 512).collect();
+    let replay = |unit: &mut IndirectStreamUnit, backend: &BackendConfig| {
+        let (mem, idx_base, elem_base) = setup(&reference, 512);
+        let mut chan = backend.build(mem);
+        let mut beats = Vec::new();
+        let cycles = unit
+            .run_burst(
+                &mut *chan,
+                indirect(reference.len(), idx_base, elem_base),
+                |beat| beats.push(beat.clone()),
+            )
+            .unwrap();
+        (beats, cycles, unit.stats(), unit.coalescer_stats())
+    };
+    for cfg in [
+        AdapterConfig::mlp(64),
+        AdapterConfig::seq(64),
+        AdapterConfig::mlp_nc(),
+    ] {
+        for backend in [BackendConfig::ideal(), BackendConfig::hbm()] {
+            let ctx = format!("{} on {}", cfg.variant_name(), backend.label());
+            let want = replay(&mut IndirectStreamUnit::new(cfg.clone()), &backend);
+            assert_eq!(want.2.elements_delivered, 700, "{ctx}");
+
+            let mut unit = IndirectStreamUnit::new(cfg.clone());
+            let (mem, idx_base, elem_base) = setup(&dirt, 512);
+            let mut chan = backend.build(mem);
+            run(
+                &mut unit,
+                &mut *chan,
+                indirect(dirt.len(), idx_base, elem_base),
+            );
+            unit.reset();
+            assert_eq!(unit.stats(), AdapterStats::default(), "{ctx}");
+            let got = replay(&mut unit, &backend);
+            assert_eq!(got.1, want.1, "{ctx}: cycles");
+            assert_eq!(got.2, want.2, "{ctx}: adapter stats");
+            assert_eq!(got.3, want.3, "{ctx}: coalescer stats");
+            assert_eq!(got.0, want.0, "{ctx}: beats");
+        }
+    }
+}
+
 /// Element base that is element-aligned but not block-aligned: block
 /// offsets must still resolve correctly.
 #[test]

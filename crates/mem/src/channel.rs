@@ -17,7 +17,7 @@ use crate::{
 struct PendingRead {
     addr: u64,
     tag: u64,
-    data: Option<Box<Block>>,
+    data: Option<Block>,
 }
 
 /// Cycle-level model of an HBM2 stack of one or more channels behind a
@@ -140,14 +140,14 @@ impl ChannelPort for HbmChannel {
         for ctrl in &mut self.ctrls {
             while let Some(seq) = ctrl.pop_completed(now) {
                 let read = &mut self.reorder[seq - self.delivered];
-                read.data = Some(Box::new(self.memory.read_block(read.addr)));
+                read.data = Some(self.memory.read_block(read.addr));
             }
             ctrl.schedule(&self.cfg, now);
         }
     }
 
     fn pop_response(&mut self, _now: Cycle) -> Option<WideResponse> {
-        let data = self.reorder.front_mut()?.data.take()?;
+        let data = self.reorder.front()?.data?;
         let read = self.reorder.pop_front()?;
         self.delivered += 1;
         Some(WideResponse {
@@ -581,7 +581,7 @@ mod interleave_tests {
         let mut rng = nmpic_sim::SimRng::new(0xDEF0);
         let addrs: Vec<u64> = (0..256).map(|_| rng.gen_u64(0, 1 << 15) & !63).collect();
 
-        let reference: Vec<Box<Block>> = run_reads(&mut chans(image.clone(), 1), &addrs)
+        let reference: Vec<Block> = run_reads(&mut chans(image.clone(), 1), &addrs)
             .0
             .into_iter()
             .map(|r| r.data)

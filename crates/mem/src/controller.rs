@@ -266,16 +266,26 @@ impl Controller {
             // `queue` is in arrival order, so the first match is the
             // oldest: a ready row hit under the streak cap, else any
             // request whose bank is not committed to a future command.
-            SchedPolicy::FrFcfs => self
-                .queue
-                .iter()
-                .position(|q| {
+            // One pass finds both: it stops at the first row hit and
+            // remembers the first ready entry it passed on the way.
+            SchedPolicy::FrFcfs => {
+                let mut first_ready = None;
+                let mut row_hit = None;
+                for (i, q) in self.queue.iter().enumerate() {
                     let b = &self.banks[q.bank];
-                    b.open_row == Some(q.row)
-                        && b.next_cas_at <= now
-                        && b.hit_streak < cfg.max_hit_streak
-                })
-                .or_else(|| self.queue.iter().position(|q| ready(&self.banks[q.bank]))),
+                    if b.next_cas_at > now {
+                        continue;
+                    }
+                    if b.open_row == Some(q.row) && b.hit_streak < cfg.max_hit_streak {
+                        row_hit = Some(i);
+                        break;
+                    }
+                    if first_ready.is_none() && b.next_act_at <= now {
+                        first_ready = Some(i);
+                    }
+                }
+                row_hit.or(first_ready)
+            }
             // Strict order: only the head of the queue may issue.
             SchedPolicy::Fcfs => self
                 .queue

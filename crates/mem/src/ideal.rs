@@ -87,7 +87,7 @@ impl ChannelPort for IdealChannel {
                             Some(WideResponse {
                                 addr: req.addr,
                                 tag: req.tag,
-                                data: Box::new(data),
+                                data,
                             }),
                         ));
                     }

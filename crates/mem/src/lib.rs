@@ -121,7 +121,7 @@ pub enum WideCommand {
     /// bytes untouched.
     Write {
         /// The 64 B of write data (unmasked bytes are ignored).
-        data: Box<Block>,
+        data: Block,
         /// Byte-enable mask, bit *i* for byte *i*.
         mask: u64,
     },
@@ -162,10 +162,7 @@ impl WideRequest {
         Self {
             addr: block_addr(addr),
             tag,
-            command: WideCommand::Write {
-                data: Box::new(data),
-                mask,
-            },
+            command: WideCommand::Write { data, mask },
         }
     }
 }
@@ -179,7 +176,7 @@ pub struct WideResponse {
     /// The routing tag from the originating request.
     pub tag: u64,
     /// The 64 B block content at completion time.
-    pub data: Box<Block>,
+    pub data: Block,
 }
 
 /// The interface a memory channel presents to requestors.

@@ -9,7 +9,9 @@
 //!
 //! * [`Fifo`] — a bounded queue with capacity-based backpressure. Every
 //!   architectural queue in the adapter (index queues, up/downsizer
-//!   queues, hitmap queue, offsets queues, element queues) is a `Fifo`.
+//!   queues, hitmap queue, offsets queues, element queues) is a `Fifo`,
+//!   or one queue of a [`FifoBank`] where the hardware has a whole row of
+//!   identical ones.
 //! * [`SimClock`] — the one owner of simulated time: every run loop in the
 //!   workspace advances its cycle counter through it, so the cycle budget
 //!   and the deadlock watchdog exist exactly once.
@@ -156,6 +158,147 @@ impl<T> Fifo<T> {
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
     }
+
+    /// Drops every element, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.items.clear();
+    }
+}
+
+/// A row of identical bounded FIFOs in one flat allocation — the model of
+/// a bank of W same-depth RTL queues (the coalescer's request, offsets and
+/// element queues, the unit's lane queues).
+///
+/// Queue `q` is a ring over slots `q × depth .. (q + 1) × depth`. The
+/// bank keeps two running counts, so questions about the whole row cost
+/// O(1): [`FifoBank::total`] elements held, and [`FifoBank::occupied`]
+/// queues that are not empty.
+///
+/// # Example
+///
+/// ```
+/// use nmpic_sim::FifoBank;
+/// let mut bank: FifoBank<u32> = FifoBank::new("lanes", 4, 2);
+/// bank.push(1, 10);
+/// bank.push(1, 11);
+/// bank.push(3, 30);
+/// assert!(bank.is_full(1) && bank.is_empty(0));
+/// assert_eq!((bank.total(), bank.occupied()), (3, 2));
+/// assert_eq!(bank.peek(1), Some(10));
+/// assert_eq!(bank.pop(1), Some(10));
+/// assert_eq!(bank.pop(1), Some(11));
+/// assert_eq!(bank.pop(1), None);
+/// assert_eq!((bank.total(), bank.occupied()), (1, 1));
+/// ```
+#[derive(Debug, Clone)]
+pub struct FifoBank<T> {
+    name: &'static str,
+    slots: Vec<T>,
+    head: Vec<usize>,
+    len: Vec<usize>,
+    depth: usize,
+    total: usize,
+    occupied: usize,
+}
+
+impl<T: Copy + Default> FifoBank<T> {
+    /// Creates `queues` empty queues of `depth` slots each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queues` or `depth` is zero.
+    pub fn new(name: &'static str, queues: usize, depth: usize) -> Self {
+        assert!(
+            queues > 0 && depth > 0,
+            "fifo bank `{name}` must have nonzero queues and depth"
+        );
+        Self {
+            name,
+            slots: vec![T::default(); queues * depth],
+            head: vec![0; queues],
+            len: vec![0; queues],
+            depth,
+            total: 0,
+            occupied: 0,
+        }
+    }
+
+    /// Number of queues in the bank.
+    pub fn queues(&self) -> usize {
+        self.len.len()
+    }
+
+    /// Elements held by queue `q`.
+    pub fn len(&self, q: usize) -> usize {
+        self.len[q]
+    }
+
+    /// `true` when queue `q` holds no elements.
+    pub fn is_empty(&self, q: usize) -> bool {
+        self.len[q] == 0
+    }
+
+    /// `true` when queue `q` holds `depth` elements.
+    pub fn is_full(&self, q: usize) -> bool {
+        self.len[q] == self.depth
+    }
+
+    /// Elements held by all queues together.
+    pub fn total(&self) -> usize {
+        self.total
+    }
+
+    /// Number of queues holding at least one element.
+    pub fn occupied(&self) -> usize {
+        self.occupied
+    }
+
+    /// Appends `item` to queue `q`. Backpressure is the caller's side of
+    /// the contract: check [`FifoBank::is_full`] first and stall.
+    ///
+    /// # Panics
+    ///
+    /// Panics if queue `q` is full.
+    pub fn push(&mut self, q: usize, item: T) {
+        let len = self.len[q];
+        assert!(
+            len < self.depth,
+            "fifo bank `{}`: queue {q} overflow",
+            self.name
+        );
+        let mut at = self.head[q] + len;
+        if at >= self.depth {
+            at -= self.depth;
+        }
+        self.slots[q * self.depth + at] = item;
+        self.len[q] = len + 1;
+        self.total += 1;
+        self.occupied += usize::from(len == 0);
+    }
+
+    /// Removes and returns the oldest element of queue `q`.
+    pub fn pop(&mut self, q: usize) -> Option<T> {
+        let item = self.peek(q)?;
+        let head = self.head[q] + 1;
+        self.head[q] = if head == self.depth { 0 } else { head };
+        self.len[q] -= 1;
+        self.total -= 1;
+        self.occupied -= usize::from(self.len[q] == 0);
+        Some(item)
+    }
+
+    /// The oldest element of queue `q`, without removing it.
+    pub fn peek(&self, q: usize) -> Option<T> {
+        (self.len[q] > 0).then(|| self.slots[q * self.depth + self.head[q]])
+    }
+
+    /// Empties every queue, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.head.fill(0);
+        self.len.fill(0);
+        self.total = 0;
+        self.occupied = 0;
+    }
 }
 
 /// The owner of simulated time for one run loop: a cycle counter with a
@@ -271,6 +414,59 @@ mod tests {
         assert_eq!(f.peek(), Some(&10));
         assert_eq!(f.iter().nth(1), Some(&20));
         assert_eq!(f.iter().nth(2), None);
+    }
+
+    #[test]
+    fn fifo_clear_empties_and_keeps_capacity() {
+        let mut f = Fifo::new("t", 2);
+        f.try_push(1).unwrap();
+        f.try_push(2).unwrap();
+        f.clear();
+        assert!(f.is_empty());
+        assert_eq!(f.capacity(), 2);
+        f.try_push(3).unwrap();
+        assert_eq!(f.pop(), Some(3));
+    }
+
+    /// Every queue of a bank behaves like its own `Fifo`, and the two
+    /// running counts always equal what a walk over the queues finds.
+    #[test]
+    fn fifo_bank_matches_a_row_of_fifos() {
+        let (queues, depth) = (5, 3);
+        let mut bank: FifoBank<u64> = FifoBank::new("t", queues, depth);
+        let mut row: Vec<Fifo<u64>> = (0..queues).map(|_| Fifo::new("t", depth)).collect();
+        let mut rng = SimRng::new(7);
+        for step in 0..2_000u64 {
+            let q = rng.gen_usize(0, queues);
+            if rng.gen_u64(0, 2) == 0 {
+                assert_eq!(bank.is_full(q), row[q].is_full());
+                if !bank.is_full(q) {
+                    bank.push(q, step);
+                    row[q].try_push(step).unwrap();
+                }
+            } else {
+                assert_eq!(bank.peek(q), row[q].peek().copied());
+                assert_eq!(bank.pop(q), row[q].pop());
+            }
+            assert_eq!(bank.len(q), row[q].len());
+            assert_eq!(bank.total(), row.iter().map(Fifo::len).sum::<usize>());
+            assert_eq!(
+                bank.occupied(),
+                row.iter().filter(|f| !f.is_empty()).count()
+            );
+        }
+        bank.clear();
+        assert_eq!((bank.total(), bank.occupied()), (0, 0));
+        assert!((0..queues).all(|q| bank.is_empty(q) && bank.pop(q).is_none()));
+        assert_eq!(bank.queues(), queues);
+    }
+
+    #[test]
+    #[should_panic(expected = "fifo bank `t`: queue 1 overflow")]
+    fn fifo_bank_push_on_a_full_queue_panics() {
+        let mut bank: FifoBank<u8> = FifoBank::new("t", 2, 1);
+        bank.push(1, 1);
+        bank.push(1, 2);
     }
 
     #[test]
