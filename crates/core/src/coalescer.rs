@@ -292,7 +292,9 @@ impl Coalescer {
     }
 
     /// Returns the coalescer to its just-constructed state without
-    /// releasing any of its storage.
+    /// releasing any of its storage. The per-slot window snapshot and the
+    /// block table's blocks and chain heads need no clearing: each is
+    /// written when a window opens, before anything reads it.
     pub fn reset(&mut self) {
         self.req_q.clear();
         self.up_rr.fill(0);
@@ -653,7 +655,7 @@ impl Coalescer {
     /// Response splitter: serves one hitmap entry per cycle from the
     /// current wide response, distributing elements to the element queues.
     fn tick_response_splitter(&mut self) {
-        let Some(resp) = self.cur_resp else { return };
+        let Some(resp) = &self.cur_resp else { return };
         let Some((hits, last)) = self.hitmap_q.front() else {
             return;
         };

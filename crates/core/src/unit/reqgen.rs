@@ -45,16 +45,15 @@ impl IndirectStreamUnit {
                 // nmpic-lint: allow(L2) — invariant: sequential mode constructs the unit with a coalescer
                 let coal = self.coal.as_mut().expect("seq mode has coalescer");
                 let lane = (self.next_gen_seq % self.cfg.lanes as u64) as usize;
-                if !coal.can_accept(0) {
-                    return;
-                }
-                if let Some((seq, idx)) = self.lane_q.pop(lane) {
-                    debug_assert_eq!(seq, self.next_gen_seq);
-                    let addr = elem_base + idx as u64 * elem_bytes;
-                    let ok = coal.try_push_request(0, ElemRequest { seq, addr });
-                    debug_assert!(ok, "can_accept checked");
-                    self.next_gen_seq += 1;
-                    self.idx_outstanding -= 1;
+                if coal.can_accept(0) {
+                    if let Some((seq, idx)) = self.lane_q.pop(lane) {
+                        debug_assert_eq!(seq, self.next_gen_seq);
+                        let addr = elem_base + idx as u64 * elem_bytes;
+                        let ok = coal.try_push_request(0, ElemRequest { seq, addr });
+                        debug_assert!(ok, "can_accept checked");
+                        self.next_gen_seq += 1;
+                        self.idx_outstanding -= 1;
+                    }
                 }
             }
             CoalescerMode::None => {

@@ -223,16 +223,6 @@ impl<T: Copy + Default> FifoBank<T> {
         }
     }
 
-    /// Number of queues in the bank.
-    pub fn queues(&self) -> usize {
-        self.len.len()
-    }
-
-    /// Elements held by queue `q`.
-    pub fn len(&self, q: usize) -> usize {
-        self.len[q]
-    }
-
     /// `true` when queue `q` holds no elements.
     pub fn is_empty(&self, q: usize) -> bool {
         self.len[q] == 0
@@ -448,7 +438,6 @@ mod tests {
                 assert_eq!(bank.peek(q), row[q].peek().copied());
                 assert_eq!(bank.pop(q), row[q].pop());
             }
-            assert_eq!(bank.len(q), row[q].len());
             assert_eq!(bank.total(), row.iter().map(Fifo::len).sum::<usize>());
             assert_eq!(
                 bank.occupied(),
@@ -458,7 +447,6 @@ mod tests {
         bank.clear();
         assert_eq!((bank.total(), bank.occupied()), (0, 0));
         assert!((0..queues).all(|q| bank.is_empty(q) && bank.pop(q).is_none()));
-        assert_eq!(bank.queues(), queues);
     }
 
     #[test]
