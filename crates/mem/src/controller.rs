@@ -273,14 +273,16 @@ impl Controller {
                 let mut row_hit = None;
                 for (i, q) in self.queue.iter().enumerate() {
                     let b = &self.banks[q.bank];
-                    if b.next_cas_at > now {
-                        continue;
-                    }
-                    if b.open_row == Some(q.row) && b.hit_streak < cfg.max_hit_streak {
+                    // Row test first: it fails for almost every entry of
+                    // a conflict-bound queue, so the branch predicts.
+                    if b.open_row == Some(q.row)
+                        && b.next_cas_at <= now
+                        && b.hit_streak < cfg.max_hit_streak
+                    {
                         row_hit = Some(i);
                         break;
                     }
-                    if first_ready.is_none() && b.next_act_at <= now {
+                    if first_ready.is_none() && ready(b) {
                         first_ready = Some(i);
                     }
                 }
