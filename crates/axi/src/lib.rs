@@ -68,6 +68,42 @@ impl ElemSize {
         BUS_BYTES / self.bytes()
     }
 
+    /// Reads element `k` of a densely packed little-endian array (bytes
+    /// `k × width .. (k + 1) × width`), zero-extended to 64 bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if element `k` does not lie inside `bytes`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nmpic_axi::ElemSize;
+    /// let mut block = [0u8; 64];
+    /// ElemSize::B4.write(&mut block, 3, 0xAABB_CCDD_EEFF);
+    /// assert_eq!(ElemSize::B4.read(&block, 3), 0xCCDD_EEFF, "low 4 bytes kept");
+    /// assert_eq!(ElemSize::B2.read(&block, 6), 0xEEFF);
+    /// ```
+    #[inline]
+    pub fn read(self, bytes: &[u8], k: usize) -> u64 {
+        let w = self.bytes();
+        let mut buf = [0u8; 8];
+        buf[..w].copy_from_slice(&bytes[k * w..(k + 1) * w]);
+        u64::from_le_bytes(buf)
+    }
+
+    /// Writes the low `width` bytes of `value` as element `k` of a densely
+    /// packed little-endian array, leaving every other byte untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if element `k` does not lie inside `bytes`.
+    #[inline]
+    pub fn write(self, bytes: &mut [u8], k: usize, value: u64) {
+        let w = self.bytes();
+        bytes[k * w..(k + 1) * w].copy_from_slice(&value.to_le_bytes()[..w]);
+    }
+
     /// Constructs from a byte width.
     ///
     /// # Errors
@@ -236,10 +272,7 @@ impl Beat {
     /// Panics if `i >= self.elems`.
     pub fn element(&self, i: usize) -> u64 {
         assert!(i < self.elems, "element index {i} out of {}", self.elems);
-        let w = self.elem_size.bytes();
-        let mut buf = [0u8; 8];
-        buf[..w].copy_from_slice(&self.data[i * w..(i + 1) * w]);
-        u64::from_le_bytes(buf)
+        self.elem_size.read(&self.data, i)
     }
 
     /// Iterates over the valid elements as bit patterns.
@@ -326,12 +359,9 @@ impl Packer {
     }
 
     fn emit(&mut self, n: usize) -> Beat {
-        let w = self.elem_size.bytes();
         let mut data = [0u8; BUS_BYTES];
-        for i in 0..n {
-            // nmpic-lint: allow(L2) — invariant: callers size n by pending.len(), so the queue cannot run dry mid-beat
-            let v = self.pending.pop_front().expect("n <= pending");
-            data[i * w..(i + 1) * w].copy_from_slice(&v.to_le_bytes()[..w]);
+        for (i, v) in self.pending.drain(..n).enumerate() {
+            self.elem_size.write(&mut data, i, v);
         }
         self.beats_emitted += 1;
         Beat {
@@ -521,6 +551,29 @@ mod tests {
         assert!(p.flush().is_none());
         assert_eq!(p.beats_emitted(), 8); // 64 elems / 8 per beat — fully dense
         assert_eq!(p.elems_packed(), 64);
+    }
+
+    /// Every width reads back what it wrote at every position of a 64 B
+    /// block, keeps only its low bytes, and leaves its neighbours alone.
+    #[test]
+    fn elem_codec_roundtrips_every_width_and_position() {
+        for size in [ElemSize::B1, ElemSize::B2, ElemSize::B4, ElemSize::B8] {
+            let w = size.bytes();
+            for k in 0..BUS_BYTES / w {
+                let mut block = [0xA5u8; BUS_BYTES];
+                size.write(&mut block, k, 0x0102_0304_0506_0708);
+                let want = 0x0102_0304_0506_0708u64 & (u64::MAX >> (64 - 8 * w));
+                assert_eq!(size.read(&block, k), want, "{size} element {k}");
+                let mut outside = (0..BUS_BYTES).filter(|b| !(k * w..(k + 1) * w).contains(b));
+                assert!(outside.all(|b| block[b] == 0xA5), "{size} element {k}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn elem_codec_read_past_the_end_panics() {
+        let _ = ElemSize::B8.read(&[0u8; BUS_BYTES], BUS_BYTES / 8);
     }
 
     #[test]

@@ -62,6 +62,7 @@
 //! [`CoalescerStats::slots_examined`] counts every window slot these
 //! stages look at, so the proportionality is checkable without a clock.
 
+use nmpic_axi::ElemSize;
 use nmpic_mem::{block_addr, block_offset, Block, BLOCK_BYTES};
 use nmpic_sim::{Cycle, Fifo, FifoBank};
 
@@ -185,7 +186,7 @@ pub struct Coalescer {
     window: usize,
     ports: usize,
     group: usize,
-    elem_bytes: usize,
+    elem_size: ElemSize,
     regulator_timeout: u32,
     watchdog_timeout: u32,
     cross_window: bool,
@@ -257,7 +258,7 @@ impl Coalescer {
             window,
             ports,
             group: window / ports,
-            elem_bytes: cfg.elem_size.bytes(),
+            elem_size: cfg.elem_size,
             regulator_timeout: cfg.regulator_timeout,
             watchdog_timeout: cfg.watchdog_timeout,
             cross_window: cfg.cross_window,
@@ -453,7 +454,7 @@ impl Coalescer {
                     continue;
                 };
                 // nmpic-lint: allow(L1) — in range: block offsets are below BLOCK_BYTES (64), so the lane offset fits 8 bits
-                let offset = (block_offset(req.addr) / self.elem_bytes) as u8;
+                let offset = (block_offset(req.addr) / self.elem_size.bytes()) as u8;
                 self.win_entry[w] = OffsetEntry {
                     offset,
                     seq: req.seq,
@@ -627,8 +628,7 @@ impl Coalescer {
     /// space in both queues.
     fn issue(&mut self, tag: u64) {
         self.hitmap_q.push(&mut self.hitmap, true);
-        // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-        self.wide_out.try_push(tag).expect("caller checked space");
+        self.wide_out.push(tag);
         self.tag = None;
         self.tag_chain = NONE;
         self.hit_count = 0;
@@ -677,14 +677,12 @@ impl Coalescer {
                 .pop(w)
                 // nmpic-lint: allow(L2) — invariant: an offset is enqueued for every accepted request, in the same order
                 .expect("offset pushed at accept time");
-            let lo = off.offset as usize * self.elem_bytes;
-            let mut buf = [0u8; 8];
-            buf[..self.elem_bytes].copy_from_slice(&resp[lo..lo + self.elem_bytes]);
+            let value = self.elem_size.read(resp, off.offset as usize);
             self.elem_q.push(
                 w,
                 ElemOut {
                     seq: off.seq,
-                    value: u64::from_le_bytes(buf),
+                    value,
                 },
             );
         }

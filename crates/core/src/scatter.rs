@@ -10,21 +10,20 @@
 //! stream-order write coalescing into byte-masked wide accesses, with the
 //! parallel write window left as future work).
 //!
-//! The unit shares the gather unit's index-fetch machinery conceptually:
-//! wide index reads, credit-throttled, split into an index queue; each
+//! The unit fetches its index array through the gather unit's block
+//! reader (`unit::BlockReader`): wide index reads, credit-throttled by the
+//! index queue, each block's indices pushed whole into that queue. Each
 //! index is paired in stream order with the next upstream data element;
 //! consecutive narrow writes to the same 64 B block merge into one masked
 //! wide write (a *write warp*), with write-after-write order preserved by
 //! issuing warps in stream order.
-
-use std::collections::VecDeque;
 
 use nmpic_axi::{Beat, ElemSize, Packer};
 use nmpic_mem::{block_addr, block_offset, Block, ChannelPort, WideRequest, BLOCK_BYTES};
 use nmpic_sim::{Cycle, Fifo, SimClock};
 
 use crate::config::AdapterConfig;
-use crate::unit::{burst_cycle_budget, BeginError};
+use crate::unit::{burst_cycle_budget, check_width, BeginError, BlockReader};
 
 /// Routing tag for scatter index-fetch wide reads.
 const TAG_SCATTER_IDX: u64 = 4;
@@ -69,13 +68,30 @@ impl ScatterStats {
     }
 }
 
-/// The write-coalescing CSHR: an open block accumulating narrow writes.
+/// The write-coalescing CSHR: a block accumulating narrow writes, open
+/// while `merged > 0`.
 #[derive(Debug, Clone)]
 struct WriteWarp {
     tag: u64,
     data: Block,
     mask: u64,
     merged: u64,
+}
+
+impl WriteWarp {
+    const CLOSED: Self = Self {
+        tag: 0,
+        data: [0; BLOCK_BYTES],
+        mask: 0,
+        merged: 0,
+    };
+
+    /// Merges a narrow write of `size` at byte `lo` of the block.
+    fn write(&mut self, lo: usize, value: u64, size: ElemSize) {
+        size.write(&mut self.data[lo..], 0, value);
+        self.mask |= ((1 << size.bytes()) - 1) << lo;
+        self.merged += 1;
+    }
 }
 
 /// One arbiter source: a request queue plus the slot that holds its head
@@ -96,16 +112,12 @@ impl ReqSource {
         }
     }
 
-    fn len(&self) -> usize {
-        self.q.len() + usize::from(self.held.is_some())
-    }
-
     fn is_full(&self) -> bool {
-        self.len() >= self.q.capacity()
+        self.q.len() + usize::from(self.held.is_some()) >= self.q.capacity()
     }
 
     fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.q.is_empty() && self.held.is_none()
     }
 
     fn clear(&mut self) {
@@ -115,8 +127,7 @@ impl ReqSource {
 
     /// Queues a request; the caller has checked [`ReqSource::is_full`].
     fn push(&mut self, req: WideRequest) {
-        // nmpic-lint: allow(L2) — invariant: the caller checked fullness of this source this cycle
-        self.q.try_push(req).expect("checked not full");
+        self.q.push(req);
     }
 
     /// Offers the oldest request to the channel; `true` if it was taken.
@@ -168,26 +179,21 @@ pub struct ScatterUnit {
     cfg: AdapterConfig,
     active: bool,
     elem_base: u64,
-    elem_bytes: usize,
+    elem_size: ElemSize,
 
     // Index fetch.
-    idx_next_block: u64,
-    idx_blocks_left: u64,
-    idx_elems_left: u64,
-    idx_cursor: u64,
+    reader: BlockReader,
     idx_outstanding: usize,
     idx_req_q: ReqSource,
-    idx_block_meta: VecDeque<(usize, usize)>,
-    idx_staging: VecDeque<Block>,
-    idx_q: Fifo<u32>,
+    idx_q: Fifo<u64>,
 
-    // Upstream data.
+    // Upstream data. A unit runs one burst between resets, so
+    // `stats.elements_in` counts the burst's elements accepted so far.
     data_q: Fifo<u64>,
-    accepted: u64,
     target: u64,
 
     // Write coalescing.
-    warp: Option<WriteWarp>,
+    warp: WriteWarp,
     warp_idle: u32,
     write_q: ReqSource,
     written: u64,
@@ -208,20 +214,14 @@ impl ScatterUnit {
         Self {
             active: false,
             elem_base: 0,
-            elem_bytes: cfg.elem_size.bytes(),
-            idx_next_block: 0,
-            idx_blocks_left: 0,
-            idx_elems_left: 0,
-            idx_cursor: 0,
+            elem_size: cfg.elem_size,
+            reader: BlockReader::new(),
             idx_outstanding: 0,
             idx_req_q: ReqSource::new("sc_idx_req", 2),
-            idx_block_meta: VecDeque::new(),
-            idx_staging: VecDeque::new(),
             idx_q: Fifo::new("sc_idx_q", depth),
             data_q: Fifo::new("sc_data_q", 64),
-            accepted: 0,
             target: 0,
-            warp: None,
+            warp: WriteWarp::CLOSED,
             warp_idle: 0,
             write_q: ReqSource::new("sc_write_q", 4),
             written: 0,
@@ -246,8 +246,7 @@ impl ScatterUnit {
     /// Panics if writes from the current burst are still in flight.
     pub fn reset(&mut self) {
         assert!(
-            !self.active
-                || (self.written == self.target && self.warp.is_none() && self.write_q.is_empty()),
+            !self.active || self.is_drained(),
             "reset with writes in flight"
         );
         // Every field by name, so a new one cannot be forgotten here.
@@ -255,18 +254,12 @@ impl ScatterUnit {
             cfg,
             active,
             elem_base,
-            elem_bytes,
-            idx_next_block,
-            idx_blocks_left,
-            idx_elems_left,
-            idx_cursor,
+            elem_size,
+            reader,
             idx_outstanding,
             idx_req_q,
-            idx_block_meta,
-            idx_staging,
             idx_q,
             data_q,
-            accepted,
             target,
             warp,
             warp_idle,
@@ -275,26 +268,15 @@ impl ScatterUnit {
             arb_toggle,
             stats,
         } = self;
-        *active = false;
-        *elem_base = 0;
-        *elem_bytes = cfg.elem_size.bytes();
-        (
-            *idx_next_block,
-            *idx_blocks_left,
-            *idx_elems_left,
-            *idx_cursor,
-        ) = (0, 0, 0, 0);
-        *idx_outstanding = 0;
+        (*active, *arb_toggle, *warp) = (false, false, WriteWarp::CLOSED);
+        (*elem_base, *target, *written) = (0, 0, 0);
+        (*idx_outstanding, *warp_idle) = (0, 0);
+        *elem_size = cfg.elem_size;
+        reader.clear();
         idx_req_q.clear();
-        idx_block_meta.clear();
-        idx_staging.clear();
         idx_q.clear();
         data_q.clear();
-        (*accepted, *target, *written) = (0, 0, 0);
-        *warp = None;
-        *warp_idle = 0;
         write_q.clear();
-        *arb_toggle = false;
         *stats = ScatterStats::default();
     }
 
@@ -303,7 +285,9 @@ impl ScatterUnit {
     /// # Errors
     ///
     /// [`BeginError::Busy`] while a burst is draining;
-    /// [`BeginError::EmptyBurst`] for zero elements.
+    /// [`BeginError::EmptyBurst`] for zero elements;
+    /// [`BeginError::WidthMismatch`] when the index width is not the
+    /// configured one.
     pub fn begin(&mut self, req: ScatterRequest) -> Result<(), BeginError> {
         if self.active {
             return Err(BeginError::Busy);
@@ -311,17 +295,9 @@ impl ScatterUnit {
         if req.count == 0 {
             return Err(BeginError::EmptyBurst);
         }
-        let idx_bytes = req.idx_size.bytes() as u64;
-        let first = block_addr(req.idx_base);
-        let last = block_addr(req.idx_base + req.count * idx_bytes - 1);
-        self.idx_next_block = first;
-        self.idx_blocks_left = (last - first) / BLOCK_BYTES as u64 + 1;
-        self.idx_elems_left = req.count;
-        self.idx_cursor = (req.idx_base - first) / idx_bytes;
-        self.elem_base = req.elem_base;
-        self.elem_bytes = req.elem_size.bytes();
-        self.accepted = 0;
-        self.written = 0;
+        check_width("index", self.cfg.idx_size, req.idx_size)?;
+        self.reader.begin(req.idx_base, req.count, req.idx_size);
+        (self.elem_base, self.elem_size) = (req.elem_base, req.elem_size);
         self.target = req.count;
         self.active = true;
         Ok(())
@@ -330,15 +306,14 @@ impl ScatterUnit {
     /// Accepts one upstream beat of packed write data; returns `false`
     /// (and consumes nothing) if the data queue cannot hold it.
     pub fn push_beat(&mut self, beat: &Beat) -> bool {
-        if self.data_q.free() < beat.elems || self.accepted + (beat.elems as u64) > self.target {
+        let elems = beat.elems as u64;
+        if self.data_q.free() < beat.elems || self.stats.elements_in + elems > self.target {
             return false;
         }
         for v in beat.elements() {
-            // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-            self.data_q.try_push(v).expect("checked space");
+            self.data_q.push(v);
         }
-        self.accepted += beat.elems as u64;
-        self.stats.elements_in += beat.elems as u64;
+        self.stats.elements_in += elems;
         true
     }
 
@@ -350,11 +325,12 @@ impl ScatterUnit {
     /// `true` once every element has been written to the channel and the
     /// channel itself has drained.
     pub fn is_done(&self, chan: &dyn ChannelPort) -> bool {
-        self.active
-            && self.written == self.target
-            && self.warp.is_none()
-            && self.write_q.is_empty()
-            && chan.is_idle()
+        self.active && self.is_drained() && chan.is_idle()
+    }
+
+    /// Every element of the burst has left the unit.
+    fn is_drained(&self) -> bool {
+        self.written == self.target && self.warp.merged == 0 && self.write_q.is_empty()
     }
 
     /// Runs one whole scatter burst against `chan` from cycle 0, playing
@@ -386,20 +362,15 @@ impl ScatterUnit {
         self.begin(req)?;
         let per_beat = req.elem_size.per_beat();
         let mut packer = Packer::new(req.elem_size);
-        let mut pending = values.into_iter();
-        let mut exhausted = false;
+        let mut pending = values.into_iter().fuse();
         let mut staged = None;
         while !self.is_done(&*chan) {
             if staged.is_none() {
-                while packer.pending() < per_beat && !exhausted {
-                    match pending.next() {
-                        Some(bits) => packer.push(bits),
-                        None => exhausted = true,
-                    }
+                // A short fill means the stream has ended: flush the tail.
+                for bits in pending.by_ref().take(per_beat - packer.pending()) {
+                    packer.push(bits);
                 }
-                staged = packer
-                    .pop_beat()
-                    .or_else(|| if exhausted { packer.flush() } else { None });
+                staged = packer.pop_beat().or_else(|| packer.flush());
             }
             if let Some(beat) = staged.take() {
                 if !self.push_beat(&beat) {
@@ -418,18 +389,14 @@ impl ScatterUnit {
         if !self.active {
             return;
         }
-        self.route_responses(now, chan);
+        while let Some(resp) = chan.pop_response(now) {
+            debug_assert_eq!(resp.tag, TAG_SCATTER_IDX);
+            self.reader.arrive(resp.data);
+        }
         self.tick_merge();
         self.tick_splitter();
         self.tick_fetcher();
         self.tick_arbiter(now, chan);
-    }
-
-    fn route_responses(&mut self, now: Cycle, chan: &mut dyn ChannelPort) {
-        while let Some(resp) = chan.pop_response(now) {
-            debug_assert_eq!(resp.tag, TAG_SCATTER_IDX);
-            self.idx_staging.push_back(resp.data);
-        }
     }
 
     /// Pairs indices with data in stream order and merges consecutive
@@ -438,157 +405,85 @@ impl ScatterUnit {
     fn tick_merge(&mut self) {
         // Flush the open warp when a conflicting write arrives, when it
         // has idled past the watchdog timeout, or at stream end.
-        let next = match (self.idx_q.peek(), self.data_q.peek()) {
-            (Some(&idx), Some(&val)) => Some((idx, val)),
-            _ => None,
+        let (Some(&idx), Some(&val)) = (self.idx_q.peek(), self.data_q.peek()) else {
+            if self.warp.merged > 0 {
+                self.warp_idle += 1;
+                let drained = self.written + self.warp.merged == self.target;
+                if drained || self.warp_idle > self.cfg.watchdog_timeout {
+                    self.flush_warp();
+                }
+            }
+            return;
         };
-        match next {
-            Some((idx, val)) => {
-                self.warp_idle = 0;
-                let addr = self.elem_base + idx as u64 * self.elem_bytes as u64;
-                let tag = block_addr(addr);
-                let lo = block_offset(addr);
-                match self.warp.as_mut() {
-                    Some(w) if w.tag == tag => {
-                        write_into(&mut w.data, &mut w.mask, lo, val, self.elem_bytes);
-                        w.merged += 1;
-                        self.stats.writes_coalesced += 1;
-                        self.consume();
-                    }
-                    Some(_) => {
-                        // Conflict: flush first (needs queue space).
-                        if self.flush_warp() {
-                            let mut data = [0u8; BLOCK_BYTES];
-                            let mut mask = 0u64;
-                            write_into(&mut data, &mut mask, lo, val, self.elem_bytes);
-                            self.warp = Some(WriteWarp {
-                                tag,
-                                data,
-                                mask,
-                                merged: 1,
-                            });
-                            self.consume();
-                        }
-                    }
-                    None => {
-                        let mut data = [0u8; BLOCK_BYTES];
-                        let mut mask = 0u64;
-                        write_into(&mut data, &mut mask, lo, val, self.elem_bytes);
-                        self.warp = Some(WriteWarp {
-                            tag,
-                            data,
-                            mask,
-                            merged: 1,
-                        });
-                        self.consume();
-                    }
-                }
-            }
-            None => {
-                if self.warp.is_some() {
-                    self.warp_idle += 1;
-                    let drained = self.written + self.warp_elems() == self.target;
-                    if drained || self.warp_idle > self.cfg.watchdog_timeout {
-                        self.flush_warp();
-                    }
-                }
-            }
+        self.warp_idle = 0;
+        let addr = self.elem_base + idx * self.elem_size.bytes() as u64;
+        let tag = block_addr(addr);
+        if self.warp.merged > 0 && self.warp.tag != tag && !self.flush_warp() {
+            return; // a conflict waits for write-queue space
         }
-    }
-
-    fn warp_elems(&self) -> u64 {
-        self.warp.as_ref().map_or(0, |w| w.merged)
-    }
-
-    fn consume(&mut self) {
+        self.stats.writes_coalesced += u64::from(self.warp.merged > 0);
+        self.warp.tag = tag;
+        self.warp.write(block_offset(addr), val, self.elem_size);
         self.idx_q.pop();
         self.data_q.pop();
         self.idx_outstanding -= 1;
     }
 
+    /// Queues the open warp's masked write and closes it; `false` when the
+    /// write queue is full.
     fn flush_warp(&mut self) -> bool {
-        let Some(w) = self.warp.as_ref() else {
-            return true;
-        };
         if self.write_q.is_full() {
             return false;
         }
-        let req = WideRequest::write_masked(w.tag, 0, w.data, w.mask);
-        let merged = w.merged;
-        self.write_q.push(req);
+        let w = &self.warp;
+        self.write_q
+            .push(WideRequest::write_masked(w.tag, 0, w.data, w.mask));
         self.stats.wide_writes += 1;
-        self.written += merged;
-        self.warp = None;
+        self.written += w.merged;
+        self.warp = WriteWarp::CLOSED;
         self.warp_idle = 0;
         true
     }
 
+    /// Pushes the oldest arrived index block whole into the index queue
+    /// (simple, and the queue is deep).
     fn tick_splitter(&mut self) {
-        let Some(block) = self.idx_staging.front() else {
-            return;
-        };
-        // nmpic-lint: allow(L2) — invariant: a meta record is enqueued with every issued block request, in order
-        let (start, cnt) = *self.idx_block_meta.front().expect("meta pushed at issue");
-        if self.idx_q.free() < cnt {
-            return; // whole-block push keeps this simple; queue is deep
+        let idx_q = &mut self.idx_q;
+        if self.reader.front_len().is_some_and(|n| n <= idx_q.free()) {
+            self.reader.drain_front(|idx| {
+                idx_q.push(idx);
+                true
+            });
         }
-        let idx_bytes = self.cfg.idx_size.bytes();
-        for k in 0..cnt {
-            let lo = (start + k) * idx_bytes;
-            let mut buf = [0u8; 4];
-            buf.copy_from_slice(&block[lo..lo + idx_bytes.min(4)]);
-            self.idx_q
-                .try_push(u32::from_le_bytes(buf))
-                // nmpic-lint: allow(L2) — invariant: the caller checked free space on this queue this cycle
-                .expect("checked space");
-        }
-        self.idx_staging.pop_front();
-        self.idx_block_meta.pop_front();
     }
 
+    /// One wide index read per cycle, credit-limited by index-queue
+    /// capacity.
     fn tick_fetcher(&mut self) {
-        if self.idx_blocks_left == 0 || self.idx_req_q.is_full() {
+        let Some(len) = self.reader.next_len() else {
+            return;
+        };
+        if self.idx_req_q.is_full() || self.idx_outstanding + len > self.idx_q.capacity() {
             return;
         }
-        let idx_per_block = BLOCK_BYTES / self.cfg.idx_size.bytes();
-        let start = self.idx_cursor as usize;
-        let cnt = ((idx_per_block - start) as u64).min(self.idx_elems_left) as usize;
-        if self.idx_outstanding + cnt > self.idx_q.capacity() {
-            return;
-        }
-        self.idx_req_q
-            .push(WideRequest::read(self.idx_next_block, TAG_SCATTER_IDX));
-        self.idx_block_meta.push_back((start, cnt));
-        self.idx_outstanding += cnt;
-        self.idx_next_block += BLOCK_BYTES as u64;
-        self.idx_blocks_left -= 1;
-        self.idx_elems_left -= cnt as u64;
-        self.idx_cursor = 0;
+        self.idx_outstanding += len;
+        self.idx_req_q.push(self.reader.issue(len, TAG_SCATTER_IDX));
         self.stats.idx_wide_reads += 1;
     }
 
     fn tick_arbiter(&mut self, now: Cycle, chan: &mut dyn ChannelPort) {
         // Round-robin between index reads and write warps, one per cycle;
         // a refused source does not block the other one this cycle.
-        let first_writes = self.arb_toggle;
+        let mut order = [&mut self.idx_req_q, &mut self.write_q];
+        if self.arb_toggle {
+            order.swap(0, 1);
+        }
         self.arb_toggle = !self.arb_toggle;
-        for is_write in [first_writes, !first_writes] {
-            let src = if is_write {
-                &mut self.write_q
-            } else {
-                &mut self.idx_req_q
-            };
+        for src in order {
             if src.offer(now, chan) {
                 return;
             }
         }
-    }
-}
-
-fn write_into(block: &mut Block, mask: &mut u64, lo: usize, value: u64, bytes: usize) {
-    block[lo..lo + bytes].copy_from_slice(&value.to_le_bytes()[..bytes]);
-    for b in lo..lo + bytes {
-        *mask |= 1 << b;
     }
 }
 

@@ -1,36 +1,26 @@
 //! DRAM request arbiter: round-robin among {index fetch, element fetch,
 //! contiguous fetch}, one wide request per cycle to the channel.
 
-use nmpic_mem::{ChannelPort, WideRequest};
+use nmpic_mem::ChannelPort;
 use nmpic_sim::Cycle;
 
-use crate::config::CoalescerMode;
-
-use super::{IndirectStreamUnit, TAG_ELEM};
+use super::IndirectStreamUnit;
 
 impl IndirectStreamUnit {
     /// Round-robin arbiter: one wide request per cycle to the channel,
     /// among {index fetch, element fetch, contiguous fetch}.
     pub(super) fn tick_arbiter(&mut self, now: Cycle, chan: &mut dyn ChannelPort) {
         if self.held_req.is_none() {
-            // Stage a coalescer wide request into the common slot first.
-            if self.coal_held.is_none() {
-                if let Some(coal) = self.coal.as_mut() {
-                    self.coal_held = coal.pop_wide_request();
-                }
-            }
+            self.path.stage_request();
             // Round-robin over the three sources.
             for i in 0..3 {
                 let src = (self.arb_rr + i) % 3;
                 let req = match src {
                     0 => self.idx_req_q.pop(),
-                    1 => match self.cfg.mode {
-                        CoalescerMode::None => self.nocoal_req_q.pop(),
-                        _ => self.coal_held.take().map(|blk| {
-                            self.stats.elem_wide_reads += 1;
-                            WideRequest::read(blk, TAG_ELEM)
-                        }),
-                    },
+                    1 => self
+                        .path
+                        .pop_request()
+                        .inspect(|_| self.stats.elem_wide_reads += 1),
                     _ => self.contig_req_q.pop(),
                 };
                 if let Some(req) = req {

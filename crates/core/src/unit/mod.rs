@@ -12,12 +12,17 @@
 //!    narrow element requests (`elem_base + idx × elem_size`);
 //! 4. the **request coalescer** merges them into wide DRAM accesses
 //!    ([`crate::Coalescer`]); in `MLPnc` each request issues its own wide
-//!    access instead;
+//!    access instead — the element path is fixed when the unit is built;
 //! 5. the **element packer** restores stream order and packs elements
 //!    densely into 512 b beats.
 //!
-//! Contiguous and strided bursts reuse the same downstream machinery
-//! (strided requests feed the coalescer directly, with no index fetch).
+//! Index and contiguous-burst fetches go through one block reader
+//! (`fetcher.rs`): a cursor over the 64 B blocks covering a packed array,
+//! which the scatter unit also reads its indices with. A contiguous burst
+//! streams its blocks straight into the packer; strided requests feed the
+//! element path directly. Index and element widths come from the
+//! [`AdapterConfig`] alone: `begin` rejects indirect and strided bursts of
+//! other widths, while contiguous bursts may use any.
 
 mod arbiter;
 mod fetcher;
@@ -28,15 +33,15 @@ mod splitter;
 #[cfg(test)]
 mod tests;
 
-use std::collections::VecDeque;
-
 use nmpic_axi::{Beat, ElemSize, PackRequest, Packer};
-use nmpic_mem::{block_addr, Block, ChannelPort, WideRequest, BLOCK_BYTES};
+use nmpic_mem::{ChannelPort, WideRequest, BLOCK_BYTES};
 use nmpic_sim::{Cycle, Fifo, FifoBank, SimClock};
 
-use crate::coalescer::{Coalescer, CoalescerStats};
-use crate::config::{AdapterConfig, CoalescerMode};
-use crate::request::ElemOut;
+use crate::coalescer::CoalescerStats;
+use crate::config::AdapterConfig;
+
+pub(crate) use fetcher::BlockReader;
+use reqgen::ElemPath;
 
 /// Routing tag for index-fetch wide reads.
 const TAG_IDX: u64 = 1;
@@ -53,13 +58,41 @@ pub(crate) fn burst_cycle_budget(count: u64) -> Cycle {
     200_000 + count * 256
 }
 
-/// Error returned by [`IndirectStreamUnit::begin`].
+/// Error returned by [`IndirectStreamUnit::begin`] and
+/// [`crate::ScatterUnit::begin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BeginError {
     /// A burst is still in flight; wait for [`IndirectStreamUnit::is_done`].
     Busy,
     /// The burst geometry is invalid (zero elements).
     EmptyBurst,
+    /// The request's index or element width differs from the one the
+    /// unit's [`AdapterConfig`] fixes (contiguous bursts may use any
+    /// width).
+    WidthMismatch {
+        /// `"index"` or `"element"`.
+        what: &'static str,
+        /// The width in the unit's configuration.
+        expected: ElemSize,
+        /// The width in the request.
+        requested: ElemSize,
+    },
+}
+
+/// `Ok` when a request's `what` width is the configured one.
+pub(crate) fn check_width(
+    what: &'static str,
+    expected: ElemSize,
+    requested: ElemSize,
+) -> Result<(), BeginError> {
+    if expected == requested {
+        return Ok(());
+    }
+    Err(BeginError::WidthMismatch {
+        what,
+        expected,
+        requested,
+    })
 }
 
 impl std::fmt::Display for BeginError {
@@ -67,6 +100,14 @@ impl std::fmt::Display for BeginError {
         match self {
             BeginError::Busy => write!(f, "a burst is already in flight"),
             BeginError::EmptyBurst => write!(f, "burst describes zero elements"),
+            BeginError::WidthMismatch {
+                what,
+                expected,
+                requested,
+            } => write!(
+                f,
+                "{what} width {requested} differs from the unit's configured {expected}"
+            ),
         }
     }
 }
@@ -113,24 +154,6 @@ impl AdapterStats {
     }
 }
 
-#[derive(Debug)]
-enum ActiveBurst {
-    Indirect {
-        elem_base: u64,
-        elem_size: ElemSize,
-    },
-    Contiguous {
-        elem_size: ElemSize,
-    },
-    Strided {
-        base: u64,
-        stride: u64,
-        elem_size: ElemSize,
-        count: u64,
-        next: u64,
-    },
-}
-
 /// The AXI-Pack adapter's indirect stream unit.
 ///
 /// [`IndirectStreamUnit::run_burst`] runs one whole burst against a DRAM
@@ -169,44 +192,25 @@ enum ActiveBurst {
 #[derive(Debug)]
 pub struct IndirectStreamUnit {
     cfg: AdapterConfig,
-    burst: Option<ActiveBurst>,
-    burst_target: u64,
-    burst_delivered: u64,
+    burst: Option<PackRequest>,
+    /// `stats.elements_delivered` once the current burst is complete.
+    burst_end: u64,
 
-    // Index fetcher.
-    idx_next_block: u64,
-    idx_blocks_left: u64,
-    idx_elems_left: u64,
-    idx_cursor: u64,
+    // Index fetcher and contiguous fetch: one block reader, a request
+    // queue each.
+    reader: BlockReader,
     idx_outstanding: usize,
     idx_req_q: Fifo<WideRequest>,
-    idx_block_meta: VecDeque<(usize, usize)>,
-    idx_staging: VecDeque<Block>,
+    contig_req_q: Fifo<WideRequest>,
 
     // Index splitter.
-    split_cur: Option<(Block, usize, usize)>,
     next_split_seq: u64,
-    lane_q: FifoBank<(u64, u32)>,
+    lane_q: FifoBank<(u64, u64)>,
 
-    // Element request generation.
+    // Element request generation and the element path.
     next_gen_seq: u64,
-
-    // Coalesced path.
-    coal: Option<Coalescer>,
-    coal_held: Option<u64>,
-    elem_staging: VecDeque<Block>,
-
-    // Non-coalesced (MLPnc) path.
-    nocoal_meta: VecDeque<(u64, u8)>,
-    nocoal_req_q: Fifo<WideRequest>,
-    nocoal_outstanding: usize,
-    nocoal_out: Fifo<ElemOut>,
-
-    // Contiguous path.
-    contig_req_q: Fifo<WideRequest>,
-    contig_block_meta: VecDeque<(usize, usize)>,
-    contig_staging: VecDeque<Block>,
-    contig_outstanding: usize,
+    strided_next: u64,
+    path: ElemPath,
 
     // Element packer.
     next_pack_seq: u64,
@@ -228,38 +232,20 @@ impl IndirectStreamUnit {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: AdapterConfig) -> Self {
         cfg.assert_valid();
-        let lanes = cfg.lanes;
-        let coal = (cfg.mode != CoalescerMode::None).then(|| Coalescer::new(&cfg));
-        let elem_size = cfg.elem_size;
         Self {
             burst: None,
-            burst_target: 0,
-            burst_delivered: 0,
-            idx_next_block: 0,
-            idx_blocks_left: 0,
-            idx_elems_left: 0,
-            idx_cursor: 0,
+            burst_end: 0,
+            reader: BlockReader::new(),
             idx_outstanding: 0,
             idx_req_q: Fifo::new("idx_req_q", 2),
-            idx_block_meta: VecDeque::new(),
-            idx_staging: VecDeque::new(),
-            split_cur: None,
-            next_split_seq: 0,
-            lane_q: FifoBank::new("lane_idx_q", lanes, cfg.idx_queue_depth),
-            next_gen_seq: 0,
-            coal,
-            coal_held: None,
-            elem_staging: VecDeque::new(),
-            nocoal_meta: VecDeque::new(),
-            nocoal_req_q: Fifo::new("nocoal_req_q", 4),
-            nocoal_outstanding: 0,
-            nocoal_out: Fifo::new("nocoal_out", 4),
             contig_req_q: Fifo::new("contig_req_q", 2),
-            contig_block_meta: VecDeque::new(),
-            contig_staging: VecDeque::new(),
-            contig_outstanding: 0,
+            next_split_seq: 0,
+            lane_q: FifoBank::new("lane_idx_q", cfg.lanes, cfg.idx_queue_depth),
+            next_gen_seq: 0,
+            strided_next: 0,
+            path: ElemPath::new(&cfg),
             next_pack_seq: 0,
-            packer: Packer::new(elem_size),
+            packer: Packer::new(cfg.elem_size),
             beats: Fifo::new("beats", 2),
             arb_rr: 0,
             held_req: None,
@@ -280,7 +266,7 @@ impl IndirectStreamUnit {
 
     /// Coalescer statistics, when a coalescer is present.
     pub fn coalescer_stats(&self) -> Option<CoalescerStats> {
-        self.coal.as_ref().map(Coalescer::stats)
+        self.path.coalescer_stats()
     }
 
     /// Starts a new AXI-Pack burst.
@@ -288,77 +274,47 @@ impl IndirectStreamUnit {
     /// # Errors
     ///
     /// [`BeginError::Busy`] if the previous burst has not drained;
-    /// [`BeginError::EmptyBurst`] for zero-element bursts.
+    /// [`BeginError::EmptyBurst`] for zero-element bursts;
+    /// [`BeginError::WidthMismatch`] for an indirect or strided burst whose
+    /// index or element width is not the configured one.
     pub fn begin(&mut self, req: PackRequest) -> Result<(), BeginError> {
-        if !self.is_done_internal() {
+        if !self.is_done() {
             return Err(BeginError::Busy);
         }
         if req.count() == 0 {
             return Err(BeginError::EmptyBurst);
         }
-        self.burst_target = req.count();
-        self.burst_delivered = 0;
+        if !matches!(req, PackRequest::Contiguous { .. }) {
+            check_width("element", self.cfg.elem_size, req.elem_size())?;
+        }
+        match req {
+            PackRequest::Indirect {
+                idx_base, idx_size, ..
+            } => {
+                check_width("index", self.cfg.idx_size, idx_size)?;
+                self.reader.begin(idx_base, req.count(), idx_size);
+            }
+            PackRequest::Contiguous { base, .. } => {
+                self.reader.begin(base, req.count(), req.elem_size());
+            }
+            PackRequest::Strided { .. } => self.strided_next = 0,
+        }
+        self.burst = Some(req);
+        self.burst_end = self.stats.elements_delivered + req.count();
         // The packer adopts the burst's element width (e.g. 32 b slice
         // pointers vs 64 b values); it is empty here because the previous
         // burst fully drained.
         debug_assert_eq!(self.packer.pending(), 0);
         self.packer = Packer::new(req.elem_size());
-        match req {
-            PackRequest::Indirect {
-                idx_base,
-                idx_size,
-                count,
-                elem_base,
-                elem_size,
-            } => {
-                let idx_bytes = idx_size.bytes() as u64;
-                let first = block_addr(idx_base);
-                let last = block_addr(idx_base + count * idx_bytes - 1);
-                self.idx_next_block = first;
-                self.idx_blocks_left = (last - first) / BLOCK_BYTES as u64 + 1;
-                self.idx_elems_left = count;
-                self.idx_cursor = (idx_base - first) / idx_bytes;
-                self.burst = Some(ActiveBurst::Indirect {
-                    elem_base,
-                    elem_size,
-                });
-            }
-            PackRequest::Contiguous {
-                base,
-                elem_size,
-                count,
-            } => {
-                let e = elem_size.bytes() as u64;
-                let first = block_addr(base);
-                let last = block_addr(base + count * e - 1);
-                self.idx_next_block = first;
-                self.idx_blocks_left = (last - first) / BLOCK_BYTES as u64 + 1;
-                self.idx_elems_left = count;
-                self.idx_cursor = (base - first) / e;
-                self.burst = Some(ActiveBurst::Contiguous { elem_size });
-            }
-            PackRequest::Strided {
-                base,
-                stride,
-                elem_size,
-                count,
-            } => {
-                self.burst = Some(ActiveBurst::Strided {
-                    base,
-                    stride,
-                    elem_size,
-                    count,
-                    next: 0,
-                });
-            }
-        }
         Ok(())
     }
 
     /// `true` when the current burst has fully drained (all elements
     /// packed into beats and all beats consumed).
     pub fn is_done(&self) -> bool {
-        self.is_done_internal()
+        self.stats.elements_delivered == self.burst_end
+            && self.beats.is_empty()
+            && self.packer.pending() == 0
     }
 
     /// Returns the unit to its just-constructed state: idle, zeroed
@@ -371,36 +327,21 @@ impl IndirectStreamUnit {
     ///
     /// Panics if a burst is still in flight.
     pub fn reset(&mut self) {
-        assert!(self.is_done_internal(), "reset with a burst in flight");
+        assert!(self.is_done(), "reset with a burst in flight");
         // Every field by name, so a new one cannot be forgotten here.
         let Self {
             cfg,
             burst,
-            burst_target,
-            burst_delivered,
-            idx_next_block,
-            idx_blocks_left,
-            idx_elems_left,
-            idx_cursor,
+            burst_end,
+            reader,
             idx_outstanding,
             idx_req_q,
-            idx_block_meta,
-            idx_staging,
-            split_cur,
+            contig_req_q,
             next_split_seq,
             lane_q,
             next_gen_seq,
-            coal,
-            coal_held,
-            elem_staging,
-            nocoal_meta,
-            nocoal_req_q,
-            nocoal_outstanding,
-            nocoal_out,
-            contig_req_q,
-            contig_block_meta,
-            contig_staging,
-            contig_outstanding,
+            strided_next,
+            path,
             next_pack_seq,
             packer,
             beats,
@@ -408,47 +349,17 @@ impl IndirectStreamUnit {
             held_req,
             stats,
         } = self;
-        *burst = None;
-        (*burst_target, *burst_delivered) = (0, 0);
-        (
-            *idx_next_block,
-            *idx_blocks_left,
-            *idx_elems_left,
-            *idx_cursor,
-        ) = (0, 0, 0, 0);
-        *idx_outstanding = 0;
+        (*burst, *held_req, *idx_outstanding, *arb_rr) = (None, None, 0, 0);
+        (*burst_end, *next_split_seq, *next_pack_seq) = (0, 0, 0);
+        (*next_gen_seq, *strided_next) = (0, 0);
+        reader.clear();
         idx_req_q.clear();
-        idx_block_meta.clear();
-        idx_staging.clear();
-        *split_cur = None;
-        *next_split_seq = 0;
-        lane_q.clear();
-        *next_gen_seq = 0;
-        if let Some(coal) = coal {
-            coal.reset();
-        }
-        *coal_held = None;
-        elem_staging.clear();
-        nocoal_meta.clear();
-        nocoal_req_q.clear();
-        *nocoal_outstanding = 0;
-        nocoal_out.clear();
         contig_req_q.clear();
-        contig_block_meta.clear();
-        contig_staging.clear();
-        *contig_outstanding = 0;
-        *next_pack_seq = 0;
+        lane_q.clear();
+        path.reset();
         *packer = Packer::new(cfg.elem_size);
         beats.clear();
-        *arb_rr = 0;
-        *held_req = None;
         *stats = AdapterStats::default();
-    }
-
-    fn is_done_internal(&self) -> bool {
-        self.burst_delivered == self.burst_target
-            && self.beats.is_empty()
-            && self.packer.pending() == 0
     }
 
     /// Pops the next packed 512 b beat, if one is ready.
@@ -493,32 +404,20 @@ impl IndirectStreamUnit {
 
     /// Advances the unit by one cycle against the given DRAM channel.
     pub fn tick(&mut self, now: Cycle, chan: &mut dyn ChannelPort) {
-        self.route_responses(now, chan);
+        while let Some(resp) = chan.pop_response(now) {
+            match resp.tag {
+                TAG_IDX | TAG_CONTIG => self.reader.arrive(resp.data),
+                TAG_ELEM => self.path.arrive(resp.data),
+                other => unreachable!("unknown response tag {other}"),
+            }
+        }
         self.tick_packer();
         self.tick_output_pull();
         self.tick_contiguous_responses();
-        if let Some(coal) = self.coal.as_mut() {
-            coal.tick(now);
-        }
-        self.tick_elem_responses();
+        self.path.tick(now);
         self.tick_request_gen();
         self.tick_splitter();
         self.tick_fetcher();
         self.tick_arbiter(now, chan);
-    }
-
-    /// Routes channel read responses into the per-class staging queues.
-    /// Staging occupancy is bounded by the credit/queue limits of each
-    /// request class, so these queues never grow beyond the configured
-    /// outstanding counts.
-    fn route_responses(&mut self, now: Cycle, chan: &mut dyn ChannelPort) {
-        while let Some(resp) = chan.pop_response(now) {
-            match resp.tag {
-                TAG_IDX => self.idx_staging.push_back(resp.data),
-                TAG_ELEM => self.elem_staging.push_back(resp.data),
-                TAG_CONTIG => self.contig_staging.push_back(resp.data),
-                other => unreachable!("unknown response tag {other}"),
-            }
-        }
     }
 }

@@ -1,79 +1,45 @@
-//! Element packer: restores stream order from the coalescer (or the
-//! MLPnc/contiguous paths) and packs elements densely into 512 b beats,
-//! one beat per cycle upstream.
+//! Element packer: restores stream order from the element path (or takes
+//! a contiguous burst's blocks in order) and packs elements densely into
+//! 512 b beats, one beat per cycle upstream.
 
-use crate::config::CoalescerMode;
+use nmpic_axi::PackRequest;
 
-use super::{ActiveBurst, IndirectStreamUnit};
+use super::IndirectStreamUnit;
 
 impl IndirectStreamUnit {
     /// Contiguous responses: extract in-order elements straight into the
     /// packer (budget: one block per cycle).
     pub(super) fn tick_contiguous_responses(&mut self) {
-        let Some(ActiveBurst::Contiguous { elem_size }) = self.burst else {
+        let Some(PackRequest::Contiguous { elem_size, .. }) = self.burst else {
             return;
         };
         if self.packer.pending() >= elem_size.per_beat() {
             return; // let the packer drain first
         }
-        let Some(block) = self.contig_staging.pop_front() else {
-            return;
-        };
-        let (start, cnt) = self
-            .contig_block_meta
-            .pop_front()
-            // nmpic-lint: allow(L2) — invariant: a meta record is enqueued with every issued block request, in order
-            .expect("meta pushed at issue");
-        let e = elem_size.bytes();
-        for k in 0..cnt {
-            let lo = (start + k) * e;
-            let mut buf = [0u8; 8];
-            buf[..e].copy_from_slice(&block[lo..lo + e]);
-            self.packer.push(u64::from_le_bytes(buf));
-            self.burst_delivered += 1;
-            self.stats.elements_delivered += 1;
-            self.stats.payload_bytes += e as u64;
-        }
-        self.contig_outstanding -= 1;
+        let (packer, stats) = (&mut self.packer, &mut self.stats);
+        self.reader.drain_front(|value| {
+            packer.push(value);
+            stats.elements_delivered += 1;
+            stats.payload_bytes += elem_size.bytes() as u64;
+            true
+        });
     }
 
-    /// Pulls coalescer/no-coalescer outputs into the packer in stream
-    /// order, up to one element per output port per cycle.
+    /// Pulls element-path outputs into the packer in stream order, up to
+    /// one element per output port per cycle.
     pub(super) fn tick_output_pull(&mut self) {
-        if matches!(self.burst, Some(ActiveBurst::Contiguous { .. })) || self.burst.is_none() {
-            return;
-        }
         let e = self.cfg.elem_size.bytes() as u64;
-        match self.cfg.mode {
-            CoalescerMode::None => {
-                if let Some(out) = self.nocoal_out.pop() {
-                    debug_assert_eq!(out.seq, self.next_pack_seq);
-                    self.packer.push(out.value);
-                    self.next_pack_seq += 1;
-                    self.burst_delivered += 1;
-                    self.stats.elements_delivered += 1;
-                    self.stats.payload_bytes += e;
-                }
-            }
-            _ => {
-                // nmpic-lint: allow(L2) — invariant: every coalescing mode constructs the unit with a coalescer
-                let coal = self.coal.as_mut().expect("coalescer present");
-                let ports = coal.ports() as u64;
-                for _ in 0..ports {
-                    let port = (self.next_pack_seq % ports) as usize;
-                    match coal.pop_output(port) {
-                        Some(out) => {
-                            debug_assert_eq!(out.seq, self.next_pack_seq, "stream order");
-                            self.packer.push(out.value);
-                            self.next_pack_seq += 1;
-                            self.burst_delivered += 1;
-                            self.stats.elements_delivered += 1;
-                            self.stats.payload_bytes += e;
-                        }
-                        None => break,
-                    }
-                }
-            }
+        let ports = self.path.ports() as u64;
+        for _ in 0..ports {
+            let port = (self.next_pack_seq % ports) as usize;
+            let Some(out) = self.path.pop_output(port) else {
+                break;
+            };
+            debug_assert_eq!(out.seq, self.next_pack_seq, "stream order");
+            self.packer.push(out.value);
+            self.next_pack_seq += 1;
+            self.stats.elements_delivered += 1;
+            self.stats.payload_bytes += e;
         }
     }
 
@@ -82,16 +48,15 @@ impl IndirectStreamUnit {
         if self.beats.is_full() {
             return;
         }
-        if let Some(beat) = self.packer.pop_beat() {
+        // A drained burst flushes its last, partial beat.
+        let drained = self.stats.elements_delivered == self.burst_end;
+        let beat = self
+            .packer
+            .pop_beat()
+            .or_else(|| drained.then(|| self.packer.flush())?);
+        if let Some(beat) = beat {
             self.stats.beats_emitted += 1;
-            // nmpic-lint: allow(L2) — invariant: fullness was checked before issuing this request
-            self.beats.try_push(beat).expect("checked not full");
-        } else if self.burst_delivered == self.burst_target && self.packer.pending() > 0 {
-            // nmpic-lint: allow(L2) — invariant: guarded by packer.pending() > 0 in the branch condition
-            let beat = self.packer.flush().expect("pending > 0");
-            self.stats.beats_emitted += 1;
-            // nmpic-lint: allow(L2) — invariant: fullness was checked before issuing this request
-            self.beats.try_push(beat).expect("checked not full");
+            self.beats.push(beat);
         }
     }
 }

@@ -557,3 +557,167 @@ fn scatter_burst_on_a_dead_channel_trips_the_watchdog() {
     };
     let _ = crate::ScatterUnit::new(AdapterConfig::mlp(8)).run_burst(&mut chan, req, [1, 2, 3, 4]);
 }
+
+/// Gathers `indices` (stored `idx_size` wide) from the vector
+/// `100, 101, …` (stored `elem_size` wide) on a unit built from `cfg`.
+fn gather_widths(
+    cfg: AdapterConfig,
+    indices: &[u64],
+    idx_size: ElemSize,
+    elem_size: ElemSize,
+) -> Result<Vec<u64>, BeginError> {
+    // 32 b or 64 b little-endian stores are all these widths need.
+    let store = |mem: &mut Memory, addr: u64, size: ElemSize, value: u64| match size {
+        ElemSize::B4 => mem.write_u32(addr, u32::try_from(value).unwrap()),
+        _ => mem.write_u64(addr, value),
+    };
+    let mut mem = Memory::new(1 << 14);
+    let (iw, ew) = (idx_size.bytes() as u64, elem_size.bytes() as u64);
+    let idx_base = mem.alloc_array(indices.len() as u64, iw);
+    let elem_base = mem.alloc_array(64, ew);
+    for (k, &i) in indices.iter().enumerate() {
+        store(&mut mem, idx_base + k as u64 * iw, idx_size, i);
+    }
+    for i in 0..64u64 {
+        store(&mut mem, elem_base + i * ew, elem_size, 100 + i);
+    }
+    let mut chan = IdealChannel::new(mem, 10, 2);
+    let mut unit = IndirectStreamUnit::new(cfg);
+    let req = PackRequest::Indirect {
+        idx_base,
+        idx_size,
+        count: indices.len() as u64,
+        elem_base,
+        elem_size,
+    };
+    let mut got = nmpic_axi::Unpacker::new(elem_size);
+    unit.run_burst(&mut chan, req, |beat| got.push_beat(beat))?;
+    Ok(got.drain())
+}
+
+const PROBE: [u64; 6] = [3, 0, 5, 3, 63, 1];
+const PROBE_WANT: [u64; 6] = [103, 100, 105, 103, 163, 101];
+
+/// A unit configured for 64 b elements used to gather 32 b ones with
+/// its coalescer cutting 8 B out of each block: a burst's widths must be
+/// the unit's.
+#[test]
+fn b4_elements_on_a_b8_coalescing_unit_are_rejected() {
+    for cfg in [AdapterConfig::mlp(64), AdapterConfig::seq(64)] {
+        let what = cfg.variant_name();
+        assert_eq!(
+            gather_widths(cfg.clone(), &PROBE, ElemSize::B4, ElemSize::B4),
+            Err(BeginError::WidthMismatch {
+                what: "element",
+                expected: ElemSize::B8,
+                requested: ElemSize::B4,
+            }),
+            "{what}"
+        );
+        let mut b4 = cfg;
+        b4.elem_size = ElemSize::B4;
+        let got = gather_widths(b4, &PROBE, ElemSize::B4, ElemSize::B4);
+        assert_eq!(got, Ok(PROBE_WANT.to_vec()), "{what} configured for B4");
+    }
+}
+
+/// `MLPnc` used to panic slicing an 8 B element out of a 32 b offset.
+#[test]
+fn b4_elements_on_a_b8_mlpnc_unit_are_rejected() {
+    assert_eq!(
+        gather_widths(AdapterConfig::mlp_nc(), &PROBE, ElemSize::B4, ElemSize::B4),
+        Err(BeginError::WidthMismatch {
+            what: "element",
+            expected: ElemSize::B8,
+            requested: ElemSize::B4,
+        })
+    );
+    let mut b4 = AdapterConfig::mlp_nc();
+    b4.elem_size = ElemSize::B4;
+    let got = gather_widths(b4, &PROBE, ElemSize::B4, ElemSize::B4);
+    assert_eq!(got, Ok(PROBE_WANT.to_vec()));
+}
+
+/// 64 b indices on a unit configured for 32 b ones used to be fetched as
+/// 8 B and split as 4 B.
+#[test]
+fn b8_indices_on_a_b4_unit_are_rejected() {
+    for cfg in [
+        AdapterConfig::mlp(64),
+        AdapterConfig::seq(64),
+        AdapterConfig::mlp_nc(),
+    ] {
+        let what = cfg.variant_name();
+        assert_eq!(
+            gather_widths(cfg.clone(), &PROBE, ElemSize::B8, ElemSize::B8),
+            Err(BeginError::WidthMismatch {
+                what: "index",
+                expected: ElemSize::B4,
+                requested: ElemSize::B8,
+            }),
+            "{what}"
+        );
+        let mut b8 = cfg;
+        b8.idx_size = ElemSize::B8;
+        let got = gather_widths(b8, &PROBE, ElemSize::B8, ElemSize::B8);
+        assert_eq!(got, Ok(PROBE_WANT.to_vec()), "{what} configured for B8");
+    }
+}
+
+#[test]
+fn strided_burst_of_another_width_is_rejected() {
+    let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(8));
+    let err = unit.begin(PackRequest::Strided {
+        base: 0,
+        stride: 16,
+        elem_size: ElemSize::B4,
+        count: 8,
+    });
+    let want = BeginError::WidthMismatch {
+        what: "element",
+        expected: ElemSize::B8,
+        requested: ElemSize::B4,
+    };
+    assert_eq!(err, Err(want));
+    assert_eq!(
+        want.to_string(),
+        "element width 32b differs from the unit's configured 64b"
+    );
+    assert!(unit.is_done(), "a rejected burst leaves the unit idle");
+}
+
+#[test]
+fn b8_index_scatter_on_a_b4_unit_is_rejected() {
+    let mut mem = Memory::new(1 << 12);
+    let idx_base = mem.alloc_array(4, 8);
+    let dst = mem.alloc_array(8, 8);
+    for (k, i) in [6u64, 1, 6, 2].into_iter().enumerate() {
+        mem.write_u64(idx_base + 8 * k as u64, i);
+    }
+    let req = crate::ScatterRequest {
+        idx_base,
+        idx_size: ElemSize::B8,
+        count: 4,
+        elem_base: dst,
+        elem_size: ElemSize::B8,
+    };
+    let mut chan = IdealChannel::new(mem, 10, 2);
+    let mut unit = crate::ScatterUnit::new(AdapterConfig::mlp(8));
+    assert_eq!(
+        unit.run_burst(&mut chan, req, [10, 20, 30, 40]),
+        Err(BeginError::WidthMismatch {
+            what: "index",
+            expected: ElemSize::B4,
+            requested: ElemSize::B8,
+        })
+    );
+    let mut b8 = AdapterConfig::mlp(8);
+    b8.idx_size = ElemSize::B8;
+    crate::ScatterUnit::new(b8)
+        .run_burst(&mut chan, req, [10, 20, 30, 40])
+        .unwrap();
+    let image: Vec<u64> = (0..8)
+        .map(|i| chan.memory().read_u64(dst + 8 * i))
+        .collect();
+    assert_eq!(image, [0, 20, 40, 0, 0, 0, 30, 0]);
+}

@@ -28,9 +28,9 @@
 //! use nmpic_sim::{Fifo, SimClock};
 //!
 //! let mut q: Fifo<u32> = Fifo::new("q", 2);
-//! assert!(q.try_push(1).is_ok());
-//! assert!(q.try_push(2).is_ok());
-//! assert!(q.try_push(3).is_err(), "capacity reached → backpressure");
+//! q.push(1);
+//! q.push(2);
+//! assert!(q.is_full(), "capacity reached → the producer stalls");
 //!
 //! // Drain one element per cycle; the clock panics past its budget.
 //! let mut clk = SimClock::new("drain q", 100);
@@ -50,39 +50,24 @@ pub mod stats;
 pub use rng::SimRng;
 
 use std::collections::VecDeque;
-use std::fmt;
 
 /// A cycle index. One cycle corresponds to one 1 GHz clock tick in the
 /// paper's system (adapter, HBM channel PHY and VPC all run at 1 GHz).
 pub type Cycle = u64;
 
-/// Error returned by [`Fifo::try_push`] when the queue is full.
-///
-/// The rejected element is handed back so the caller can retry next cycle —
-/// this is how backpressure propagates through the models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Full<T>(pub T);
-
-impl<T: fmt::Debug> fmt::Display for Full<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "queue full, rejected element {:?}", self.0)
-    }
-}
-
-impl<T: fmt::Debug> std::error::Error for Full<T> {}
-
 /// A bounded FIFO queue with backpressure.
 ///
-/// This is the model of an RTL FIFO: `try_push` fails when the queue holds
-/// `capacity` elements, and the caller is expected to hold its element and
-/// retry on a later cycle.
+/// This is the model of an RTL FIFO: the producer checks
+/// [`Fifo::is_full`] (or [`Fifo::free`]) and holds its element for a later
+/// cycle while the queue holds `capacity` elements; a [`Fifo::push`] past
+/// capacity is a model bug and panics, naming the queue.
 ///
 /// # Example
 ///
 /// ```
 /// use nmpic_sim::Fifo;
 /// let mut f = Fifo::new("idx", 4);
-/// for i in 0..4 { f.try_push(i).unwrap(); }
+/// for i in 0..4 { f.push(i); }
 /// assert!(f.is_full());
 /// assert_eq!(f.peek(), Some(&0));
 /// assert_eq!(f.pop(), Some(0));
@@ -90,6 +75,7 @@ impl<T: fmt::Debug> std::error::Error for Full<T> {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fifo<T> {
+    name: &'static str,
     items: VecDeque<T>,
     capacity: usize,
 }
@@ -104,19 +90,26 @@ impl<T> Fifo<T> {
     pub fn new(name: &'static str, capacity: usize) -> Self {
         assert!(capacity > 0, "fifo `{name}` must have nonzero capacity");
         Self {
+            name,
             items: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
         }
     }
 
-    /// Attempts to push an element; on a full queue the element is returned
-    /// inside [`Full`] so the producer can stall.
-    pub fn try_push(&mut self, item: T) -> Result<(), Full<T>> {
-        if self.items.len() >= self.capacity {
-            return Err(Full(item));
-        }
+    /// Appends `item`. Backpressure is the caller's side of the contract:
+    /// check [`Fifo::is_full`] first and stall.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queue is full.
+    #[inline]
+    pub fn push(&mut self, item: T) {
+        assert!(
+            self.items.len() < self.capacity,
+            "fifo `{}` overflow",
+            self.name
+        );
         self.items.push_back(item);
-        Ok(())
     }
 
     /// Removes and returns the oldest element.
@@ -372,9 +365,9 @@ mod tests {
     #[test]
     fn fifo_push_pop_order() {
         let mut f = Fifo::new("t", 3);
-        f.try_push(1).unwrap();
-        f.try_push(2).unwrap();
-        f.try_push(3).unwrap();
+        f.push(1);
+        f.push(2);
+        f.push(3);
         assert_eq!(f.pop(), Some(1));
         assert_eq!(f.pop(), Some(2));
         assert_eq!(f.pop(), Some(3));
@@ -382,12 +375,12 @@ mod tests {
     }
 
     #[test]
-    fn fifo_backpressure_returns_element() {
+    #[should_panic(expected = "fifo `t` overflow")]
+    fn fifo_push_on_a_full_queue_panics() {
         let mut f = Fifo::new("t", 1);
-        f.try_push(7).unwrap();
-        let err = f.try_push(8).unwrap_err();
-        assert_eq!(err.0, 8);
-        assert_eq!(f.len(), 1);
+        f.push(7);
+        assert!(f.is_full() && f.free() == 0);
+        f.push(8);
     }
 
     #[test]
@@ -399,8 +392,8 @@ mod tests {
     #[test]
     fn fifo_peek_and_get() {
         let mut f = Fifo::new("t", 4);
-        f.try_push(10).unwrap();
-        f.try_push(20).unwrap();
+        f.push(10);
+        f.push(20);
         assert_eq!(f.peek(), Some(&10));
         assert_eq!(f.iter().nth(1), Some(&20));
         assert_eq!(f.iter().nth(2), None);
@@ -409,12 +402,12 @@ mod tests {
     #[test]
     fn fifo_clear_empties_and_keeps_capacity() {
         let mut f = Fifo::new("t", 2);
-        f.try_push(1).unwrap();
-        f.try_push(2).unwrap();
+        f.push(1);
+        f.push(2);
         f.clear();
         assert!(f.is_empty());
         assert_eq!(f.capacity(), 2);
-        f.try_push(3).unwrap();
+        f.push(3);
         assert_eq!(f.pop(), Some(3));
     }
 
@@ -432,7 +425,7 @@ mod tests {
                 assert_eq!(bank.is_full(q), row[q].is_full());
                 if !bank.is_full(q) {
                     bank.push(q, step);
-                    row[q].try_push(step).unwrap();
+                    row[q].push(step);
                 }
             } else {
                 assert_eq!(bank.peek(q), row[q].peek().copied());

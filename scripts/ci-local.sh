@@ -16,13 +16,16 @@
 #               code gates on empty tables, NaN values and each
 #               experiment's own checks
 #   doc         rustdoc with broken intra-doc links as errors
+#   miri        the Miri step of the nightly `sanitizers` job (opt-in, not
+#               in the default set; skipped when nightly miri is missing)
 #
-# Not reproduced here: the nightly `sanitizers` job (needs the nightly
-# toolchain). Its TSan steps run `-p nmpic-system --lib service::` (the
-# service's in-module quarantine-race, wait/notify and publish tests)
-# and `-p nmpic --test service --test service_soak --test exec_mode`.
+# Not reproduced here: the nightly job's TSan steps (need -Z build-std).
+# They run `-p nmpic-system --lib service::` (the service's in-module
+# quarantine-race, wait/notify and publish tests) and
+# `-p nmpic --test service --test service_soak --test exec_mode`.
 #
-# Usage: scripts/ci-local.sh [lint|test|benchmark|bench|doc]...  (default: all)
+# Usage: scripts/ci-local.sh [lint|test|benchmark|bench|doc|miri]...
+#        (default: every job but miri)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,6 +77,17 @@ run_doc() {
     RUSTDOCFLAGS="-D warnings --cfg docsrs" cargo doc --workspace --no-deps
 }
 
+run_miri() {
+    if cargo +nightly miri --version >/dev/null 2>&1; then
+        step "miri: sim + axi + mem + core + system (NMPIC_QUICK=1)"
+        NMPIC_QUICK=1 MIRIFLAGS="-Zmiri-disable-isolation" \
+            cargo +nightly miri test -p nmpic-sim -p nmpic-axi -p nmpic-mem -p nmpic-core -p nmpic-system
+    else
+        echo "note: nightly miri not installed; skipping (CI's nightly sanitizers job runs it)"
+        echo "      (install with: rustup +nightly component add miri rust-src)"
+    fi
+}
+
 if [ "$#" -eq 0 ]; then
     set -- lint test benchmark bench doc
 fi
@@ -84,8 +98,9 @@ for job in "$@"; do
         benchmark) run_benchmark ;;
         bench) run_bench ;;
         doc) run_doc ;;
+        miri) run_miri ;;
         *)
-            echo "unknown job '$job' (want lint|test|benchmark|bench|doc)" >&2
+            echo "unknown job '$job' (want lint|test|benchmark|bench|doc|miri)" >&2
             exit 2
             ;;
     esac
