@@ -86,10 +86,18 @@ impl ElemSize {
     /// ```
     #[inline]
     pub fn read(self, bytes: &[u8], k: usize) -> u64 {
-        let w = self.bytes();
-        let mut buf = [0u8; 8];
-        buf[..w].copy_from_slice(&bytes[k * w..(k + 1) * w]);
-        u64::from_le_bytes(buf)
+        // One fixed-size copy per width: a load, not a `memcpy` call.
+        fn le<const N: usize>(bytes: &[u8], k: usize) -> u64 {
+            let mut buf = [0u8; 8];
+            buf[..N].copy_from_slice(&bytes[k * N..(k + 1) * N]);
+            u64::from_le_bytes(buf)
+        }
+        match self {
+            ElemSize::B1 => le::<1>(bytes, k),
+            ElemSize::B2 => le::<2>(bytes, k),
+            ElemSize::B4 => le::<4>(bytes, k),
+            ElemSize::B8 => le::<8>(bytes, k),
+        }
     }
 
     /// Writes the low `width` bytes of `value` as element `k` of a densely
@@ -100,8 +108,15 @@ impl ElemSize {
     /// Panics if element `k` does not lie inside `bytes`.
     #[inline]
     pub fn write(self, bytes: &mut [u8], k: usize, value: u64) {
-        let w = self.bytes();
-        bytes[k * w..(k + 1) * w].copy_from_slice(&value.to_le_bytes()[..w]);
+        fn le<const N: usize>(bytes: &mut [u8], k: usize, value: u64) {
+            bytes[k * N..(k + 1) * N].copy_from_slice(&value.to_le_bytes()[..N]);
+        }
+        match self {
+            ElemSize::B1 => le::<1>(bytes, k, value),
+            ElemSize::B2 => le::<2>(bytes, k, value),
+            ElemSize::B4 => le::<4>(bytes, k, value),
+            ElemSize::B8 => le::<8>(bytes, k, value),
+        }
     }
 
     /// Constructs from a byte width.

@@ -103,8 +103,7 @@ impl BlockReader {
 
     /// Elements left in the oldest arrived block.
     pub(crate) fn front_len(&self) -> Option<usize> {
-        let left = self.span(self.next, self.unread);
-        self.arrived.front().map(|_| left)
+        (!self.arrived.is_empty()).then(|| self.span(self.next, self.unread))
     }
 
     /// Hands the oldest arrived block's remaining elements to `take` in

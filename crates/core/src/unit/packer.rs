@@ -28,18 +28,18 @@ impl IndirectStreamUnit {
     /// Pulls element-path outputs into the packer in stream order, up to
     /// one element per output port per cycle.
     pub(super) fn tick_output_pull(&mut self) {
-        let e = self.cfg.elem_size.bytes() as u64;
-        let ports = self.path.ports() as u64;
-        for _ in 0..ports {
-            let port = (self.next_pack_seq % ports) as usize;
-            let Some(out) = self.path.pop_output(port) else {
+        if matches!(self.burst, None | Some(PackRequest::Contiguous { .. })) {
+            return;
+        }
+        for _ in 0..self.path.ports() {
+            let Some(out) = self.path.pop_output(self.next_pack_seq) else {
                 break;
             };
             debug_assert_eq!(out.seq, self.next_pack_seq, "stream order");
             self.packer.push(out.value);
             self.next_pack_seq += 1;
             self.stats.elements_delivered += 1;
-            self.stats.payload_bytes += e;
+            self.stats.payload_bytes += self.cfg.elem_size.bytes() as u64;
         }
     }
 

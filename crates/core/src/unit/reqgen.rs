@@ -18,9 +18,12 @@ use super::{IndirectStreamUnit, TAG_ELEM};
 /// Where narrow element requests go, chosen once from the adapter
 /// variant.
 #[derive(Debug)]
+// One per unit and touched every cycle: boxing the coalescer would put
+// each of its accesses behind one more pointer.
+#[allow(clippy::large_enum_variant)]
 pub(super) enum ElemPath {
     /// `MLPx` / `SEQx`: requests merge in the coalescer.
-    Coalesced(Box<Coalesced>),
+    Coalesced(Coalesced),
     /// `MLPnc`: every request is its own wide read.
     Direct(Direct),
 }
@@ -59,13 +62,11 @@ impl ElemPath {
                 limit: cfg.nocoal_outstanding,
                 width: cfg.elem_size,
             }),
-            CoalescerMode::Parallel | CoalescerMode::Sequential => {
-                ElemPath::Coalesced(Box::new(Coalesced {
-                    coal: Coalescer::new(cfg),
-                    held: None,
-                    staging: VecDeque::new(),
-                }))
-            }
+            CoalescerMode::Parallel | CoalescerMode::Sequential => ElemPath::Coalesced(Coalesced {
+                coal: Coalescer::new(cfg),
+                held: None,
+                staging: VecDeque::new(),
+            }),
         }
     }
 
@@ -168,10 +169,10 @@ impl ElemPath {
         }
     }
 
-    /// The next in-order element of `port`.
-    pub(super) fn pop_output(&mut self, port: usize) -> Option<ElemOut> {
+    /// The element at stream position `seq`, once it is ready.
+    pub(super) fn pop_output(&mut self, seq: u64) -> Option<ElemOut> {
         match self {
-            ElemPath::Coalesced(c) => c.coal.pop_output(port),
+            ElemPath::Coalesced(c) => c.coal.pop_output((seq % c.coal.ports() as u64) as usize),
             ElemPath::Direct(d) => d.out.pop(),
         }
     }
