@@ -32,9 +32,9 @@ fn workspace_has_zero_unsuppressed_violations() {
     );
 }
 
-/// Allow-markers in the workspace's `.rs` files (ROADMAP item 8(d) burns
-/// them down). The count may only fall: a PR that removes markers lowers
-/// this literal to the new count in the same change.
+/// Allow-markers in the workspace's `.rs` files. The count may only
+/// fall: a change that removes markers lowers this literal to the new
+/// count in the same commit.
 const MARKER_CEILING: usize = 89;
 
 /// Directories the marker count skips, as `lint_workspace` does.
