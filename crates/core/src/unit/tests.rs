@@ -515,6 +515,9 @@ impl ChannelPort for BlackHole {
     fn pop_response(&mut self, _: Cycle) -> Option<nmpic_mem::WideResponse> {
         None
     }
+    fn next_event(&self) -> Option<Cycle> {
+        None
+    }
     fn is_idle(&self) -> bool {
         false
     }

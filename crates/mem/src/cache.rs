@@ -70,25 +70,39 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `tags[set][way]`: tag or `None` (invalid).
-    tags: Vec<Vec<Option<u64>>>,
-    /// LRU stamps, larger = more recent.
-    stamps: Vec<Vec<u64>>,
+    /// `cfg.sets()`, kept as the divisor of the address split.
+    sets: u64,
+    /// Tag of way `w` of set `s` at `s * ways + w`, [`INVALID`] when the
+    /// way holds no line.
+    tags: Vec<u64>,
+    /// LRU stamps, same layout; larger = more recent, 0 when invalid.
+    stamps: Vec<u64>,
     tick: u64,
     stats: CacheStats,
 }
+
+/// Tag of an empty way. No line has it: a tag is an address divided by
+/// the line size, so it stays below `u64::MAX / line_bytes`.
+const INVALID: u64 = u64::MAX;
 
 impl Cache {
     /// Creates an empty cache.
     ///
     /// # Panics
     ///
-    /// Panics when the geometry is degenerate (zero sets or ways).
+    /// Panics when the geometry is degenerate (zero sets, ways or line
+    /// bytes, or a one-byte line, whose tags could reach the invalid
+    /// marker).
     pub fn new(cfg: CacheConfig) -> Self {
-        assert!(cfg.ways > 0 && cfg.sets() > 0, "degenerate cache geometry");
+        assert!(
+            cfg.ways > 0 && cfg.line_bytes > 1 && cfg.sets() > 0,
+            "degenerate cache geometry"
+        );
+        let slots = cfg.ways * cfg.sets();
         Self {
-            tags: vec![vec![None; cfg.ways]; cfg.sets()],
-            stamps: vec![vec![0; cfg.ways]; cfg.sets()],
+            sets: cfg.sets() as u64,
+            tags: vec![INVALID; slots],
+            stamps: vec![0; slots],
             tick: 0,
             cfg,
             stats: CacheStats::default(),
@@ -105,26 +119,37 @@ impl Cache {
         self.stats
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    /// The slot range of `addr`'s set and the tag it would carry there.
+    fn set_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr / self.cfg.line_bytes as u64;
         // nmpic-lint: allow(L1) — in range on every target: the modulo bounds the value below sets(), which is a usize
-        let set = (line % self.cfg.sets() as u64) as usize;
-        (set, line / self.cfg.sets() as u64)
+        let first = (line % self.sets) as usize * self.cfg.ways;
+        (first..first + self.cfg.ways, line / self.sets)
+    }
+
+    /// The slot holding `tag` within `set`, if any.
+    fn find(&self, set: &std::ops::Range<usize>, tag: u64) -> Option<usize> {
+        self.tags[set.clone()]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| set.start + w)
     }
 
     /// Looks up `addr`; updates LRU on hit. Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         let (set, tag) = self.set_and_tag(addr);
-        for w in 0..self.cfg.ways {
-            if self.tags[set][w] == Some(tag) {
-                self.stamps[set][w] = self.tick;
+        match self.find(&set, tag) {
+            Some(slot) => {
+                self.stamps[slot] = self.tick;
                 self.stats.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.stats.misses += 1;
+                false
             }
         }
-        self.stats.misses += 1;
-        false
     }
 
     /// Installs the line containing `addr`, evicting the LRU way.
@@ -132,31 +157,26 @@ impl Cache {
         self.tick += 1;
         let (set, tag) = self.set_and_tag(addr);
         // Already present (e.g. a second miss to an in-flight line filled
-        // by the first): just touch it.
-        for w in 0..self.cfg.ways {
-            if self.tags[set][w] == Some(tag) {
-                self.stamps[set][w] = self.tick;
-                return;
-            }
-        }
-        let victim = (0..self.cfg.ways)
-            .min_by_key(|&w| {
-                if self.tags[set][w].is_none() {
-                    0
-                } else {
-                    self.stamps[set][w] + 1
+        // by the first): just touch it. Otherwise the first empty way, or
+        // the least recently used one: an empty way's stamp is 0 and a
+        // valid way's at least 1.
+        let slot = self.find(&set, tag).unwrap_or_else(|| {
+            let mut victim = set.start;
+            for slot in set {
+                if self.stamps[slot] < self.stamps[victim] {
+                    victim = slot;
                 }
-            })
-            // nmpic-lint: allow(L2) — invariant: cfg.ways > 0 is asserted in Cache::new, so min_by_key always sees candidates
-            .expect("ways > 0");
-        self.tags[set][victim] = Some(tag);
-        self.stamps[set][victim] = self.tick;
+            }
+            victim
+        });
+        self.tags[slot] = tag;
+        self.stamps[slot] = self.tick;
     }
 
     /// `true` if the line containing `addr` is resident (no LRU update).
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.tags[set].contains(&Some(tag))
+        self.find(&set, tag).is_some()
     }
 
     /// Invalidates every resident line **overlapping** the byte range
@@ -193,11 +213,9 @@ impl Cache {
         let mut line = lo - lo % line_bytes;
         while line < hi {
             let (set, tag) = self.set_and_tag(line);
-            for w in 0..self.cfg.ways {
-                if self.tags[set][w] == Some(tag) {
-                    self.tags[set][w] = None;
-                    self.stamps[set][w] = 0;
-                }
+            if let Some(slot) = self.find(&set, tag) {
+                self.tags[slot] = INVALID;
+                self.stamps[slot] = 0;
             }
             // Saturating step: a range ending at the top of the address
             // space must terminate instead of wrapping line to 0 and
@@ -215,12 +233,8 @@ impl Cache {
     /// run a deterministic cold cache while reusing the allocation
     /// across a solver's iterations.
     pub fn reset(&mut self) {
-        for set in &mut self.tags {
-            set.fill(None);
-        }
-        for set in &mut self.stamps {
-            set.fill(0);
-        }
+        self.tags.fill(INVALID);
+        self.stamps.fill(0);
         self.tick = 0;
         self.stats = CacheStats::default();
     }
@@ -354,6 +368,65 @@ mod tests {
         assert!(c.access(32));
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().misses, 1);
+    }
+
+    /// The flat tag and stamp arrays against a set-of-ways model written
+    /// from the definition: hit, LRU victim (first empty way, else the
+    /// oldest), line-granular invalidation and reset agree on a random
+    /// operation stream that keeps every set under eviction pressure.
+    #[test]
+    fn flat_arrays_match_a_per_set_lru_model() {
+        let cfg = CacheConfig {
+            size_bytes: 2048,
+            ways: 4,
+            line_bytes: 64,
+        };
+        let sets = cfg.sets() as u64;
+        let mut cache = Cache::new(cfg);
+        // Per set, resident lines from least to most recently used.
+        let mut model: Vec<Vec<u64>> = vec![Vec::new(); cfg.sets()];
+        let set_of = |line: u64| (line % sets) as usize;
+        let mut rng = nmpic_sim::SimRng::new(11);
+        for step in 0..20_000 {
+            let addr = rng.gen_u64(0, 64 * 64);
+            let line = addr / 64;
+            let lru = &mut model[set_of(line)];
+            match rng.gen_u64(0, 20) {
+                0..=8 => {
+                    let hit = lru.iter().position(|&l| l == line);
+                    if let Some(i) = hit {
+                        lru.remove(i);
+                        lru.push(line);
+                    }
+                    assert_eq!(cache.access(addr), hit.is_some(), "step {step}");
+                }
+                9..=17 => {
+                    if let Some(i) = lru.iter().position(|&l| l == line) {
+                        lru.remove(i);
+                    } else if lru.len() == cfg.ways {
+                        lru.remove(0);
+                    }
+                    lru.push(line);
+                    cache.fill(addr);
+                }
+                18 => {
+                    let hi = addr + rng.gen_u64(1, 300);
+                    for lru in &mut model {
+                        lru.retain(|&l| l * 64 + 64 <= addr || l * 64 >= hi);
+                    }
+                    cache.invalidate_range(addr, hi);
+                }
+                _ => {
+                    if step % 7 == 0 {
+                        model.iter_mut().for_each(Vec::clear);
+                        cache.reset();
+                    }
+                }
+            }
+            let probe = rng.gen_u64(0, 64 * 64);
+            let resident = model[set_of(probe / 64)].contains(&(probe / 64));
+            assert_eq!(cache.contains(probe), resident, "step {step}");
+        }
     }
 
     #[test]

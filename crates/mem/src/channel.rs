@@ -157,6 +157,18 @@ impl ChannelPort for HbmChannel {
         })
     }
 
+    fn next_event(&self) -> Option<Cycle> {
+        // `pop_response` ignores the cycle: a filled head is deliverable
+        // at any cycle, the earliest being 0.
+        if self.reorder.front().is_some_and(|r| r.data.is_some()) {
+            return Some(0);
+        }
+        self.ctrls
+            .iter()
+            .filter_map(|c| c.next_event(&self.cfg))
+            .min()
+    }
+
     fn is_idle(&self) -> bool {
         self.reorder.is_empty() && self.ctrls.iter().all(Controller::is_idle)
     }

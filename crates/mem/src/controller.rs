@@ -259,6 +259,28 @@ impl Controller {
         Some(seq)
     }
 
+    /// The earliest cycle at which [`Controller::pop_completed`] or
+    /// [`Controller::schedule`] can act without a new `accept`, `None` when
+    /// nothing is queued or in flight. `schedule` can issue a queued
+    /// access (any under FR-FCFS, the oldest under FCFS) once its bank is
+    /// ready, and a row hit once its bank takes a CAS; the two coincide
+    /// because an open bank's `next_act_at` always precedes its
+    /// `next_cas_at` (the activate comes before the CAS). Bank state
+    /// changes only when `schedule` issues, so the answer holds until
+    /// then.
+    pub(crate) fn next_event(&self, cfg: &HbmConfig) -> Option<Cycle> {
+        let ready = |q: &Queued| {
+            let b = &self.banks[q.bank];
+            b.next_act_at.max(b.next_cas_at)
+        };
+        let issue = match cfg.sched_policy {
+            SchedPolicy::FrFcfs => self.queue.iter().map(ready).min(),
+            SchedPolicy::Fcfs => self.queue.first().map(ready),
+        };
+        let retire = self.in_flight.front().map(|&(complete_at, _)| complete_at);
+        issue.into_iter().chain(retire).min()
+    }
+
     /// Issues at most one queued request this cycle.
     pub(crate) fn schedule(&mut self, cfg: &HbmConfig, now: Cycle) {
         let ready = |b: &BankState| b.next_act_at <= now && b.next_cas_at <= now;

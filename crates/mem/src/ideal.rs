@@ -114,6 +114,12 @@ impl ChannelPort for IdealChannel {
         None
     }
 
+    fn next_event(&self) -> Option<Cycle> {
+        let issue = (!self.queue.is_empty()).then_some(self.next_issue_at);
+        let retire = self.in_flight.front().map(|&(ready, _)| ready);
+        issue.into_iter().chain(retire).min()
+    }
+
     fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.in_flight.is_empty()
     }

@@ -35,6 +35,28 @@
 //! acknowledgement keeps [`ChannelPort::is_idle`] false until a
 //! `pop_response` at or after completion drops it.
 //!
+//! # Skipping idle cycles: the `next_event` contract
+//!
+//! [`ChannelPort::next_event`] lets a driver jump over cycles in which the
+//! port cannot act. It returns the earliest cycle at which `tick` or
+//! `pop_response` can change state if no new request is offered, and
+//! `None` when nothing will (an idle port always answers `None`). The
+//! HBM port takes the minimum over its controllers of the first
+//! completion in flight and, for each queued access, the cycle its bank
+//! becomes eligible under the configured scheduler; a filled reorder head
+//! answers "now". The ideal port takes its next issue slot when something
+//! is queued and its first completion in flight.
+//!
+//! The contract a driver relies on, pinned by this crate's tests on
+//! stream, random and write-mix traces under every scheduling and page
+//! policy: a driver that jumps to `next_event` whenever it has nothing to
+//! offer sees the same responses, delivered in the same cycles, the same
+//! final cycle and the same [`HbmStats`] as one that ticks every cycle.
+//! The driver's side of the contract is to offer nothing during the
+//! skip: a request refused this cycle, or one it will offer next cycle,
+//! rules the skip out, because acceptance is not an event the port
+//! reports.
+//!
 //! # Example
 //!
 //! ```
@@ -200,6 +222,20 @@ pub trait ChannelPort: Send {
     /// Pops the next in-order read response, if one is ready.
     fn pop_response(&mut self, now: Cycle) -> Option<WideResponse>;
 
+    /// The earliest cycle at which [`ChannelPort::tick`] or
+    /// [`ChannelPort::pop_response`] can change the port's state if no new
+    /// request is offered; `None` when nothing will change without one,
+    /// which includes every idle port. A cycle at or before the current
+    /// one means the port can act now (a response is already waiting, or
+    /// a queued request can issue).
+    ///
+    /// The query is read-only. A driver that has finished cycle `now`
+    /// (offers, `tick(now)`, `pop_response(now)` until `None`) and has
+    /// nothing to offer until cycle `t` may skip straight to
+    /// `min(t, next_event())`: every `tick` and `pop_response` it leaves
+    /// out would have changed nothing. See the crate docs.
+    fn next_event(&self) -> Option<Cycle>;
+
     /// `true` when no requests are queued or in flight.
     fn is_idle(&self) -> bool;
 
@@ -274,25 +310,4 @@ pub(crate) fn run_reads(chan: &mut dyn ChannelPort, addrs: &[u64]) -> (Vec<WideR
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn block_math_is_consistent() {
-        for addr in [0u64, 1, 63, 64, 65, 1000, 4096, u32::MAX as u64] {
-            assert_eq!(block_addr(addr) + block_offset(addr) as u64, addr);
-            assert_eq!(block_addr(addr) % BLOCK_BYTES as u64, 0);
-            assert!(block_offset(addr) < BLOCK_BYTES);
-        }
-    }
-
-    #[test]
-    fn wide_request_aligns_addresses() {
-        let r = WideRequest::read(100, 7);
-        assert_eq!(r.addr, 64);
-        assert_eq!(r.tag, 7);
-        assert_eq!(r.command, WideCommand::Read);
-        let w = WideRequest::write(100, 3, [0u8; BLOCK_BYTES]);
-        assert_ne!(w.command, WideCommand::Read);
-    }
-}
+mod tests;

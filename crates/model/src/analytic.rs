@@ -208,6 +208,9 @@ pub fn base_cost(
     let mut rows_retired = 0usize;
     let mut last_write_line = u64::MAX;
     let mut write_lines = 0u64;
+    // Per-chunk scratch, allocated once per replay.
+    let mut fetch: Vec<(u64, bool)> = Vec::new();
+    let mut miss_lines: Vec<u64> = Vec::new();
 
     let mut k0 = 0usize;
     while k0 < nnz {
@@ -216,7 +219,7 @@ pub fn base_cost(
 
         // Phase 1: stream-line fetch, same access/dedup order as the
         // executor's `push_line`.
-        let mut fetch: Vec<(u64, bool)> = Vec::new();
+        fetch.clear();
         let push_line = |fetch: &mut Vec<(u64, bool)>, llc: &mut Cache, addr: u64, idx: bool| {
             let line = line_of(addr);
             if !llc.access(line) && !fetch.iter().any(|&(l, _)| l == line) {
@@ -246,7 +249,7 @@ pub fn base_cost(
         // one; a line missed twice in the same chunk merges with the
         // in-flight fill (one line of traffic), so fills are deferred
         // to the chunk boundary.
-        let mut miss_lines: Vec<u64> = Vec::new();
+        miss_lines.clear();
         for &col in &col_idx[k0..k1] {
             let addr = a.vec_base + 8 * col as u64;
             if !llc.access(addr) {

@@ -287,12 +287,14 @@ impl<T: Copy + Default> FifoBank<T> {
 /// The owner of simulated time for one run loop: a cycle counter with a
 /// cycle budget.
 ///
-/// Every loop that steps a timed model calls [`SimClock::tick`] once per
-/// simulated cycle; that call is the only place in the workspace where
-/// time advances by one and the only deadlock watchdog (`nmpic-lint` rule
-/// `L8` rejects a hand-rolled `now += 1` in library code elsewhere). A
-/// model that stops making progress therefore always ends in the same
-/// panic, naming the loop and its budget, instead of hanging.
+/// Every loop that steps a timed model ends each simulated cycle with
+/// [`SimClock::tick`], or with [`SimClock::advance_to`] when it knows the
+/// next cycles are idle; those two calls are the only place in the
+/// workspace where a loop's time moves on and hold the only deadlock
+/// watchdog (`nmpic-lint` rule `L8` rejects a hand-rolled `now += 1` in
+/// library code elsewhere). A model that stops making progress therefore
+/// always ends in the same panic, naming the loop and its budget, instead
+/// of hanging.
 ///
 /// # Example
 ///
@@ -339,7 +341,23 @@ impl SimClock {
     /// that has not drained by then is not going to.
     #[inline]
     pub fn tick(&mut self) {
-        self.now += 1;
+        self.advance_to(self.now + 1);
+    }
+
+    /// Ends the current cycle and resumes at cycle `t`, skipping the
+    /// cycles in between; a `t` no later than the next cycle makes this a
+    /// [`SimClock::tick`]. A loop calls it when it knows that nothing can
+    /// change state before `t` — for instance from
+    /// `nmpic_mem::ChannelPort::next_event` and its own next event.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the same message as [`SimClock::tick`] once the new
+    /// cycle reaches the budget, so a skip towards an event that never
+    /// comes (`t == Cycle::MAX`) is the same deadlock report.
+    #[inline]
+    pub fn advance_to(&mut self, t: Cycle) {
+        self.now = t.max(self.now + 1);
         assert!(
             self.now < self.budget,
             "{}: cycle budget of {} exceeded — model deadlock",
@@ -348,10 +366,12 @@ impl SimClock {
         );
     }
 
-    /// Jumps over `cycles` cycles in which no component needs a tick (the
-    /// baseline core's MAC and per-row scalar phases). The watchdog is
-    /// not consulted: a jump is bounded by construction, and the next
-    /// [`SimClock::tick`] checks the budget again.
+    /// Jumps over `cycles` cycles that a model spends in a fixed-length
+    /// phase with no component to tick, such as the baseline core's MAC
+    /// and per-row scalar phases. The watchdog is not consulted: the
+    /// length is bounded by construction, and the next
+    /// [`SimClock::tick`] or [`SimClock::advance_to`] checks the budget
+    /// again.
     #[inline]
     pub fn advance(&mut self, cycles: Cycle) {
         self.now += cycles;
@@ -466,6 +486,28 @@ mod tests {
         clk.tick();
         clk.advance(500);
         assert_eq!(clk.now(), 501, "a jump past the budget is not a tick");
+    }
+
+    #[test]
+    fn sim_clock_advance_to_skips_and_consults_the_watchdog() {
+        let mut clk = SimClock::new("skip", 100);
+        clk.advance_to(40);
+        assert_eq!(clk.now(), 40, "a later target is jumped to");
+        clk.advance_to(12);
+        assert_eq!(clk.now(), 41, "an earlier target is one tick");
+        clk.advance_to(41);
+        assert_eq!(clk.now(), 42, "the current cycle is one tick");
+        clk.advance_to(99);
+        assert_eq!(clk.now(), 99, "the last cycle inside the budget");
+        for target in [100, Cycle::MAX] {
+            let mut clk = SimClock::new("skip", 100);
+            let caught = std::panic::catch_unwind(move || clk.advance_to(target));
+            let msg = *caught
+                .expect_err("a skip to the budget panics")
+                .downcast::<String>()
+                .expect("formatted panic message");
+            assert_eq!(msg, "skip: cycle budget of 100 exceeded — model deadlock");
+        }
     }
 
     #[test]

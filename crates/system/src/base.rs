@@ -9,12 +9,20 @@
 //! 32-element chunks (one vector register group): fetch the chunk's index
 //! and value lines, then issue gathers at the VLSU's indexed-load rate,
 //! then accumulate.
+//!
+//! The executor visits only the cycles in which the core or the channel
+//! can act. Each of its three wait loops (line fetch, gather, result
+//! drain) ends a cycle in which the core has nothing to offer by jumping
+//! to the earliest of the channel's [`ChannelPort::next_event`], the next
+//! gather issue slot and the oldest LLC-hit completion. Debug builds
+//! re-tick the channel through every skipped span and assert that it
+//! stayed quiet.
 
 use std::collections::VecDeque;
 
 use nmpic_mem::{BackendConfig, Cache, CacheConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
 use nmpic_model::BaseAddrs;
-use nmpic_sim::SimClock;
+use nmpic_sim::{Cycle, SimClock};
 use nmpic_sparse::Csr;
 
 use crate::engine::{issue_write_back, ExecMode, Executor, PlanFacts};
@@ -63,14 +71,48 @@ impl Default for BaseConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GatherState {
-    /// Issued, completes at the contained cycle (LLC hit path).
-    ReadyAt(u64),
-    /// Waiting for the contained line address to be filled.
-    WaitLine(u64),
-    /// Complete.
-    Done,
+/// One miss status holding register: a line fill on its way from DRAM.
+#[derive(Debug, Clone, Copy)]
+struct Mshr {
+    line: u64,
+    /// Gathers merged into this fill (gather phase).
+    waiters: usize,
+    /// The line belongs to the index or row-pointer stream (fetch phase).
+    is_idx: bool,
+}
+
+/// Frees the MSHR holding `line` and returns it.
+fn retire(mshrs: &mut Vec<Mshr>, line: u64) -> Option<Mshr> {
+    let i = mshrs.iter().position(|m| m.line == line)?;
+    Some(mshrs.swap_remove(i))
+}
+
+/// Ends the current cycle of one of the baseline's wait loops. `core` is
+/// the cycle of the core's own next event, `None` when it waits on the
+/// channel alone. When the core acts next cycle this is a tick; otherwise
+/// the clock jumps to the earlier of `core` and the channel's next event
+/// (a channel that never acts again is a deadlock, which the clock's
+/// watchdog reports).
+fn end_cycle(clk: &mut SimClock, chan: &mut dyn ChannelPort, core: Option<Cycle>) {
+    let next = clk.now() + 1;
+    if core.is_some_and(|t| t <= next) {
+        clk.tick();
+        return;
+    }
+    let port = chan.next_event();
+    clk.advance_to(core.into_iter().chain(port).min().unwrap_or(Cycle::MAX));
+    // The checked skip: ticking the channel through the span must change
+    // nothing that the skip left out.
+    #[cfg(debug_assertions)]
+    for c in next..clk.now() {
+        chan.tick(c);
+        assert!(
+            chan.pop_response(c).is_none(),
+            "a response appeared at cycle {c}, inside a skip to {}",
+            clk.now()
+        );
+        assert_eq!(chan.next_event(), port, "next event moved at cycle {c}");
+    }
 }
 
 /// Memory footprint of a baseline plan's image (all five arrays plus
@@ -225,67 +267,77 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
 
     let mut clk = SimClock::new("baseline SpMV", 2_000 + nnz as u64 * 600 + rows as u64 * 40);
     let mut indir_cycles: u64 = 0;
-    let mut inflight: Vec<u64> = Vec::new(); // line addresses in MSHRs
     let mut pending_writes: VecDeque<WideRequest> = VecDeque::new();
+    // Scratch for the whole pass: a chunk's missed stream lines as
+    // `(line, is_idx)`, the MSHRs, and the completion cycles of LLC-hit
+    // gathers — created in `now + llc_hit_latency` order, so a FIFO.
+    let mut fetch: Vec<(u64, bool)> = Vec::with_capacity(2 * cfg.chunk + 1);
+    let mut mshrs: Vec<Mshr> = Vec::with_capacity(cfg.mshrs);
+    let mut hits: VecDeque<Cycle> = VecDeque::with_capacity(cfg.vlsu_outstanding);
     let mut rows_retired = 0usize;
     let col_idx = csr.col_idx();
 
     let mut k0 = 0usize;
     while k0 < nnz {
         let k1 = (k0 + cfg.chunk).min(nnz);
+        // Each phase waits for its own fills, so none is left over.
+        debug_assert!(mshrs.is_empty() && hits.is_empty());
 
         // --- Phase 1: demand-fetch this chunk's index/value/row-ptr lines.
         let phase_start = clk.now();
-        let mut fetch: Vec<(u64, bool)> = Vec::new(); // (line, is_idx)
-        let push_line = |fetch: &mut Vec<(u64, bool)>, llc: &mut Cache, addr: u64, is_idx: bool| {
+        fetch.clear();
+        let mut push_line = |llc: &mut Cache, addr: u64, is_idx: bool| {
             let line = addr & !(BLOCK_BYTES as u64 - 1);
             if !llc.access(line) && !fetch.iter().any(|&(l, _)| l == line) {
                 fetch.push((line, is_idx));
             }
         };
         for k in k0..k1 {
-            push_line(&mut fetch, llc, idx_base + 4 * k as u64, true);
-            push_line(&mut fetch, llc, val_base + 8 * k as u64, false);
+            push_line(llc, idx_base + 4 * k as u64, true);
+            push_line(llc, val_base + 8 * k as u64, false);
         }
         // Row pointers consumed as rows advance (cheap, sequential).
-        push_line(&mut fetch, llc, ptr_base + 4 * rows_retired as u64, true);
+        push_line(llc, ptr_base + 4 * rows_retired as u64, true);
 
         let mut idx_done_at = clk.now();
-        let mut to_issue = fetch.clone();
-        let mut outstanding: Vec<(u64, bool)> = Vec::new();
-        while !to_issue.is_empty() || !outstanding.is_empty() {
+        let mut next_fetch = 0usize;
+        while next_fetch < fetch.len() || !mshrs.is_empty() {
             let now = clk.now();
             // Issue under the MSHR limit.
-            while !to_issue.is_empty() && inflight.len() < cfg.mshrs {
-                let (line, is_idx) = to_issue[0];
-                match chan.try_request(now, WideRequest::read(line, line)) {
-                    Ok(()) => {
-                        inflight.push(line);
-                        outstanding.push((line, is_idx));
-                        to_issue.remove(0);
-                    }
-                    Err(_) => break,
+            while next_fetch < fetch.len() && mshrs.len() < cfg.mshrs {
+                let (line, is_idx) = fetch[next_fetch];
+                if chan
+                    .try_request(now, WideRequest::read(line, line))
+                    .is_err()
+                {
+                    break;
                 }
+                mshrs.push(Mshr {
+                    line,
+                    waiters: 0,
+                    is_idx,
+                });
+                next_fetch += 1;
             }
             issue_write_back(chan, &mut pending_writes, now);
             chan.tick(now);
             while let Some(resp) = chan.pop_response(now) {
                 llc.fill(resp.addr);
-                inflight.retain(|&l| l != resp.addr);
-                if let Some(pos) = outstanding.iter().position(|&(l, _)| l == resp.addr) {
-                    let (_, is_idx) = outstanding.remove(pos);
-                    if is_idx {
-                        idx_done_at = now;
-                    }
+                if retire(&mut mshrs, resp.addr).is_some_and(|m| m.is_idx) {
+                    idx_done_at = now;
                 }
             }
-            clk.tick();
+            // The core acts next cycle when it can offer a line or a
+            // write, or when the phase is over; else it waits on a fill.
+            let offers =
+                !pending_writes.is_empty() || (next_fetch < fetch.len() && mshrs.len() < cfg.mshrs);
+            let over = next_fetch == fetch.len() && mshrs.is_empty();
+            end_cycle(&mut clk, chan, (offers || over).then_some(now + 1));
         }
         indir_cycles += idx_done_at.saturating_sub(phase_start);
 
         // --- Phase 2: element-wise gather, coupled with the access stream.
         let gather_start = clk.now();
-        let mut gathers: Vec<GatherState> = Vec::new();
         let mut next_issue = gather_start;
         let mut issued = 0usize;
         let total = k1 - k0;
@@ -294,52 +346,62 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
             let now = clk.now();
             // Issue the next gather at the VLSU's indexed-load rate; every
             // outstanding gather (hit or miss) holds a VLSU slot until its
-            // data returns.
-            let active = issued - done;
-            if issued < total && now >= next_issue && active < cfg.vlsu_outstanding {
-                let col = col_idx[k0 + issued] as u64;
-                let addr = vec_base + 8 * col;
+            // data returns. A miss that finds every MSHR busy blocks until
+            // a fill returns.
+            let mut blocked = false;
+            if issued < total && now >= next_issue && issued - done < cfg.vlsu_outstanding {
+                let addr = vec_base + 8 * col_idx[k0 + issued] as u64;
                 let line = addr & !(BLOCK_BYTES as u64 - 1);
-                if llc.access(addr) {
-                    gathers.push(GatherState::ReadyAt(now + cfg.llc_hit_latency));
-                    issued += 1;
-                    next_issue = now + cfg.gather_issue_interval;
-                } else if inflight.contains(&line) {
+                let accepted = if llc.access(addr) {
+                    hits.push_back(now + cfg.llc_hit_latency);
+                    true
+                } else if let Some(m) = mshrs.iter_mut().find(|m| m.line == line) {
                     // Merge with the in-flight fill.
-                    gathers.push(GatherState::WaitLine(line));
-                    issued += 1;
-                    next_issue = now + cfg.gather_issue_interval;
-                } else if inflight.len() < cfg.mshrs
-                    && chan.try_request(now, WideRequest::read(line, line)).is_ok()
-                {
-                    inflight.push(line);
-                    gathers.push(GatherState::WaitLine(line));
+                    m.waiters += 1;
+                    true
+                } else if mshrs.len() < cfg.mshrs {
+                    let sent = chan.try_request(now, WideRequest::read(line, line)).is_ok();
+                    if sent {
+                        mshrs.push(Mshr {
+                            line,
+                            waiters: 1,
+                            is_idx: false,
+                        });
+                    }
+                    sent
+                } else {
+                    blocked = true;
+                    false
+                };
+                if accepted {
                     issued += 1;
                     next_issue = now + cfg.gather_issue_interval;
                 }
-                // else: stall this cycle (MSHRs or controller queue full).
             }
             issue_write_back(chan, &mut pending_writes, now);
             chan.tick(now);
+            let mut filled = false;
             while let Some(resp) = chan.pop_response(now) {
                 llc.fill(resp.addr);
-                inflight.retain(|&l| l != resp.addr);
-                for g in gathers.iter_mut() {
-                    if *g == GatherState::WaitLine(resp.addr) {
-                        *g = GatherState::Done;
-                        done += 1;
-                    }
-                }
+                done += retire(&mut mshrs, resp.addr).map_or(0, |m| m.waiters);
+                filled = true;
             }
-            for g in gathers.iter_mut() {
-                if let GatherState::ReadyAt(t) = *g {
-                    if t <= now {
-                        *g = GatherState::Done;
-                        done += 1;
-                    }
-                }
+            while hits.front().is_some_and(|&t| t <= now) {
+                hits.pop_front();
+                done += 1;
             }
-            clk.tick();
+            // The core's next event: next cycle when it offers a write or
+            // the phase is over, else the next gather issue slot (unless
+            // the gather waits for a slot or a fill) or LLC-hit completion.
+            let core = if done == total || !pending_writes.is_empty() {
+                Some(now + 1)
+            } else {
+                let can_issue =
+                    issued < total && issued - done < cfg.vlsu_outstanding && (filled || !blocked);
+                let gather = can_issue.then_some(next_issue);
+                gather.into_iter().chain(hits.front().copied()).min()
+            };
+            end_cycle(&mut clk, chan, core);
         }
         indir_cycles += clk.now() - gather_start;
 
@@ -370,10 +432,14 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
 
     // Drain result writes.
     while !pending_writes.is_empty() || !chan.is_idle() {
-        issue_write_back(chan, &mut pending_writes, clk.now());
-        chan.tick(clk.now());
-        while chan.pop_response(clk.now()).is_some() {}
-        clk.tick();
+        let now = clk.now();
+        issue_write_back(chan, &mut pending_writes, now);
+        chan.tick(now);
+        while chan.pop_response(now).is_some() {}
+        // The core acts next cycle when it offers a write or the drain is
+        // over; else it waits on the channel.
+        let acts = !pending_writes.is_empty() || chan.is_idle();
+        end_cycle(&mut clk, chan, acts.then_some(now + 1));
     }
 
     IterReport {
@@ -517,6 +583,57 @@ mod behaviour_tests {
             tiny.offchip_bytes,
             big.offchip_bytes
         );
+    }
+
+    /// Short rows retire several result lines per chunk, so writes queue
+    /// up behind each other and, on a two-entry controller queue, get
+    /// refused. A wait loop must not skip while one is pending. The
+    /// `(cycles, indir_cycles, offchip_bytes)` literals were recorded from
+    /// the per-cycle loop that preceded the skipping one.
+    #[test]
+    fn pending_result_writes_keep_the_per_cycle_counts() {
+        use nmpic_mem::HbmConfig;
+        use nmpic_sparse::gen::random_uniform;
+        let q2 = BackendConfig {
+            hbm: HbmConfig {
+                queue_depth: 2,
+                ..HbmConfig::default()
+            },
+            ..BackendConfig::hbm()
+        };
+        let cases = [
+            ("diag", "ideal", 32, (47689, 14702, 61440)),
+            ("diag", "ideal", 64, (46441, 13478, 59392)),
+            ("diag", "hbm", 32, (49678, 16659, 61440)),
+            ("diag", "hbm", 64, (49521, 16518, 59392)),
+            ("diag", "hbm q2", 32, (52091, 19070, 61440)),
+            ("diag", "hbm q2", 64, (50788, 17783, 59392)),
+            ("short", "ideal", 32, (44889, 27880, 67520)),
+            ("short", "ideal", 64, (41964, 25252, 67392)),
+            ("short", "hbm", 32, (47846, 30868, 67520)),
+            ("short", "hbm", 64, (46982, 30290, 67392)),
+            ("short", "hbm q2", 32, (52391, 34916, 67520)),
+            ("short", "hbm q2", 64, (50331, 33639, 67392)),
+        ];
+        for (matrix, backend, chunk, want) in cases {
+            let m = match matrix {
+                "diag" => random_uniform(2048, 2048, 1, 3),
+                _ => banded_fem(1024, 2, 8, 4),
+            };
+            let cfg = BaseConfig {
+                chunk,
+                backend: match backend {
+                    "ideal" => BackendConfig::ideal(),
+                    "hbm" => BackendConfig::hbm(),
+                    _ => q2.clone(),
+                },
+                ..BaseConfig::default()
+            };
+            let r = run_base_spmv(&m, &cfg);
+            assert!(r.verified);
+            let got = (r.cycles, r.indir_cycles, r.offchip_bytes);
+            assert_eq!(got, want, "{matrix} on {backend} with chunk {chunk}");
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 #               unordered floats, unsafe, Relaxed, clocks, unaudited
 #               service locks)
 #   test        release build + quick-scale test suite (stable, plus the
-#               MSRV toolchain when rustup has it installed)
+#               MSRV toolchain when rustup has it installed), and the
+#               debug-profile step whose assertions check the baseline's
+#               skipped cycles
 #   benchmark   the benchmark/ package's own tests + a 1 s smoke run of
 #               every BENCHMARK.json workload (build, golden checks and
 #               determinism guard of the benchmark driver)
@@ -47,6 +49,9 @@ run_test() {
     cargo build --release --workspace --all-targets
     step "test: quick-scale suite (stable)"
     NMPIC_QUICK=1 cargo test -q --release --workspace
+    step "test: debug profile (checked skips in the baseline loop)"
+    NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system
+    cargo test -q --test base_counts --test engine_counts
     step "test: self-checking example (scatter_gather asserts dst == src)"
     cargo run --release --example scatter_gather
     # The MSRV leg runs only when the pinned toolchain is available, so

@@ -1,0 +1,163 @@
+//! Heap allocations per warm `run_into`, pinned as exact counts.
+//!
+//! DESIGN.md's rule is that nothing on a tick path allocates. This test
+//! makes the rule a number: a counting global allocator counts the
+//! allocations (and reallocations) the calling thread makes during one
+//! `run_into` on a plan that has already run twice, for every
+//! {base, pack0, pack256, sharded4} × {ideal, hbm, hbm x8} plan. Sharded
+//! plans use `shard_workers(1)`, so every shard runs on the calling
+//! thread and is counted. The baseline is also measured on a matrix four
+//! times larger: its count must not change, so no allocation scales
+//! with the number of nonzeros.
+//!
+//! On a mismatch the failure message prints the measured rows in source
+//! form, so a deliberate change re-pins by copy and paste.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use nmpic::mem::BackendConfig;
+use nmpic::sparse::gen::banded_fem;
+use nmpic::sparse::Csr;
+use nmpic::system::{golden_x, SpmvEngine, SystemKind};
+
+thread_local! {
+    /// Allocations made by this thread. `const`-initialised and without
+    /// a destructor, so touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with` fails only while the thread is being torn down, when
+    // nothing is being measured.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// [`System`] plus a per-thread allocation counter.
+struct Counting;
+
+// The repository's only `unsafe`, confined to this test binary (the
+// `#![forbid(unsafe_code)]` roots cover the library crates); a global
+// allocator cannot be written without it.
+//
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which implements the `GlobalAlloc` contract, and returns what `System`
+// returned; the only extra work is bumping a thread-local `Cell`, which
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: our caller meets `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: our caller meets `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with `layout`; our caller meets `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, hence from `System`,
+        // with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(system, rows of the banded_fem matrix, backend, allocations)`.
+type Row = (&'static str, usize, &'static str, u64);
+
+#[rustfmt::skip]
+const PINNED: &[Row] = &[
+    ("base", 1536, "ideal", 4),
+    ("base", 1536, "hbm", 4),
+    ("base", 1536, "hbm x8", 4),
+    ("pack0", 1536, "ideal", 3882),
+    ("pack0", 1536, "hbm", 3882),
+    ("pack0", 1536, "hbm x8", 3882),
+    ("pack256", 1536, "ideal", 3884),
+    ("pack256", 1536, "hbm", 3884),
+    ("pack256", 1536, "hbm x8", 3884),
+    ("sharded4", 1536, "ideal", 20),
+    ("sharded4", 1536, "hbm", 20),
+    ("sharded4", 1536, "hbm x8", 20),
+    ("base", 6144, "ideal", 4),
+    ("base", 6144, "hbm", 4),
+    ("base", 6144, "hbm x8", 4),
+];
+
+const SYSTEMS: [&str; 4] = ["base", "pack0", "pack256", "sharded4"];
+const BACKENDS: [&str; 3] = ["ideal", "hbm", "hbm x8"];
+
+fn backend(name: &str) -> BackendConfig {
+    match name {
+        "ideal" => BackendConfig::ideal(),
+        "hbm" => BackendConfig::hbm(),
+        "hbm x8" => BackendConfig::interleaved(8),
+        other => panic!("unknown backend '{other}'"),
+    }
+}
+
+/// Allocations of the third `run_into` on a fresh plan.
+fn warm_allocs(system: &str, csr: &Csr, backend_name: &str) -> u64 {
+    let engine = SpmvEngine::builder()
+        .backend(backend(backend_name))
+        .system(system.parse::<SystemKind>().expect("system name"))
+        .shard_workers(1)
+        .build();
+    let mut plan = engine.prepare(csr);
+    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
+    let mut y = vec![0.0; csr.rows()];
+    plan.run_into(&x, &mut y);
+    plan.run_into(&x, &mut y);
+    let before = ALLOCS.with(Cell::get);
+    plan.run_into(&x, &mut y);
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn warm_run_into_allocations_match_the_pinned_table() {
+    let mut measured = Vec::new();
+    for rows in [1536, 6144] {
+        let csr = banded_fem(rows, 8, 48, 12);
+        for system in SYSTEMS {
+            if rows != 1536 && system != "base" {
+                continue;
+            }
+            for b in BACKENDS {
+                measured.push((system, rows, b, warm_allocs(system, &csr, b)));
+            }
+        }
+    }
+    let rows: Vec<String> = measured
+        .iter()
+        .map(|(s, r, b, n)| format!("    ({s:?}, {r}, {b:?}, {n}),"))
+        .collect();
+    assert!(
+        measured.as_slice() == PINNED,
+        "allocations per warm run_into drifted; measured rows:\n{}",
+        rows.join("\n")
+    );
+    for b in BACKENDS {
+        let base = |rows| {
+            measured
+                .iter()
+                .find(|m| (m.0, m.1, m.2) == ("base", rows, b))
+        };
+        assert_eq!(
+            base(1536).map(|m| m.3),
+            base(6144).map(|m| m.3),
+            "base on {b}: allocations must not scale with nnz"
+        );
+    }
+}
