@@ -6,9 +6,9 @@ use nmpic_core::AdapterConfig;
 use nmpic_mem::{ChannelPort, HbmChannel, HbmConfig, Memory, WideRequest};
 use nmpic_model::{adapter_area, AreaBreakdown, EfficiencyPoint, EnergyModel};
 use nmpic_sim::pool::parallel_map;
-use nmpic_sim::stats::{GeoMean, RunningMean};
+use nmpic_sim::stats::GeoMean;
 use nmpic_sim::SimClock;
-use nmpic_sparse::{Csr, Sell, EFFICIENCY_THREE, REPRESENTATIVE_SIX};
+use nmpic_sparse::{Csr, EFFICIENCY_THREE, REPRESENTATIVE_SIX};
 use nmpic_system::{golden_x, RunReport, SpmvEngine, SystemKind};
 
 use super::{build_matrices, col, ExperimentOpts, Outcome, Section};
@@ -66,7 +66,7 @@ enum SystemJob<'a> {
     },
     Pack {
         matrix: &'a str,
-        sell: &'a Sell,
+        csr: &'a Csr,
         adapter: AdapterConfig,
     },
 }
@@ -85,14 +85,14 @@ fn run_system_jobs(jobs: Vec<SystemJob<'_>>) -> Vec<SystemRow> {
         }
         SystemJob::Pack {
             matrix,
-            sell,
+            csr,
             adapter,
         } => {
             let engine = SpmvEngine::builder()
                 .system(SystemKind::Pack(adapter))
                 .build();
-            let x: Vec<f64> = (0..sell.cols()).map(golden_x).collect();
-            let report = engine.prepare_sell(sell).run(&x);
+            let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
+            let report = engine.prepare(csr).run(&x);
             assert!(
                 report.verified,
                 "{matrix}/{}: datapath mismatch",
@@ -116,12 +116,12 @@ fn run_system_jobs(jobs: Vec<SystemJob<'_>>) -> Vec<SystemRow> {
 pub(crate) fn fig5(opts: &ExperimentOpts) -> Vec<SystemRow> {
     let matrices = build_matrices(&REPRESENTATIVE_SIX, opts);
     let mut jobs = Vec::new();
-    for (name, csr, sell) in &matrices {
+    for (name, csr, _) in &matrices {
         jobs.push(SystemJob::Base { matrix: name, csr });
         for adapter in fig5_adapters() {
             jobs.push(SystemJob::Pack {
                 matrix: name,
-                sell,
+                csr,
                 adapter,
             });
         }
@@ -132,12 +132,12 @@ pub(crate) fn fig5(opts: &ExperimentOpts) -> Vec<SystemRow> {
 /// Runs the Fig. 5 systems for one named matrix.
 pub(crate) fn fig5_matrix(name: &str, opts: &ExperimentOpts) -> Vec<SystemRow> {
     let matrices = build_matrices(&[name], opts);
-    let (name, csr, sell) = &matrices[0];
+    let (name, csr, _) = &matrices[0];
     let mut jobs = vec![SystemJob::Base { matrix: name, csr }];
     for adapter in fig5_adapters() {
         jobs.push(SystemJob::Pack {
             matrix: name,
-            sell,
+            csr,
             adapter,
         });
     }
@@ -222,17 +222,15 @@ fn fig5b_averages(rows: &[SystemRow]) -> Vec<String> {
     let group = fig5_group();
     (0..group.min(rows.len()))
         .map(|i| {
-            let mut traffic = RunningMean::new();
-            let mut util = RunningMean::new();
-            for r in rows.iter().skip(i).step_by(group) {
-                traffic.add(r.report.traffic_ratio());
-                util.add(r.report.bw_utilization(32.0));
-            }
+            let reports = || rows.iter().skip(i).step_by(group).map(|r| &r.report);
+            let n = reports().count() as f64;
+            let traffic = reports().map(RunReport::traffic_ratio).sum::<f64>() / n;
+            let util = reports().map(|r| r.bw_utilization(32.0)).sum::<f64>() / n;
             format!(
                 "avg {:8}: traffic {:.2}x, utilization {:.1}%",
                 rows[i].report.label,
-                traffic.mean(),
-                100.0 * util.mean()
+                traffic,
+                100.0 * util
             )
         })
         .collect()
@@ -378,12 +376,12 @@ pub(crate) fn fig6b(opts: &ExperimentOpts) -> Vec<EfficiencyPoint> {
     let adapter = AdapterConfig::mlp(256);
     let matrices = build_matrices(&EFFICIENCY_THREE, opts);
     let pack = adapter.clone();
-    let reports = parallel_map(matrices, move |(name, _, sell)| {
+    let reports = parallel_map(matrices, move |(name, csr, _)| {
         let engine = SpmvEngine::builder()
             .system(SystemKind::Pack(pack.clone()))
             .build();
-        let x: Vec<f64> = (0..sell.cols()).map(golden_x).collect();
-        let report = engine.prepare_sell(&sell).run(&x);
+        let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
+        let report = engine.prepare(&csr).run(&x);
         assert!(report.verified, "{name}: datapath mismatch");
         report
     });

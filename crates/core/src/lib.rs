@@ -22,10 +22,10 @@
 //! * [`run_indirect_stream`] — the ideal-requestor harness that generates
 //!   the paper's Fig. 3/Fig. 4 metrics and verifies gathered data against
 //!   a golden model.
-//! * [`ShardArbiter`] / [`MergedCollector`] — shard-aware round-robin
-//!   arbitration and merged result collection for multi-unit execution
-//!   (`nmpic_system`'s sharded engine feeds the merged stream through a
-//!   [`ScatterUnit`]).
+//! * [`ScatterUnit`] — the write-direction companion of the unit: scatters
+//!   packed elements through an index array, merging consecutive writes
+//!   to one block into a masked wide write (`nmpic_system`'s sharded
+//!   engine writes its merged result with it).
 //!
 //! # Example
 //!
@@ -48,7 +48,6 @@ mod config;
 mod harness;
 mod request;
 mod scatter;
-mod shard;
 mod traffic;
 mod unit;
 
@@ -59,6 +58,5 @@ pub use harness::{
 };
 pub use request::{ElemOut, ElemRequest};
 pub use scatter::{ScatterRequest, ScatterStats, ScatterUnit};
-pub use shard::{MergedCollector, ShardArbiter};
 pub use traffic::{CoalescerTrafficModel, TrafficCounts};
 pub use unit::{AdapterStats, BeginError, IndirectStreamUnit};

@@ -6,7 +6,6 @@
 
 use std::collections::VecDeque;
 
-use nmpic_sim::stats::BusyTracker;
 use nmpic_sim::Cycle;
 
 use crate::BLOCK_BYTES;
@@ -201,7 +200,6 @@ pub(crate) struct Controller {
     in_flight: VecDeque<(Cycle, usize)>,
     bus_free_at: Cycle,
     last_group: Option<usize>,
-    bus: BusyTracker,
     stats: HbmStats,
 }
 
@@ -213,17 +211,13 @@ impl Controller {
             in_flight: VecDeque::new(),
             bus_free_at: 0,
             last_group: None,
-            bus: BusyTracker::new(),
             stats: HbmStats::default(),
         }
     }
 
     /// Statistics gathered so far.
     pub(crate) fn stats(&self) -> HbmStats {
-        HbmStats {
-            bus_busy_cycles: self.bus.busy_cycles(),
-            ..self.stats
-        }
+        self.stats
     }
 
     /// `true` when the request queue cannot take another entry.
@@ -357,7 +351,7 @@ impl Controller {
         let data_start = (cas_at + cfg.t_cl).max(self.bus_free_at);
         let data_end = data_start + cfg.t_bl;
         self.bus_free_at = data_end;
-        self.bus.mark_busy_range(data_start, data_end);
+        self.stats.bus_busy_cycles += data_end - data_start;
         self.stats.data_bytes += BLOCK_BYTES as u64;
 
         // Row-buffer management after the column access.
@@ -397,7 +391,6 @@ impl Controller {
         self.banks.fill(BankState::default());
         self.bus_free_at = 0;
         self.last_group = None;
-        self.bus = BusyTracker::new();
         self.stats = HbmStats::default();
     }
 }

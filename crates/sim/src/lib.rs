@@ -17,7 +17,8 @@
 //!   and the deadlock watchdog exist exactly once.
 //! * [`SimRng`] — the vendored deterministic PRNG behind every generated
 //!   matrix and randomized test.
-//! * [`stats`] — bandwidth/utilization accounting shared by all experiments.
+//! * [`stats`] — load-imbalance, geometric-mean and latency-quantile
+//!   accumulators.
 //! * [`pool`] — the shared `NMPIC_JOBS` work pool that both the bench
 //!   sweep runner and the sharded engine's parallel shard executor fan
 //!   jobs through.

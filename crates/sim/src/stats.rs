@@ -1,119 +1,8 @@
-//! Bandwidth and utilization accounting shared by all experiments.
-//!
-//! Every figure in the paper reports either a bandwidth (GB/s), a
-//! utilization (% of channel peak), or a ratio of byte counts. This module
-//! provides the shared bookkeeping so each model counts bytes the same way.
+//! Summary statistics: load imbalance across shards ([`Extrema`]),
+//! geometric means of speedups ([`GeoMean`]) and latency quantiles
+//! ([`Histogram`]).
 
-use crate::Cycle;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Tracks busy cycles of a shared resource (e.g. the DRAM data bus) for
-/// utilization reporting.
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sim::stats::BusyTracker;
-/// let mut b = BusyTracker::new();
-/// b.mark_busy(2);
-/// b.mark_busy(3);
-/// assert_eq!(b.busy_cycles(), 2);
-/// assert!((b.utilization(4) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusyTracker {
-    busy: u64,
-    last_marked: Option<Cycle>,
-}
-
-impl BusyTracker {
-    /// A zeroed tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks cycle `now` as busy. Marking the same cycle twice counts once.
-    pub fn mark_busy(&mut self, now: Cycle) {
-        if self.last_marked != Some(now) {
-            self.busy += 1;
-            self.last_marked = Some(now);
-        }
-    }
-
-    /// Marks a half-open range of cycles `[from, to)` as busy.
-    ///
-    /// Used when a transfer occupies the bus for several consecutive cycles.
-    /// Ranges are assumed non-overlapping (callers reserve the bus before
-    /// scheduling), so this simply adds the length.
-    pub fn mark_busy_range(&mut self, from: Cycle, to: Cycle) {
-        debug_assert!(to >= from);
-        self.busy += to - from;
-        self.last_marked = Some(to.saturating_sub(1));
-    }
-
-    /// Number of busy cycles recorded.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy
-    }
-
-    /// Fraction of `total` cycles that were busy, in `[0, 1]`.
-    pub fn utilization(&self, total: Cycle) -> f64 {
-        if total == 0 {
-            return 0.0;
-        }
-        self.busy as f64 / total as f64
-    }
-}
-
-/// A running mean without storing samples.
-///
-/// # Example
-///
-/// ```
-/// use nmpic_sim::stats::RunningMean;
-/// let mut m = RunningMean::new();
-/// m.add(1.0);
-/// m.add(3.0);
-/// assert_eq!(m.mean(), 2.0);
-/// assert_eq!(m.count(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningMean {
-    sum: f64,
-    count: u64,
-}
-
-impl RunningMean {
-    /// A zeroed accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, sample: f64) {
-        self.sum += sample;
-        self.count += 1;
-    }
-
-    /// The mean of all samples, or 0.0 with no samples.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Number of samples added.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-}
 
 /// Min/max/mean accumulator for cross-shard load-imbalance reporting.
 ///
@@ -440,28 +329,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn busy_tracker_dedups_same_cycle() {
-        let mut b = BusyTracker::new();
-        b.mark_busy(5);
-        b.mark_busy(5);
-        b.mark_busy(6);
-        assert_eq!(b.busy_cycles(), 2);
-    }
-
-    #[test]
-    fn busy_tracker_range() {
-        let mut b = BusyTracker::new();
-        b.mark_busy_range(10, 14);
-        assert_eq!(b.busy_cycles(), 4);
-        assert!((b.utilization(8) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn running_mean_empty_is_zero() {
-        assert_eq!(RunningMean::new().mean(), 0.0);
-    }
 
     #[test]
     fn extrema_tracks_min_max_mean() {

@@ -51,8 +51,6 @@ pub struct BaseConfig {
     /// Fixed cycles per matrix row for the coupled scalar work: row
     /// pointer reads, `vsetvl`, and the row reduction.
     pub row_overhead_cycles: u64,
-    /// Memory backend (defaults to the paper's single HBM2 channel).
-    pub backend: BackendConfig,
 }
 
 impl Default for BaseConfig {
@@ -66,7 +64,6 @@ impl Default for BaseConfig {
             chunk: 32,
             macs_per_cycle: 16,
             row_overhead_cycles: 16,
-            backend: BackendConfig::hbm(),
         }
     }
 }
@@ -117,7 +114,7 @@ fn end_cycle(clk: &mut SimClock, chan: &mut dyn ChannelPort, core: Option<Cycle>
 
 /// Memory footprint of a baseline plan's image (all five arrays plus
 /// slack), rounded to a power of two.
-pub fn base_memory_size(csr: &Csr) -> usize {
+fn base_memory_size(csr: &Csr) -> usize {
     let need = 4 * (csr.rows() as u64 + 1)
         + 12 * csr.nnz() as u64
         + 8 * (csr.cols() + csr.rows()) as u64
@@ -130,6 +127,7 @@ pub fn base_memory_size(csr: &Csr) -> usize {
 pub(crate) struct BasePlan {
     mode: ExecMode,
     cfg: BaseConfig,
+    backend: BackendConfig,
     csr: Csr,
     chan: Box<dyn ChannelPort>,
     /// DRAM home locations of the five arrays — one type for the
@@ -141,18 +139,24 @@ pub(crate) struct BasePlan {
 }
 
 impl BasePlan {
-    /// Lays the matrix image out in a channel built from `cfg.backend`.
+    /// Lays the matrix image out in a channel built from `backend`.
     ///
     /// # Panics
     ///
     /// Panics on an empty matrix.
-    pub(crate) fn prepare(csr: &Csr, cfg: BaseConfig, mode: ExecMode) -> Self {
-        let mut chan = cfg.backend.build(Memory::new(base_memory_size(csr)));
+    pub(crate) fn prepare(
+        csr: &Csr,
+        cfg: BaseConfig,
+        backend: &BackendConfig,
+        mode: ExecMode,
+    ) -> Self {
+        let mut chan = backend.build(Memory::new(base_memory_size(csr)));
         let layout = layout_base(&mut *chan, csr);
         Self {
             mode,
             llc: Cache::new(cfg.llc),
             cfg,
+            backend: backend.clone(),
             csr: csr.clone(),
             chan,
             layout,
@@ -167,7 +171,7 @@ impl BasePlan {
             gather_issue_interval: cfg.gather_issue_interval,
             macs_per_cycle: cfg.macs_per_cycle as u64,
             row_overhead_cycles: cfg.row_overhead_cycles,
-            chan: nmpic_model::ChannelModel::of(&cfg.backend),
+            chan: nmpic_model::ChannelModel::of(&self.backend),
         }
     }
 }
@@ -449,16 +453,22 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
     }
 }
 
-/// One golden-vector SpMV on a fresh baseline plan tuned by `cfg` — the
-/// in-module tests' way into the datapath.
+/// One golden-vector SpMV on a fresh baseline plan tuned by `cfg` over
+/// `backend` — the in-module tests' way into the datapath.
 #[cfg(test)]
-fn run_base_spmv(csr: &Csr, cfg: &BaseConfig) -> crate::RunReport {
+fn run_base_spmv_on(csr: &Csr, cfg: &BaseConfig, backend: BackendConfig) -> crate::RunReport {
     let engine = crate::SpmvEngine::builder()
-        .backend(cfg.backend.clone())
+        .backend(backend)
         .system(crate::SystemKind::Base)
         .base_config(cfg.clone())
         .build();
     crate::engine::run_golden(engine.prepare(csr))
+}
+
+/// [`run_base_spmv_on`] on one HBM channel, the paper's memory.
+#[cfg(test)]
+fn run_base_spmv(csr: &Csr, cfg: &BaseConfig) -> crate::RunReport {
+    run_base_spmv_on(csr, cfg, BackendConfig::hbm())
 }
 
 #[cfg(test)]
@@ -569,7 +579,7 @@ mod behaviour_tests {
         let tiny = run_base_spmv(
             &m,
             &BaseConfig {
-                llc: crate::CacheConfig {
+                llc: CacheConfig {
                     size_bytes: 8 * 1024,
                     ways: 8,
                     line_bytes: 64,
@@ -622,14 +632,14 @@ mod behaviour_tests {
             };
             let cfg = BaseConfig {
                 chunk,
-                backend: match backend {
-                    "ideal" => BackendConfig::ideal(),
-                    "hbm" => BackendConfig::hbm(),
-                    _ => q2.clone(),
-                },
                 ..BaseConfig::default()
             };
-            let r = run_base_spmv(&m, &cfg);
+            let port = match backend {
+                "ideal" => BackendConfig::ideal(),
+                "hbm" => BackendConfig::hbm(),
+                _ => q2.clone(),
+            };
+            let r = run_base_spmv_on(&m, &cfg, port);
             assert!(r.verified);
             let got = (r.cycles, r.indir_cycles, r.offchip_bytes);
             assert_eq!(got, want, "{matrix} on {backend} with chunk {chunk}");

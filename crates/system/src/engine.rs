@@ -93,26 +93,39 @@ impl fmt::Display for SystemKind {
     }
 }
 
-/// Error returned when a system name cannot be parsed.
+/// Error returned when a [`SystemKind`], [`ExecMode`] or
+/// [`PartitionStrategy`] name cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseSystemError(String);
+pub struct ParseError {
+    what: &'static str,
+    input: String,
+    expected: &'static str,
+}
 
-impl fmt::Display for ParseSystemError {
+impl ParseError {
+    pub(crate) fn new(what: &'static str, input: &str, expected: &'static str) -> Self {
+        Self {
+            what,
+            input: input.to_string(),
+            expected,
+        }
+    }
+}
+
+impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown system '{}': expected 'base', 'pack'/'pack0'/'packN'/'packseqN' \
-             (N a power of two >= 8, e.g. pack256), or 'sharded'/'shardedK' (K units, \
-             e.g. sharded4)",
-            self.0
+            "unknown {} '{}': expected {}",
+            self.what, self.input, self.expected
         )
     }
 }
 
-impl std::error::Error for ParseSystemError {}
+impl std::error::Error for ParseError {}
 
 impl FromStr for SystemKind {
-    type Err = ParseSystemError;
+    type Err = ParseError;
 
     /// Parses `base`, `pack` (= pack256), `pack0`, `pack<N>`,
     /// `packseq<N>`, `sharded` (= one unit) or `sharded<K>` — mirroring
@@ -154,7 +167,12 @@ impl FromStr for SystemKind {
                 }
             }
         }
-        Err(ParseSystemError(s.to_string()))
+        Err(ParseError::new(
+            "system",
+            s,
+            "'base', 'pack'/'pack0'/'packN'/'packseqN' (N a power of two >= 8, e.g. \
+             pack256), or 'sharded'/'shardedK' (K units, e.g. sharded4)",
+        ))
     }
 }
 
@@ -187,24 +205,8 @@ impl fmt::Display for ExecMode {
     }
 }
 
-/// Error returned when an execution-mode name cannot be parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseExecModeError(String);
-
-impl fmt::Display for ParseExecModeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown execution mode '{}': expected 'cycle' or 'analytic'",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseExecModeError {}
-
 impl FromStr for ExecMode {
-    type Err = ParseExecModeError;
+    type Err = ParseError;
 
     /// Parses `cycle` or `analytic` (case-insensitive) — the grammar the
     /// `NMPIC_EXEC` environment knob uses.
@@ -212,7 +214,11 @@ impl FromStr for ExecMode {
         match s.trim().to_ascii_lowercase().as_str() {
             "cycle" => Ok(ExecMode::CycleAccurate),
             "analytic" => Ok(ExecMode::Analytic),
-            _ => Err(ParseExecModeError(s.to_string())),
+            _ => Err(ParseError::new(
+                "execution mode",
+                s,
+                "'cycle' or 'analytic'",
+            )),
         }
     }
 }
@@ -269,16 +275,12 @@ impl SpmvEngineBuilder {
     }
 
     /// Overrides the baseline system's tuning (LLC geometry, VLSU rates).
-    /// The config's own `backend` field is ignored — the engine backend
-    /// wins.
     pub fn base_config(mut self, cfg: BaseConfig) -> Self {
         self.base = cfg;
         self
     }
 
-    /// Overrides the pack system's tuning (L2 size, compute rate). The
-    /// config's `adapter`/`backend` fields are ignored — the
-    /// [`SystemKind::Pack`] adapter and the engine backend win.
+    /// Overrides the pack system's tuning (L2 size, compute rate).
     pub fn pack_config(mut self, cfg: PackConfig) -> Self {
         self.pack = cfg;
         self
@@ -386,14 +388,20 @@ impl SpmvEngine {
     /// Panics on an empty matrix.
     pub fn prepare(&self, csr: &Csr) -> SpmvPlan {
         match &self.system {
-            SystemKind::Base => {
-                let cfg = BaseConfig {
-                    backend: self.backend.clone(),
-                    ..self.base.clone()
-                };
-                self.plan(BasePlan::prepare(csr, cfg, self.exec_mode))
-            }
-            SystemKind::Pack(_) => self.prepare_sell_owned(Sell::from_csr_default(csr)),
+            SystemKind::Base => self.plan(BasePlan::prepare(
+                csr,
+                self.base.clone(),
+                &self.backend,
+                self.exec_mode,
+            )),
+            SystemKind::Pack(adapter) => self.plan(PackPlan::prepare(
+                Sell::from_csr_default(csr),
+                self.pack.clone(),
+                adapter,
+                &self.backend,
+                self.batch_capacity,
+                self.exec_mode,
+            )),
             SystemKind::Sharded { units, strategy } => self.plan(ShardedPlan::prepare(
                 csr,
                 *units,
@@ -404,40 +412,6 @@ impl SpmvEngine {
                 self.exec_mode,
             )),
         }
-    }
-
-    /// Prepares a pack plan directly from an already-converted SELL
-    /// matrix (skipping the CSR→SELL conversion [`SpmvEngine::prepare`]
-    /// would perform).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's system is not [`SystemKind::Pack`] — SELL
-    /// is the pack system's format; the baseline and sharded systems
-    /// execute CSR and must go through [`SpmvEngine::prepare`].
-    pub fn prepare_sell(&self, sell: &Sell) -> SpmvPlan {
-        self.prepare_sell_owned(sell.clone())
-    }
-
-    fn prepare_sell_owned(&self, sell: Sell) -> SpmvPlan {
-        let SystemKind::Pack(adapter) = &self.system else {
-            // nmpic-lint: allow(L2) — documented panic: prepare_sell advertises this misuse panic in its Panics section
-            panic!(
-                "prepare_sell is only valid for SystemKind::Pack; use prepare(&Csr) for `{}`",
-                self.system
-            );
-        };
-        let cfg = PackConfig {
-            adapter: adapter.clone(),
-            backend: self.backend.clone(),
-            ..self.pack.clone()
-        };
-        self.plan(PackPlan::prepare(
-            sell,
-            cfg,
-            self.batch_capacity,
-            self.exec_mode,
-        ))
     }
 
     fn plan(&self, sys: impl Executor + 'static) -> SpmvPlan {
@@ -884,15 +858,6 @@ mod tests {
     #[should_panic(expected = "at least one shard worker")]
     fn zero_shard_workers_panics() {
         let _ = SpmvEngine::builder().shard_workers(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "prepare_sell is only valid")]
-    fn prepare_sell_rejects_non_pack() {
-        let csr = banded_fem(64, 4, 8, 1);
-        let sell = Sell::from_csr_default(&csr);
-        let engine = SpmvEngine::builder().system(SystemKind::Base).build();
-        let _ = engine.prepare_sell(&sell);
     }
 
     #[test]

@@ -64,12 +64,8 @@ mod service;
 mod shard;
 mod solve;
 
-pub use base::{base_memory_size, BaseConfig};
-pub use engine::{
-    ExecMode, ParseExecModeError, ParseSystemError, SpmvEngine, SpmvEngineBuilder, SpmvPlan,
-    SystemKind,
-};
-pub use nmpic_mem::{Cache, CacheConfig, CacheStats};
+pub use base::BaseConfig;
+pub use engine::{ExecMode, ParseError, SpmvEngine, SpmvEngineBuilder, SpmvPlan, SystemKind};
 pub use pack::PackConfig;
 pub use report::{golden_x, IterReport, RunReport, ShardDetail};
 pub use service::{
@@ -77,5 +73,5 @@ pub use service::{
     ServiceError, ServiceStats, SolveRequest, SpmvService, Ticket, DEFAULT_LANE_QUOTA, DRAIN_BATCH,
     LANES, RESULT_RETENTION_FACTOR,
 };
-pub use shard::{ParsePartitionError, PartitionStrategy, ShardReport};
+pub use shard::{PartitionStrategy, ShardReport};
 pub use solve::{SolveOptions, SolveReport, Solver};

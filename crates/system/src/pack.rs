@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use nmpic_axi::{ElemSize, PackRequest, Unpacker};
+use nmpic_axi::{ElemSize, PackRequest};
 use nmpic_core::{AdapterConfig, IndirectStreamUnit};
 use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
 use nmpic_sim::SimClock;
@@ -33,12 +33,10 @@ use nmpic_sparse::Sell;
 use crate::engine::{issue_write_back, ExecMode, Executor, PlanFacts};
 use crate::report::{bits_equal, IterReport};
 
-/// Configuration of the pack system.
+/// Tuning of the pack system; the adapter variant is chosen by
+/// [`crate::SystemKind::Pack`].
 #[derive(Debug, Clone)]
 pub struct PackConfig {
-    /// Adapter variant (pack0 = `MLPnc`, pack64 = `MLP64`, pack256 =
-    /// `MLP256`).
-    pub adapter: AdapterConfig,
     /// Total L2 scratchpad bytes, split into six equal arrays (Table I:
     /// 384 kB).
     pub l2_bytes: usize,
@@ -46,21 +44,9 @@ pub struct PackConfig {
     /// lanes the 512 b L2 port feeds two 64 b operand streams at 8
     /// elements/cycle combined → 4 MACs/cycle sustained.
     pub compute_elems_per_cycle: f64,
-    /// Memory backend (defaults to the paper's single HBM2 channel).
-    pub backend: BackendConfig,
 }
 
 impl PackConfig {
-    /// The paper's pack system with the given adapter variant.
-    pub fn with_adapter(adapter: AdapterConfig) -> Self {
-        Self {
-            adapter,
-            l2_bytes: 384 * 1024,
-            compute_elems_per_cycle: 4.0,
-            backend: BackendConfig::hbm(),
-        }
-    }
-
     /// Entries per tile: one L2 array (a sixth of the scratchpad) of 64 b
     /// values.
     pub fn tile_entries(&self) -> usize {
@@ -80,7 +66,10 @@ impl PackConfig {
 
 impl Default for PackConfig {
     fn default() -> Self {
-        Self::with_adapter(AdapterConfig::mlp(256))
+        Self {
+            l2_bytes: 384 * 1024,
+            compute_elems_per_cycle: 4.0,
+        }
     }
 }
 
@@ -109,6 +98,7 @@ fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
 pub(crate) struct PackPlan {
     mode: ExecMode,
     cfg: PackConfig,
+    backend: BackendConfig,
     sell: Sell,
     row_of: Vec<u32>,
     chan: Box<dyn ChannelPort>,
@@ -118,21 +108,27 @@ pub(crate) struct PackPlan {
 
 impl PackPlan {
     /// Lays the SELL image out, with `slots` resident vector/result
-    /// pairs, in a channel built from `cfg.backend`.
+    /// pairs, in a channel built from `backend`, behind one `adapter`.
     ///
     /// # Panics
     ///
     /// Panics on an empty matrix.
-    pub(crate) fn prepare(sell: Sell, cfg: PackConfig, slots: usize, mode: ExecMode) -> Self {
-        let mut chan = cfg
-            .backend
-            .build(Memory::new(pack_plan_memory_size(&sell, slots)));
+    pub(crate) fn prepare(
+        sell: Sell,
+        cfg: PackConfig,
+        adapter: &AdapterConfig,
+        backend: &BackendConfig,
+        slots: usize,
+        mode: ExecMode,
+    ) -> Self {
+        let mut chan = backend.build(Memory::new(pack_plan_memory_size(&sell, slots)));
         let layout = layout_pack(&mut *chan, &sell, slots);
         Self {
             mode,
             row_of: row_map(&sell),
-            unit: IndirectStreamUnit::new(cfg.adapter.clone()),
+            unit: IndirectStreamUnit::new(adapter.clone()),
             cfg,
+            backend: backend.clone(),
             sell,
             chan,
             layout,
@@ -146,8 +142,8 @@ impl PackPlan {
             rows: self.sell.rows(),
             vectors,
             compute_elems_per_cycle: self.cfg.compute_elems_per_cycle,
-            adapter: self.cfg.adapter.clone(),
-            chan: nmpic_model::ChannelModel::of(&self.cfg.backend),
+            adapter: self.unit.config().clone(),
+            chan: nmpic_model::ChannelModel::of(&self.backend),
             idx_base: self.layout.idx_base,
             vec_bases: self.layout.vec_bases[..vectors].to_vec(),
         }
@@ -158,7 +154,7 @@ impl Executor for PackPlan {
     fn facts(&self) -> PlanFacts {
         let sell = &self.sell;
         PlanFacts {
-            label: self.cfg.adapter.label(),
+            label: self.unit.config().label(),
             rows: sell.rows(),
             cols: sell.cols(),
             nnz: sell.nnz(),
@@ -275,8 +271,6 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
     let mut stage = Stage::Ptr;
     let mut burst_begun = false;
     let mut fetched_tiles = 0usize; // tiles fully resident in L2
-    let mut vals_unp = Unpacker::new(ElemSize::B8);
-    let mut vec_unp = Unpacker::new(ElemSize::B8);
     let mut tile_vals: Vec<u64> = Vec::with_capacity(tile_entries);
     // `vec![elem; n]` clones, and cloning an empty Vec drops its
     // reserved capacity — build each buffer explicitly.
@@ -358,14 +352,8 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
         while let Some(beat) = unit.pop_beat() {
             match stage {
                 Stage::Ptr => { /* slice pointers: control only */ }
-                Stage::Val => {
-                    vals_unp.push_beat(&beat);
-                    tile_vals.extend(vals_unp.drain());
-                }
-                Stage::Indirect(b) => {
-                    vec_unp.push_beat(&beat);
-                    tile_vecs[b].extend(vec_unp.drain());
-                }
+                Stage::Val => tile_vals.extend(beat.elements()),
+                Stage::Indirect(b) => tile_vecs[b].extend(beat.elements()),
             }
         }
 
@@ -463,16 +451,25 @@ fn complete_rows(sell: &Sell, pos: usize) -> usize {
     done
 }
 
-/// One golden-vector SpMV on a fresh pack plan tuned by `cfg` — the
-/// in-module tests' way into the datapath.
+/// One golden-vector SpMV on a fresh pack plan with `adapter`, tuned by
+/// `cfg` — the in-module tests' way into the datapath.
 #[cfg(test)]
-fn run_pack_spmv(sell: &Sell, cfg: &PackConfig) -> crate::RunReport {
+fn run_pack_tuned(
+    csr: &nmpic_sparse::Csr,
+    adapter: AdapterConfig,
+    cfg: PackConfig,
+) -> crate::RunReport {
     let engine = crate::SpmvEngine::builder()
-        .backend(cfg.backend.clone())
-        .system(crate::SystemKind::Pack(cfg.adapter.clone()))
-        .pack_config(cfg.clone())
+        .system(crate::SystemKind::Pack(adapter))
+        .pack_config(cfg)
         .build();
-    crate::engine::run_golden(engine.prepare_sell(sell))
+    crate::engine::run_golden(engine.prepare(csr))
+}
+
+/// [`run_pack_tuned`] with the paper's tuning.
+#[cfg(test)]
+fn run_pack_spmv(csr: &nmpic_sparse::Csr, adapter: AdapterConfig) -> crate::RunReport {
+    run_pack_tuned(csr, adapter, PackConfig::default())
 }
 
 #[cfg(test)]
@@ -486,13 +483,13 @@ mod tests {
 
     #[test]
     fn pack_spmv_verifies_against_golden() {
-        let s = sell(256);
+        let m = banded_fem(256, 8, 32, 5);
         for adapter in [
             AdapterConfig::mlp_nc(),
             AdapterConfig::mlp(64),
             AdapterConfig::mlp(256),
         ] {
-            let r = run_pack_spmv(&s, &PackConfig::with_adapter(adapter));
+            let r = run_pack_spmv(&m, adapter);
             assert!(r.verified, "datapath mismatch for {}", r.label);
             assert!(r.cycles > 0);
         }
@@ -500,9 +497,9 @@ mod tests {
 
     #[test]
     fn coalescer_speeds_up_spmv() {
-        let s = Sell::from_csr_default(&banded_fem(2048, 12, 64, 11));
-        let r0 = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp_nc()));
-        let r256 = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp(256)));
+        let m = banded_fem(2048, 12, 64, 11);
+        let r0 = run_pack_spmv(&m, AdapterConfig::mlp_nc());
+        let r256 = run_pack_spmv(&m, AdapterConfig::mlp(256));
         assert!(r0.verified && r256.verified);
         let speedup = r256.speedup_over(&r0);
         assert!(
@@ -517,9 +514,9 @@ mod tests {
 
     #[test]
     fn traffic_ratio_drops_with_coalescing() {
-        let s = Sell::from_csr_default(&banded_fem(2048, 12, 64, 13));
-        let r0 = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp_nc()));
-        let r256 = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp(256)));
+        let m = banded_fem(2048, 12, 64, 13);
+        let r0 = run_pack_spmv(&m, AdapterConfig::mlp_nc());
+        let r256 = run_pack_spmv(&m, AdapterConfig::mlp(256));
         assert!(
             r0.traffic_ratio() > 2.0 * r256.traffic_ratio(),
             "pack0 {:.2}x vs pack256 {:.2}x",
@@ -531,8 +528,8 @@ mod tests {
 
     #[test]
     fn circuit_matrix_verifies_too() {
-        let s = Sell::from_csr_default(&circuit(512, 4, 16, 0.1, 4, 3));
-        let r = run_pack_spmv(&s, &PackConfig::with_adapter(AdapterConfig::mlp(64)));
+        let m = circuit(512, 4, 16, 0.1, 4, 3);
+        let r = run_pack_spmv(&m, AdapterConfig::mlp(64));
         assert!(r.verified);
     }
 
@@ -543,8 +540,14 @@ mod tests {
             (AdapterConfig::mlp(64), "pack64"),
             (AdapterConfig::seq(256), "packSEQ256"),
         ] {
-            let cfg = PackConfig::with_adapter(adapter);
-            let plan = PackPlan::prepare(sell(64), cfg, 1, ExecMode::CycleAccurate);
+            let plan = PackPlan::prepare(
+                sell(64),
+                PackConfig::default(),
+                &adapter,
+                &BackendConfig::hbm(),
+                1,
+                ExecMode::CycleAccurate,
+            );
             assert_eq!(plan.facts().label, want);
         }
     }
@@ -593,11 +596,12 @@ mod behaviour_tests {
 
     #[test]
     fn smaller_l2_means_more_tiles_but_same_result() {
-        let sell = Sell::from_csr_default(&banded_fem(1024, 10, 48, 21));
-        let big = run_pack_spmv(&sell, &PackConfig::default());
-        let small = run_pack_spmv(
-            &sell,
-            &PackConfig {
+        let m = banded_fem(1024, 10, 48, 21);
+        let big = run_pack_spmv(&m, AdapterConfig::mlp(256));
+        let small = run_pack_tuned(
+            &m,
+            AdapterConfig::mlp(256),
+            PackConfig {
                 l2_bytes: 48 * 1024,
                 ..PackConfig::default()
             },
@@ -612,13 +616,14 @@ mod behaviour_tests {
     fn compute_bound_vpc_hides_adapter_differences() {
         // A very slow VPC (0.1 elem/cycle) makes compute dominate: the
         // coalescer can no longer speed things up much.
-        let sell = Sell::from_csr_default(&banded_fem(1024, 10, 48, 22));
+        let m = banded_fem(1024, 10, 48, 22);
         let slow = |adapter| {
-            run_pack_spmv(
-                &sell,
-                &PackConfig {
+            run_pack_tuned(
+                &m,
+                adapter,
+                PackConfig {
                     compute_elems_per_cycle: 0.1,
-                    ..PackConfig::with_adapter(adapter)
+                    ..PackConfig::default()
                 },
             )
         };
@@ -630,16 +635,16 @@ mod behaviour_tests {
             "compute-bound: coalescer gain should collapse, got {gain:.2}"
         );
         // While at the default compute rate the gain is large.
-        let fast0 = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp_nc()));
-        let fast256 = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp(256)));
+        let fast0 = run_pack_spmv(&m, AdapterConfig::mlp_nc());
+        let fast256 = run_pack_spmv(&m, AdapterConfig::mlp(256));
         assert!(fast0.cycles as f64 / fast256.cycles as f64 > 2.0);
     }
 
     #[test]
     fn indir_cycles_bounded_by_runtime() {
-        let sell = Sell::from_csr_default(&banded_fem(512, 8, 32, 23));
+        let m = banded_fem(512, 8, 32, 23);
         for adapter in [AdapterConfig::mlp_nc(), AdapterConfig::mlp(256)] {
-            let r = run_pack_spmv(&sell, &PackConfig::with_adapter(adapter));
+            let r = run_pack_spmv(&m, adapter);
             assert!(r.indir_cycles <= r.cycles);
             assert!(r.indir_cycles > 0);
         }
@@ -647,9 +652,9 @@ mod behaviour_tests {
 
     #[test]
     fn gflops_scales_with_speedup() {
-        let sell = Sell::from_csr_default(&banded_fem(1024, 10, 48, 24));
-        let p0 = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp_nc()));
-        let p256 = run_pack_spmv(&sell, &PackConfig::with_adapter(AdapterConfig::mlp(256)));
+        let m = banded_fem(1024, 10, 48, 24);
+        let p0 = run_pack_spmv(&m, AdapterConfig::mlp_nc());
+        let p256 = run_pack_spmv(&m, AdapterConfig::mlp(256));
         let ratio = p256.gflops() / p0.gflops();
         let speedup = p256.speedup_over(&p0);
         assert!((ratio - speedup).abs() < 1e-9, "same nnz, so equal");

@@ -18,10 +18,11 @@
 //!    index stream, and accumulates its rows of `y`. Units share nothing,
 //!    so the phase's latency is the **slowest** shard's latency — the
 //!    quantity the imbalance metrics explain.
-//! 3. **Merged collection** — completed rows from all shards merge
-//!    through a [`MergedCollector`] (round-robin
-//!    [`nmpic_core::ShardArbiter`] order) into one [`ScatterUnit`] burst
-//!    that writes the global result array with coalesced wide writes.
+//! 3. **Merged collection** — completed rows from all shards merge in a
+//!    fixed round-robin order (one 64 B line of rows per shard per turn,
+//!    computed once at prepare from the partition alone) into one
+//!    [`ScatterUnit`] burst that writes the global result array with
+//!    coalesced wide writes.
 //!
 //! The engine moves real data end to end: the result array read back
 //! from the collection channel must be **byte-identical** to the golden
@@ -33,8 +34,8 @@ use std::str::FromStr;
 
 use nmpic_axi::{ElemSize, PackRequest, Unpacker};
 use nmpic_core::{
-    stream_memory_size, AdapterConfig, AdapterStats, IndirectStreamUnit, MergedCollector,
-    ScatterRequest, ScatterStats, ScatterUnit,
+    stream_memory_size, AdapterConfig, AdapterStats, IndirectStreamUnit, ScatterRequest,
+    ScatterStats, ScatterUnit,
 };
 use nmpic_mem::{BackendConfig, ChannelPort, HbmStats, Memory, BLOCK_BYTES};
 use nmpic_sim::pool;
@@ -42,7 +43,7 @@ use nmpic_sim::stats::Extrema;
 use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
 use nmpic_sparse::Csr;
 
-use crate::engine::{ExecMode, Executor, PlanFacts};
+use crate::engine::{ExecMode, Executor, ParseError, PlanFacts};
 use crate::report::{bits_equal, IterReport, ShardDetail};
 
 /// How rows are divided across units.
@@ -64,24 +65,8 @@ impl fmt::Display for PartitionStrategy {
     }
 }
 
-/// Error returned when a partition-strategy name cannot be parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsePartitionError(String);
-
-impl fmt::Display for ParsePartitionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown partition strategy '{}': expected 'nnz' (nonzero-balanced) or 'rows'",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParsePartitionError {}
-
 impl FromStr for PartitionStrategy {
-    type Err = ParsePartitionError;
+    type Err = ParseError;
 
     /// Parses `nnz`/`by_nnz` or `rows`/`by_rows` (case-insensitive), so
     /// experiments can select the strategy via the `NMPIC_PARTITION`
@@ -91,7 +76,11 @@ impl FromStr for PartitionStrategy {
         match s.trim().to_ascii_lowercase().replace('-', "_").as_str() {
             "nnz" | "by_nnz" | "bynnz" => Ok(PartitionStrategy::ByNnz),
             "rows" | "by_rows" | "byrows" => Ok(PartitionStrategy::ByRows),
-            _ => Err(ParsePartitionError(s.to_string())),
+            _ => Err(ParseError::new(
+                "partition strategy",
+                s,
+                "'nnz' (nonzero-balanced) or 'rows'",
+            )),
         }
     }
 }
@@ -458,25 +447,27 @@ impl Executor for ShardedPlan {
 }
 
 /// Builds the merged write-back row order for a partition: each shard
-/// contributes its rows in ascending order, interleaved one 64 B line
-/// (8 rows) per round-robin grant so the scatter unit's write warps keep
-/// coalescing. Depends only on the partition, so prepared plans compute
-/// it once.
+/// contributes its rows in ascending order, round robin over the shards
+/// one 64 B line (8 rows) per turn, so the scatter unit's write warps
+/// keep coalescing. A shard that has run out of rows drops out of the
+/// rotation. Depends only on the partition, so prepared plans compute it
+/// once.
 fn merge_order(partition: &Partition, units: usize) -> Vec<u32> {
-    let mut collector = MergedCollector::with_chunk(units, BLOCK_BYTES / 8);
-    for i in 0..units {
-        for row in partition.range(i) {
-            let row = match u32::try_from(row) {
-                Ok(r) => r,
-                Err(_) => {
+    let mut ranges: Vec<_> = (0..units).map(|i| partition.range(i)).collect();
+    let rows = ranges.iter().map(ExactSizeIterator::len).sum();
+    let mut order = Vec::with_capacity(rows);
+    while order.len() < rows {
+        for range in &mut ranges {
+            for row in range.by_ref().take(BLOCK_BYTES / 8) {
+                let Ok(row) = u32::try_from(row) else {
                     // nmpic-lint: allow(L2) — documented panic: merged write-back row ids are 32 b by the paper's index-width contract; a wrapped id would scatter y to the wrong line
                     panic!("row {row} does not fit the 32 b row-id width")
-                }
-            };
-            collector.push(i, row, 0);
+                };
+                order.push(row);
+            }
         }
     }
-    collector.drain().into_iter().map(|(row, _)| row).collect()
+    order
 }
 
 /// Runs one shard's indirect gather of `x` on its warm channel/unit pair
@@ -711,6 +702,42 @@ mod tests {
             detail(&r).per_shard.iter().map(|s| s.nnz).sum::<u64>(),
             r.nnz
         );
+    }
+
+    /// The merged write-back order, pinned literally: round robin over
+    /// the shards, one 64 B line (8 rows) per turn. A shard with fewer
+    /// rows left than a line ends its turn early, and a shard with no
+    /// rows left never takes one.
+    #[test]
+    fn merge_order_takes_one_line_per_shard_per_turn() {
+        // Row 2's 42 nonzeros cover two of `by_nnz`'s targets, which
+        // leaves the last of four shards empty.
+        let widths: Vec<u32> = [1, 1, 42]
+            .into_iter()
+            .chain([1; 20])
+            .chain([2; 11])
+            .collect();
+        let mut row_ptr = vec![0u32];
+        let mut col_idx = Vec::new();
+        for &w in &widths {
+            col_idx.extend(0..w);
+            row_ptr.push(col_idx.len() as u32);
+        }
+        let values = vec![1.0; col_idx.len()];
+        let csr = Csr::from_parts(widths.len(), 42, row_ptr, col_idx, values).unwrap();
+        let partition = by_nnz(&csr, 4);
+        let lens: Vec<usize> = (0..4).map(|i| partition.range(i).len()).collect();
+        assert_eq!(lens, [3, 20, 11, 0]);
+        #[rustfmt::skip]
+        let want: [u32; 34] = [
+            0, 1, 2,                        // shard 0: all 3 rows
+            3, 4, 5, 6, 7, 8, 9, 10,        // shard 1: one line
+            23, 24, 25, 26, 27, 28, 29, 30, // shard 2: one line
+            11, 12, 13, 14, 15, 16, 17, 18, // shard 1
+            31, 32, 33,                     // shard 2: its last 3 rows
+            19, 20, 21, 22,                 // shard 1: its last 4 rows
+        ];
+        assert_eq!(merge_order(&partition, 4), want);
     }
 
     #[test]

@@ -107,7 +107,6 @@ fn stream_harness_runs_on_every_backend() {
 fn spmv_systems_verify_on_every_backend() {
     let spec = by_name("HPCG").expect("suite matrix");
     let csr = spec.build_capped(6_000);
-    let sell = Sell::from_csr_default(&csr);
     for backend in all_backends() {
         let label = backend.label();
         let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
@@ -122,7 +121,7 @@ fn spmv_systems_verify_on_every_backend() {
             .backend(backend.clone())
             .system(SystemKind::Pack(AdapterConfig::mlp(256)))
             .build()
-            .prepare_sell(&sell)
+            .prepare(&csr)
             .run(&x);
         assert!(pack.verified, "pack on {label}");
         assert!(pack.cycles > 0 && base.cycles > 0);
@@ -134,14 +133,14 @@ fn spmv_systems_verify_on_every_backend() {
 #[test]
 fn pack_spmv_benefits_from_channels() {
     let spec = by_name("af_shell10").expect("suite matrix");
-    let sell = Sell::from_csr_default(&spec.build_capped(12_000));
-    let x: Vec<f64> = (0..sell.cols()).map(golden_x).collect();
+    let csr = spec.build_capped(12_000);
+    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
     let run = |backend: BackendConfig| {
         SpmvEngine::builder()
             .backend(backend)
             .system(SystemKind::Pack(AdapterConfig::mlp_nc()))
             .build()
-            .prepare_sell(&sell)
+            .prepare(&csr)
             .run(&x)
     };
     let one = run(BackendConfig::hbm());

@@ -3,16 +3,16 @@
 //! complete SpMV systems.
 
 use nmpic::core::{run_indirect_stream, AdapterConfig, StreamOptions};
-use nmpic::sparse::{by_name, suite, Sell};
+use nmpic::sparse::{by_name, suite, Csr, Sell};
 use nmpic::system::{golden_x, SpmvEngine, SystemKind};
 
-/// Builds a pack plan for `sell` with the given adapter on the default
+/// Builds a pack plan for `csr` with the given adapter on the default
 /// HBM backend.
-fn pack_plan(sell: &Sell, adapter: AdapterConfig) -> nmpic::system::SpmvPlan {
+fn pack_plan(csr: &Csr, adapter: AdapterConfig) -> nmpic::system::SpmvPlan {
     SpmvEngine::builder()
         .system(SystemKind::Pack(adapter))
         .build()
-        .prepare_sell(sell)
+        .prepare(csr)
 }
 
 /// Every suite matrix, streamed through the headline adapter, must gather
@@ -57,7 +57,7 @@ fn simulation_is_deterministic() {
     assert_eq!(a.adapter, b.adapter);
 
     let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
-    let mut plan = pack_plan(&sell, AdapterConfig::mlp(256));
+    let mut plan = pack_plan(&csr, AdapterConfig::mlp(256));
     let p1 = plan.run(&x);
     let p2 = plan.run(&x);
     assert_eq!(p1.cycles, p2.cycles);
@@ -72,7 +72,6 @@ fn simulation_is_deterministic() {
 fn system_stack_orders_as_expected() {
     let spec = by_name("HPCG").unwrap();
     let csr = spec.build_capped(20_000);
-    let sell = Sell::from_csr_default(&csr);
 
     let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
     let base = SpmvEngine::builder()
@@ -80,9 +79,9 @@ fn system_stack_orders_as_expected() {
         .build()
         .prepare(&csr)
         .run(&x);
-    let pack0 = pack_plan(&sell, AdapterConfig::mlp_nc()).run(&x);
-    let pack64 = pack_plan(&sell, AdapterConfig::mlp(64)).run(&x);
-    let pack256 = pack_plan(&sell, AdapterConfig::mlp(256)).run(&x);
+    let pack0 = pack_plan(&csr, AdapterConfig::mlp_nc()).run(&x);
+    let pack64 = pack_plan(&csr, AdapterConfig::mlp(64)).run(&x);
+    let pack256 = pack_plan(&csr, AdapterConfig::mlp(256)).run(&x);
 
     for r in [&base, &pack0, &pack64, &pack256] {
         assert!(r.verified, "{} failed verification", r.label);

@@ -82,12 +82,12 @@ const PINNED: &[Row] = &[
     ("base", 1536, "ideal", 4),
     ("base", 1536, "hbm", 4),
     ("base", 1536, "hbm x8", 4),
-    ("pack0", 1536, "ideal", 3882),
-    ("pack0", 1536, "hbm", 3882),
-    ("pack0", 1536, "hbm x8", 3882),
-    ("pack256", 1536, "ideal", 3884),
-    ("pack256", 1536, "hbm", 3884),
-    ("pack256", 1536, "hbm x8", 3884),
+    ("pack0", 1536, "ideal", 40),
+    ("pack0", 1536, "hbm", 40),
+    ("pack0", 1536, "hbm x8", 40),
+    ("pack256", 1536, "ideal", 42),
+    ("pack256", 1536, "hbm", 42),
+    ("pack256", 1536, "hbm x8", 42),
     ("sharded4", 1536, "ideal", 20),
     ("sharded4", 1536, "hbm", 20),
     ("sharded4", 1536, "hbm x8", 20),

@@ -23,12 +23,12 @@ fn run_base(csr: &nmpic::sparse::Csr) -> RunReport {
         .run(&x)
 }
 
-fn run_pack(sell: &Sell, adapter: AdapterConfig) -> RunReport {
-    let x: Vec<f64> = (0..sell.cols()).map(golden_x).collect();
+fn run_pack(csr: &nmpic::sparse::Csr, adapter: AdapterConfig) -> RunReport {
+    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
     SpmvEngine::builder()
         .system(SystemKind::Pack(adapter))
         .build()
-        .prepare_sell(sell)
+        .prepare(csr)
         .run(&x)
 }
 
@@ -111,10 +111,10 @@ fn coalesce_rate_grows_with_window() {
 /// a further multiple over pack0 (paper: 2.7x and 10x at full scale).
 #[test]
 fn spmv_speedup_ordering() {
-    let (csr, sell) = sell_for("HPCG", 40_000);
+    let (csr, _) = sell_for("HPCG", 40_000);
     let base = run_base(&csr);
-    let p0 = run_pack(&sell, AdapterConfig::mlp_nc());
-    let p256 = run_pack(&sell, AdapterConfig::mlp(256));
+    let p0 = run_pack(&csr, AdapterConfig::mlp_nc());
+    let p256 = run_pack(&csr, AdapterConfig::mlp(256));
     let s0 = p0.speedup_over(&base);
     let s256 = p256.speedup_over(&base);
     assert!(s0 > 1.2, "pack0 speedup {s0:.2} (paper ~2.7x)");
@@ -131,10 +131,10 @@ fn spmv_speedup_ordering() {
 /// near-ideal but at very low utilization.
 #[test]
 fn traffic_and_utilization_shape() {
-    let (csr, sell) = sell_for("af_shell10", 40_000);
+    let (csr, _) = sell_for("af_shell10", 40_000);
     let base = run_base(&csr);
-    let p0 = run_pack(&sell, AdapterConfig::mlp_nc());
-    let p256 = run_pack(&sell, AdapterConfig::mlp(256));
+    let p0 = run_pack(&csr, AdapterConfig::mlp_nc());
+    let p256 = run_pack(&csr, AdapterConfig::mlp(256));
     assert!(p0.traffic_ratio() > 4.0, "paper: 5.6x avg");
     assert!(p256.traffic_ratio() < 1.6, "paper: 1.29x avg");
     assert!(base.traffic_ratio() < 1.5, "LLC keeps base near ideal");
