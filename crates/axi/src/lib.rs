@@ -118,66 +118,11 @@ impl ElemSize {
             ElemSize::B8 => le::<8>(bytes, k, value),
         }
     }
-
-    /// Constructs from a byte width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::BadElemSize`] for widths other than 1, 2,
-    /// 4 or 8 bytes.
-    pub fn try_from_bytes(bytes: usize) -> Result<Self, ProtocolError> {
-        match bytes {
-            1 => Ok(ElemSize::B1),
-            2 => Ok(ElemSize::B2),
-            4 => Ok(ElemSize::B4),
-            8 => Ok(ElemSize::B8),
-            other => Err(ProtocolError::BadElemSize(other)),
-        }
-    }
 }
 
 impl fmt::Display for ElemSize {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}b", self.bytes() * 8)
-    }
-}
-
-/// Errors raised by protocol-level validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// Element width not in {1, 2, 4, 8} bytes.
-    BadElemSize(usize),
-    /// A burst described zero elements.
-    EmptyBurst,
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::BadElemSize(b) => write!(f, "unsupported element size of {b} bytes"),
-            ProtocolError::EmptyBurst => write!(f, "burst describes zero elements"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
-/// A plain AXI4 incrementing read burst (for completeness and for the
-/// baseline system, which uses vanilla AXI4 to its LLC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Axi4ReadBurst {
-    /// Start byte address.
-    pub addr: u64,
-    /// Number of beats.
-    pub beats: u32,
-    /// Bytes per beat (bus width for full-width bursts).
-    pub beat_bytes: u32,
-}
-
-impl Axi4ReadBurst {
-    /// Total bytes transferred by the burst.
-    pub fn bytes(&self) -> u64 {
-        self.beats as u64 * self.beat_bytes as u64
     }
 }
 
@@ -253,18 +198,6 @@ impl PackRequest {
     pub fn beats(&self) -> u64 {
         let per = self.elem_size().per_beat() as u64;
         self.count().div_ceil(per)
-    }
-
-    /// Validates the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::EmptyBurst`] when `count` is zero.
-    pub fn validate(&self) -> Result<(), ProtocolError> {
-        if self.count() == 0 {
-            return Err(ProtocolError::EmptyBurst);
-        }
-        Ok(())
     }
 }
 
@@ -453,47 +386,6 @@ impl Unpacker {
     }
 }
 
-/// Computes the sequence of element byte addresses a [`PackRequest`]
-/// implies, given access to the index array for indirect bursts.
-///
-/// The index lookup closure receives the flat index position `k` and must
-/// return `index[k]` — in the simulator this reads the backing store, so
-/// address generation is checked against real memory contents.
-///
-/// # Example
-///
-/// ```
-/// use nmpic_axi::{element_addresses, PackRequest, ElemSize};
-/// let req = PackRequest::Strided { base: 100, stride: 16, elem_size: ElemSize::B4, count: 3 };
-/// let addrs = element_addresses(&req, |_| unreachable!("no indices needed"));
-/// assert_eq!(addrs, vec![100, 116, 132]);
-/// ```
-pub fn element_addresses<F: FnMut(u64) -> u64>(req: &PackRequest, mut index_at: F) -> Vec<u64> {
-    match *req {
-        PackRequest::Contiguous {
-            base,
-            elem_size,
-            count,
-        } => (0..count)
-            .map(|k| base + k * elem_size.bytes() as u64)
-            .collect(),
-        PackRequest::Strided {
-            base,
-            stride,
-            count,
-            ..
-        } => (0..count).map(|k| base + k * stride).collect(),
-        PackRequest::Indirect {
-            count,
-            elem_base,
-            elem_size,
-            ..
-        } => (0..count)
-            .map(|k| elem_base + index_at(k) * elem_size.bytes() as u64)
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,11 +395,6 @@ mod tests {
         assert_eq!(ElemSize::B4.per_beat(), 16);
         assert_eq!(ElemSize::B8.per_beat(), 8);
         assert_eq!(ElemSize::B1.per_beat(), 64);
-        assert_eq!(ElemSize::try_from_bytes(4), Ok(ElemSize::B4));
-        assert_eq!(
-            ElemSize::try_from_bytes(3),
-            Err(ProtocolError::BadElemSize(3))
-        );
     }
 
     #[test]
@@ -519,17 +406,6 @@ mod tests {
         };
         assert_eq!(r.beats(), 3); // 8 + 8 + 1
         assert_eq!(r.payload_bytes(), 136);
-        assert!(r.validate().is_ok());
-    }
-
-    #[test]
-    fn empty_burst_invalid() {
-        let r = PackRequest::Contiguous {
-            base: 0,
-            elem_size: ElemSize::B8,
-            count: 0,
-        };
-        assert_eq!(r.validate(), Err(ProtocolError::EmptyBurst));
     }
 
     #[test]
@@ -608,40 +484,5 @@ mod tests {
         p.push(1);
         let b = p.flush().unwrap();
         let _ = b.element(1);
-    }
-
-    #[test]
-    fn indirect_addresses_use_index_array() {
-        let idx = [5u64, 0, 2];
-        let req = PackRequest::Indirect {
-            idx_base: 0,
-            idx_size: ElemSize::B4,
-            count: 3,
-            elem_base: 1000,
-            elem_size: ElemSize::B8,
-        };
-        let addrs = element_addresses(&req, |k| idx[k as usize]);
-        assert_eq!(addrs, vec![1040, 1000, 1016]);
-    }
-
-    #[test]
-    fn contiguous_addresses() {
-        let req = PackRequest::Contiguous {
-            base: 64,
-            elem_size: ElemSize::B8,
-            count: 4,
-        };
-        let addrs = element_addresses(&req, |_| 0);
-        assert_eq!(addrs, vec![64, 72, 80, 88]);
-    }
-
-    #[test]
-    fn axi4_burst_bytes() {
-        let b = Axi4ReadBurst {
-            addr: 0,
-            beats: 4,
-            beat_bytes: 64,
-        };
-        assert_eq!(b.bytes(), 256);
     }
 }

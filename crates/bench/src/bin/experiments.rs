@@ -11,7 +11,7 @@
 //!
 //! Exit status: 0 clean, 1 if any gate failed (an empty table, a NaN or
 //! infinite cell, or an experiment's own gates), 2 on a usage error.
-//! Scale and system selection come from the `NMPIC_*` environment knobs
+//! Scale comes from the `NMPIC_*` environment knobs
 //! (`nmpic_bench::ExperimentOpts`).
 
 use nmpic_bench::{listing, select, ExperimentOpts};

@@ -101,13 +101,11 @@ pub(crate) fn analytic_systems() -> Vec<SystemKind> {
 
 /// The grid's engines, backend-major then system, each point as a
 /// (cycle-accurate, analytic) pair — the experiment runs both modes by
-/// construction. `NMPIC_SYSTEM` collapses the system axis and
-/// `NMPIC_PARTITION` re-partitions its sharded points.
-pub(super) fn engines(opts: &ExperimentOpts) -> Vec<SpmvEngine> {
-    let systems = opts.systems_or(analytic_systems());
+/// construction.
+fn engines() -> Vec<SpmvEngine> {
     let mut engines = Vec::new();
     for backend in analytic_backends() {
-        for system in &systems {
+        for system in analytic_systems() {
             for mode in [ExecMode::CycleAccurate, ExecMode::Analytic] {
                 engines.push(
                     SpmvEngine::builder()
@@ -145,7 +143,7 @@ pub(crate) fn analytic_validation(opts: &ExperimentOpts) -> Vec<AnalyticValidati
             nmpic_sparse::gen::circuit(rows, per_row, 64, 0.02, 8, 7),
         ),
     ];
-    let engines = engines(opts);
+    let engines = engines();
     let mut jobs = Vec::new();
     for (name, csr) in &matrices {
         for pair in engines.chunks(2) {

@@ -4,7 +4,7 @@
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
 use nmpic_sim::pool::parallel_map;
-use nmpic_system::{ExecMode, SpmvEngine, SystemKind};
+use nmpic_system::{SpmvEngine, SystemKind};
 
 use super::{col, suite_matrix, ExperimentOpts, Outcome, Section};
 use crate::output::{f, Table};
@@ -48,17 +48,14 @@ pub fn batch_x(b: usize, i: usize) -> f64 {
 }
 
 /// The engine every point of the study prepares its plan on: pack/MLP256
-/// over an 8-channel interleaved HBM stack unless the environment picks
-/// another system, partition or execution mode.
-pub(super) fn engine(opts: &ExperimentOpts) -> SpmvEngine {
-    opts.engine(
-        SystemKind::Pack(AdapterConfig::mlp(256)),
-        ExecMode::CycleAccurate,
-    )
-    .backend(BackendConfig::interleaved(8))
-    // nmpic-lint: allow(L2) — invariant: BATCH_SIZES is a non-empty const sweep
-    .batch_capacity(*BATCH_SIZES.iter().max().expect("non-empty sweep"))
-    .build()
+/// over an 8-channel interleaved HBM stack.
+fn engine() -> SpmvEngine {
+    SpmvEngine::builder()
+        .system(SystemKind::Pack(AdapterConfig::mlp(256)))
+        .backend(BackendConfig::interleaved(8))
+        // nmpic-lint: allow(L2) — invariant: BATCH_SIZES is a non-empty const sweep
+        .batch_capacity(*BATCH_SIZES.iter().max().expect("non-empty sweep"))
+        .build()
 }
 
 /// Runs the batched multi-vector SpMV study: one prepared plan executing
@@ -66,20 +63,17 @@ pub(super) fn engine(opts: &ExperimentOpts) -> SpmvEngine {
 /// against the per-vector plan-rebuild baseline (`prepare` + `run` for
 /// every vector — what the legacy one-shot API forced).
 ///
-/// Default configuration: the pack system with the MLP256 adapter over
-/// an 8-channel interleaved HBM stack; override with `NMPIC_SYSTEM` /
-/// `NMPIC_PARTITION` / `NMPIC_EXEC` (see [`engine`]). On the pack system
-/// each tile's slice pointers and nonzeros are fetched once per batch,
-/// so per-vector runtime drops as B grows; the baseline amortizes
-/// through warm LLC matrix lines; the sharded engine runs vectors back
-/// to back (no per-tile streams to amortize), so its curve stays flat.
+/// The plan is the pack system with the MLP256 adapter over an 8-channel
+/// interleaved HBM stack (see [`engine`]). Each tile's slice pointers and
+/// nonzeros are fetched once per batch, so per-vector runtime drops as B
+/// grows.
 ///
 /// # Panics
 ///
 /// Panics if any run fails its golden verification.
 pub(crate) fn batched_spmv(opts: &ExperimentOpts) -> Vec<BatchRow> {
     let csr = suite_matrix("af_shell10", opts.max_nnz.min(100_000));
-    let engine = engine(opts);
+    let engine = engine();
 
     // The plan-rebuild path: every vector pays `prepare` + `run` on a
     // fresh plan, exactly like the legacy one-shot API. Its per-vector

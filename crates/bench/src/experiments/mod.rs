@@ -17,7 +17,6 @@ mod analytic;
 mod batched;
 mod opts;
 mod scaling_units;
-mod service_soak;
 mod service_throughput;
 mod solver;
 mod stream;
@@ -220,14 +219,6 @@ pub const REGISTRY: &[Experiment] = &[
         about: "multi-tenant SpmvService burst: req/s + p50/p99/p999 vs drain workers",
         smoke: true,
         run: service_throughput::run,
-    },
-    Experiment {
-        name: "service_soak",
-        artifact: "extension",
-        about: "sustained mixed SpMV + solve soak: ticket conservation, bounded \
-                retention, byte-identity",
-        smoke: true,
-        run: service_soak::run,
     },
 ];
 

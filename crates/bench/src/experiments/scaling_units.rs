@@ -4,7 +4,7 @@
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
 use nmpic_sim::pool::parallel_map;
-use nmpic_system::{golden_x, RunReport, ShardDetail, SpmvEngine, SystemKind};
+use nmpic_system::{golden_x, PartitionStrategy, RunReport, ShardDetail, SpmvEngine, SystemKind};
 
 use super::{col, suite_matrix, ExperimentOpts, Outcome, Section};
 use crate::output::{f, Table};
@@ -28,9 +28,7 @@ pub(crate) const SCALING_UNITS: [usize; 4] = [1, 2, 4, 8];
 
 /// Runs the unit-scaling study: the sharded engine with 1/2/4/8
 /// MLP256 (and MLPnc) units over an 8-channel interleaved HBM stack,
-/// rows partitioned by nonzero count (`NMPIC_PARTITION` overrides; the
-/// system axis is the sweep itself, so `NMPIC_SYSTEM` does not apply),
-/// all points in parallel.
+/// rows partitioned by nonzero count, all points in parallel.
 ///
 /// One unit's 512 b upstream port caps delivered indirect bandwidth at
 /// 64 GB/s regardless of channel count; replicating the unit per channel
@@ -44,7 +42,6 @@ pub(crate) const SCALING_UNITS: [usize; 4] = [1, 2, 4, 8];
 /// Panics if any run fails its byte-identical golden verification.
 pub(crate) fn scaling_units(opts: &ExperimentOpts) -> Vec<UnitScalingRow> {
     let csr = suite_matrix("af_shell10", opts.max_nnz.min(100_000));
-    let strategy = opts.partition.unwrap_or_default();
 
     let mut jobs = Vec::new();
     for units in SCALING_UNITS {
@@ -57,7 +54,10 @@ pub(crate) fn scaling_units(opts: &ExperimentOpts) -> Vec<UnitScalingRow> {
         let peak_gbps = (backend.split(units).peak_bytes_per_cycle() * units as u64) as f64;
         let engine = SpmvEngine::builder()
             .backend(backend)
-            .system(SystemKind::Sharded { units, strategy })
+            .system(SystemKind::Sharded {
+                units,
+                strategy: PartitionStrategy::ByNnz,
+            })
             .sharded_adapter(adapter.clone())
             .build();
         let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();

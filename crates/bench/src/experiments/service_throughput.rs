@@ -4,7 +4,7 @@
 
 use nmpic_mem::BackendConfig;
 use nmpic_sparse::Csr;
-use nmpic_system::{ExecMode, PartitionStrategy, SpmvEngine, SpmvService, SystemKind};
+use nmpic_system::{PartitionStrategy, SpmvEngine, SpmvService, SystemKind};
 
 use super::{batch_x, col, suite_matrix, ExperimentOpts, Outcome, Section};
 use crate::output::{f, Table};
@@ -71,27 +71,24 @@ fn service_tenant_matrices(tenants: usize, max_nnz: u64) -> Vec<Csr> {
 }
 
 /// The engine behind every service of the study: `sharded4` with MLP256
-/// units on an 8-channel HBM stack unless the environment picks another
-/// system, partition or execution mode; shard workers pinned to 1 so the
+/// units on an 8-channel HBM stack, shard workers pinned to 1 so the
 /// sweep isolates drain parallelism.
-pub(super) fn engine(opts: &ExperimentOpts) -> SpmvEngine {
-    opts.engine(
-        SystemKind::Sharded {
+fn engine() -> SpmvEngine {
+    SpmvEngine::builder()
+        .system(SystemKind::Sharded {
             units: 4,
             strategy: PartitionStrategy::default(),
-        },
-        ExecMode::CycleAccurate,
-    )
-    .backend(BackendConfig::interleaved(8))
-    .shard_workers(1)
-    .batch_capacity(SERVICE_REQUESTS)
-    .build()
+        })
+        .backend(BackendConfig::interleaved(8))
+        .shard_workers(1)
+        .batch_capacity(SERVICE_REQUESTS)
+        .build()
 }
 
 /// Runs the service-throughput study: a multi-tenant [`SpmvService`]
-/// over the sharded engine (see [`engine`] for the defaults and the
-/// `NMPIC_SYSTEM`/`NMPIC_PARTITION`/`NMPIC_EXEC` overrides), serving a burst of [`SERVICE_REQUESTS`] requests across
-/// [`SERVICE_TENANTS`] tenant matrices at 1/2/4/8 **drain workers**.
+/// over the sharded engine (see [`engine`]), serving a burst of
+/// [`SERVICE_REQUESTS`] requests across [`SERVICE_TENANTS`] tenant
+/// matrices at 1/2/4/8 **drain workers**.
 ///
 /// The worker axis is the service's own concurrency: each drain worker
 /// pulls submission lanes round-robin and executes batches, so on a
@@ -130,7 +127,7 @@ pub(crate) fn service_throughput(opts: &ExperimentOpts) -> Vec<ServiceRow> {
         .iter()
         .zip(&xs)
         .map(|(csr, txs)| {
-            let mut plan = engine(opts).prepare(csr);
+            let mut plan = engine().prepare(csr);
             txs.iter()
                 .map(|x| {
                     let r = plan.run(x);
@@ -144,7 +141,7 @@ pub(crate) fn service_throughput(opts: &ExperimentOpts) -> Vec<ServiceRow> {
     let mut rows: Vec<ServiceRow> = Vec::new();
     let mut serial_wall_ms = None;
     for workers in SERVICE_WORKERS {
-        let service = SpmvService::builder(engine(opts))
+        let service = SpmvService::builder(engine())
             .drain_workers(workers)
             .clock(std::sync::Arc::new(crate::timing::WallClock::new()))
             .build();

@@ -4,9 +4,7 @@
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
 use nmpic_sim::pool::parallel_map;
-use nmpic_system::{
-    golden_x, ExecMode, PartitionStrategy, SolveOptions, Solver, SpmvEngine, SystemKind,
-};
+use nmpic_system::{golden_x, PartitionStrategy, SolveOptions, Solver, SpmvEngine, SystemKind};
 
 use super::{col, ExperimentOpts, Outcome, Section};
 use crate::output::{f, Table};
@@ -43,8 +41,7 @@ pub(crate) fn solver_backends() -> Vec<BackendConfig> {
     vec![BackendConfig::ideal(), BackendConfig::interleaved(8)]
 }
 
-/// The systems swept by [`solver_convergence`] when `NMPIC_SYSTEM` does
-/// not override them.
+/// The systems swept by [`solver_convergence`].
 pub(crate) fn solver_systems() -> Vec<SystemKind> {
     vec![
         SystemKind::Base,
@@ -57,14 +54,14 @@ pub(crate) fn solver_systems() -> Vec<SystemKind> {
 }
 
 /// One engine per sweep point, system-major: [`solver_systems`] ×
-/// [`solver_backends`], with `NMPIC_SYSTEM` collapsing the system axis
-/// and `NMPIC_PARTITION`/`NMPIC_EXEC` applied to every point.
-pub(super) fn engines(opts: &ExperimentOpts) -> Vec<SpmvEngine> {
+/// [`solver_backends`].
+fn engines() -> Vec<SpmvEngine> {
     let mut engines = Vec::new();
-    for system in opts.systems_or(solver_systems()) {
+    for system in solver_systems() {
         for backend in solver_backends() {
             engines.push(
-                opts.engine(system.clone(), ExecMode::CycleAccurate)
+                SpmvEngine::builder()
+                    .system(system.clone())
                     .backend(backend)
                     .build(),
             );
@@ -75,8 +72,8 @@ pub(super) fn engines(opts: &ExperimentOpts) -> Vec<SpmvEngine> {
 
 /// Runs the solver-convergence study: conjugate gradient to the paper's
 /// `1e-10` tolerance on a generated SPD system, swept over
-/// base/pack256/sharded4 × ideal/hbm8 (see [`engines`] for the
-/// environment overrides), all points in parallel.
+/// base/pack256/sharded4 × ideal/hbm8 (see [`engines`]), all points in
+/// parallel.
 ///
 /// This is the workload the session API exists for: every point
 /// prepares its plan **once** and then drives the zero-realloc
@@ -102,7 +99,7 @@ pub(crate) fn solver_convergence(opts: &ExperimentOpts) -> Vec<SolverRow> {
     let a = nmpic_sparse::gen::spd(rows, 6, 16, 1105);
     assert!(a.is_symmetric(), "spd generator must emit symmetric output");
     let b: Vec<f64> = (0..a.rows()).map(golden_x).collect();
-    let results = parallel_map(engines(opts), move |engine| {
+    let results = parallel_map(engines(), move |engine| {
         let backend = engine.backend();
         // Prepare once; every iteration below reuses the resident plan.
         let mut plan = engine.prepare(&a);

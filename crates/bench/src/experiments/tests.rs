@@ -6,9 +6,6 @@
 use super::analytic::analytic_validation;
 use super::batched::{batched_spmv, BATCH_SIZES};
 use super::scaling_units::{scaling_units, UnitScalingRow, SCALING_UNITS};
-use super::service_soak::{
-    service_soak, soak_requests, SOAK_PRODUCERS, SOAK_TENANTS, SOAK_WORKERS,
-};
 use super::service_throughput::{
     service_throughput, SERVICE_REQUESTS, SERVICE_TENANTS, SERVICE_WORKERS,
 };
@@ -18,10 +15,7 @@ use super::system::{fig5_matrix, fig6a, fig6b, measure_stream_gbps};
 use super::*;
 
 fn tiny() -> ExperimentOpts {
-    ExperimentOpts {
-        max_nnz: 4_000,
-        ..ExperimentOpts::default()
-    }
+    ExperimentOpts { max_nnz: 4_000 }
 }
 
 #[test]
@@ -86,10 +80,7 @@ fn fig6b_this_work_wins_onchip_cost() {
 
 #[test]
 fn scaling_units_breaks_the_single_port_cap() {
-    let rows = scaling_units(&ExperimentOpts {
-        max_nnz: 6_000,
-        ..ExperimentOpts::default()
-    });
+    let rows = scaling_units(&ExperimentOpts { max_nnz: 6_000 });
     assert_eq!(rows.len(), SCALING_UNITS.len() * 2);
     assert!(rows.iter().all(|r| r.report.verified));
     for (i, r) in rows.iter().enumerate() {
@@ -127,10 +118,7 @@ fn scaling_units_breaks_the_single_port_cap() {
 
 #[test]
 fn batched_runs_amortize_per_vector_runtime() {
-    let rows = batched_spmv(&ExperimentOpts {
-        max_nnz: 6_000,
-        ..ExperimentOpts::default()
-    });
+    let rows = batched_spmv(&ExperimentOpts { max_nnz: 6_000 });
     assert_eq!(rows.len(), BATCH_SIZES.len());
     assert!(rows.iter().all(|r| r.verified));
     for (r, b) in rows.iter().zip(BATCH_SIZES) {
@@ -154,10 +142,7 @@ fn batched_runs_amortize_per_vector_runtime() {
 
 #[test]
 fn service_throughput_is_byte_identical_at_every_worker_count() {
-    let rows = service_throughput(&ExperimentOpts {
-        max_nnz: 4_000,
-        ..ExperimentOpts::default()
-    });
+    let rows = service_throughput(&ExperimentOpts { max_nnz: 4_000 });
     assert_eq!(rows.len(), SERVICE_WORKERS.len());
     for (r, w) in rows.iter().zip(SERVICE_WORKERS) {
         assert_eq!(r.workers, w);
@@ -197,42 +182,8 @@ fn service_throughput_is_byte_identical_at_every_worker_count() {
 }
 
 #[test]
-fn service_soak_conserves_every_ticket_and_verifies_bytes() {
-    let opts = ExperimentOpts {
-        max_nnz: 500, // -> soak_requests minimum (fast in-crate scale)
-        ..ExperimentOpts::default()
-    };
-    let total = soak_requests(&opts);
-    let rows = service_soak(&opts);
-    assert_eq!(rows.len(), SOAK_WORKERS.len());
-    // No injected panics -> nothing may fail; exact ticket conservation;
-    // retention bound respected; all redeemed bytes match the serial
-    // references; a nonzero p99.
-    assert_eq!(super::service_soak::gates(&rows), Vec::<String>::new());
-    for (r, w) in rows.iter().zip(SOAK_WORKERS) {
-        assert_eq!(r.workers, w);
-        assert_eq!(r.tenants, SOAK_TENANTS);
-        assert_eq!(r.producers, SOAK_PRODUCERS);
-        // Every producer's share was accepted (retries absorb quota
-        // rejections, so accepted = the full request count).
-        assert_eq!(r.accepted, (total / SOAK_PRODUCERS * SOAK_PRODUCERS) as u64);
-        assert!(r.solves > 0, "the mix must include solves");
-        assert_eq!(
-            r.accepted,
-            r.taken + r.evicted + r.retained as u64,
-            "every accepted ticket lands in exactly one terminal bucket"
-        );
-        assert!(r.p50_us > 0.0 && r.p50_us <= r.p99_us && r.p99_us <= r.p999_us);
-        assert!(r.requests_per_sec > 0.0 && r.requests_per_sec.is_finite());
-    }
-}
-
-#[test]
 fn solver_convergence_reaches_tolerance_on_every_point() {
-    let rows = solver_convergence(&ExperimentOpts {
-        max_nnz: 2_000,
-        ..ExperimentOpts::default()
-    });
+    let rows = solver_convergence(&ExperimentOpts { max_nnz: 2_000 });
     assert_eq!(rows.len(), solver_systems().len() * solver_backends().len());
     let iters = rows[0].iters;
     for r in &rows {
@@ -265,10 +216,7 @@ fn solver_convergence_reaches_tolerance_on_every_point() {
 
 #[test]
 fn scaling_channels_rows_cover_sweep_and_mlp_bandwidth_is_monotone() {
-    let rows = scaling_channels(&ExperimentOpts {
-        max_nnz: 3_000,
-        ..ExperimentOpts::default()
-    });
+    let rows = scaling_channels(&ExperimentOpts { max_nnz: 3_000 });
     assert_eq!(rows.len(), SCALING_CHANNELS.len() * 2);
     assert!(rows.iter().all(|r| r.result.verified));
     // Order is (channels × variant), and peak scales with channels.
@@ -310,10 +258,7 @@ fn scaling_channels_rows_cover_sweep_and_mlp_bandwidth_is_monotone() {
 #[test]
 fn every_registry_entry_runs_clean_at_the_smallest_scale() {
     // 500 nnz is the floor every suite spec still scales down to.
-    let opts = ExperimentOpts {
-        max_nnz: 500,
-        ..ExperimentOpts::default()
-    };
+    let opts = ExperimentOpts { max_nnz: 500 };
     let mut names: Vec<&str> = Vec::new();
     for e in REGISTRY {
         assert!(
@@ -340,8 +285,8 @@ fn every_registry_entry_runs_clean_at_the_smallest_scale() {
         }
         assert_eq!(out.failures, Vec::<String>::new(), "{}", e.name);
     }
-    assert_eq!(REGISTRY.len(), 18);
-    assert_eq!(REGISTRY.iter().filter(|e| e.smoke).count(), 7);
+    assert_eq!(REGISTRY.len(), 17);
+    assert_eq!(REGISTRY.iter().filter(|e| e.smoke).count(), 6);
 }
 
 #[test]
@@ -356,8 +301,8 @@ fn select_resolves_groups_and_names_and_rejects_unknowns() {
     };
     assert_eq!(names(&["all"]).len(), REGISTRY.len());
     let smoke = names(&["smoke"]);
-    assert_eq!(smoke.len(), 7, "the seven CI runs: {smoke:?}");
-    assert!(smoke.contains(&"service_soak") && !smoke.contains(&"fig3"));
+    assert_eq!(smoke.len(), 6, "the six CI runs: {smoke:?}");
+    assert!(smoke.contains(&"service_throughput") && !smoke.contains(&"fig3"));
     assert_eq!(names(&["fig4", "table1"]), vec!["fig4", "table1"]);
     assert_eq!(
         select(&args(&["fig4", "fig7"])).err(),

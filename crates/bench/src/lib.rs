@@ -21,10 +21,9 @@
 //!
 //! Scale control: experiments cap matrix size with
 //! `NMPIC_MAX_NNZ=<nnz>` (default 150 000) or `NMPIC_QUICK=1`; worker
-//! threads with `NMPIC_JOBS=<n>` (default: all cores). Experiments with
-//! a selectable system honour `NMPIC_SYSTEM=<base|packN|shardedK>`,
-//! `NMPIC_PARTITION=<nnz|rows>` and `NMPIC_EXEC=<cycle|analytic>`
-//! ([`ExperimentOpts`]).
+//! threads with `NMPIC_JOBS=<n>` (default: all cores)
+//! ([`ExperimentOpts`]). Each experiment runs the fixed configurations
+//! of the artifact it regenerates; no knob selects a system or mode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

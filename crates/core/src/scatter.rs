@@ -317,11 +317,6 @@ impl ScatterUnit {
         true
     }
 
-    /// Free element slots in the upstream data queue (for flow control).
-    pub fn data_space(&self) -> usize {
-        self.data_q.free()
-    }
-
     /// `true` once every element has been written to the channel and the
     /// channel itself has drained.
     pub fn is_done(&self, chan: &dyn ChannelPort) -> bool {

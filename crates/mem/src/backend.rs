@@ -33,7 +33,6 @@
 //! ```
 
 use std::fmt;
-use std::str::FromStr;
 
 use nmpic_sim::Cycle;
 
@@ -77,44 +76,6 @@ impl fmt::Display for BackendKind {
             BackendKind::Hbm { channels: 1 } => write!(f, "hbm"),
             BackendKind::Hbm { channels } => write!(f, "hbm x{channels}"),
         }
-    }
-}
-
-/// Error returned when a backend name cannot be parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseBackendError(String);
-
-impl fmt::Display for ParseBackendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown backend '{}': expected 'ideal', 'hbm', or 'hbmN' (N channels, e.g. hbm4)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseBackendError {}
-
-impl FromStr for BackendKind {
-    type Err = ParseBackendError;
-
-    /// Parses `ideal`, `hbm`, or `hbm<N>` (e.g. `hbm4` for four
-    /// interleaved channels), so tools can expose backend selection as a
-    /// flag or environment variable.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let t = s.trim().to_ascii_lowercase();
-        if t == "ideal" {
-            return Ok(BackendKind::Ideal);
-        }
-        let channels = match t.strip_prefix("hbm") {
-            Some("") => Some(1),
-            Some(n) => n.parse().ok().filter(|&n| n > 0),
-            None => None,
-        };
-        channels
-            .map(|channels| BackendKind::Hbm { channels })
-            .ok_or_else(|| ParseBackendError(s.to_string()))
     }
 }
 
@@ -270,17 +231,6 @@ mod tests {
             assert_eq!(drain_one(&mut *chan, 512), 0xFEED, "{kind}");
             assert!(chan.is_idle());
         }
-    }
-
-    #[test]
-    fn kind_parses_from_str() {
-        assert_eq!("ideal".parse::<BackendKind>().unwrap(), BackendKind::Ideal);
-        let hbm = |channels| BackendKind::Hbm { channels };
-        assert_eq!("hbm".parse::<BackendKind>().unwrap(), hbm(1));
-        assert_eq!("HBM1".parse::<BackendKind>().unwrap(), hbm(1));
-        assert_eq!("hbm4".parse::<BackendKind>().unwrap(), hbm(4));
-        assert!("hbm0".parse::<BackendKind>().is_err());
-        assert!("dramsys".parse::<BackendKind>().is_err());
     }
 
     #[test]

@@ -88,7 +88,7 @@ mod controller;
 mod ideal;
 mod memory;
 
-pub use backend::{BackendConfig, BackendKind, ParseBackendError};
+pub use backend::{BackendConfig, BackendKind};
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use channel::HbmChannel;
 pub use controller::{HbmConfig, HbmStats, PagePolicy, SchedPolicy};

@@ -9,8 +9,8 @@
 //! at the row where the running nonzero count crosses `i·nnz/K`);
 //! [`by_rows`] is the naive equal-row baseline kept for comparison.
 //!
-//! Shards are **views**: [`CsrShard`] and [`SellShard`] borrow the parent
-//! matrix's `col_idx`/`values` arrays without copying, so partitioning a
+//! Shards are **views**: a [`CsrShard`] borrows the parent matrix's
+//! `col_idx`/`values` arrays without copying, so partitioning a
 //! matrix for K units costs O(rows) bookkeeping, not O(nnz) data
 //! movement — exactly like handing each hardware unit a base pointer and
 //! a length.
@@ -32,19 +32,18 @@
 
 use std::ops::Range;
 
-use crate::{Csr, Sell};
+use crate::Csr;
 
 /// A split of a matrix's rows into K contiguous shards.
 ///
-/// Produced by [`by_rows`], [`by_nnz`] or [`by_nnz_aligned`]; consumed by
-/// [`Partition::csr_shard`] / [`Partition::sell_shard`] to obtain
-/// zero-copy per-shard views.
+/// Produced by [`by_rows`] or [`by_nnz`]; consumed by
+/// [`Partition::csr_shard`] to obtain zero-copy per-shard views.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// `shards + 1` row boundaries: shard `i` owns rows
     /// `boundaries[i]..boundaries[i + 1]`. Monotone, first 0, last `rows`.
     boundaries: Vec<usize>,
-    /// Stored nonzeros per shard (excluding SELL padding).
+    /// Stored nonzeros per shard.
     nnz: Vec<u64>,
 }
 
@@ -87,11 +86,6 @@ impl Partition {
         self.nnz.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean per-shard nonzero count.
-    pub fn mean_nnz(&self) -> f64 {
-        self.total_nnz() as f64 / self.shards() as f64
-    }
-
     /// Load imbalance `max / mean` of per-shard nonzeros, ≥ 1.0 (1.0 for
     /// an empty matrix — nothing to imbalance).
     pub fn nnz_imbalance(&self) -> f64 {
@@ -124,53 +118,6 @@ impl Partition {
             col_idx: &csr.col_idx()[lo..hi],
             values: &csr.values()[lo..hi],
             cols: csr.cols(),
-        }
-    }
-
-    /// Zero-copy SELL view of shard `i`. Requires every interior boundary
-    /// of a **non-empty** shard to be a multiple of the SELL slice height
-    /// (use [`by_nnz_aligned`] with `sell.slice_height()`), because SELL
-    /// data can only be split between slices. Empty shards — which
-    /// [`by_nnz_aligned`] itself produces when rounded boundaries clamp
-    /// to the row count — yield an empty view regardless of alignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-empty shard's boundary is not slice-aligned or
-    /// the row counts disagree.
-    pub fn sell_shard<'a>(&self, sell: &'a Sell, i: usize) -> SellShard<'a> {
-        assert_eq!(
-            // nmpic-lint: allow(L2) — invariant: every constructor pushes boundary 0 first, so the list is never empty
-            *self.boundaries.last().expect("nonempty boundaries"),
-            sell.rows(),
-            "partition was built for a different matrix"
-        );
-        let rows = self.range(i);
-        let h = sell.slice_height();
-        if rows.is_empty() {
-            let s = (rows.start / h).min(sell.n_slices());
-            return SellShard {
-                rows,
-                slice_height: h,
-                slice_ptr: &sell.slice_ptr()[s..=s],
-                col_idx: &[],
-                values: &[],
-            };
-        }
-        assert!(
-            rows.start.is_multiple_of(h) && (rows.end.is_multiple_of(h) || rows.end == sell.rows()),
-            "shard boundary {rows:?} not aligned to slice height {h}"
-        );
-        let s0 = rows.start / h;
-        let s1 = rows.end.div_ceil(h);
-        let e0 = sell.slice_ptr()[s0] as usize;
-        let e1 = sell.slice_ptr()[s1] as usize;
-        SellShard {
-            rows,
-            slice_height: h,
-            slice_ptr: &sell.slice_ptr()[s0..=s1],
-            col_idx: &sell.col_idx()[e0..e1],
-            values: &sell.values()[e0..e1],
         }
     }
 }
@@ -222,51 +169,32 @@ pub fn by_rows(csr: &Csr, k: usize) -> Partition {
 ///
 /// Panics if `k` is zero.
 pub fn by_nnz(csr: &Csr, k: usize) -> Partition {
-    by_nnz_aligned(csr, k, 1)
-}
-
-/// [`by_nnz`] with boundaries rounded to multiples of `align` rows, so
-/// the resulting shards are also valid SELL shards when `align` is the
-/// slice height. The balance bound loosens to
-/// `ceil(nnz / k) + align · max_row_nnz`. Shards that cannot be filled
-/// (degenerate shapes, rounding collisions) trail as empty shards, as in
-/// [`by_nnz`].
-///
-/// # Panics
-///
-/// Panics if `k` or `align` is zero.
-pub fn by_nnz_aligned(csr: &Csr, k: usize, align: usize) -> Partition {
     assert!(k > 0, "at least one shard");
-    assert!(align > 0, "alignment must be nonzero");
     let rows = csr.rows();
     let row_ptr = csr.row_ptr();
     let total = csr.nnz() as u64;
-    let mut boundaries = Vec::with_capacity(k + 1);
-    boundaries.push(0usize);
-    for i in 1..k {
-        let target = total * i as u64 / k as u64;
-        // First row boundary where the prefix nonzero count reaches the
-        // target; row_ptr *is* the prefix-sum array.
-        let mut b = row_ptr.partition_point(|&p| (p as u64) < target);
-        // Round to the nearest aligned boundary (ties go down), keeping
-        // the partition monotone.
-        b = (b + align / 2) / align * align;
-        // nmpic-lint: allow(L2) — invariant: boundary 0 was pushed just before this loop
-        let prev = *boundaries.last().expect("pushed above");
-        boundaries.push(b.clamp(prev, rows));
-    }
+    // Boundary `i` is the first row boundary where the prefix nonzero
+    // count reaches `i · nnz / k`; row_ptr *is* the prefix-sum array.
+    // The targets rise with `i` and never exceed `nnz`, so the
+    // boundaries are monotone and at most `rows`.
+    let mut boundaries: Vec<usize> = (0..k)
+        .map(|i| {
+            let target = total * i as u64 / k as u64;
+            row_ptr.partition_point(|&p| (p as u64) < target)
+        })
+        .collect();
     boundaries.push(rows);
     // Degenerate shapes (k > rows, zero-nnz matrices, hub rows denser
-    // than a whole shard's target, aligned rounding collisions) leave
-    // zero-length intervals scattered through the boundary list — a
-    // zero-nnz matrix even put every row in the *last* shard.
+    // than a whole shard's target) leave zero-length intervals scattered
+    // through the boundary list — a zero-nnz matrix even put every row in
+    // the *last* shard.
     Partition::from_boundaries(csr, compact_trailing(boundaries, rows, k))
 }
 
 /// Compacts the distinct boundaries of a monotone boundary list to the
 /// front so the non-empty shards take the lowest indices and every empty
-/// shard trails — the shared degenerate-shape convention of [`by_rows`],
-/// [`by_nnz`] and [`by_nnz_aligned`].
+/// shard trails — the shared degenerate-shape convention of [`by_rows`]
+/// and [`by_nnz`].
 fn compact_trailing(boundaries: Vec<usize>, rows: usize, k: usize) -> Vec<usize> {
     let mut compact: Vec<usize> = Vec::with_capacity(k + 1);
     compact.push(0);
@@ -382,70 +310,6 @@ impl<'a> CsrShard<'a> {
     }
 }
 
-/// A zero-copy view of one SELL shard (whole slices only).
-#[derive(Debug, Clone)]
-pub struct SellShard<'a> {
-    rows: Range<usize>,
-    slice_height: usize,
-    /// Parent `slice_ptr[s0..=s1]` — absolute element offsets.
-    slice_ptr: &'a [u32],
-    col_idx: &'a [u32],
-    values: &'a [f64],
-}
-
-impl<'a> SellShard<'a> {
-    /// Global row range this shard owns.
-    pub fn rows(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
-    /// Number of slices in the shard.
-    pub fn n_slices(&self) -> usize {
-        self.slice_ptr.len() - 1
-    }
-
-    /// Padded entries in the shard — its indirect-stream length.
-    pub fn padded_len(&self) -> usize {
-        self.col_idx.len()
-    }
-
-    /// The shard's slice of the parent padded column-index array.
-    pub fn col_idx(&self) -> &'a [u32] {
-        self.col_idx
-    }
-
-    /// The shard's slice of the parent padded value array.
-    pub fn values(&self) -> &'a [f64] {
-        self.values
-    }
-
-    /// Accumulates the shard's contribution into the global result
-    /// vector, matching [`Sell::spmv`]'s traversal order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len()` is smaller than the shard's last global row.
-    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
-        let h = self.slice_height;
-        let base = self.slice_ptr[0] as usize;
-        for s in 0..self.n_slices() {
-            let lo = self.slice_ptr[s] as usize - base;
-            let width = (self.slice_ptr[s + 1] as usize - base - lo) / h;
-            let r0 = self.rows.start + s * h;
-            for j in 0..width {
-                for i in 0..h {
-                    let r = r0 + i;
-                    if r >= self.rows.end {
-                        continue;
-                    }
-                    let k = lo + j * h + i;
-                    y[r] += self.values[k] * x[self.col_idx[k] as usize];
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,57 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn aligned_partition_yields_sell_shards() {
-        let csr = banded_fem(200, 6, 14, 4);
-        let sell = Sell::from_csr(&csr, 32);
-        let p = by_nnz_aligned(&csr, 3, 32);
-        let x = x_for(&csr);
-        let want = sell.spmv(&x);
-        let mut y = vec![0.0; csr.rows()];
-        let mut padded = 0;
-        for i in 0..3 {
-            let s = p.sell_shard(&sell, i);
-            padded += s.padded_len();
-            s.spmv_into(&x, &mut y);
-        }
-        assert_eq!(padded, sell.padded_len());
-        assert_eq!(
-            y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    /// Regression: `by_nnz_aligned` can clamp a rounded boundary to an
-    /// unaligned row count, producing empty trailing shards; those must
-    /// yield empty SELL views instead of tripping the alignment assert.
-    #[test]
-    fn empty_aligned_shards_yield_empty_sell_views() {
-        let csr = banded_fem(220, 4, 8, 6); // 220 is not a multiple of 32
-        let sell = Sell::from_csr(&csr, 32);
-        let p = by_nnz_aligned(&csr, 19, 32);
-        let mut padded = 0;
-        let mut empties = 0;
-        for i in 0..p.shards() {
-            let s = p.sell_shard(&sell, i);
-            padded += s.padded_len();
-            if p.range(i).is_empty() {
-                empties += 1;
-                assert_eq!(s.padded_len(), 0);
-                assert_eq!(s.n_slices(), 0);
-            }
-        }
-        assert!(
-            empties > 0,
-            "19 aligned shards over 7 slices must leave empties"
-        );
-        assert_eq!(
-            padded,
-            sell.padded_len(),
-            "non-empty shards cover everything"
-        );
-    }
-
-    #[test]
     fn more_shards_than_rows_leaves_trailing_empty_shards() {
         let csr = banded_fem(5, 2, 4, 1);
         let p = by_nnz(&csr, 8);
@@ -652,7 +465,7 @@ mod tests {
         let hub = Csr::from_parts(2, 4, vec![0, 4, 4], vec![0, 1, 2, 3], vec![1.0; 4]).unwrap();
         for csr in [&z, &e, &hub] {
             for k in [1usize, 2, 3, 8] {
-                for p in [by_nnz(csr, k), by_nnz_aligned(csr, k, 4), by_rows(csr, k)] {
+                for p in [by_nnz(csr, k), by_rows(csr, k)] {
                     assert_eq!(p.shards(), k);
                     assert_eq!(p.range(0).start, 0);
                     assert_eq!(p.range(k - 1).end, csr.rows());

@@ -93,8 +93,8 @@ impl fmt::Display for SystemKind {
     }
 }
 
-/// Error returned when a [`SystemKind`], [`ExecMode`] or
-/// [`PartitionStrategy`] name cannot be parsed.
+/// Error returned when a [`SystemKind`] or [`ExecMode`] name cannot be
+/// parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     what: &'static str,
@@ -128,9 +128,8 @@ impl FromStr for SystemKind {
     type Err = ParseError;
 
     /// Parses `base`, `pack` (= pack256), `pack0`, `pack<N>`,
-    /// `packseq<N>`, `sharded` (= one unit) or `sharded<K>` — mirroring
-    /// the `hbmN` backend grammar so experiments can select a system via
-    /// the `NMPIC_SYSTEM` environment knob.
+    /// `packseq<N>`, `sharded` (= one unit) or `sharded<K>` — the inverse
+    /// of [`SystemKind`]'s `Display` label.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let t = s.trim().to_ascii_lowercase();
         let window = |digits: &str| -> Option<usize> {
@@ -208,8 +207,8 @@ impl fmt::Display for ExecMode {
 impl FromStr for ExecMode {
     type Err = ParseError;
 
-    /// Parses `cycle` or `analytic` (case-insensitive) — the grammar the
-    /// `NMPIC_EXEC` environment knob uses.
+    /// Parses `cycle` or `analytic` (case-insensitive) — the inverse of
+    /// [`ExecMode`]'s `Display` label.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "cycle" => Ok(ExecMode::CycleAccurate),

@@ -70,8 +70,7 @@ pub use pack::PackConfig;
 pub use report::{golden_x, IterReport, RunReport, ShardDetail};
 pub use service::{
     Clock, Completed, CompletedSolve, LatencySnapshot, LogicalClock, MatrixKey, ServiceBuilder,
-    ServiceError, ServiceStats, SolveRequest, SpmvService, Ticket, DEFAULT_LANE_QUOTA, DRAIN_BATCH,
-    LANES, RESULT_RETENTION_FACTOR,
+    ServiceError, ServiceStats, SolveRequest, SpmvService, Ticket, RESULT_RETENTION_FACTOR,
 };
 pub use shard::{PartitionStrategy, ShardReport};
 pub use solve::{SolveOptions, SolveReport, Solver};

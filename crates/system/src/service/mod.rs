@@ -11,13 +11,12 @@
 //!    [`Csr::fingerprint`] and returns a [`MatrixKey`]; re-preparing a
 //!    resident matrix is a cache hit that reuses the warm DRAM image.
 //! 2. **Sharded submission lanes** — requests hash by [`MatrixKey`] onto
-//!    [`LANES`] independently locked, bounded queues: tenants of
-//!    different matrices never contend at submission, and a lane at its
-//!    quota rejects only its own tenants
-//!    ([`ServiceError::TenantQuotaExceeded`]).
+//!    16 independently locked, bounded queues: tenants of different
+//!    matrices never contend at submission, and a lane at its quota
+//!    rejects only its own tenants ([`ServiceError::TenantQuotaExceeded`]).
 //! 3. **Background drain** — drain workers visit lanes round-robin, at
-//!    most [`DRAIN_BATCH`] requests per lane per turn (SparseP-style
-//!    fairness: a skewed tenant cannot starve the rest), run same-matrix
+//!    most 32 requests per lane per turn (SparseP-style fairness: a
+//!    skewed tenant cannot starve the rest), run same-matrix
 //!    requests as **one** [`SpmvPlan::run_batch`], and publish into the
 //!    lane's ticket map, where [`SpmvService::take`] (non-blocking) and
 //!    [`SpmvService::wait`] redeem them. With
@@ -117,15 +116,15 @@ struct PlanSlot {
 type PlanMap = HashMap<u64, Arc<PlanSlot>>;
 
 /// Number of submission lanes.
-pub const LANES: usize = 16;
+pub(crate) const LANES: usize = 16;
 const _: () = assert!(LANES <= MAX_LANES, "a ticket must be able to name its lane");
 
 /// Most requests a drain worker pops from one lane per turn — the
 /// fairness bound that keeps a hub tenant from starving other lanes.
-pub const DRAIN_BATCH: usize = 32;
+pub(crate) const DRAIN_BATCH: usize = 32;
 
 /// Default per-lane admission quota ([`ServiceBuilder::lane_quota`]).
-pub const DEFAULT_LANE_QUOTA: usize = 64;
+pub(crate) const DEFAULT_LANE_QUOTA: usize = 64;
 
 /// Unredeemed published results are retained per lane up to this
 /// multiple of the lane quota; beyond that the drain evicts the oldest
@@ -165,7 +164,7 @@ pub struct ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Per-lane admission quota; default [`DEFAULT_LANE_QUOTA`].
+    /// Per-lane admission quota; default 64.
     ///
     /// # Panics
     ///
@@ -222,8 +221,8 @@ impl ServiceBuilder {
 }
 
 /// A concurrent multi-tenant SpMV service (see the module docs): one
-/// [`SpmvEngine`] configuration, a plan cache, [`LANES`] submission
-/// lanes, and a background drain. `&self` everywhere — share it as
+/// [`SpmvEngine`] configuration, a plan cache, 16 submission lanes, and
+/// a background drain. `&self` everywhere — share it as
 /// `Arc<SpmvService>` or by reference from scoped threads.
 ///
 /// There is no global serving lock. Submission touches only the
@@ -249,8 +248,8 @@ impl ServiceInner {
 }
 
 impl SpmvService {
-    /// A builder over `engine`; defaults: [`DEFAULT_LANE_QUOTA`], one
-    /// drain worker, the deterministic [`LogicalClock`].
+    /// A builder over `engine`; defaults: a lane quota of 64, one drain
+    /// worker, the deterministic [`LogicalClock`].
     pub fn builder(engine: SpmvEngine) -> ServiceBuilder {
         ServiceBuilder {
             engine,
@@ -270,7 +269,7 @@ impl SpmvService {
         &self.inner.engine
     }
 
-    /// Number of submission lanes ([`LANES`]).
+    /// Number of submission lanes (16).
     pub fn lane_count(&self) -> usize {
         LANES
     }

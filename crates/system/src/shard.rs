@@ -30,7 +30,6 @@
 //! floating-point rounding matches).
 
 use std::fmt;
-use std::str::FromStr;
 
 use nmpic_axi::{ElemSize, PackRequest, Unpacker};
 use nmpic_core::{
@@ -43,7 +42,7 @@ use nmpic_sim::stats::Extrema;
 use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
 use nmpic_sparse::Csr;
 
-use crate::engine::{ExecMode, Executor, ParseError, PlanFacts};
+use crate::engine::{ExecMode, Executor, PlanFacts};
 use crate::report::{bits_equal, IterReport, ShardDetail};
 
 /// How rows are divided across units.
@@ -61,26 +60,6 @@ impl fmt::Display for PartitionStrategy {
         match self {
             PartitionStrategy::ByNnz => write!(f, "nnz"),
             PartitionStrategy::ByRows => write!(f, "rows"),
-        }
-    }
-}
-
-impl FromStr for PartitionStrategy {
-    type Err = ParseError;
-
-    /// Parses `nnz`/`by_nnz` or `rows`/`by_rows` (case-insensitive), so
-    /// experiments can select the strategy via the `NMPIC_PARTITION`
-    /// environment knob the same way `NMPIC_BACKEND`-style strings pick
-    /// backends.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().replace('-', "_").as_str() {
-            "nnz" | "by_nnz" | "bynnz" => Ok(PartitionStrategy::ByNnz),
-            "rows" | "by_rows" | "byrows" => Ok(PartitionStrategy::ByRows),
-            _ => Err(ParseError::new(
-                "partition strategy",
-                s,
-                "'nnz' (nonzero-balanced) or 'rows'",
-            )),
         }
     }
 }
@@ -745,24 +724,5 @@ mod tests {
     fn zero_units_panics() {
         let csr = banded_fem(8, 2, 4, 1);
         let _ = run_sharded_spmv(&csr, 0);
-    }
-
-    #[test]
-    fn partition_strategy_parses_from_str() {
-        for ok in ["nnz", "by_nnz", "BY-NNZ", " bynnz "] {
-            assert_eq!(
-                ok.parse::<PartitionStrategy>().unwrap(),
-                PartitionStrategy::ByNnz
-            );
-        }
-        for ok in ["rows", "by_rows", "ByRows"] {
-            assert_eq!(
-                ok.parse::<PartitionStrategy>().unwrap(),
-                PartitionStrategy::ByRows
-            );
-        }
-        assert!("hash".parse::<PartitionStrategy>().is_err());
-        let err = "hash".parse::<PartitionStrategy>().unwrap_err();
-        assert!(err.to_string().contains("hash"));
     }
 }

@@ -124,141 +124,152 @@ fn soak_conserves_every_ticket_across_producers_and_tenants() {
         }
     }
 
-    let svc = SpmvService::builder(engine())
-        .drain_workers(2)
-        .lane_quota(32)
-        .build();
-    let keys: Vec<MatrixKey> = mats.iter().map(|m| svc.prepare(m)).collect();
+    // One drain worker serializes every batch; two race each other on
+    // the lanes. Conservation and byte-identity must hold for both.
+    for workers in [1, 2] {
+        let svc = SpmvService::builder(engine())
+            .drain_workers(workers)
+            .lane_quota(32)
+            .build();
+        let keys: Vec<MatrixKey> = mats.iter().map(|m| svc.prepare(m)).collect();
 
-    let mut abandoned_total = 0usize;
-    let mut redeemed_total = 0usize;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for p in 0..PRODUCERS {
-            let svc = &svc;
-            let keys = &keys;
-            let xs = &xs;
-            let bvecs = &bvecs;
-            let spmv_ref = &spmv_ref;
-            let cg_ref = &cg_ref;
-            let power_ref = &power_ref;
-            let opts = &opts;
-            handles.push(s.spawn(move || {
-                let redeem = |op: Op, ticket: Ticket| match op {
-                    Op::Spmv { tenant, slot } => {
-                        let done = svc.wait(ticket).expect("spmv publishes");
-                        assert!(done.verified);
-                        assert_eq!(bits(&done.y), spmv_ref[tenant][slot], "spmv bytes diverged");
-                    }
-                    Op::Cg { tenant } => {
-                        let done = svc.wait_solve(ticket).expect("cg publishes");
-                        check_solve(&done, cg_ref[tenant].as_ref().expect("SPD tenant"));
-                    }
-                    Op::Power { tenant } => {
-                        let done = svc.wait_solve(ticket).expect("power publishes");
-                        check_solve(&done, power_ref[tenant].as_ref().expect("SPD tenant"));
-                    }
-                };
-                let mut window: VecDeque<(Op, Ticket)> = VecDeque::new();
-                let mut abandoned = 0usize;
-                let mut redeemed = 0usize;
-                for i in 0..OPS_PER_PRODUCER {
-                    let op = op_for(p, i);
-                    // Quota backpressure: on rejection, free capacity by
-                    // redeeming the oldest windowed ticket, then retry.
-                    let ticket = loop {
-                        let attempt = match op {
-                            Op::Spmv { tenant, slot } => {
-                                svc.submit(keys[tenant], xs[tenant][slot].clone())
-                            }
-                            Op::Cg { tenant } => svc.submit_solve(
-                                keys[tenant],
-                                SolveRequest::Cg {
-                                    b: bvecs[tenant].clone(),
-                                },
-                                opts.clone(),
-                            ),
-                            Op::Power { tenant } => svc.submit_solve(
-                                keys[tenant],
-                                SolveRequest::PowerIteration,
-                                opts.clone(),
-                            ),
-                        };
-                        match attempt {
-                            Ok(t) => break t,
-                            Err(ServiceError::TenantQuotaExceeded { .. }) => {
-                                match window.pop_front() {
-                                    Some((op, t)) => {
-                                        redeem(op, t);
-                                        redeemed += 1;
-                                    }
-                                    None => std::thread::yield_now(),
-                                }
-                            }
-                            Err(e) => panic!("unexpected submit error: {e}"),
+        let mut abandoned_total = 0usize;
+        let mut redeemed_total = 0usize;
+        std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for p in 0..PRODUCERS {
+                let svc = &svc;
+                let keys = &keys;
+                let xs = &xs;
+                let bvecs = &bvecs;
+                let spmv_ref = &spmv_ref;
+                let cg_ref = &cg_ref;
+                let power_ref = &power_ref;
+                let opts = &opts;
+                handles.push(s.spawn(move || {
+                    let redeem = |op: Op, ticket: Ticket| match op {
+                        Op::Spmv { tenant, slot } => {
+                            let done = svc.wait(ticket).expect("spmv publishes");
+                            assert!(done.verified);
+                            assert_eq!(
+                                bits(&done.y),
+                                spmv_ref[tenant][slot],
+                                "spmv bytes diverged"
+                            );
+                        }
+                        Op::Cg { tenant } => {
+                            let done = svc.wait_solve(ticket).expect("cg publishes");
+                            check_solve(&done, cg_ref[tenant].as_ref().expect("SPD tenant"));
+                        }
+                        Op::Power { tenant } => {
+                            let done = svc.wait_solve(ticket).expect("power publishes");
+                            check_solve(&done, power_ref[tenant].as_ref().expect("SPD tenant"));
                         }
                     };
-                    if i % ABANDON_EVERY == 5 {
-                        // Deliberately never redeemed: must end up
-                        // retained (or evicted), never lost.
-                        abandoned += 1;
-                    } else {
-                        window.push_back((op, ticket));
-                        if window.len() > WINDOW {
-                            let (op, t) = window.pop_front().expect("nonempty");
-                            redeem(op, t);
-                            redeemed += 1;
+                    let mut window: VecDeque<(Op, Ticket)> = VecDeque::new();
+                    let mut abandoned = 0usize;
+                    let mut redeemed = 0usize;
+                    for i in 0..OPS_PER_PRODUCER {
+                        let op = op_for(p, i);
+                        // Quota backpressure: on rejection, free capacity by
+                        // redeeming the oldest windowed ticket, then retry.
+                        let ticket = loop {
+                            let attempt = match op {
+                                Op::Spmv { tenant, slot } => {
+                                    svc.submit(keys[tenant], xs[tenant][slot].clone())
+                                }
+                                Op::Cg { tenant } => svc.submit_solve(
+                                    keys[tenant],
+                                    SolveRequest::Cg {
+                                        b: bvecs[tenant].clone(),
+                                    },
+                                    opts.clone(),
+                                ),
+                                Op::Power { tenant } => svc.submit_solve(
+                                    keys[tenant],
+                                    SolveRequest::PowerIteration,
+                                    opts.clone(),
+                                ),
+                            };
+                            match attempt {
+                                Ok(t) => break t,
+                                Err(ServiceError::TenantQuotaExceeded { .. }) => {
+                                    match window.pop_front() {
+                                        Some((op, t)) => {
+                                            redeem(op, t);
+                                            redeemed += 1;
+                                        }
+                                        None => std::thread::yield_now(),
+                                    }
+                                }
+                                Err(e) => panic!("unexpected submit error: {e}"),
+                            }
+                        };
+                        if i % ABANDON_EVERY == 5 {
+                            // Deliberately never redeemed: must end up
+                            // retained (or evicted), never lost.
+                            abandoned += 1;
+                        } else {
+                            window.push_back((op, ticket));
+                            if window.len() > WINDOW {
+                                let (op, t) = window.pop_front().expect("nonempty");
+                                redeem(op, t);
+                                redeemed += 1;
+                            }
                         }
                     }
-                }
-                for (op, t) in window {
-                    redeem(op, t);
-                    redeemed += 1;
-                }
-                (abandoned, redeemed)
-            }));
-        }
-        for h in handles {
-            let (a, r) = h.join().expect("producer");
-            abandoned_total += a;
-            redeemed_total += r;
-        }
-    });
-    svc.quiesce();
+                    for (op, t) in window {
+                        redeem(op, t);
+                        redeemed += 1;
+                    }
+                    (abandoned, redeemed)
+                }));
+            }
+            for h in handles {
+                let (a, r) = h.join().expect("producer");
+                abandoned_total += a;
+                redeemed_total += r;
+            }
+        });
+        svc.quiesce();
 
-    let total = (PRODUCERS * OPS_PER_PRODUCER) as u64;
-    let stats = svc.stats();
-    assert_eq!(stats.submitted, total, "every op was eventually accepted");
-    assert_eq!(redeemed_total as u64 + abandoned_total as u64, total);
-    assert!(stats.solves_completed > 0, "the mix includes solves");
-    assert_eq!(stats.failed, 0);
-    // Conservation invariant 1: every accepted ticket reached a
-    // terminal state.
-    assert_eq!(
-        stats.completed + stats.solves_completed + stats.failed,
-        stats.submitted,
-        "tickets lost between submission and terminal state"
-    );
-    // Conservation invariant 2: every terminal ticket is accounted for
-    // exactly once as taken, evicted, or still retained.
-    assert_eq!(
-        stats.taken + stats.evicted + svc.retained() as u64,
-        stats.submitted,
-        "terminal tickets lost between publication and redemption"
-    );
-    assert_eq!(stats.taken, redeemed_total as u64);
-    // Bounded memory: retention never exceeds the documented cap.
-    let retention_bound = svc.lane_count() * RESULT_RETENTION_FACTOR * svc.lane_quota();
-    assert!(
-        svc.retained() <= retention_bound,
-        "retained {} exceeds bound {retention_bound}",
-        svc.retained()
-    );
-    assert_eq!(svc.pending(), 0);
-    assert_eq!(svc.quarantined_lanes(), 0);
-    let lat = svc.latency();
-    assert_eq!(lat.count, total, "one latency sample per completed request");
-    assert!(lat.p50_ns <= lat.p99_ns && lat.p99_ns <= lat.p999_ns);
+        let total = (PRODUCERS * OPS_PER_PRODUCER) as u64;
+        let stats = svc.stats();
+        assert_eq!(
+            stats.submitted, total,
+            "{workers} workers: every op was eventually accepted"
+        );
+        assert_eq!(redeemed_total as u64 + abandoned_total as u64, total);
+        assert!(stats.solves_completed > 0, "the mix includes solves");
+        assert_eq!(stats.failed, 0);
+        // Conservation invariant 1: every accepted ticket reached a
+        // terminal state.
+        assert_eq!(
+            stats.completed + stats.solves_completed + stats.failed,
+            stats.submitted,
+            "{workers} workers: tickets lost between submission and terminal state"
+        );
+        // Conservation invariant 2: every terminal ticket is accounted for
+        // exactly once as taken, evicted, or still retained.
+        assert_eq!(
+            stats.taken + stats.evicted + svc.retained() as u64,
+            stats.submitted,
+            "{workers} workers: terminal tickets lost between publication and redemption"
+        );
+        assert_eq!(stats.taken, redeemed_total as u64);
+        // Bounded memory: retention never exceeds the documented cap.
+        let retention_bound = svc.lane_count() * RESULT_RETENTION_FACTOR * svc.lane_quota();
+        assert!(
+            svc.retained() <= retention_bound,
+            "{workers} workers: retained {} exceeds bound {retention_bound}",
+            svc.retained()
+        );
+        assert_eq!(svc.pending(), 0);
+        assert_eq!(svc.quarantined_lanes(), 0);
+        let lat = svc.latency();
+        assert_eq!(lat.count, total, "one latency sample per completed request");
+        assert!(lat.p50_ns <= lat.p99_ns && lat.p99_ns <= lat.p999_ns);
+    }
 }
 
 /// A drain worker panicking mid-batch (chaos hook) quarantines exactly
