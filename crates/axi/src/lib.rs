@@ -10,8 +10,9 @@
 //! * [`PackRequest`] — the three AXI-Pack burst flavours with their
 //!   element/index geometry.
 //! * [`Beat`] — one 512 b densely packed data beat.
-//! * [`Packer`] / [`Unpacker`] — lossless element ↔ beat conversion, the
-//!   function the AXI-Pack *element packer* performs at the upstream port.
+//! * [`Packer`] — lossless element → beat conversion, the function the
+//!   AXI-Pack *element packer* performs at the upstream port;
+//!   [`Beat::elements`] reads a beat back.
 //! * [`ElemSize`] — legal narrow element widths.
 //!
 //! The on-chip bus efficiency argument of AXI-Pack is exactly this packing:
@@ -320,72 +321,6 @@ impl Packer {
     }
 }
 
-/// Unpacks beats back into an element stream (the manager-side inverse of
-/// [`Packer`]).
-///
-/// # Example
-///
-/// ```
-/// use nmpic_axi::{Packer, Unpacker, ElemSize};
-/// let mut p = Packer::new(ElemSize::B8);
-/// for v in [7u64, 8, 9] { p.push(v); }
-/// let beat = p.flush().unwrap();
-///
-/// let mut u = Unpacker::new(ElemSize::B8);
-/// u.push_beat(&beat);
-/// assert_eq!(u.pop(), Some(7));
-/// assert_eq!(u.drain(), vec![8, 9]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Unpacker {
-    elem_size: ElemSize,
-    pending: VecDeque<u64>,
-}
-
-impl Unpacker {
-    /// Creates an unpacker for the given element width.
-    pub fn new(elem_size: ElemSize) -> Self {
-        Self {
-            elem_size,
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// Accepts one beat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the beat was packed with a different element width.
-    pub fn push_beat(&mut self, beat: &Beat) {
-        assert_eq!(
-            beat.elem_size, self.elem_size,
-            "beat width {} != unpacker width {}",
-            beat.elem_size, self.elem_size
-        );
-        self.pending.extend(beat.elements());
-    }
-
-    /// Pops the oldest element, if any.
-    pub fn pop(&mut self) -> Option<u64> {
-        self.pending.pop_front()
-    }
-
-    /// Drains all remaining elements in order.
-    pub fn drain(&mut self) -> Vec<u64> {
-        self.pending.drain(..).collect()
-    }
-
-    /// Number of buffered elements.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// `true` when no elements are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,17 +353,18 @@ mod tests {
             };
             let values: Vec<u64> = (0..37u64).map(|v| (v * 0x9E3779B9) & mask).collect();
             let mut p = Packer::new(size);
-            let mut u = Unpacker::new(size);
+            let mut got = Vec::new();
             for &v in &values {
                 p.push(v);
                 while let Some(b) = p.pop_beat() {
-                    u.push_beat(&b);
+                    assert_eq!(b.elem_size, size);
+                    got.extend(b.elements());
                 }
             }
             if let Some(b) = p.flush() {
-                u.push_beat(&b);
+                got.extend(b.elements());
             }
-            assert_eq!(u.drain(), values, "width {size}");
+            assert_eq!(got, values, "width {size}");
         }
     }
 

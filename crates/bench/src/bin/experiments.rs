@@ -36,7 +36,7 @@ fn main() {
 
     let opts = ExperimentOpts::from_env();
     eprintln!(
-        "cap {} nnz per matrix (set NMPIC_MAX_NNZ or NMPIC_QUICK=1 to change)",
+        "cap {} nnz per matrix (set NMPIC_QUICK=1 for the 20 000 smoke scale)",
         opts.max_nnz
     );
     let mut failures = Vec::new();

@@ -5,7 +5,6 @@
 /// Environment knobs ([`ExperimentOpts::from_env`]):
 ///
 /// * `NMPIC_QUICK=1` — smoke-test scale (20 000 nnz cap);
-/// * `NMPIC_MAX_NNZ=<n>` — explicit nonzero cap (overrides quick);
 /// * `NMPIC_JOBS=<n>` — sweep worker threads (read by
 ///   [`nmpic_sim::pool::parallel_jobs`], listed here for discoverability).
 #[derive(Debug, Clone)]
@@ -34,9 +33,9 @@ impl ExperimentOpts {
         opts
     }
 
-    /// Parses `NMPIC_QUICK` and `NMPIC_MAX_NNZ` as `lookup` reports
-    /// them, returning the options plus one warning per malformed value
-    /// (the knob then keeps its default).
+    /// Parses `NMPIC_QUICK` as `lookup` reports it, returning the
+    /// options plus a warning for a malformed value (the knob then keeps
+    /// its default).
     ///
     /// # Example
     ///
@@ -56,17 +55,6 @@ impl ExperimentOpts {
                 "" | "0" | "false" | "no" => {}
                 other => warnings.push(format!(
                     "ignoring NMPIC_QUICK='{other}': expected 1/0/true/false"
-                )),
-            }
-        }
-        if let Some(v) = lookup("NMPIC_MAX_NNZ") {
-            match v.trim().parse::<u64>() {
-                Ok(n) if n > 0 => opts.max_nnz = n,
-                Ok(_) => {
-                    warnings.push("ignoring NMPIC_MAX_NNZ=0: the cap must be positive".to_string())
-                }
-                Err(_) => warnings.push(format!(
-                    "ignoring NMPIC_MAX_NNZ='{v}': expected a positive integer"
                 )),
             }
         }

@@ -24,9 +24,8 @@ fn lookup_quick_and_explicit_cap() {
     assert_eq!(parse(&[]).0.max_nnz, 150_000);
     assert_eq!(parse(&[("NMPIC_QUICK", "1")]).0.max_nnz, 20_000);
     assert_eq!(parse(&[("NMPIC_QUICK", "0")]).0.max_nnz, 150_000);
-    // Explicit cap beats quick.
-    let (opts, warnings) = parse(&[("NMPIC_QUICK", "true"), ("NMPIC_MAX_NNZ", " 7 ")]);
-    assert_eq!(opts.max_nnz, 7);
+    let (opts, warnings) = parse(&[("NMPIC_QUICK", " true ")]);
+    assert_eq!(opts.max_nnz, 20_000);
     assert!(warnings.is_empty(), "{warnings:?}");
 }
 
@@ -34,8 +33,7 @@ fn lookup_quick_and_explicit_cap() {
 fn lookup_warns_on_every_malformed_value_and_keeps_the_default() {
     let cases = [
         ("NMPIC_QUICK", "maybe", "ignoring NMPIC_QUICK='maybe'"),
-        ("NMPIC_MAX_NNZ", "0", "ignoring NMPIC_MAX_NNZ=0"),
-        ("NMPIC_MAX_NNZ", "lots", "ignoring NMPIC_MAX_NNZ='lots'"),
+        ("NMPIC_QUICK", "2", "ignoring NMPIC_QUICK='2'"),
     ];
     for (name, value, want) in cases {
         let (opts, warnings) = parse(&[(name, value)]);

@@ -19,8 +19,8 @@
 //! ([`nmpic_sim::pool::parallel_map`]); each point is an independent
 //! deterministic simulation.
 //!
-//! Scale control: experiments cap matrix size with
-//! `NMPIC_MAX_NNZ=<nnz>` (default 150 000) or `NMPIC_QUICK=1`; worker
+//! Scale control: experiments cap matrices at 150 000 nonzeros, or at
+//! 20 000 with `NMPIC_QUICK=1`; worker
 //! threads with `NMPIC_JOBS=<n>` (default: all cores)
 //! ([`ExperimentOpts`]). Each experiment runs the fixed configurations
 //! of the artifact it regenerates; no knob selects a system or mode.

@@ -7,7 +7,7 @@
 //! upstream, and our matrices, prepared in either SELL or CSR format,
 //! were preloaded into the HBM model."
 
-use nmpic_axi::{ElemSize, PackRequest, Unpacker};
+use nmpic_axi::{ElemSize, PackRequest};
 use nmpic_mem::{BackendConfig, Memory, BLOCK_BYTES};
 use nmpic_sim::Cycle;
 
@@ -118,7 +118,6 @@ pub fn run_indirect_stream(
     }
 
     let mut unit = IndirectStreamUnit::new(cfg.clone());
-    let mut unpacker = Unpacker::new(ElemSize::B8);
     let mut verified = true;
     let mut checked = 0u64;
     let cycles = unit
@@ -132,8 +131,7 @@ pub fn run_indirect_stream(
                 elem_size: ElemSize::B8,
             },
             |beat| {
-                unpacker.push_beat(beat);
-                while let Some(v) = unpacker.pop() {
+                for v in beat.elements() {
                     let want = golden_element(indices[checked as usize] as u64);
                     if v != want {
                         verified = false;

@@ -167,7 +167,7 @@ impl AdapterStats {
 ///
 /// ```
 /// use nmpic_core::{AdapterConfig, IndirectStreamUnit};
-/// use nmpic_axi::{PackRequest, ElemSize, Unpacker};
+/// use nmpic_axi::{PackRequest, ElemSize};
 /// use nmpic_mem::{IdealChannel, Memory};
 ///
 /// let mut mem = Memory::new(1 << 16);
@@ -178,15 +178,15 @@ impl AdapterStats {
 ///
 /// let mut chan = IdealChannel::new(mem, 10, 2);
 /// let mut unit = IndirectStreamUnit::new(AdapterConfig::mlp(8));
-/// let mut got = Unpacker::new(ElemSize::B8);
+/// let mut got = Vec::new();
 /// let cycles = unit.run_burst(
 ///     &mut chan,
 ///     PackRequest::Indirect {
 ///         idx_base, idx_size: ElemSize::B4, count: 4, elem_base, elem_size: ElemSize::B8,
 ///     },
-///     |beat| got.push_beat(beat),
+///     |beat| got.extend(beat.elements()),
 /// ).unwrap();
-/// assert_eq!(got.drain(), vec![103, 100, 102, 103]);
+/// assert_eq!(got, vec![103, 100, 102, 103]);
 /// assert!(cycles > 10, "at least one DRAM round trip each for indices and elements");
 /// ```
 #[derive(Debug)]

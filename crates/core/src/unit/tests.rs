@@ -20,11 +20,14 @@ fn run(
     chan: &mut dyn ChannelPort,
     req: PackRequest,
 ) -> (Vec<u64>, u64) {
-    let mut got = nmpic_axi::Unpacker::new(req.elem_size());
+    let (mut got, width) = (Vec::new(), req.elem_size());
     let cycles = unit
-        .run_burst(chan, req, |beat| got.push_beat(beat))
+        .run_burst(chan, req, |beat| {
+            assert_eq!(beat.elem_size, width);
+            got.extend(beat.elements());
+        })
         .unwrap();
-    (got.drain(), cycles)
+    (got, cycles)
 }
 
 /// Runs a full indirect burst on a fresh unit and returns (values, cycles).
@@ -371,13 +374,12 @@ fn contiguous_32b_burst() {
         elem_size: ElemSize::B4,
         count: 50,
     };
-    let mut got = nmpic_axi::Unpacker::new(ElemSize::B4);
+    let mut vals = Vec::new();
     unit.run_burst(&mut chan, req, |beat| {
         assert_eq!(beat.elem_size, ElemSize::B4);
-        got.push_beat(beat);
+        vals.extend(beat.elements());
     })
     .unwrap();
-    let vals = got.drain();
     assert_eq!(vals.len(), 50);
     for (k, &v) in vals.iter().enumerate() {
         assert_eq!(v, 100 + k as u64);
@@ -593,9 +595,12 @@ fn gather_widths(
         elem_base,
         elem_size,
     };
-    let mut got = nmpic_axi::Unpacker::new(elem_size);
-    unit.run_burst(&mut chan, req, |beat| got.push_beat(beat))?;
-    Ok(got.drain())
+    let mut got = Vec::new();
+    unit.run_burst(&mut chan, req, |beat| {
+        assert_eq!(beat.elem_size, elem_size);
+        got.extend(beat.elements());
+    })?;
+    Ok(got)
 }
 
 const PROBE: [u64; 6] = [3, 0, 5, 3, 63, 1];

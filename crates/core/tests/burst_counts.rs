@@ -13,7 +13,7 @@
 
 use std::fmt::Debug;
 
-use nmpic_axi::{ElemSize, PackRequest, Unpacker};
+use nmpic_axi::{ElemSize, PackRequest};
 use nmpic_core::{
     AdapterConfig, AdapterStats, IndirectStreamUnit, ScatterRequest, ScatterStats, ScatterUnit,
 };
@@ -187,11 +187,14 @@ fn run(
     chan: &mut dyn ChannelPort,
     req: PackRequest,
 ) -> (u64, Vec<u64>) {
-    let mut got = Unpacker::new(req.elem_size());
+    let (mut got, width) = (Vec::new(), req.elem_size());
     let cycles = unit
-        .run_burst(chan, req, |beat| got.push_beat(beat))
+        .run_burst(chan, req, |beat| {
+            assert_eq!(beat.elem_size, width);
+            got.extend(beat.elements());
+        })
         .expect("idle unit accepts the burst");
-    (cycles, got.drain())
+    (cycles, got)
 }
 
 fn contiguous(w: &str, aligned: bool, count: u64, backend_name: &str) -> Gather {

@@ -23,7 +23,7 @@
 //! solvers reproduce their cycle-accurate residual trajectories bit for
 //! bit. Only the cost metrics are approximate, within
 //! [`PINNED_REL_TOL`] of cycle-accurate mode (enforced by
-//! `tests/exec_mode.rs` and the `analytic_validation` experiment).
+//! `crates/system/tests/exec_mode.rs` and the `analytic_validation` experiment).
 
 use nmpic_core::{AdapterConfig, CoalescerTrafficModel};
 use nmpic_mem::{BackendConfig, BackendKind, Cache, BLOCK_BYTES};
@@ -32,7 +32,7 @@ use nmpic_mem::{BackendConfig, BackendKind, Cache, BLOCK_BYTES};
 /// metrics (`cycles`, `offchip_bytes`, and the GB/s etc. derived from
 /// them) on the validation grid: ideal/hbm/hbm4/hbm8 ×
 /// base/pack/sharded at CI scale. The `analytic_validation` experiment's
-/// result gate and `tests/exec_mode.rs` read this constant directly.
+/// result gate and `crates/system/tests/exec_mode.rs` read this constant directly.
 pub const PINNED_REL_TOL: f64 = 0.5;
 
 /// Estimated loaded latency of one HBM read (ACT + CAS + burst +

@@ -20,8 +20,8 @@
 //! failed golden-model verification) propagates to the caller.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 thread_local! {
@@ -57,7 +57,7 @@ pub fn parallel_jobs() -> usize {
 /// `NMPIC_JOBS` edge cases are unit-testable without touching the
 /// process environment. Returns the job count (always ≥ 1) and an
 /// optional warning for the caller to print.
-pub fn jobs_from_env_value(value: Option<&str>) -> (usize, Option<String>) {
+fn jobs_from_env_value(value: Option<&str>) -> (usize, Option<String>) {
     let default = || std::thread::available_parallelism().map_or(1, |n| n.get());
     match value {
         None => (default(), None),
@@ -83,13 +83,13 @@ pub fn jobs_from_env_value(value: Option<&str>) -> (usize, Option<String>) {
 /// Maps `f` over `items` on up to [`parallel_jobs`] worker threads,
 /// returning results in input order.
 ///
-/// Jobs are pulled from a shared counter, so uneven job costs (a big
-/// matrix next to a small one) balance automatically.
+/// Workers pull the next item from a shared queue, so uneven job costs
+/// (a big matrix next to a small one) balance automatically.
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised inside `f` (scoped threads rethrow
-/// on join), so verification failures inside a sweep still abort it.
+/// Propagates a panic raised inside `f` with its original payload, so
+/// verification failures inside a sweep still abort it.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -114,48 +114,35 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    let jobs = jobs.min(n.max(1));
+    let jobs = jobs.min(items.len().max(1));
     if jobs <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                IN_POOL_WORKER.with(|flag| flag.set(true));
-                loop {
-                    // Relaxed suffices: the counter is only a work-stealing
-                    // ticket; the slot mutexes order the item/result data.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
+    // The lock guards only the hand-out of the next item; `f` runs
+    // unlocked, so a panicking job cannot poison the queue for the rest.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut out: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                s.spawn(|| {
+                    IN_POOL_WORKER.with(|flag| flag.set(true));
+                    let mut done = Vec::new();
+                    loop {
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((i, item)) = next else { break };
+                        done.push((i, f(item)));
                     }
-                    let item = work[i]
-                        .lock()
-                        // nmpic-lint: allow(L2) — invariant: each slot is locked exactly once (the ticket counter hands out distinct indices), so no holder can have panicked with it
-                        .expect("job slot poisoned")
-                        .take()
-                        // nmpic-lint: allow(L2) — invariant: distinct tickets mean each slot is taken exactly once
-                        .expect("each slot taken once");
-                    let r = f(item);
-                    // nmpic-lint: allow(L2) — invariant: each result slot is locked exactly once by the worker holding its ticket
-                    *out[i].lock().expect("result slot poisoned") = Some(r);
-                }
-            });
-        }
+                    done
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
-    out.into_iter()
-        .map(|m| {
-            m.into_inner()
-                // nmpic-lint: allow(L2) — invariant: a worker panic already propagated out of thread::scope before this line runs
-                .expect("result slot poisoned")
-                // nmpic-lint: allow(L2) — invariant: the scope joins all workers, and the ticket counter covers every index below n
-                .expect("every job ran")
-        })
-        .collect()
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 /// How long an idle [`BackgroundWorker`] sleeps between polls when its
@@ -274,6 +261,17 @@ mod tests {
         for jobs in [1usize, 2, 4, 16] {
             let got = parallel_map_jobs(jobs, (0..50).collect(), |x: u64| x + 1);
             assert_eq!(got, (1..=50).collect::<Vec<u64>>(), "jobs={jobs}");
+            // Early items cost the most, so workers finish out of input
+            // order and only the final sort restores it.
+            let got = parallel_map_jobs(jobs, (0..12).collect(), |x: u64| {
+                std::thread::sleep(Duration::from_micros(200 * (12 - x)));
+                x * 3
+            });
+            assert_eq!(
+                got,
+                (0..12).map(|x| x * 3).collect::<Vec<u64>>(),
+                "jobs={jobs}"
+            );
         }
     }
 
@@ -336,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let _ = parallel_map_jobs(2, vec![1u32, 2, 3], |x| {
             assert!(x != 2, "boom");

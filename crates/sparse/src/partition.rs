@@ -157,7 +157,7 @@ pub fn by_rows(csr: &Csr, k: usize) -> Partition {
 /// **Balance bound**: because boundaries can only fall between rows, each
 /// shard holds at most `ceil(nnz / k) + max_row_nnz` nonzeros (and at
 /// least `floor(nnz / k) − max_row_nnz`, clamped to 0). The property test
-/// in `tests/partition.rs` pins this bound.
+/// in `crates/system/tests/partition.rs` pins this bound.
 ///
 /// **Degenerate shapes** (`k > rows`, zero-row or zero-nnz matrices, hub
 /// rows denser than `nnz / k`) cannot fill every shard; the unfillable

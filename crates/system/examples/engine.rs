@@ -2,13 +2,13 @@
 //! run it against a batch of vectors, and compare the amortized cost
 //! with the per-vector plan-rebuild path.
 //!
-//! Run with: `cargo run --release --example engine [matrix] [batch]`
-//! e.g. `cargo run --release --example engine af_shell10 8`
+//! Run with: `cargo run --release -p nmpic-system --example engine [matrix] [batch]`
+//! e.g. `cargo run --release -p nmpic-system --example engine af_shell10 8`
 
-use nmpic::core::AdapterConfig;
-use nmpic::mem::BackendConfig;
-use nmpic::sparse::{by_name, suite};
-use nmpic::system::{golden_x, SpmvEngine, SystemKind};
+use nmpic_core::AdapterConfig;
+use nmpic_mem::BackendConfig;
+use nmpic_sparse::{by_name, suite};
+use nmpic_system::{golden_x, SpmvEngine, SystemKind};
 
 fn main() {
     let mut args = std::env::args().skip(1);

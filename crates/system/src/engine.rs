@@ -44,7 +44,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::str::FromStr;
 
 use nmpic_core::AdapterConfig;
 use nmpic_mem::{BackendConfig, ChannelPort, WideRequest};
@@ -93,88 +92,6 @@ impl fmt::Display for SystemKind {
     }
 }
 
-/// Error returned when a [`SystemKind`] or [`ExecMode`] name cannot be
-/// parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    what: &'static str,
-    input: String,
-    expected: &'static str,
-}
-
-impl ParseError {
-    pub(crate) fn new(what: &'static str, input: &str, expected: &'static str) -> Self {
-        Self {
-            what,
-            input: input.to_string(),
-            expected,
-        }
-    }
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown {} '{}': expected {}",
-            self.what, self.input, self.expected
-        )
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl FromStr for SystemKind {
-    type Err = ParseError;
-
-    /// Parses `base`, `pack` (= pack256), `pack0`, `pack<N>`,
-    /// `packseq<N>`, `sharded` (= one unit) or `sharded<K>` — the inverse
-    /// of [`SystemKind`]'s `Display` label.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let t = s.trim().to_ascii_lowercase();
-        let window = |digits: &str| -> Option<usize> {
-            let w: usize = digits.parse().ok()?;
-            (w.is_power_of_two() && w >= 8).then_some(w)
-        };
-        match t.as_str() {
-            "base" => return Ok(SystemKind::Base),
-            "pack" => return Ok(SystemKind::Pack(AdapterConfig::mlp(256))),
-            "pack0" => return Ok(SystemKind::Pack(AdapterConfig::mlp_nc())),
-            "sharded" => {
-                return Ok(SystemKind::Sharded {
-                    units: 1,
-                    strategy: PartitionStrategy::default(),
-                })
-            }
-            _ => {}
-        }
-        if let Some(digits) = t.strip_prefix("packseq") {
-            if let Some(w) = window(digits) {
-                return Ok(SystemKind::Pack(AdapterConfig::seq(w)));
-            }
-        } else if let Some(digits) = t.strip_prefix("pack") {
-            if let Some(w) = window(digits) {
-                return Ok(SystemKind::Pack(AdapterConfig::mlp(w)));
-            }
-        } else if let Some(digits) = t.strip_prefix("sharded") {
-            if let Ok(units) = digits.parse::<usize>() {
-                if units > 0 {
-                    return Ok(SystemKind::Sharded {
-                        units,
-                        strategy: PartitionStrategy::default(),
-                    });
-                }
-            }
-        }
-        Err(ParseError::new(
-            "system",
-            s,
-            "'base', 'pack'/'pack0'/'packN'/'packseqN' (N a power of two >= 8, e.g. \
-             pack256), or 'sharded'/'shardedK' (K units, e.g. sharded4)",
-        ))
-    }
-}
-
 /// How a [`SpmvPlan`] executes its runs.
 ///
 /// Both modes fill the same [`RunReport`]/[`IterReport`] fields and
@@ -204,48 +121,25 @@ impl fmt::Display for ExecMode {
     }
 }
 
-impl FromStr for ExecMode {
-    type Err = ParseError;
-
-    /// Parses `cycle` or `analytic` (case-insensitive) — the inverse of
-    /// [`ExecMode`]'s `Display` label.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "cycle" => Ok(ExecMode::CycleAccurate),
-            "analytic" => Ok(ExecMode::Analytic),
-            _ => Err(ParseError::new(
-                "execution mode",
-                s,
-                "'cycle' or 'analytic'",
-            )),
-        }
-    }
-}
-
 /// Builder for [`SpmvEngine`]. Obtain via [`SpmvEngine::builder`].
 #[derive(Debug, Clone)]
 pub struct SpmvEngineBuilder {
-    backend: BackendConfig,
-    system: SystemKind,
-    exec_mode: ExecMode,
-    base: BaseConfig,
-    pack: PackConfig,
-    sharded_adapter: AdapterConfig,
-    batch_capacity: usize,
-    shard_workers: Option<usize>,
+    engine: SpmvEngine,
 }
 
 impl Default for SpmvEngineBuilder {
     fn default() -> Self {
         Self {
-            backend: BackendConfig::hbm(),
-            system: SystemKind::default(),
-            exec_mode: ExecMode::default(),
-            base: BaseConfig::default(),
-            pack: PackConfig::default(),
-            sharded_adapter: AdapterConfig::mlp(256),
-            batch_capacity: 1,
-            shard_workers: None,
+            engine: SpmvEngine {
+                backend: BackendConfig::hbm(),
+                system: SystemKind::default(),
+                exec_mode: ExecMode::default(),
+                base: BaseConfig::default(),
+                pack: PackConfig::default(),
+                sharded_adapter: AdapterConfig::mlp(256),
+                batch_capacity: 1,
+                shard_workers: None,
+            },
         }
     }
 }
@@ -254,13 +148,13 @@ impl SpmvEngineBuilder {
     /// Selects the memory backend every plan of this engine runs against
     /// (default: one HBM2 channel).
     pub fn backend(mut self, backend: BackendConfig) -> Self {
-        self.backend = backend;
+        self.engine.backend = backend;
         self
     }
 
     /// Selects the system kind (default: pack with MLP256).
     pub fn system(mut self, system: SystemKind) -> Self {
-        self.system = system;
+        self.engine.system = system;
         self
     }
 
@@ -269,26 +163,26 @@ impl SpmvEngineBuilder {
     /// trades pinned-tolerance cost metrics for orders-of-magnitude
     /// faster runs; result values stay byte-identical.
     pub fn exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
+        self.engine.exec_mode = mode;
         self
     }
 
     /// Overrides the baseline system's tuning (LLC geometry, VLSU rates).
     pub fn base_config(mut self, cfg: BaseConfig) -> Self {
-        self.base = cfg;
+        self.engine.base = cfg;
         self
     }
 
     /// Overrides the pack system's tuning (L2 size, compute rate).
     pub fn pack_config(mut self, cfg: PackConfig) -> Self {
-        self.pack = cfg;
+        self.engine.pack = cfg;
         self
     }
 
     /// Adapter variant instantiated per unit by
     /// [`SystemKind::Sharded`] plans (default: MLP256).
     pub fn sharded_adapter(mut self, adapter: AdapterConfig) -> Self {
-        self.sharded_adapter = adapter;
+        self.engine.sharded_adapter = adapter;
         self
     }
 
@@ -304,7 +198,7 @@ impl SpmvEngineBuilder {
     /// Panics if `capacity` is zero.
     pub fn batch_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "batch capacity must be positive");
-        self.batch_capacity = capacity;
+        self.engine.batch_capacity = capacity;
         self
     }
 
@@ -321,22 +215,13 @@ impl SpmvEngineBuilder {
     /// Panics if `workers` is zero.
     pub fn shard_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "at least one shard worker");
-        self.shard_workers = Some(workers);
+        self.engine.shard_workers = Some(workers);
         self
     }
 
     /// Finalizes the engine.
     pub fn build(self) -> SpmvEngine {
-        SpmvEngine {
-            backend: self.backend,
-            system: self.system,
-            exec_mode: self.exec_mode,
-            base: self.base,
-            pack: self.pack,
-            sharded_adapter: self.sharded_adapter,
-            batch_capacity: self.batch_capacity,
-            shard_workers: self.shard_workers,
-        }
+        self.engine
     }
 }
 
@@ -857,47 +742,6 @@ mod tests {
     #[should_panic(expected = "at least one shard worker")]
     fn zero_shard_workers_panics() {
         let _ = SpmvEngine::builder().shard_workers(0);
-    }
-
-    #[test]
-    fn system_kind_parses_from_str() {
-        assert_eq!("base".parse::<SystemKind>().unwrap(), SystemKind::Base);
-        assert_eq!(
-            "pack".parse::<SystemKind>().unwrap(),
-            SystemKind::Pack(AdapterConfig::mlp(256))
-        );
-        assert_eq!(
-            "pack0".parse::<SystemKind>().unwrap(),
-            SystemKind::Pack(AdapterConfig::mlp_nc())
-        );
-        assert_eq!(
-            "PACK64".parse::<SystemKind>().unwrap(),
-            SystemKind::Pack(AdapterConfig::mlp(64))
-        );
-        assert_eq!(
-            "packseq256".parse::<SystemKind>().unwrap(),
-            SystemKind::Pack(AdapterConfig::seq(256))
-        );
-        assert_eq!(
-            "sharded4".parse::<SystemKind>().unwrap(),
-            SystemKind::Sharded {
-                units: 4,
-                strategy: PartitionStrategy::ByNnz
-            }
-        );
-        assert_eq!(
-            "sharded".parse::<SystemKind>().unwrap(),
-            SystemKind::Sharded {
-                units: 1,
-                strategy: PartitionStrategy::ByNnz
-            }
-        );
-        // Invalid windows and unit counts are rejected, not panicked on.
-        for bad in ["pack48", "pack4", "sharded0", "dramsys", ""] {
-            assert!(bad.parse::<SystemKind>().is_err(), "{bad}");
-        }
-        let err = "pack48".parse::<SystemKind>().unwrap_err();
-        assert!(err.to_string().contains("pack48"));
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! # nmpic-system — end-to-end SpMV system models
 //!
-//! The public entry point is the **session API** ([`SpmvEngine`]):
-//! build an engine once (memory backend + [`SystemKind`]), prepare a
-//! [`SpmvPlan`] per matrix — partitioning, format conversion and DRAM
-//! layout happen here, once — then run it against as many vectors as the
-//! workload brings ([`SpmvPlan::run`], [`SpmvPlan::run_batch`]). Every
-//! run returns the same unified [`RunReport`].
+//! Four entry points: [`SpmvEngine`] (memory backend + [`SystemKind`],
+//! built once), [`SpmvPlan`] (one per matrix, from
+//! [`SpmvEngine::prepare`]), [`SpmvService`] (many tenants over one
+//! engine) and [`Solver`] (iterative methods over one plan). The rest of
+//! this crate's surface is their argument and return types. Preparing a
+//! plan does partitioning, format conversion and DRAM layout once; the
+//! plan then runs against as many vectors as the workload brings
+//! ([`SpmvPlan::run`], [`SpmvPlan::run_batch`]), and every run returns
+//! the same unified [`RunReport`].
 //!
 //! Three system kinds, covering the paper's Fig. 5 comparison plus the
 //! multi-unit extension:
@@ -65,7 +68,7 @@ mod shard;
 mod solve;
 
 pub use base::BaseConfig;
-pub use engine::{ExecMode, ParseError, SpmvEngine, SpmvEngineBuilder, SpmvPlan, SystemKind};
+pub use engine::{ExecMode, SpmvEngine, SpmvEngineBuilder, SpmvPlan, SystemKind};
 pub use pack::PackConfig;
 pub use report::{golden_x, IterReport, RunReport, ShardDetail};
 pub use service::{

@@ -31,7 +31,7 @@
 
 use std::fmt;
 
-use nmpic_axi::{ElemSize, PackRequest, Unpacker};
+use nmpic_axi::{ElemSize, PackRequest};
 use nmpic_core::{
     stream_memory_size, AdapterConfig, AdapterStats, IndirectStreamUnit, ScatterRequest,
     ScatterStats, ScatterUnit,
@@ -470,12 +470,10 @@ fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], values: &[f64]) -> ShardOu
         elem_size: ElemSize::B8,
     };
     let (local_y, row_of) = (&mut slot.local_y, &slot.row_of);
-    let mut unpacker = Unpacker::new(ElemSize::B8);
     let mut pos = 0usize;
     let cycles = unit
         .run_burst(chan, req, |beat| {
-            unpacker.push_beat(beat);
-            while let Some(bits) = unpacker.pop() {
+            for bits in beat.elements() {
                 // The packer restores stream order, so position `pos`
                 // pairs the gathered x element with its nonzero value;
                 // per-row accumulation order equals `Csr::spmv`'s.

@@ -163,7 +163,7 @@ impl Solver {
     ///
     /// The trajectory is a pure function of the plan's SpMV bytes:
     /// backends, shard worker counts and `run` vs `run_into` all produce
-    /// bit-identical iterates (pinned by `tests/solve.rs`).
+    /// bit-identical iterates (pinned by `crates/system/tests/solve.rs`).
     ///
     /// # Panics
     ///

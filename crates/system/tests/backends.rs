@@ -3,13 +3,13 @@
 //! stack to byte-identical gathered data, and the SpMV systems must
 //! verify on every backend.
 
-use nmpic::axi::{ElemSize, PackRequest, Unpacker};
-use nmpic::core::{
+use nmpic_axi::{ElemSize, PackRequest};
+use nmpic_core::{
     run_indirect_stream, stream_memory_size, AdapterConfig, IndirectStreamUnit, StreamOptions,
 };
-use nmpic::mem::{BackendConfig, BackendKind, Memory};
-use nmpic::sparse::{by_name, Sell};
-use nmpic::system::{golden_x, SpmvEngine, SystemKind};
+use nmpic_mem::{BackendConfig, BackendKind, Memory};
+use nmpic_sparse::{by_name, Sell};
+use nmpic_system::{golden_x, SpmvEngine, SystemKind};
 
 /// Every backend kind the factory can produce, including the acceptance
 /// sweep `hbm x{2, 4, 8}`.
@@ -50,11 +50,14 @@ fn gather_on(
         elem_base,
         elem_size: ElemSize::B8,
     };
-    let mut got = Unpacker::new(ElemSize::B8);
+    let mut got = Vec::new();
     IndirectStreamUnit::new(cfg.clone())
-        .run_burst(&mut *chan, req, |beat| got.push_beat(beat))
+        .run_burst(&mut *chan, req, |beat| {
+            assert_eq!(beat.elem_size, ElemSize::B8);
+            got.extend(beat.elements());
+        })
         .expect("fresh unit");
-    got.drain()
+    got
 }
 
 /// The acceptance property: `IdealChannel` and `HbmChannel` on 1, 2, 4

@@ -13,10 +13,10 @@
 //! On a mismatch the failure message prints the measured rows in source
 //! form, so a deliberate model change re-pins by copy and paste.
 
-use nmpic::mem::{BackendConfig, CacheConfig};
-use nmpic::sparse::gen::{banded_fem, circuit, random_uniform};
-use nmpic::sparse::Csr;
-use nmpic::system::{golden_x, BaseConfig, IterReport, SpmvEngine, SystemKind};
+use nmpic_mem::{BackendConfig, CacheConfig};
+use nmpic_sparse::gen::{banded_fem, circuit, random_uniform};
+use nmpic_sparse::Csr;
+use nmpic_system::{golden_x, BaseConfig, IterReport, SpmvEngine, SystemKind};
 
 /// `(cycles, indir_cycles, offchip_bytes)`.
 type Counts = (u64, u64, u64);

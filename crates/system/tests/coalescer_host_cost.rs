@@ -14,8 +14,8 @@
 //! also checks that this floor lies above the bound, i.e. that `C` is
 //! tight enough to reject a W-per-cycle algorithm.
 
-use nmpic::core::{run_indirect_stream, AdapterConfig, StreamOptions};
-use nmpic::sparse::{gen, Csr};
+use nmpic_core::{run_indirect_stream, AdapterConfig, StreamOptions};
+use nmpic_sparse::{gen, Csr};
 
 const W: u64 = 256;
 const C: u64 = 3;

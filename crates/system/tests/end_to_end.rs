@@ -2,13 +2,13 @@
 //! through the adapter and DRAM model to verified gathered data, and the
 //! complete SpMV systems.
 
-use nmpic::core::{run_indirect_stream, AdapterConfig, StreamOptions};
-use nmpic::sparse::{by_name, suite, Csr, Sell};
-use nmpic::system::{golden_x, SpmvEngine, SystemKind};
+use nmpic_core::{run_indirect_stream, AdapterConfig, StreamOptions};
+use nmpic_sparse::{by_name, suite, Csr, Sell};
+use nmpic_system::{golden_x, SpmvEngine, SystemKind};
 
 /// Builds a pack plan for `csr` with the given adapter on the default
 /// HBM backend.
-fn pack_plan(csr: &Csr, adapter: AdapterConfig) -> nmpic::system::SpmvPlan {
+fn pack_plan(csr: &Csr, adapter: AdapterConfig) -> nmpic_system::SpmvPlan {
     SpmvEngine::builder()
         .system(SystemKind::Pack(adapter))
         .build()

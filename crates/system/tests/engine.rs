@@ -7,10 +7,10 @@
 //! kinds. Warm channel, unit and cache state must never leak into the
 //! numerics.
 
-use nmpic::core::AdapterConfig;
-use nmpic::mem::BackendConfig;
-use nmpic::sparse::{by_name, Csr, Sell};
-use nmpic::system::{golden_x, PartitionStrategy, SpmvEngine, SystemKind};
+use nmpic_core::AdapterConfig;
+use nmpic_mem::BackendConfig;
+use nmpic_sparse::{by_name, Csr, Sell};
+use nmpic_system::{golden_x, PartitionStrategy, SpmvEngine, SystemKind};
 
 fn backends() -> Vec<BackendConfig> {
     vec![

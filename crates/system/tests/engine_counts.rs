@@ -11,10 +11,13 @@
 //! On a mismatch the failure message prints the measured row in source
 //! form, so a deliberate model change re-pins by copy and paste.
 
-use nmpic::mem::BackendConfig;
-use nmpic::sparse::gen::banded_fem;
-use nmpic::sparse::Csr;
-use nmpic::system::{golden_x, ExecMode, IterReport, RunReport, SpmvEngine, SystemKind};
+use nmpic_core::AdapterConfig;
+use nmpic_mem::BackendConfig;
+use nmpic_sparse::gen::banded_fem;
+use nmpic_sparse::Csr;
+use nmpic_system::{
+    golden_x, ExecMode, IterReport, PartitionStrategy, RunReport, SpmvEngine, SystemKind,
+};
 
 /// `(cycles, indir_cycles, offchip_bytes)`.
 type Counts = (u64, u64, u64);
@@ -57,6 +60,26 @@ fn vectors(cols: usize) -> Vec<Vec<f64>> {
     ]
 }
 
+fn system_kind(name: &str) -> SystemKind {
+    match name {
+        "base" => SystemKind::Base,
+        "pack256" => SystemKind::Pack(AdapterConfig::mlp(256)),
+        "sharded4" => SystemKind::Sharded {
+            units: 4,
+            strategy: PartitionStrategy::ByNnz,
+        },
+        other => panic!("unknown system '{other}'"),
+    }
+}
+
+fn exec_mode(name: &str) -> ExecMode {
+    match name {
+        "cycle" => ExecMode::CycleAccurate,
+        "analytic" => ExecMode::Analytic,
+        other => panic!("unknown exec mode '{other}'"),
+    }
+}
+
 fn backend(name: &str) -> BackendConfig {
     match name {
         "ideal" => BackendConfig::ideal(),
@@ -69,8 +92,8 @@ fn backend(name: &str) -> BackendConfig {
 fn engine(system: &str, exec: &str, backend_name: &str) -> SpmvEngine {
     SpmvEngine::builder()
         .backend(backend(backend_name))
-        .system(system.parse::<SystemKind>().expect("system name"))
-        .exec_mode(exec.parse::<ExecMode>().expect("exec mode name"))
+        .system(system_kind(system))
+        .exec_mode(exec_mode(exec))
         .batch_capacity(2)
         .build()
 }

@@ -6,18 +6,18 @@
 //!    order;
 //! 2. an [`ExecMode::Analytic`] plan fills the same [`RunReport`]
 //!    cost fields within the pinned relative tolerance
-//!    (`nmpic::model::PINNED_REL_TOL`) of [`ExecMode::CycleAccurate`]
+//!    (`nmpic_model::PINNED_REL_TOL`) of [`ExecMode::CycleAccurate`]
 //!    across every backend × system, with bit-identical result vectors;
 //! 3. a CG solve in analytic mode reproduces the cycle-accurate
 //!    residual trajectory exactly — values come from `spmv_fast`, only
 //!    the cost metrics are modeled.
 
-use nmpic::core::AdapterConfig;
-use nmpic::mem::BackendConfig;
-use nmpic::model::PINNED_REL_TOL;
-use nmpic::sparse::gen::{banded_fem, circuit, spd, stencil27};
-use nmpic::sparse::Csr;
-use nmpic::system::{
+use nmpic_core::AdapterConfig;
+use nmpic_mem::BackendConfig;
+use nmpic_model::PINNED_REL_TOL;
+use nmpic_sparse::gen::{banded_fem, circuit, spd, stencil27};
+use nmpic_sparse::Csr;
+use nmpic_system::{
     golden_x, ExecMode, PartitionStrategy, SolveOptions, Solver, SpmvEngine, SpmvPlan, SystemKind,
 };
 

@@ -16,10 +16,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use nmpic::mem::BackendConfig;
-use nmpic::sparse::gen::banded_fem;
-use nmpic::sparse::Csr;
-use nmpic::system::{golden_x, SpmvEngine, SystemKind};
+use nmpic_core::AdapterConfig;
+use nmpic_mem::BackendConfig;
+use nmpic_sparse::gen::banded_fem;
+use nmpic_sparse::Csr;
+use nmpic_system::{golden_x, PartitionStrategy, SpmvEngine, SystemKind};
 
 thread_local! {
     /// Allocations made by this thread. `const`-initialised and without
@@ -88,9 +89,9 @@ const PINNED: &[Row] = &[
     ("pack256", 1536, "ideal", 42),
     ("pack256", 1536, "hbm", 42),
     ("pack256", 1536, "hbm x8", 42),
-    ("sharded4", 1536, "ideal", 20),
-    ("sharded4", 1536, "hbm", 20),
-    ("sharded4", 1536, "hbm x8", 20),
+    ("sharded4", 1536, "ideal", 16),
+    ("sharded4", 1536, "hbm", 16),
+    ("sharded4", 1536, "hbm x8", 16),
     ("base", 6144, "ideal", 4),
     ("base", 6144, "hbm", 4),
     ("base", 6144, "hbm x8", 4),
@@ -98,6 +99,19 @@ const PINNED: &[Row] = &[
 
 const SYSTEMS: [&str; 4] = ["base", "pack0", "pack256", "sharded4"];
 const BACKENDS: [&str; 3] = ["ideal", "hbm", "hbm x8"];
+
+fn system_kind(name: &str) -> SystemKind {
+    match name {
+        "base" => SystemKind::Base,
+        "pack0" => SystemKind::Pack(AdapterConfig::mlp_nc()),
+        "pack256" => SystemKind::Pack(AdapterConfig::mlp(256)),
+        "sharded4" => SystemKind::Sharded {
+            units: 4,
+            strategy: PartitionStrategy::ByNnz,
+        },
+        other => panic!("unknown system '{other}'"),
+    }
+}
 
 fn backend(name: &str) -> BackendConfig {
     match name {
@@ -112,7 +126,7 @@ fn backend(name: &str) -> BackendConfig {
 fn warm_allocs(system: &str, csr: &Csr, backend_name: &str) -> u64 {
     let engine = SpmvEngine::builder()
         .backend(backend(backend_name))
-        .system(system.parse::<SystemKind>().expect("system name"))
+        .system(system_kind(system))
         .shard_workers(1)
         .build();
     let mut plan = engine.prepare(csr);

@@ -2,19 +2,19 @@
 //! must hold at test scale (who wins, by roughly what factor). Exact
 //! magnitudes live in EXPERIMENTS.md at full experiment scale.
 
-use nmpic::core::{run_indirect_stream, AdapterConfig, StreamOptions};
-use nmpic::model::{a64fx, adapter_area, sx_aurora, this_work};
-use nmpic::sparse::{by_name, Sell};
-use nmpic::system::{golden_x, RunReport, SpmvEngine, SystemKind};
+use nmpic_core::{run_indirect_stream, AdapterConfig, StreamOptions};
+use nmpic_model::{a64fx, adapter_area, sx_aurora, this_work};
+use nmpic_sparse::{by_name, Sell};
+use nmpic_system::{golden_x, RunReport, SpmvEngine, SystemKind};
 
-fn sell_for(name: &str, cap: u64) -> (nmpic::sparse::Csr, Sell) {
+fn sell_for(name: &str, cap: u64) -> (nmpic_sparse::Csr, Sell) {
     let spec = by_name(name).expect("suite matrix");
     let csr = spec.build_capped(cap);
     let sell = Sell::from_csr_default(&csr);
     (csr, sell)
 }
 
-fn run_base(csr: &nmpic::sparse::Csr) -> RunReport {
+fn run_base(csr: &nmpic_sparse::Csr) -> RunReport {
     let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
     SpmvEngine::builder()
         .system(SystemKind::Base)
@@ -23,7 +23,7 @@ fn run_base(csr: &nmpic::sparse::Csr) -> RunReport {
         .run(&x)
 }
 
-fn run_pack(csr: &nmpic::sparse::Csr, adapter: AdapterConfig) -> RunReport {
+fn run_pack(csr: &nmpic_sparse::Csr, adapter: AdapterConfig) -> RunReport {
     let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
     SpmvEngine::builder()
         .system(SystemKind::Pack(adapter))

@@ -8,11 +8,11 @@
 //! 3. sharded SpMV output is **byte-identical** to the single-unit path
 //!    on every memory backend.
 
-use nmpic::mem::BackendConfig;
-use nmpic::sim::SimRng;
-use nmpic::sparse::partition::{by_nnz, by_rows, Partition};
-use nmpic::sparse::{Coo, Csr};
-use nmpic::system::{golden_x, PartitionStrategy, RunReport, SpmvEngine, SystemKind};
+use nmpic_mem::BackendConfig;
+use nmpic_sim::SimRng;
+use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
+use nmpic_sparse::{Coo, Csr};
+use nmpic_system::{golden_x, PartitionStrategy, RunReport, SpmvEngine, SystemKind};
 
 /// Runs the sharded engine on `csr` with the given unit count, strategy
 /// and backend, through the session API.

@@ -8,9 +8,9 @@
 //! fixed number of seeded cases; failures print the seed so a case can be
 //! replayed exactly.
 
-use nmpic::core::{run_indirect_stream, AdapterConfig, StreamOptions};
-use nmpic::sim::SimRng;
-use nmpic::sparse::{read_matrix_market, write_matrix_market, Coo, Csr, Sell};
+use nmpic_core::{run_indirect_stream, AdapterConfig, StreamOptions};
+use nmpic_sim::SimRng;
+use nmpic_sparse::{read_matrix_market, write_matrix_market, Coo, Csr, Sell};
 
 /// A small random sparse matrix with `0..120` entries.
 fn arb_matrix(rng: &mut SimRng) -> Csr {
@@ -106,10 +106,10 @@ fn adapter_gathers_any_stream() {
 }
 
 mod scatter_props {
-    use nmpic::axi::ElemSize;
-    use nmpic::core::{AdapterConfig, ScatterRequest, ScatterUnit};
-    use nmpic::mem::{ChannelPort, HbmChannel, HbmConfig, Memory};
-    use nmpic::sim::SimRng;
+    use nmpic_axi::ElemSize;
+    use nmpic_core::{AdapterConfig, ScatterRequest, ScatterUnit};
+    use nmpic_mem::{ChannelPort, HbmChannel, HbmConfig, Memory};
+    use nmpic_sim::SimRng;
 
     /// Reference scatter: last writer wins, everything else untouched.
     fn golden_scatter(indices: &[u32], values: &[u64], dst_len: usize) -> Vec<u64> {

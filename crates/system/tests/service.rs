@@ -8,11 +8,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nmpic::core::AdapterConfig;
-use nmpic::mem::BackendConfig;
-use nmpic::sparse::gen::{banded_fem, circuit};
-use nmpic::sparse::Csr;
-use nmpic::system::{
+use nmpic_core::AdapterConfig;
+use nmpic_mem::BackendConfig;
+use nmpic_sparse::gen::{banded_fem, circuit};
+use nmpic_sparse::Csr;
+use nmpic_system::{
     golden_x, PartitionStrategy, ServiceError, SpmvEngine, SpmvService, SystemKind,
 };
 

@@ -14,9 +14,9 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use nmpic::sparse::gen::{banded_fem, spd};
-use nmpic::sparse::Csr;
-use nmpic::system::{
+use nmpic_sparse::gen::{banded_fem, spd};
+use nmpic_sparse::Csr;
+use nmpic_system::{
     golden_x, CompletedSolve, ExecMode, MatrixKey, ServiceError, SolveOptions, SolveRequest,
     Solver, SpmvEngine, SpmvService, SystemKind, Ticket, RESULT_RETENTION_FACTOR,
 };

@@ -12,11 +12,11 @@
 //!    across calls;
 //! 3. sharded solves are invariant to the worker count.
 
-use nmpic::core::AdapterConfig;
-use nmpic::mem::BackendConfig;
-use nmpic::sparse::gen::spd;
-use nmpic::sparse::Csr;
-use nmpic::system::{
+use nmpic_core::AdapterConfig;
+use nmpic_mem::BackendConfig;
+use nmpic_sparse::gen::spd;
+use nmpic_sparse::Csr;
+use nmpic_system::{
     golden_x, PartitionStrategy, SolveOptions, Solver, SpmvEngine, SpmvPlan, SystemKind,
 };
 

@@ -24,7 +24,7 @@
 # Not reproduced here: the nightly job's TSan steps (need -Z build-std).
 # They run `-p nmpic-system --lib service::` (the service's in-module
 # quarantine-race, wait/notify and publish tests) and
-# `-p nmpic --test service --test service_soak --test exec_mode`.
+# `-p nmpic-system --test service --test service_soak --test exec_mode`.
 #
 # Usage: scripts/ci-local.sh [lint|test|benchmark|bench|doc|miri]...
 #        (default: every job but miri)
@@ -50,10 +50,11 @@ run_test() {
     step "test: quick-scale suite (stable)"
     NMPIC_QUICK=1 cargo test -q --release --workspace
     step "test: debug profile (checked skips in the baseline loop)"
-    NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system
-    cargo test -q --test base_counts --test engine_counts
-    step "test: self-checking example (scatter_gather asserts dst == src)"
-    cargo run --release --example scatter_gather
+    NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --lib
+    NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --doc
+    cargo test -q -p nmpic-system --test base_counts --test engine_counts
+    step "test: self-checking example (adapter asserts dst == src)"
+    cargo run --release -p nmpic-system --example adapter
     # The MSRV leg runs only when the pinned toolchain is available, so
     # the script stays useful on machines without rustup.
     if command -v rustup >/dev/null 2>&1 && rustup toolchain list | grep -q "^$MSRV"; then
