@@ -136,8 +136,21 @@ impl Csr {
     ///
     /// Panics if `x.len() != cols`.
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "vector length must equal cols");
         let mut y = vec![0.0; self.rows];
+        self.spmv_into(x, &mut y);
+        y
+    }
+
+    /// [`Csr::spmv`] into a caller-preallocated buffer: the same serial
+    /// row loop, each row accumulated from `+0.0`, on the calling thread
+    /// and without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols` or `y.len() != rows`.
+    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "vector length must equal cols");
+        assert_eq!(y.len(), self.rows, "output length must equal rows");
         for (i, out) in y.iter_mut().enumerate() {
             let lo = self.row_ptr[i] as usize;
             let hi = self.row_ptr[i + 1] as usize;
@@ -147,7 +160,6 @@ impl Csr {
             }
             *out = acc;
         }
-        y
     }
 
     /// Fast native SpMV `y = A·x`, **byte-identical** to the golden

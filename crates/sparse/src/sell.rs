@@ -15,9 +15,11 @@ pub const DEFAULT_SLICE_HEIGHT: usize = 32;
 /// whose `col_idx` array forms the indirect stream in the paper's SELL
 /// SpMV experiments.
 ///
-/// Padding entries use column 0 and value 0.0 — they contribute nothing to
-/// the result but do occupy slots in the index stream (and coalesce
-/// perfectly, since they all hit block 0 of the vector).
+/// Padding entries use column 0 and value 0.0. They occupy slots in the
+/// index stream (and coalesce perfectly, since they all hit block 0 of
+/// the vector) but contribute nothing to the result: [`Sell::spmv`] skips
+/// them by row length, so a non-finite `x[0]` cannot leak into a row
+/// through `0.0 * x[0]`.
 ///
 /// # Example
 ///
@@ -39,6 +41,9 @@ pub struct Sell {
     slice_ptr: Vec<u32>,
     col_idx: Vec<u32>,
     values: Vec<f64>,
+    /// Stored nonzeros of each row: in its slice, positions
+    /// `j >= row_len[r]` of row `r` are padding.
+    row_len: Vec<u32>,
     nnz: usize,
 }
 
@@ -130,6 +135,7 @@ impl Sell {
             slice_ptr,
             col_idx,
             values,
+            row_len: csr.row_ptr().windows(2).map(|w| w[1] - w[0]).collect(),
             nnz: csr.nnz(),
         })
     }
@@ -204,31 +210,54 @@ impl Sell {
         span / self.slice_height
     }
 
-    /// SpMV over the SELL layout; must agree exactly with [`Csr::spmv`]
-    /// (padding contributes `0.0 * x[0]`).
+    /// Stored (unpadded) nonzeros of row `r`: its first `row_nnz(r)`
+    /// positions in its slice hold entries, the rest are padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows`.
+    pub fn row_nnz(&self, r: usize) -> usize {
+        self.row_len[r] as usize
+    }
+
+    /// SpMV over the SELL layout, bit-identical to [`Csr::spmv`] for
+    /// every `x`: each row accumulates its stored entries in CSR order
+    /// from `+0.0`, and padding is skipped.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != cols`.
     pub fn spmv(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "vector length must equal cols");
         let mut y = vec![0.0; self.rows];
+        self.spmv_into(x, &mut y);
+        y
+    }
+
+    /// [`Sell::spmv`] into a caller-preallocated buffer (overwritten, not
+    /// accumulated into); allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != cols` or `y.len() != rows`.
+    pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "vector length must equal cols");
+        assert_eq!(y.len(), self.rows, "output length must equal rows");
+        y.fill(0.0);
+        let h = self.slice_height;
         for s in 0..self.n_slices() {
             let base = self.slice_ptr[s] as usize;
-            let width = self.slice_width(s);
-            let r0 = s * self.slice_height;
-            for j in 0..width {
-                for i in 0..self.slice_height {
-                    let r = r0 + i;
-                    if r >= self.rows {
-                        continue;
+            let r0 = s * h;
+            let lens = &self.row_len[r0..(r0 + h).min(self.rows)];
+            for j in 0..self.slice_width(s) {
+                let col = base + j * h;
+                for (i, &len) in lens.iter().enumerate() {
+                    if j < len as usize {
+                        let k = col + i;
+                        y[r0 + i] += self.values[k] * x[self.col_idx[k] as usize];
                     }
-                    let k = base + j * self.slice_height + i;
-                    y[r] += self.values[k] * x[self.col_idx[k] as usize];
                 }
             }
         }
-        y
     }
 
     /// Validates internal invariants (used by property tests).
@@ -243,6 +272,9 @@ impl Sell {
         {
             return Err(FormatError::BadRowPtr);
         }
+        if self.row_len.len() != self.rows {
+            return Err(FormatError::BadRowPtr);
+        }
         if self.col_idx.len() != self.values.len() {
             return Err(FormatError::LengthMismatch {
                 col_idx: self.col_idx.len(),
@@ -252,6 +284,11 @@ impl Sell {
         for s in 0..self.n_slices() {
             let span = (self.slice_ptr[s + 1] - self.slice_ptr[s]) as usize;
             if !span.is_multiple_of(self.slice_height) {
+                return Err(FormatError::BadRowPtr);
+            }
+            let r0 = s * self.slice_height;
+            let lens = &self.row_len[r0..(r0 + self.slice_height).min(self.rows)];
+            if lens.iter().any(|&len| len as usize > self.slice_width(s)) {
                 return Err(FormatError::BadRowPtr);
             }
         }

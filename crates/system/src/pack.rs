@@ -183,7 +183,7 @@ impl Executor for PackPlan {
                 let cost =
                     nmpic_model::pack_cost(&self.model_params(xs.len()), self.sell.col_idx());
                 for (x, y) in xs.iter().zip(ys.iter_mut()) {
-                    y.copy_from_slice(&self.sell.spmv(x));
+                    self.sell.spmv_into(x, y);
                 }
                 IterReport::modelled(&cost)
             }
@@ -372,9 +372,15 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
             for (b, vecs_b) in vecs.iter().enumerate() {
                 debug_assert_eq!(vals.len(), vecs_b.len());
                 for k in 0..vals.len() {
-                    let a = f64::from_bits(vals[k]);
-                    let v = f64::from_bits(vecs_b[k]);
-                    ys[b][row_of_pos[pos_cursor + k] as usize] += a * v;
+                    // Padding moved through the adapter like any entry
+                    // but contributes nothing: `0.0 * x[0]` is NaN for
+                    // a non-finite `x[0]`.
+                    let row = row_of_pos[pos_cursor + k];
+                    if row != PADDING {
+                        let a = f64::from_bits(vals[k]);
+                        let v = f64::from_bits(vecs_b[k]);
+                        ys[b][row as usize] += a * v;
+                    }
                 }
             }
             pos_cursor += vals.len();
@@ -413,24 +419,21 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
     }
 }
 
-/// Maps each padded SELL stream position to its row.
+/// The [`row_map`] entry of a padding position.
+const PADDING: u32 = u32::MAX;
+
+/// Maps each padded SELL stream position to its row, or to [`PADDING`].
 fn row_map(sell: &Sell) -> Vec<u32> {
-    if u32::try_from(sell.rows().saturating_sub(1)).is_err() {
-        // nmpic-lint: allow(L2) — documented panic: row ids in the position map are 32 b by the paper's index-width contract; the former per-entry cast silently wrapped and misrouted accumulation instead
+    if u32::try_from(sell.rows()).is_err() {
+        // nmpic-lint: allow(L2) — documented panic: row ids in the position map are 32 b by the paper's index-width contract, with u32::MAX marking padding; the former per-entry cast silently wrapped and misrouted accumulation instead
         panic!("{} rows exceed the 32 b row-id width", sell.rows());
     }
-    let mut map = vec![0u32; sell.padded_len()];
+    let mut map = vec![PADDING; sell.padded_len()];
     let h = sell.slice_height();
-    for s in 0..sell.n_slices() {
-        let base = sell.slice_ptr()[s] as usize;
-        let width = sell.slice_width(s);
-        for j in 0..width {
-            for i in 0..h {
-                let pos = base + j * h + i;
-                let row = (s * h + i).min(sell.rows() - 1);
-                // nmpic-lint: allow(L1) — in range: clamped below rows, and the guard above rejects row counts past u32::MAX
-                map[pos] = row as u32;
-            }
+    for (r, id) in (0..sell.rows()).zip(0u32..) {
+        let first = sell.slice_ptr()[r / h] as usize + r % h;
+        for j in 0..sell.row_nnz(r) {
+            map[first + j * h] = id;
         }
     }
     map
@@ -557,7 +560,9 @@ mod tests {
         let s = sell(100);
         let map = row_map(&s);
         assert_eq!(map.len(), s.padded_len());
-        assert!(map.iter().all(|&r| (r as usize) < s.rows()));
+        let stored: Vec<u32> = map.iter().copied().filter(|&r| r != PADDING).collect();
+        assert!(stored.iter().all(|&r| (r as usize) < s.rows()));
+        assert_eq!(stored.len(), s.nnz(), "exactly the padding is unmapped");
     }
 
     #[test]

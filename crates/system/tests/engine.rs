@@ -9,7 +9,7 @@
 
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
-use nmpic_sparse::{by_name, Csr, Sell};
+use nmpic_sparse::{by_name, Csr};
 use nmpic_system::{golden_x, PartitionStrategy, SpmvEngine, SystemKind};
 
 fn backends() -> Vec<BackendConfig> {
@@ -40,59 +40,66 @@ fn bits(y: &[f64]) -> Vec<u64> {
     y.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The golden result the plan's datapath reproduces bit for bit: the
-/// CSR accumulation order for base/sharded, the SELL (slice-major)
-/// accumulation order for pack.
-fn golden_bits(kind: &SystemKind, csr: &Csr, x: &[f64]) -> Vec<u64> {
-    match kind {
-        SystemKind::Pack(_) => bits(&Sell::from_csr_default(csr).spmv(x)),
-        _ => bits(&csr.spmv(x)),
-    }
+/// The golden result every plan's datapath reproduces bit for bit:
+/// `Csr::spmv`. The pack system's SELL order accumulates each row's
+/// entries in the same order and skips padding.
+fn golden_bits(csr: &Csr, x: &[f64]) -> Vec<u64> {
+    bits(&csr.spmv(x))
+}
+
+/// The golden vector, and the golden vector with `x[0] = +inf`: SELL
+/// padding (column 0, value 0.0) must not turn a finite row into NaN.
+fn inputs(csr: &Csr) -> [Vec<f64>; 2] {
+    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
+    let mut inf = x.clone();
+    inf[0] = f64::INFINITY;
+    [x, inf]
 }
 
 #[test]
 fn plan_reuse_is_byte_deterministic_everywhere() {
     let csr = matrix();
-    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
-    for backend in backends() {
-        for system in systems() {
-            let ctx = format!("{} on {}", system, backend.label());
-            let engine = SpmvEngine::builder()
-                .backend(backend.clone())
-                .system(system.clone())
-                .build();
-            let mut plan = engine.prepare(&csr);
-            let first = plan.run(&x);
-            let second = plan.run(&x);
-            let batch = plan.run_batch(&[x.clone(), x.clone()]);
-            assert!(
-                first.verified && second.verified && batch.verified,
-                "{ctx}: golden verification failed"
-            );
-            // Warm-state reuse must not change the numerics...
-            assert_eq!(first.y_bits(), second.y_bits(), "{ctx}: runs diverged");
-            assert_eq!(
-                first.y_bits(),
-                bits(&batch.ys[0]),
-                "{ctx}: batch vector 0 diverged"
-            );
-            assert_eq!(
-                first.y_bits(),
-                bits(&batch.ys[1]),
-                "{ctx}: batch vector 1 diverged"
-            );
-            // ...nor the timing: identical inputs, identical reports.
-            assert_eq!(first.cycles, second.cycles, "{ctx}: cycle drift");
-            assert_eq!(
-                first.offchip_bytes, second.offchip_bytes,
-                "{ctx}: traffic drift"
-            );
-            // And the results equal the golden SpMV bit for bit.
-            assert_eq!(
-                first.y_bits(),
-                golden_bits(&system, &csr, &x),
-                "{ctx}: diverged from golden SpMV"
-            );
+    for x in &inputs(&csr) {
+        for backend in backends() {
+            for system in systems() {
+                let ctx = format!("{} on {}, x[0] = {}", system, backend.label(), x[0]);
+                let engine = SpmvEngine::builder()
+                    .backend(backend.clone())
+                    .system(system.clone())
+                    .build();
+                let mut plan = engine.prepare(&csr);
+                let first = plan.run(&x);
+                let second = plan.run(&x);
+                let batch = plan.run_batch(&[x.clone(), x.clone()]);
+                assert!(
+                    first.verified && second.verified && batch.verified,
+                    "{ctx}: golden verification failed"
+                );
+                // Warm-state reuse must not change the numerics...
+                assert_eq!(first.y_bits(), second.y_bits(), "{ctx}: runs diverged");
+                assert_eq!(
+                    first.y_bits(),
+                    bits(&batch.ys[0]),
+                    "{ctx}: batch vector 0 diverged"
+                );
+                assert_eq!(
+                    first.y_bits(),
+                    bits(&batch.ys[1]),
+                    "{ctx}: batch vector 1 diverged"
+                );
+                // ...nor the timing: identical inputs, identical reports.
+                assert_eq!(first.cycles, second.cycles, "{ctx}: cycle drift");
+                assert_eq!(
+                    first.offchip_bytes, second.offchip_bytes,
+                    "{ctx}: traffic drift"
+                );
+                // And the results equal the golden SpMV bit for bit.
+                assert_eq!(
+                    first.y_bits(),
+                    golden_bits(&csr, x),
+                    "{ctx}: diverged from golden SpMV"
+                );
+            }
         }
     }
 }
