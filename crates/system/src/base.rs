@@ -176,6 +176,11 @@ impl BasePlan {
     }
 }
 
+/// No `replay_kernel`: the LLC keeps matrix lines across `run_into`
+/// calls, so a pass's report depends on what earlier passes cached, not
+/// on the plan alone. The first `run_into` on a fresh plan finds a cold
+/// LLC; only from the second on are the reports equal
+/// (`crates/system/tests/replay.rs`).
 impl Executor for BasePlan {
     fn facts(&self) -> PlanFacts {
         PlanFacts::of_csr("base".to_string(), &self.csr)

@@ -52,7 +52,7 @@ use nmpic_sparse::{Csr, Sell};
 
 use crate::base::BasePlan;
 use crate::pack::PackPlan;
-use crate::report::{IterReport, RunReport, ShardDetail};
+use crate::report::{same_bits, IterReport, RunReport, ShardDetail};
 use crate::shard::{PartitionStrategy, ShardedPlan};
 use crate::{BaseConfig, PackConfig};
 
@@ -303,6 +303,9 @@ impl SpmvEngine {
             mode: self.exec_mode,
             facts: sys.facts(),
             sys: Box::new(sys),
+            recorded: None,
+            replayed: 0,
+            audit_y: Vec::new(),
         }
     }
 }
@@ -381,7 +384,44 @@ pub(crate) trait Executor: Send {
     fn shard_detail(&self, _vectors: usize) -> Option<ShardDetail> {
         None
     }
+
+    /// Opts the system into [`SpmvPlan::run_into`] replay by naming the
+    /// native kernel that writes the bits its cycle-accurate `exec`
+    /// writes. Only a system whose cycle-accurate `exec` report is a
+    /// function of the plan alone — not of the values of `x`, nor of
+    /// what earlier passes left in plan state — may return `Some`. The
+    /// default `None` keeps every pass simulated.
+    fn replay_kernel(&self) -> Option<ValueKernel<'_>> {
+        None
+    }
 }
+
+/// The native value kernel a replayed [`SpmvPlan::run_into`] computes
+/// `y` with. It runs on the calling thread and allocates nothing.
+pub(crate) enum ValueKernel<'a> {
+    /// [`Csr::spmv_into`]: each row from `+0.0` in CSR order, which is
+    /// what every shard's sink accumulates.
+    Csr(&'a Csr),
+    /// [`Sell::spmv_into`]: the pack VPC's per-row order, padding
+    /// skipped.
+    Sell(&'a Sell),
+}
+
+impl ValueKernel<'_> {
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        match self {
+            ValueKernel::Csr(csr) => csr.spmv_into(x, y),
+            ValueKernel::Sell(sell) => sell.spmv_into(x, y),
+        }
+    }
+}
+
+/// Every `AUDIT_STRIDE`-th replayed [`SpmvPlan::run_into`] pass of a
+/// plan is also simulated in full and must reproduce the recorded report
+/// and the kernel's `y` bit for bit. A constant, not an option: a model
+/// change that makes timing depend on data fails loudly instead of
+/// replaying a stale report.
+const AUDIT_STRIDE: u64 = 64;
 
 /// The result write-back port the base and pack systems share: offers the
 /// oldest pending write to the channel, one attempt per cycle, in issue
@@ -406,6 +446,13 @@ pub struct SpmvPlan {
     mode: ExecMode,
     facts: PlanFacts,
     sys: Box<dyn Executor>,
+    /// The report of the plan's first `run_into`, kept once it has one
+    /// and replays (see [`SpmvPlan::run_into`]).
+    recorded: Option<IterReport>,
+    /// `run_into` passes that returned `recorded`.
+    replayed: u64,
+    /// Result buffer of audit simulations, allocated at the first audit.
+    audit_y: Vec<f64>,
 }
 
 impl SpmvPlan {
@@ -453,6 +500,34 @@ impl SpmvPlan {
     /// the same reuse pattern as a batched run, which is exactly what
     /// an `x ← f(A·x)` feedback loop produces.
     ///
+    /// # Replay
+    ///
+    /// On a cycle-accurate **pack** or **sharded** plan every DRAM
+    /// request comes from the index array and the resident layout, and
+    /// the packer restores stream order, so a pass's timing depends on
+    /// the plan, not on the values of `x`. Such a plan simulates its
+    /// first `run_into` and records the report. Every later call
+    /// computes `y` with the system's native kernel on the calling
+    /// thread, allocating nothing (the SELL loop with padding skipped
+    /// for pack, the CSR row loop for sharded), and returns the
+    /// recorded report. [`SpmvPlan::replayed_passes`] counts these
+    /// calls. The replay is audited, always:
+    ///
+    /// * every 64th replayed pass is also simulated in full, and debug
+    ///   builds simulate every replayed pass;
+    /// * an audited pass panics, printing both values, unless the
+    ///   simulation reproduces the recorded report and the kernel's `y`
+    ///   bit for bit (any NaN matches any NaN: Rust does not specify the
+    ///   sign or payload of a NaN that arithmetic returns).
+    ///
+    /// Three paths always simulate: [`SpmvPlan::run`] and
+    /// [`SpmvPlan::run_batch`] (their golden verification reads what the
+    /// simulated datapath wrote, e.g. the array the sharded scatter unit
+    /// wrote back), analytic mode (its cost comes from the closed-form
+    /// model and its values from the native kernel already), and the
+    /// baseline, whose LLC warms across `run_into` calls, so its report
+    /// is not a function of the plan alone.
+    ///
     /// The result bytes are identical to [`SpmvPlan::run`] on the same
     /// plan (pinned by tests); unlike `run` this path performs **no
     /// golden-model verification** and returns the lean [`IterReport`]
@@ -461,14 +536,63 @@ impl SpmvPlan {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != cols`, `y.len() != rows`, or — in
-    /// cycle-accurate mode, through [`nmpic_sim::SimClock::tick`] — with
+    /// Panics if `x.len() != cols`, `y.len() != rows`, if an audited
+    /// replay diverges, or — in cycle-accurate mode, through
+    /// [`nmpic_sim::SimClock::tick`] — with
     /// `"<loop>: cycle budget of <n> exceeded — model deadlock"` if a
     /// simulated loop has not drained within its budget.
     pub fn run_into(&mut self, x: &[f64], y: &mut [f64]) -> IterReport {
         assert_eq!(x.len(), self.cols(), "vector length must equal cols");
         assert_eq!(y.len(), self.rows(), "result buffer length must equal rows");
-        self.sys.exec(&[x], &mut [y])
+        let kernel = match self.mode {
+            ExecMode::CycleAccurate => self.sys.replay_kernel(),
+            ExecMode::Analytic => None,
+        };
+        let replays = kernel.is_some();
+        let (Some(kernel), Some(recorded)) = (kernel, self.recorded) else {
+            let report = self.sys.exec(&[x], &mut [y]);
+            if replays {
+                self.recorded = Some(report);
+            }
+            return report;
+        };
+        kernel.apply(x, y);
+        self.replayed += 1;
+        if cfg!(debug_assertions) || self.replayed.is_multiple_of(AUDIT_STRIDE) {
+            self.audit(x, y, recorded);
+        }
+        recorded
+    }
+
+    /// How many [`SpmvPlan::run_into`] calls on this plan returned the
+    /// recorded report of a replaying plan instead of simulating (see
+    /// *Replay* there). Audited passes count as replayed.
+    pub fn replayed_passes(&self) -> u64 {
+        self.replayed
+    }
+
+    /// Simulates a replayed pass in full and panics unless it reproduces
+    /// the `recorded` report and the kernel's `y` bit for bit.
+    fn audit(&mut self, x: &[f64], y: &[f64], recorded: IterReport) {
+        let mut simulated_y = std::mem::take(&mut self.audit_y);
+        simulated_y.resize(y.len(), 0.0);
+        let simulated = self.sys.exec(&[x], &mut [simulated_y.as_mut_slice()]);
+        let row = y
+            .iter()
+            .zip(&simulated_y)
+            .position(|(&a, &b)| !same_bits(a, b));
+        assert!(
+            simulated == recorded && row.is_none(),
+            "replay audit of {} failed on replayed pass {}: recorded {recorded:?}, simulated \
+             {simulated:?}; {}",
+            self.facts.label,
+            self.replayed,
+            row.map_or("y matches".to_string(), |r| format!(
+                "y[{r}] is {:e} from the kernel, {:e} simulated",
+                y[r], simulated_y[r]
+            )),
+        );
+        self.audit_y = simulated_y;
     }
 
     /// The plan's execution mode (inherited from the engine).
@@ -736,6 +860,82 @@ mod tests {
                 "{system}: accepted a 1-ulp error"
             );
         }
+    }
+
+    /// A system with CSR values whose timing is `cycles` per pass, or
+    /// `x[0]` if `data_dependent` — the case replay must never meet.
+    /// Counts its simulated passes.
+    struct Probe {
+        csr: Csr,
+        data_dependent: bool,
+        execs: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl Executor for Probe {
+        fn facts(&self) -> PlanFacts {
+            PlanFacts::of_csr("probe".to_string(), &self.csr)
+        }
+
+        fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+            use std::sync::atomic::Ordering;
+            // Relaxed: a counter read by the same thread after the run.
+            self.execs.fetch_add(1, Ordering::Relaxed);
+            self.csr.spmv_into(xs[0], ys[0]);
+            IterReport {
+                cycles: if self.data_dependent {
+                    xs[0][0] as u64
+                } else {
+                    7
+                },
+                ..IterReport::default()
+            }
+        }
+
+        fn verify(&self, _x: &[f64], _y: &[f64]) -> bool {
+            true
+        }
+
+        fn replay_kernel(&self) -> Option<ValueKernel<'_>> {
+            Some(ValueKernel::Csr(&self.csr))
+        }
+    }
+
+    /// Runs `passes` `run_into` calls with distinct vectors on a probe
+    /// plan; returns the plan and the probe's simulated-pass counter.
+    fn probe_passes(data_dependent: bool, passes: u64) -> (SpmvPlan, u64) {
+        let csr = banded_fem(64, 4, 8, 1);
+        let execs = std::sync::Arc::default();
+        let mut plan = SpmvEngine::builder().build().plan(Probe {
+            csr: csr.clone(),
+            data_dependent,
+            execs: std::sync::Arc::clone(&execs),
+        });
+        let mut y = vec![0.0; csr.rows()];
+        for k in 0..passes {
+            let x: Vec<f64> = (0..csr.cols()).map(|i| (i as u64 + k) as f64).collect();
+            plan.run_into(&x, &mut y);
+            assert_eq!(y, csr.spmv(&x), "pass {k}");
+        }
+        // Relaxed: every increment happened on this thread.
+        let execs = execs.load(std::sync::atomic::Ordering::Relaxed);
+        (plan, execs)
+    }
+
+    /// The first pass simulates; of the replayed ones, release builds
+    /// simulate every 64th again and debug builds every one.
+    #[test]
+    fn the_audit_simulates_every_64th_replayed_pass() {
+        let replays = 2 * AUDIT_STRIDE + 5;
+        let (plan, execs) = probe_passes(false, 1 + replays);
+        assert_eq!(plan.replayed_passes(), replays);
+        let audits = if cfg!(debug_assertions) { replays } else { 2 };
+        assert_eq!(execs, 1 + audits);
+    }
+
+    #[test]
+    #[should_panic(expected = "replay audit of probe failed")]
+    fn the_audit_catches_timing_that_depends_on_x() {
+        probe_passes(true, 1 + AUDIT_STRIDE);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
 use nmpic_sim::SimClock;
 use nmpic_sparse::Sell;
 
-use crate::engine::{issue_write_back, ExecMode, Executor, PlanFacts};
+use crate::engine::{issue_write_back, ExecMode, Executor, PlanFacts, ValueKernel};
 use crate::report::{bits_equal, IterReport};
 
 /// Tuning of the pack system; the adapter variant is chosen by
@@ -192,6 +192,13 @@ impl Executor for PackPlan {
 
     fn verify(&self, x: &[f64], y: &[f64]) -> bool {
         self.mode == ExecMode::Analytic || bits_equal(y, &self.sell.spmv(x))
+    }
+
+    /// Every request of a pass comes from the SELL arrays and the fixed
+    /// layout, and `exec` resets the channel and the unit first, so the
+    /// report depends on the plan alone.
+    fn replay_kernel(&self) -> Option<ValueKernel<'_>> {
+        Some(ValueKernel::Sell(&self.sell))
     }
 }
 

@@ -211,13 +211,19 @@ pub fn golden_x(i: usize) -> f64 {
 /// `true` iff two result vectors are **bit-identical** — the one rule
 /// every system's golden verification applies: each datapath reproduces
 /// its golden kernel's accumulation order exactly ([`nmpic_sparse::Csr::spmv`]
-/// for base and sharded, [`nmpic_sparse::Sell::spmv`] for pack).
+/// for base and sharded, [`nmpic_sparse::Sell::spmv`] for pack). Compared
+/// entry by entry with [`same_bits`].
 pub(crate) fn bits_equal(got: &[f64], want: &[f64]) -> bool {
-    got.len() == want.len()
-        && got
-            .iter()
-            .zip(want)
-            .all(|(a, b)| a.to_bits() == b.to_bits())
+    got.len() == want.len() && got.iter().zip(want).all(|(&a, &b)| same_bits(a, b))
+}
+
+/// `true` iff `a` and `b` have the same bits, or are both NaN. Rust
+/// leaves the sign and payload of a NaN that arithmetic returns
+/// unspecified: two loops with the same operation order can differ
+/// there, e.g. in which operand of an add the compiler commuted
+/// propagates its NaN.
+pub(crate) fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 #[cfg(test)]

@@ -42,8 +42,8 @@ use nmpic_sim::stats::Extrema;
 use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
 use nmpic_sparse::Csr;
 
-use crate::engine::{ExecMode, Executor, PlanFacts};
-use crate::report::{bits_equal, IterReport, ShardDetail};
+use crate::engine::{ExecMode, Executor, PlanFacts, ValueKernel};
+use crate::report::{bits_equal, same_bits, IterReport, ShardDetail};
 
 /// How rows are divided across units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -364,7 +364,10 @@ impl Executor for ShardedPlan {
         let mem = self.collect_chan.memory();
         bits_equal(y, &golden)
             && golden.iter().enumerate().all(|(r, want)| {
-                mem.read_u64(self.collect_res_base + 8 * r as u64) == want.to_bits()
+                same_bits(
+                    f64::from_bits(mem.read_u64(self.collect_res_base + 8 * r as u64)),
+                    *want,
+                )
             })
     }
 
@@ -422,6 +425,13 @@ impl Executor for ShardedPlan {
             dram,
             per_shard,
         })
+    }
+
+    /// Each shard's gather stream comes from its index array, the
+    /// write-back from the merge order, and `exec` resets every channel
+    /// and unit first, so the report depends on the plan alone.
+    fn replay_kernel(&self) -> Option<ValueKernel<'_>> {
+        Some(ValueKernel::Csr(&self.csr))
     }
 }
 

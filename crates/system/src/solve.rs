@@ -25,7 +25,11 @@
 //! Every iteration's simulated cycle and traffic cost accumulates into
 //! the returned [`SolveReport`], so experiments can report
 //! iterations-to-tolerance, total simulated cycles and amortized GB/s
-//! per iteration for each system kind.
+//! per iteration for each system kind. On a cycle-accurate pack or
+//! sharded plan only the first SpMV is simulated; later ones replay its
+//! report with values from the native kernel, audited (see *Replay* on
+//! [`SpmvPlan::run_into`]). [`SolveReport::replayed_iterations`] says
+//! how many did.
 //!
 //! # Example
 //!
@@ -85,8 +89,15 @@ pub struct SolveReport {
     pub label: String,
     /// `"cg"` or `"power"`.
     pub method: &'static str,
-    /// Iterations executed (= simulated SpMVs).
+    /// Iterations executed (= SpMVs through [`SpmvPlan::run_into`]).
     pub iterations: usize,
+    /// Iterations whose SpMV was simulated cycle by cycle.
+    pub simulated_iterations: usize,
+    /// Iterations whose SpMV replayed the plan's recorded report, with
+    /// `y` from the native kernel (see *Replay* on
+    /// [`SpmvPlan::run_into`]). `simulated_iterations +
+    /// replayed_iterations == iterations`.
+    pub replayed_iterations: usize,
     /// Whether the tolerance was met within the iteration cap.
     pub converged: bool,
     /// Final residual norm (CG: `‖b − A·x‖₂`; power: `‖M·v − λ·v‖₂`).
@@ -143,6 +154,14 @@ impl SolveReport {
         self.indir_cycles += iter.indir_cycles;
         self.offchip_bytes += iter.offchip_bytes;
     }
+
+    /// Splits `iterations` by `plan`'s replay counter, which read
+    /// `replayed_before` when the solve started.
+    fn count_replays(mut self, plan: &SpmvPlan, replayed_before: u64) -> Self {
+        self.replayed_iterations = (plan.replayed_passes() - replayed_before) as usize;
+        self.simulated_iterations = self.iterations - self.replayed_iterations;
+        self
+    }
 }
 
 /// Iterative solvers over a prepared [`SpmvPlan`]. Stateless — both
@@ -174,10 +193,13 @@ impl Solver {
     pub fn cg(plan: &mut SpmvPlan, b: &[f64], opts: &SolveOptions) -> SolveReport {
         let n = square_dim(plan);
         assert_eq!(b.len(), n, "right-hand side length must equal rows");
+        let replayed_before = plan.replayed_passes();
         let mut report = SolveReport {
             label: plan.label(),
             method: "cg",
             iterations: 0,
+            simulated_iterations: 0,
+            replayed_iterations: 0,
             converged: false,
             residual: 0.0,
             residuals: Vec::new(),
@@ -231,7 +253,7 @@ impl Solver {
             }
             rs = rs_next;
         }
-        report
+        report.count_replays(plan, replayed_before)
     }
 
     /// Computes the dominant eigenpair of the (optionally damped)
@@ -258,10 +280,13 @@ impl Solver {
             "damping must be in (0, 1]"
         );
         let d = opts.damping;
+        let replayed_before = plan.replayed_passes();
         let mut report = SolveReport {
             label: plan.label(),
             method: "power",
             iterations: 0,
+            simulated_iterations: 0,
+            replayed_iterations: 0,
             converged: false,
             residual: f64::INFINITY,
             residuals: Vec::new(),
@@ -308,7 +333,7 @@ impl Solver {
                 *x = m / norm;
             }
         }
-        report
+        report.count_replays(plan, replayed_before)
     }
 }
 
@@ -526,6 +551,45 @@ mod tests {
         assert!(r.label.contains("sharded x2"));
         let back = a.spmv(&r.x);
         assert!(back.iter().zip(&b).all(|(y, t)| (y - t).abs() < 1e-8));
+    }
+
+    /// A cycle-accurate sharded or pack plan simulates its first SpMV
+    /// and replays the rest, also across solves; the baseline simulates
+    /// every one.
+    #[test]
+    fn solve_reports_count_simulated_and_replayed_iterations() {
+        let a = spd(96, 6, 8, 11);
+        let b = vec![0.5; 96];
+        for kind in [
+            SystemKind::Base,
+            SystemKind::Pack(AdapterConfig::mlp(64)),
+            SystemKind::Sharded {
+                units: 2,
+                strategy: PartitionStrategy::ByNnz,
+            },
+        ] {
+            let mut plan = plan_for(kind.clone(), &a);
+            let first = Solver::cg(&mut plan, &b, &SolveOptions::default());
+            let again = Solver::power_iteration(&mut plan, &SolveOptions::default());
+            let simulated = |r: &SolveReport| match kind {
+                SystemKind::Base => r.iterations,
+                _ => 0,
+            };
+            assert!(first.converged && first.iterations > 1, "{kind}");
+            assert_eq!(
+                first.simulated_iterations,
+                simulated(&first).max(1),
+                "{kind}"
+            );
+            assert_eq!(again.simulated_iterations, simulated(&again), "{kind}");
+            for r in [&first, &again] {
+                assert_eq!(
+                    r.simulated_iterations + r.replayed_iterations,
+                    r.iterations,
+                    "{kind}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -68,8 +68,8 @@ fn plan_reuse_is_byte_deterministic_everywhere() {
                     .system(system.clone())
                     .build();
                 let mut plan = engine.prepare(&csr);
-                let first = plan.run(&x);
-                let second = plan.run(&x);
+                let first = plan.run(x);
+                let second = plan.run(x);
                 let batch = plan.run_batch(&[x.clone(), x.clone()]);
                 assert!(
                     first.verified && second.verified && batch.verified,

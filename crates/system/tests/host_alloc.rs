@@ -4,11 +4,18 @@
 //! makes the rule a number: a counting global allocator counts the
 //! allocations (and reallocations) the calling thread makes during one
 //! `run_into` on a plan that has already run twice, for every
-//! {base, pack0, pack256, sharded4} × {ideal, hbm, hbm x8} plan. Sharded
-//! plans use `shard_workers(1)`, so every shard runs on the calling
-//! thread and is counted. The baseline is also measured on a matrix four
-//! times larger: its count must not change, so no allocation scales
-//! with the number of nonzeros.
+//! {base, pack0, pack256, sharded4} × {ideal, hbm, hbm x8} plan. That
+//! first `run_into` is simulated on every system. Sharded plans use
+//! `shard_workers(1)`, so every shard runs on the calling thread and is
+//! counted. The baseline is also measured on a matrix four times larger:
+//! its count must not change, so no allocation scales with the number of
+//! nonzeros.
+//!
+//! The `replay` rows measure a replayed pass of the pack and sharded
+//! plans (see *Replay* on `SpmvPlan::run_into`): the native kernel must
+//! allocate nothing. Debug builds also simulate every replayed pass to
+//! check it, which allocates exactly what the simulated pass of the same
+//! plan does, so there the row is the replayed pass's count minus that.
 //!
 //! On a mismatch the failure message prints the measured rows in source
 //! form, so a deliberate change re-pins by copy and paste.
@@ -95,6 +102,15 @@ const PINNED: &[Row] = &[
     ("base", 6144, "ideal", 4),
     ("base", 6144, "hbm", 4),
     ("base", 6144, "hbm x8", 4),
+    ("pack0 replay", 1536, "ideal", 0),
+    ("pack0 replay", 1536, "hbm", 0),
+    ("pack0 replay", 1536, "hbm x8", 0),
+    ("pack256 replay", 1536, "ideal", 0),
+    ("pack256 replay", 1536, "hbm", 0),
+    ("pack256 replay", 1536, "hbm x8", 0),
+    ("sharded4 replay", 1536, "ideal", 0),
+    ("sharded4 replay", 1536, "hbm", 0),
+    ("sharded4 replay", 1536, "hbm x8", 0),
 ];
 
 const SYSTEMS: [&str; 4] = ["base", "pack0", "pack256", "sharded4"];
@@ -122,8 +138,17 @@ fn backend(name: &str) -> BackendConfig {
     }
 }
 
-/// Allocations of the third `run_into` on a fresh plan.
-fn warm_allocs(system: &str, csr: &Csr, backend_name: &str) -> u64 {
+/// Allocations of the calling thread while `f` runs.
+fn allocs(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Allocations of the first `run_into` after two `run`s on a fresh plan
+/// (simulated), and of the second replayed `run_into` after it, if the
+/// plan replays.
+fn warm_allocs(system: &str, csr: &Csr, backend_name: &str) -> (u64, Option<u64>) {
     let engine = SpmvEngine::builder()
         .backend(backend(backend_name))
         .system(system_kind(system))
@@ -132,16 +157,30 @@ fn warm_allocs(system: &str, csr: &Csr, backend_name: &str) -> u64 {
     let mut plan = engine.prepare(csr);
     let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
     let mut y = vec![0.0; csr.rows()];
+    plan.run(&x);
+    plan.run(&x);
+    let simulated = allocs(|| {
+        plan.run_into(&x, &mut y);
+    });
     plan.run_into(&x, &mut y);
-    plan.run_into(&x, &mut y);
-    let before = ALLOCS.with(Cell::get);
-    plan.run_into(&x, &mut y);
-    ALLOCS.with(Cell::get) - before
+    let replayed = allocs(|| {
+        plan.run_into(&x, &mut y);
+    });
+    if plan.replayed_passes() == 0 {
+        return (simulated, None);
+    }
+    assert_eq!(plan.replayed_passes(), 2, "{system} on {backend_name}");
+    let check = if cfg!(debug_assertions) { simulated } else { 0 };
+    let replay = replayed.checked_sub(check).unwrap_or_else(|| {
+        panic!("{system} on {backend_name}: the debug check allocated {replayed}, a simulated pass {simulated}")
+    });
+    (simulated, Some(replay))
 }
 
 #[test]
 fn warm_run_into_allocations_match_the_pinned_table() {
-    let mut measured = Vec::new();
+    let mut measured: Vec<(String, usize, &str, u64)> = Vec::new();
+    let mut replays = Vec::new();
     for rows in [1536, 6144] {
         let csr = banded_fem(rows, 8, 48, 12);
         for system in SYSTEMS {
@@ -149,16 +188,24 @@ fn warm_run_into_allocations_match_the_pinned_table() {
                 continue;
             }
             for b in BACKENDS {
-                measured.push((system, rows, b, warm_allocs(system, &csr, b)));
+                let (simulated, replay) = warm_allocs(system, &csr, b);
+                measured.push((system.to_string(), rows, b, simulated));
+                if let Some(n) = replay {
+                    replays.push((format!("{system} replay"), rows, b, n));
+                }
             }
         }
     }
+    measured.extend(replays);
     let rows: Vec<String> = measured
         .iter()
         .map(|(s, r, b, n)| format!("    ({s:?}, {r}, {b:?}, {n}),"))
         .collect();
     assert!(
-        measured.as_slice() == PINNED,
+        measured
+            .iter()
+            .map(|(s, r, b, n)| (s.as_str(), *r, *b, *n))
+            .eq(PINNED.iter().copied()),
         "allocations per warm run_into drifted; measured rows:\n{}",
         rows.join("\n")
     );
@@ -166,7 +213,7 @@ fn warm_run_into_allocations_match_the_pinned_table() {
         let base = |rows| {
             measured
                 .iter()
-                .find(|m| (m.0, m.1, m.2) == ("base", rows, b))
+                .find(|m| (m.0.as_str(), m.1, m.2) == ("base", rows, b))
         };
         assert_eq!(
             base(1536).map(|m| m.3),

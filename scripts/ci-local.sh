@@ -9,7 +9,7 @@
 #   test        release build + quick-scale test suite (stable, plus the
 #               MSRV toolchain when rustup has it installed), and the
 #               debug-profile step whose assertions check the baseline's
-#               skipped cycles
+#               skipped cycles and every replayed run_into pass
 #   benchmark   the benchmark/ package's own tests + a 1 s smoke run of
 #               every BENCHMARK.json workload (build, golden checks and
 #               determinism guard of the benchmark driver)
@@ -49,10 +49,10 @@ run_test() {
     cargo build --release --workspace --all-targets
     step "test: quick-scale suite (stable)"
     NMPIC_QUICK=1 cargo test -q --release --workspace
-    step "test: debug profile (checked skips in the baseline loop)"
+    step "test: debug profile (checked baseline skips and run_into replays)"
     NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --lib
     NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --doc
-    cargo test -q -p nmpic-system --test base_counts --test engine_counts
+    cargo test -q -p nmpic-system --test base_counts --test engine_counts --test solve --test replay
     step "test: self-checking example (adapter asserts dst == src)"
     cargo run --release -p nmpic-system --example adapter
     # The MSRV leg runs only when the pinned toolchain is available, so
