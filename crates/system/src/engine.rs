@@ -862,9 +862,9 @@ mod tests {
         }
     }
 
-    /// A system with CSR values whose timing is `cycles` per pass, or
-    /// `x[0]` if `data_dependent` — the case replay must never meet.
-    /// Counts its simulated passes.
+    /// A system with CSR values whose timing is 7 cycles per pass, or
+    /// `x[0]` cycles if `data_dependent` — the case replay must never
+    /// meet. Counts its simulated passes.
     struct Probe {
         csr: Csr,
         data_dependent: bool,
