@@ -48,13 +48,17 @@
 //! * **Window snapshot.** A window entry is the *head* of its request
 //!   queue when the regulator opens the window, and that head cannot
 //!   change until the watcher accepts it (pushes go to the back). So the
-//!   regulator does the W-proportional work once per window:
-//!   it records every entry's block, offset and sequence number, links
-//!   the entries of each block into a *chain* through a small
-//!   open-addressed block table, and fixes the window's *age order* (the
-//!   entries are read in the upsizer's dealing order starting at the
-//!   oldest, which is already sorted for a stream dealt the usual way;
-//!   the sort that follows is then a linear check).
+//!   regulator does the W-proportional work once per window: it records
+//!   every entry's block, offset and sequence number, links the entries
+//!   of each block into a *chain*, and fixes the window's *age order*
+//!   (the entries are read in the upsizer's dealing order starting at
+//!   the oldest, which is already sorted for a stream dealt the usual
+//!   way; the sort that follows is then a linear check).
+//! * **Block table.** The window's distinct blocks live in a
+//!   `BlockTable` (`block_table.rs`), the stamped open-addressed set that
+//!   [`CoalescerTrafficModel`](crate::CoalescerTrafficModel) also uses:
+//!   opening a window clears it in O(1) by bumping its stamp. The chain
+//!   heads sit beside it, one per table slot.
 //! * **Watcher.** A cycle walks only the chain of the CSHR's block
 //!   (O(hits)); "oldest miss" is a cursor over the age order that only
 //!   moves forward while the window lives.
@@ -63,9 +67,10 @@
 //! stages look at, so the proportionality is checkable without a clock.
 
 use nmpic_axi::ElemSize;
-use nmpic_mem::{block_addr, block_offset, Block, BLOCK_BYTES};
+use nmpic_mem::{block_addr, block_offset, Block};
 use nmpic_sim::{Cycle, Fifo, FifoBank};
 
+use crate::block_table::BlockTable;
 use crate::config::AdapterConfig;
 use crate::request::{ElemOut, ElemRequest};
 
@@ -213,12 +218,10 @@ pub struct Coalescer {
     age_order: Vec<usize>,
     age_cursor: usize,
 
-    /// Block table of the current window (open addressing, `2 W` slots):
-    /// an index is live when its stamp equals `win_stamp`.
-    tbl_stamp: Vec<u64>,
-    tbl_block: Vec<u64>,
+    /// The current window's blocks, and per table slot the first window
+    /// slot of that block's chain.
+    table: BlockTable,
     tbl_head: Vec<usize>,
-    win_stamp: u64,
 
     /// CSHR. `tag_chain` is the tag's block-table index in the current
     /// window, [`NONE`] when no window is active or no entry hits it.
@@ -254,6 +257,7 @@ impl Coalescer {
         let window = cfg.window;
         let ports = cfg.ports();
         let words = window.div_ceil(64);
+        let table = BlockTable::new(window);
         Self {
             window,
             ports,
@@ -273,10 +277,8 @@ impl Coalescer {
             chain_next: vec![NONE; window],
             age_order: Vec::with_capacity(window),
             age_cursor: 0,
-            tbl_stamp: vec![0; 2 * window],
-            tbl_block: vec![0; 2 * window],
-            tbl_head: vec![NONE; 2 * window],
-            win_stamp: 0,
+            tbl_head: vec![NONE; table.slots()],
+            table,
             tag: None,
             tag_chain: NONE,
             hitmap: vec![0; words],
@@ -294,8 +296,9 @@ impl Coalescer {
 
     /// Returns the coalescer to its just-constructed state without
     /// releasing any of its storage. The per-slot window snapshot and the
-    /// block table's blocks and chain heads need no clearing: each is
-    /// written when a window opens, before anything reads it.
+    /// chain heads need no clearing: each is written when a window opens,
+    /// before anything reads it, and opening a window clears the block
+    /// table.
     pub fn reset(&mut self) {
         self.req_q.clear();
         self.up_rr.fill(0);
@@ -305,8 +308,6 @@ impl Coalescer {
         self.win_valid_count = 0;
         self.age_order.clear();
         self.age_cursor = 0;
-        self.tbl_stamp.fill(0);
-        self.win_stamp = 0;
         self.tag = None;
         self.tag_chain = NONE;
         self.hitmap.fill(0);
@@ -441,7 +442,7 @@ impl Coalescer {
     /// it to the other entries of its block, and fixes the age order.
     fn open_window(&mut self) {
         debug_assert!(self.win_valid.iter().all(|&word| word == 0));
-        self.win_stamp += 1;
+        self.table.clear();
         self.age_order.clear();
         let mut oldest = (u64::MAX, 0);
         // Dealing order (round r of every port, then round r + 1) visits
@@ -481,42 +482,20 @@ impl Coalescer {
         self.win_active = true;
         // A tag carried over from the last window meets its new chain.
         self.tag_chain = match self.tag {
-            Some(tag) => self.find_chain(tag).unwrap_or(NONE),
+            Some(tag) => self.table.find(tag).unwrap_or(NONE),
             None => NONE,
         };
         self.stats.slots_examined += self.window as u64;
     }
 
-    /// First probe position of `block` in the block table.
-    fn table_slot(&self, block: u64) -> usize {
-        let hashed = (block / BLOCK_BYTES as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hashed >> 32) as usize & (self.tbl_stamp.len() - 1)
-    }
-
-    /// Probes the block table for `block`: `Ok` with its index when the
-    /// current window has entries in it, `Err` with the free index where
-    /// it would go when not.
-    fn find_chain(&self, block: u64) -> Result<usize, usize> {
-        let mask = self.tbl_stamp.len() - 1;
-        let mut i = self.table_slot(block);
-        while self.tbl_stamp[i] == self.win_stamp {
-            if self.tbl_block[i] == block {
-                return Ok(i);
-            }
-            i = (i + 1) & mask;
-        }
-        Err(i)
-    }
-
     /// The block-table index of `block` in the current window, claiming a
     /// free one (with an empty chain) when the block is new.
     fn chain_of(&mut self, block: u64) -> usize {
-        self.find_chain(block).unwrap_or_else(|free| {
-            self.tbl_stamp[free] = self.win_stamp;
-            self.tbl_block[free] = block;
-            self.tbl_head[free] = NONE;
-            free
-        })
+        let (chain, new) = self.table.entry(block);
+        if new {
+            self.tbl_head[chain] = NONE;
+        }
+        chain
     }
 
     /// Closes the active window; its chains die with it.
@@ -644,7 +623,7 @@ impl Coalescer {
             self.stats.slots_examined += 1;
             if test_bit(&self.win_valid, w) {
                 self.tag_chain = self.win_chain[w];
-                self.tag = Some(self.tbl_block[self.tag_chain]);
+                self.tag = Some(self.table.block(self.tag_chain));
                 return true;
             }
             self.age_cursor += 1;
@@ -720,6 +699,7 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nmpic_mem::BLOCK_BYTES;
     use nmpic_sim::SimClock;
 
     fn cfg(window: usize) -> AdapterConfig {

@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod block_table;
 mod coalescer;
 mod config;
 mod harness;

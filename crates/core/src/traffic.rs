@@ -11,13 +11,15 @@
 //!
 //! The model is exact on steady-state streams (the regulator's partial
 //! windows and the watchdog change *when* requests issue, not *how
-//! many*) and costs O(1) hash work per element instead of hundreds of
-//! simulated cycles.
-
-use std::collections::HashSet;
+//! many*). A window's adopted blocks live in the same stamped
+//! open-addressed block table the cycle-accurate coalescer uses, so an
+//! element costs one short probe (no hashing library, no allocation)
+//! and opening a window costs O(1), instead of hundreds of simulated
+//! cycles.
 
 use nmpic_mem::block_addr;
 
+use crate::block_table::BlockTable;
 use crate::config::{AdapterConfig, CoalescerMode};
 
 /// Counters accumulated by a [`CoalescerTrafficModel`] replay.
@@ -78,8 +80,8 @@ pub struct CoalescerTrafficModel {
     /// open at the boundary, when any adoption happened).
     last_adopted: Option<u64>,
     /// Blocks that coalesce for free in the current window: everything
-    /// adopted here plus the carried tag.
-    adopted: HashSet<u64>,
+    /// adopted here plus the carried tag (at most `W + 1`).
+    adopted: BlockTable,
     /// Elements consumed by the current window so far.
     fill: usize,
     counts: TrafficCounts,
@@ -90,19 +92,21 @@ impl CoalescerTrafficModel {
     /// (no-coalescing) configurations degrade to one wide request per
     /// element, exactly like the real request generator's direct path.
     pub fn new(cfg: &AdapterConfig) -> Self {
+        let window = cfg.window.max(1);
         Self {
-            window: cfg.window.max(1),
+            window,
             coalescing: cfg.mode != CoalescerMode::None,
             cross_window: cfg.cross_window,
             carry: None,
             last_adopted: None,
-            adopted: HashSet::new(),
+            adopted: BlockTable::new(window + 1),
             fill: 0,
             counts: TrafficCounts::default(),
         }
     }
 
     /// Feeds one element byte address in stream order.
+    #[inline]
     pub fn push(&mut self, addr: u64) {
         self.counts.elements += 1;
         if !self.coalescing {
@@ -114,16 +118,17 @@ impl CoalescerTrafficModel {
             // watcher; the carried tag (if any) coalesces its matches
             // anywhere in the window before any new adoption.
             self.adopted.clear();
-            self.adopted.extend(self.carry);
+            if let Some(carry) = self.carry {
+                self.adopted.entry(carry);
+            }
         }
         let block = block_addr(addr);
-        if self.adopted.contains(&block) {
-            self.counts.reused += 1;
-        } else {
+        if self.adopted.entry(block).1 {
             // A new block adoption: one wide request when it retires.
-            self.adopted.insert(block);
             self.last_adopted = Some(block);
             self.counts.wide_requests += 1;
+        } else {
+            self.counts.reused += 1;
         }
         self.fill += 1;
         if self.fill == self.window {
@@ -170,6 +175,10 @@ impl CoalescerTrafficModel {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use nmpic_sim::SimRng;
+
     use super::*;
 
     fn count(cfg: &AdapterConfig, addrs: &[u64]) -> TrafficCounts {
@@ -247,6 +256,106 @@ mod tests {
         m.push_all((0..8u64).map(|s| s * 8));
         // Two separate bursts to the same block: no carry across flush.
         assert_eq!(m.counts().wide_requests, 2);
+    }
+
+    /// The window and carry semantics written from the definition, on
+    /// ordered sets: a burst (the elements between two flushes) is cut
+    /// into `W`-element windows; in each, an element whose block is the
+    /// carried tag or already seen in the window is reused, any other
+    /// adopts its block and costs one wide request; the last adoption (or,
+    /// when the window adopted nothing, the old carry) is carried into the
+    /// next window when `cross_window` is on. `MLPnc` costs one wide
+    /// request per element.
+    fn reference(cfg: &AdapterConfig, bursts: &[Vec<u64>]) -> TrafficCounts {
+        let mut c = TrafficCounts::default();
+        for burst in bursts {
+            c.elements += burst.len() as u64;
+            if cfg.mode == CoalescerMode::None {
+                c.wide_requests += burst.len() as u64;
+                continue;
+            }
+            let mut carry = None;
+            for window in burst.chunks(cfg.window) {
+                let mut seen: BTreeSet<u64> = carry.into_iter().collect();
+                let mut newest = None;
+                for &addr in window {
+                    let block = addr / 64 * 64;
+                    if seen.insert(block) {
+                        c.wide_requests += 1;
+                        newest = Some(block);
+                    } else {
+                        c.reused += 1;
+                    }
+                }
+                carry = if cfg.cross_window {
+                    newest.or(carry)
+                } else {
+                    None
+                };
+            }
+        }
+        c
+    }
+
+    /// `len` element addresses of one stream shape over a 4096-column
+    /// vector at `0x10_0000`.
+    fn stream(shape: &str, len: usize, rng: &mut SimRng) -> Vec<u64> {
+        const COLS: u64 = 4096;
+        let col = |c: u64| 0x10_0000 + 8 * (c % COLS);
+        (0..len as u64)
+            .map(|k| match shape {
+                "uniform" => col(rng.gen_u64(0, COLS)),
+                "banded" => col(k / 6 + rng.gen_u64(0, 24)),
+                "hub" if rng.gen_u64(0, 3) > 0 => col(rng.gen_u64(0, 4) * 997),
+                "hub" => col(rng.gen_u64(0, COLS)),
+                "one block" => col(rng.gen_u64(0, 8)),
+                "stride 64" => col(8 * k),
+                other => panic!("unknown shape {other}"),
+            })
+            .collect()
+    }
+
+    /// [`CoalescerTrafficModel`] against [`reference`] on seeded streams
+    /// of five shapes, for W ∈ {8, 64, 256} with cross-window carry on and
+    /// off and for `MLPnc`, flushing at random points.
+    #[test]
+    fn model_matches_an_ordered_set_reference() {
+        let mut cfgs = vec![AdapterConfig::mlp_nc()];
+        for w in [8, 64, 256] {
+            for cross_window in [true, false] {
+                let mut cfg = AdapterConfig::mlp(w);
+                cfg.cross_window = cross_window;
+                cfgs.push(cfg);
+            }
+        }
+        let shapes = ["uniform", "banded", "hub", "one block", "stride 64"];
+        for seed in 1..=4 {
+            let mut rng = SimRng::new(seed);
+            for shape in shapes {
+                let addrs = stream(shape, 3000, &mut rng);
+                let mut bursts = Vec::new();
+                let mut rest = &addrs[..];
+                while !rest.is_empty() {
+                    let cut = rng.gen_usize(1, 1200).min(rest.len());
+                    bursts.push(rest[..cut].to_vec());
+                    rest = &rest[cut..];
+                }
+                for cfg in &cfgs {
+                    let mut m = CoalescerTrafficModel::new(cfg);
+                    for burst in &bursts {
+                        m.push_all(burst.iter().copied());
+                        m.flush();
+                    }
+                    assert_eq!(
+                        m.counts(),
+                        reference(cfg, &bursts),
+                        "{shape}, seed {seed}, {} cross_window {}",
+                        cfg.label(),
+                        cfg.cross_window
+                    );
+                }
+            }
+        }
     }
 
     #[test]

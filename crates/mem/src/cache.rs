@@ -70,8 +70,11 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `cfg.sets()`, kept as the divisor of the address split.
-    sets: u64,
+    /// The address split, all powers of two: `line = addr >> line_shift`,
+    /// set `line & set_mask`, tag `line >> set_shift`.
+    line_shift: u32,
+    set_mask: u64,
+    set_shift: u32,
     /// Tag of way `w` of set `s` at `s * ways + w`, [`INVALID`] when the
     /// way holds no line.
     tags: Vec<u64>,
@@ -81,8 +84,9 @@ pub struct Cache {
     stats: CacheStats,
 }
 
-/// Tag of an empty way. No line has it: a tag is an address divided by
-/// the line size, so it stays below `u64::MAX / line_bytes`.
+/// Tag of an empty way. No line has it: a tag is an address shifted
+/// right by at least one bit (the line size), so it stays below
+/// `u64::MAX / line_bytes`.
 const INVALID: u64 = u64::MAX;
 
 impl Cache {
@@ -92,15 +96,29 @@ impl Cache {
     ///
     /// Panics when the geometry is degenerate (zero sets, ways or line
     /// bytes, or a one-byte line, whose tags could reach the invalid
-    /// marker).
+    /// marker), and when the line size or the set count is not a power
+    /// of two: the address split is a shift and a mask.
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(
             cfg.ways > 0 && cfg.line_bytes > 1 && cfg.sets() > 0,
             "degenerate cache geometry"
         );
-        let slots = cfg.ways * cfg.sets();
+        let sets = cfg.sets();
+        assert!(
+            cfg.line_bytes.is_power_of_two() && sets.is_power_of_two(),
+            "cache geometry needs power-of-two line bytes and sets: {} B / {} ways / {} B lines \
+             gives {sets} sets",
+            cfg.size_bytes,
+            cfg.ways,
+            cfg.line_bytes
+        );
+        let line_shift = cfg.line_bytes.trailing_zeros();
+        let set_shift = sets.trailing_zeros();
+        let slots = cfg.ways * sets;
         Self {
-            sets: cfg.sets() as u64,
+            line_shift,
+            set_mask: (1 << set_shift) - 1,
+            set_shift,
             tags: vec![INVALID; slots],
             stamps: vec![0; slots],
             tick: 0,
@@ -121,10 +139,10 @@ impl Cache {
 
     /// The slot range of `addr`'s set and the tag it would carry there.
     fn set_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
-        let line = addr / self.cfg.line_bytes as u64;
-        // nmpic-lint: allow(L1) — in range on every target: the modulo bounds the value below sets(), which is a usize
-        let first = (line % self.sets) as usize * self.cfg.ways;
-        (first..first + self.cfg.ways, line / self.sets)
+        let line = addr >> self.line_shift;
+        // nmpic-lint: allow(L1) — in range on every target: the mask bounds the value below sets(), which is a usize
+        let first = (line & self.set_mask) as usize * self.cfg.ways;
+        (first..first + self.cfg.ways, line >> self.set_shift)
     }
 
     /// The slot holding `tag` within `set`, if any.
@@ -209,8 +227,8 @@ impl Cache {
         if hi <= lo {
             return;
         }
-        let line_bytes = self.cfg.line_bytes as u64;
-        let mut line = lo - lo % line_bytes;
+        let line_bytes = 1 << self.line_shift;
+        let mut line = lo >> self.line_shift << self.line_shift;
         while line < hi {
             let (set, tag) = self.set_and_tag(line);
             if let Some(slot) = self.find(&set, tag) {
@@ -294,6 +312,28 @@ mod tests {
         c.fill(256); // set 0 full: 2 distinct of {0,128,256}
         let present = [0u64, 128, 256].iter().filter(|&&a| c.contains(a)).count();
         assert_eq!(present, 2);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "power-of-two line bytes and sets: 1536 B / 2 ways / 64 B lines gives 12 sets"
+    )]
+    fn a_non_power_of_two_set_count_is_rejected() {
+        Cache::new(CacheConfig {
+            size_bytes: 1536,
+            ways: 2,
+            line_bytes: 64,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two line bytes and sets: 1536 B / 2 ways / 48 B lines")]
+    fn a_non_power_of_two_line_is_rejected() {
+        Cache::new(CacheConfig {
+            size_bytes: 1536,
+            ways: 2,
+            line_bytes: 48,
+        });
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   constant ([`ChannelModel`]).
 //!
 //! Result *values* are never modeled: the engine computes them exactly
-//! with `Csr::spmv_fast`, so analytic runs stay verified and iterative
-//! solvers reproduce their cycle-accurate residual trajectories bit for
-//! bit. Only the cost metrics are approximate, within
+//! with each system's native kernel (`Csr::spmv_fast_into` for base and
+//! sharded, `Sell::spmv_into` for pack), so analytic runs stay verified
+//! and iterative solvers reproduce their cycle-accurate residual
+//! trajectories bit for bit. Only the cost metrics are approximate, within
 //! [`PINNED_REL_TOL`] of cycle-accurate mode (enforced by
 //! `crates/system/tests/exec_mode.rs` and the `analytic_validation` experiment).
 
@@ -340,6 +341,10 @@ pub fn pack_cost(p: &PackParams, col_idx_padded: &[u32]) -> AnalyticCost {
     let mut ptr_fetched = 0usize;
     let mut prev_compute = 0.0f64;
     let mut pipelined = 0.0f64;
+    // One window model for the whole call: every burst ends in a
+    // `flush`, so each starts from a fresh window, and its wide requests
+    // are the growth of the running count.
+    let mut coal = CoalescerTrafficModel::new(&p.adapter);
 
     for t in 0..n_tiles {
         let lo = t * tile;
@@ -359,13 +364,13 @@ pub fn pack_cost(p: &PackParams, col_idx_padded: &[u32]) -> AnalyticCost {
         let mut t_ind_total = 0.0f64;
         for b in 0..b_n {
             let idx_lines = span_lines(p.idx_base + 4 * lo as u64, count, 4);
-            let mut coal = CoalescerTrafficModel::new(&p.adapter);
             let vec_base = p.vec_bases.get(b).copied().unwrap_or(0);
+            let before = coal.counts().wide_requests;
             for &c in &col_idx_padded[lo..hi] {
                 coal.push(vec_base + 8 * c as u64);
             }
             coal.flush();
-            let wide = coal.counts().wide_requests;
+            let wide = coal.counts().wide_requests - before;
             read_lines += idx_lines + wide;
             let upstream_beats = (count as u64).div_ceil(8) as f64;
             let dram = p.chan.stream_cycles(idx_lines * LINE) + p.chan.scatter_cycles(wide * LINE);

@@ -17,6 +17,12 @@
 //! check it, which allocates exactly what the simulated pass of the same
 //! plan does, so there the row is the replayed pass's count minus that.
 //!
+//! A second table pins a warm *analytic* `run_into` of base, pack256 and
+//! sharded4 on ideal and hbm x8, net of the value kernel (see
+//! `warm_analytic_allocs`). pack256 is measured on matrices of one, two
+//! and six tiles and must count the same on all of them: the coalescer
+//! traffic model is built once per pass, not once per tile and vector.
+//!
 //! On a mismatch the failure message prints the measured rows in source
 //! form, so a deliberate change re-pins by copy and paste.
 
@@ -27,7 +33,7 @@ use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
 use nmpic_sparse::gen::banded_fem;
 use nmpic_sparse::Csr;
-use nmpic_system::{golden_x, PartitionStrategy, SpmvEngine, SystemKind};
+use nmpic_system::{golden_x, ExecMode, PartitionStrategy, SpmvEngine, SystemKind};
 
 thread_local! {
     /// Allocations made by this thread. `const`-initialised and without
@@ -175,6 +181,96 @@ fn warm_allocs(system: &str, csr: &Csr, backend_name: &str) -> (u64, Option<u64>
         panic!("{system} on {backend_name}: the debug check allocated {replayed}, a simulated pass {simulated}")
     });
     (simulated, Some(replay))
+}
+
+/// `(system, rows of the banded_fem matrix, backend, allocations)` of
+/// a warm analytic `run_into`. pack256 runs on a one-tile (512 rows), a
+/// two-tile (1536) and a six-tile (6144) matrix: its count must not
+/// depend on the number of tiles.
+#[rustfmt::skip]
+const ANALYTIC_PINNED: &[Row] = &[
+    ("base", 1536, "ideal", 2),
+    ("base", 1536, "hbm x8", 2),
+    ("pack256", 1536, "ideal", 2),
+    ("pack256", 1536, "hbm x8", 2),
+    ("sharded4", 1536, "ideal", 0),
+    ("sharded4", 1536, "hbm x8", 0),
+    ("pack256", 512, "ideal", 2),
+    ("pack256", 512, "hbm x8", 2),
+    ("pack256", 6144, "ideal", 2),
+    ("pack256", 6144, "hbm x8", 2),
+];
+
+/// Allocations of the first `run_into` after two `run`s on a fresh
+/// analytic plan (analytic plans never replay), less those of the
+/// plan's value kernel on the same vector. Base and sharded compute `y`
+/// with `Csr::spmv_fast_into`, whose row blocks fan out over the worker
+/// pool, so what it allocates depends on `NMPIC_JOBS` and the host's
+/// cores; pack's `Sell::spmv_into` allocates nothing (the replay rows
+/// above pin that).
+fn warm_analytic_allocs(system: &str, csr: &Csr, backend_name: &str) -> u64 {
+    let engine = SpmvEngine::builder()
+        .backend(backend(backend_name))
+        .system(system_kind(system))
+        .exec_mode(ExecMode::Analytic)
+        .shard_workers(1)
+        .build();
+    let mut plan = engine.prepare(csr);
+    let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
+    let mut y = vec![0.0; csr.rows()];
+    plan.run(&x);
+    plan.run(&x);
+    let n = allocs(|| {
+        plan.run_into(&x, &mut y);
+    });
+    assert_eq!(plan.replayed_passes(), 0, "{system} on {backend_name}");
+    let kernel = if system == "pack256" {
+        0
+    } else {
+        allocs(|| csr.spmv_fast_into(&x, &mut y))
+    };
+    n.checked_sub(kernel).unwrap_or_else(|| {
+        panic!("{system} on {backend_name}: the kernel allocated {kernel}, the whole pass {n}")
+    })
+}
+
+#[test]
+fn warm_analytic_run_into_allocations_match_the_pinned_table() {
+    let mut measured: Vec<(&str, usize, &str, u64)> = Vec::new();
+    for (system, rows) in [
+        ("base", 1536),
+        ("pack256", 1536),
+        ("sharded4", 1536),
+        ("pack256", 512),
+        ("pack256", 6144),
+    ] {
+        let csr = banded_fem(rows, 8, 48, 12);
+        for b in ["ideal", "hbm x8"] {
+            measured.push((system, rows, b, warm_analytic_allocs(system, &csr, b)));
+        }
+    }
+    let rows: Vec<String> = measured
+        .iter()
+        .map(|(s, r, b, n)| format!("    ({s:?}, {r}, {b:?}, {n}),"))
+        .collect();
+    assert!(
+        measured.iter().copied().eq(ANALYTIC_PINNED.iter().copied()),
+        "allocations per warm analytic run_into drifted; measured rows:\n{}",
+        rows.join("\n")
+    );
+    for b in ["ideal", "hbm x8"] {
+        let pack = |rows| {
+            measured
+                .iter()
+                .find(|m| (m.0, m.1, m.2) == ("pack256", rows, b))
+                .map(|m| m.3)
+        };
+        assert_eq!(
+            pack(512),
+            pack(6144),
+            "pack256 on {b}: allocations must not scale with the number of tiles"
+        );
+    }
 }
 
 #[test]

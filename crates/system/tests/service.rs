@@ -10,10 +10,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
+use nmpic_sim::SimRng;
 use nmpic_sparse::gen::{banded_fem, circuit};
 use nmpic_sparse::Csr;
 use nmpic_system::{
-    golden_x, PartitionStrategy, ServiceError, SpmvEngine, SpmvService, SystemKind,
+    golden_x, ExecMode, PartitionStrategy, ServiceError, SpmvEngine, SpmvService, SystemKind,
 };
 
 fn backends() -> Vec<BackendConfig> {
@@ -260,5 +261,87 @@ fn service_results_are_drain_worker_count_invariant() {
         assert_eq!(stats.submitted, REQS as u64);
         assert_eq!(stats.completed, REQS as u64);
         assert_eq!(stats.taken, REQS as u64);
+    }
+}
+
+/// One entry of an adversarial request vector: NaN, ±inf, −0.0 or a
+/// denormal about half of the time, else a finite value.
+fn adversarial_entry(rng: &mut SimRng) -> f64 {
+    let finite = (rng.gen_f64() - 0.5) * 8.0;
+    match rng.gen_u64(0, 10) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => f64::MIN_POSITIVE * finite / 8.0,
+        _ => finite,
+    }
+}
+
+/// The bits of `v`, every NaN as `f64::NAN`: Rust leaves the sign and
+/// payload of a NaN that arithmetic returns unspecified.
+fn nan_blind_bits(v: &[f64]) -> Vec<u64> {
+    v.iter()
+        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+        .collect()
+}
+
+/// An analytic-mode service computes every reply with the plan's native
+/// kernel, batched through `run_batch`. On seeded vectors full of NaN,
+/// ±inf, −0.0 and denormals, each redeemed reply equals a direct
+/// `plan.run` of the same vector bit for bit (any NaN matching any NaN),
+/// for base, pack256 and sharded4.
+#[test]
+fn analytic_service_replies_match_direct_runs_on_adversarial_x() {
+    const REQS: usize = 7;
+    let csr = circuit(160, 4, 24, 0.1, 5, 11);
+    let systems = [
+        SystemKind::Base,
+        SystemKind::Pack(AdapterConfig::mlp(256)),
+        SystemKind::Sharded {
+            units: 4,
+            strategy: PartitionStrategy::ByNnz,
+        },
+    ];
+    for (seed, kind) in (1u64..).zip(systems) {
+        let engine = SpmvEngine::builder()
+            .backend(BackendConfig::interleaved(8))
+            .system(kind)
+            .exec_mode(ExecMode::Analytic)
+            .build();
+        let mut plan = engine.prepare(&csr);
+        let service = SpmvService::builder(engine).drain_workers(0).build();
+        let key = service.prepare(&csr);
+        let mut rng = SimRng::new(seed);
+        let xs: Vec<Vec<f64>> = (0..REQS)
+            .map(|k| {
+                let mut x: Vec<f64> = (0..csr.cols())
+                    .map(|_| adversarial_entry(&mut rng))
+                    .collect();
+                // Column 0 is also SELL's padding column.
+                if k % 2 == 1 {
+                    x[0] = f64::NAN;
+                }
+                x
+            })
+            .collect();
+        let tickets: Vec<_> = xs
+            .iter()
+            .map(|x| service.submit(key, x.clone()).expect("admitted"))
+            .collect();
+        for (k, (ticket, x)) in tickets.into_iter().zip(&xs).enumerate() {
+            let done = service.wait(ticket).expect("served");
+            // The synchronous drain serves the queued requests as one
+            // batch, so this is the `run_batch` path.
+            assert_eq!(done.batched_with, REQS, "x{k}");
+            let direct = plan.run(x);
+            assert_eq!(done.label, direct.label, "x{k}");
+            assert_eq!(
+                nan_blind_bits(&done.y),
+                nan_blind_bits(direct.y()),
+                "{}, x{k}: reply differs from a direct run",
+                direct.label
+            );
+        }
     }
 }

@@ -9,7 +9,8 @@
 #   test        release build + quick-scale test suite (stable, plus the
 #               MSRV toolchain when rustup has it installed), and the
 #               debug-profile step whose assertions check the baseline's
-#               skipped cycles and every replayed run_into pass
+#               skipped cycles, every replayed run_into pass and the
+#               coalescer block table's probe bound and stamp wrap
 #   benchmark   the benchmark/ package's own tests + a 1 s smoke run of
 #               every BENCHMARK.json workload (build, golden checks and
 #               determinism guard of the benchmark driver)
@@ -49,8 +50,8 @@ run_test() {
     cargo build --release --workspace --all-targets
     step "test: quick-scale suite (stable)"
     NMPIC_QUICK=1 cargo test -q --release --workspace
-    step "test: debug profile (checked baseline skips and run_into replays)"
-    NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --lib
+    step "test: debug profile (checked baseline skips, run_into replays and block table)"
+    NMPIC_QUICK=1 cargo test -q -p nmpic-core -p nmpic-model -p nmpic-mem -p nmpic-system --lib
     NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --doc
     cargo test -q -p nmpic-system --test base_counts --test engine_counts --test solve --test replay
     step "test: self-checking example (adapter asserts dst == src)"
