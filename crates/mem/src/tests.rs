@@ -7,6 +7,8 @@ use nmpic_sim::{Cycle, SimClock, SimRng};
 
 use super::*;
 
+mod port_counts;
+
 #[test]
 fn block_math_is_consistent() {
     for addr in [0u64, 1, 63, 64, 65, 1000, 4096, u32::MAX as u64] {
@@ -95,6 +97,15 @@ fn write_mix() -> Vec<WideRequest> {
         .collect()
 }
 
+/// The three traces every port is driven with.
+fn traces() -> [(&'static str, Vec<WideRequest>); 3] {
+    [
+        ("stream", stream()),
+        ("random", random()),
+        ("write mix", write_mix()),
+    ]
+}
+
 /// Arrival cycles: all at once, bursts of 16 every 400 cycles, and one
 /// request every 37 cycles.
 fn arrival_patterns(n: usize) -> [(&'static str, Vec<Cycle>); 3] {
@@ -117,13 +128,12 @@ fn image() -> Memory {
 /// Builds a fresh port over [`image`].
 type Build = Box<dyn Fn() -> Box<dyn ChannelPort>>;
 
-/// Every port the contract covers: the ideal channel, and one and eight
-/// HBM channels under each scheduling and page policy.
-fn ports() -> Vec<(String, Build)> {
-    let mut ports: Vec<(String, Build)> = vec![(
-        "ideal".to_string(),
-        Box::new(|| BackendConfig::ideal().build(image())),
-    )];
+/// An HBM port: its name, controller configuration and channel count.
+type HbmPort = (String, HbmConfig, usize);
+
+/// One and eight HBM channels under each scheduling and page policy.
+fn policy_ports() -> Vec<HbmPort> {
+    let mut ports = Vec::new();
     for channels in [1usize, 8] {
         for sched_policy in [SchedPolicy::FrFcfs, SchedPolicy::Fcfs] {
             for page_policy in [
@@ -136,16 +146,45 @@ fn ports() -> Vec<(String, Build)> {
                     page_policy,
                     ..HbmConfig::default()
                 };
-                ports.push((
-                    format!("hbm x{channels} {sched_policy:?} {page_policy:?}"),
-                    Box::new(move || {
-                        Box::new(HbmChannel::interleaved(cfg.clone(), image(), channels))
-                    }),
-                ));
+                let name = format!("hbm x{channels} {sched_policy:?} {page_policy:?}");
+                ports.push((name, cfg, channels));
             }
         }
     }
     ports
+}
+
+/// One and eight HBM channels behind a two-entry queue, which refuses
+/// most offers.
+fn depth_two_ports() -> Vec<HbmPort> {
+    let cfg = HbmConfig {
+        queue_depth: 2,
+        ..HbmConfig::default()
+    };
+    [1usize, 8]
+        .map(|channels| {
+            (
+                format!("hbm x{channels}, queue depth 2"),
+                cfg.clone(),
+                channels,
+            )
+        })
+        .into()
+}
+
+fn hbm_build((name, cfg, channels): HbmPort) -> (String, Build) {
+    let build: Build =
+        Box::new(move || Box::new(HbmChannel::interleaved(cfg.clone(), image(), channels)));
+    (name, build)
+}
+
+/// Every port the contract covers: the ideal channel, and one and eight
+/// HBM channels under each scheduling and page policy.
+fn ports() -> Vec<(String, Build)> {
+    let ideal: Build = Box::new(|| BackendConfig::ideal().build(image()));
+    std::iter::once(("ideal".to_string(), ideal))
+        .chain(policy_ports().into_iter().map(hbm_build))
+        .collect()
 }
 
 fn assert_skipping_matches_ticking(
@@ -173,11 +212,7 @@ fn assert_skipping_matches_ticking(
 
 #[test]
 fn skipping_to_next_event_reproduces_the_ticking_driver() {
-    for (trace_name, trace) in [
-        ("stream", stream()),
-        ("random", random()),
-        ("write mix", write_mix()),
-    ] {
+    for (trace_name, trace) in traces() {
         for (port, build) in ports() {
             assert_skipping_matches_ticking(&format!("{trace_name} on {port}"), &*build, &trace);
         }
@@ -188,20 +223,9 @@ fn skipping_to_next_event_reproduces_the_ticking_driver() {
 /// refusal, and the jumps it does take land on the same cycles.
 #[test]
 fn skipping_holds_under_queue_backpressure() {
-    let cfg = HbmConfig {
-        queue_depth: 2,
-        ..HbmConfig::default()
-    };
-    for channels in [1usize, 8] {
-        let build = || -> Box<dyn ChannelPort> {
-            Box::new(HbmChannel::interleaved(cfg.clone(), image(), channels))
-        };
+    for (port, build) in depth_two_ports().into_iter().map(hbm_build) {
         for (trace_name, trace) in [("random", random()), ("write mix", write_mix())] {
-            assert_skipping_matches_ticking(
-                &format!("{trace_name} on hbm x{channels}, queue depth 2"),
-                &build,
-                &trace,
-            );
+            assert_skipping_matches_ticking(&format!("{trace_name} on {port}"), &*build, &trace);
         }
     }
 }
