@@ -108,6 +108,16 @@ impl HbmChannel {
             .iter()
             .fold(HbmStats::default(), |acc, c| acc.merge(&c.stats()))
     }
+
+    /// Queue entries and bank records the controllers' schedulers have
+    /// examined this run (`schedule` and `next_event`, the open-adaptive
+    /// close test included): the host cost of the timing model, as a
+    /// count. It is not part of [`HbmStats`] because it depends on how
+    /// often a driver ticks and queries the port, not only on what the
+    /// port simulates.
+    pub fn sched_probes(&self) -> u64 {
+        self.ctrls.iter().map(Controller::probes).sum()
+    }
 }
 
 impl ChannelPort for HbmChannel {

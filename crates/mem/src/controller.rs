@@ -4,6 +4,7 @@
 //! store and the request order and tells it only *which bank and row*
 //! and *which read* (a sequence number it hands back on completion).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 use nmpic_sim::Cycle;
@@ -201,6 +202,9 @@ pub(crate) struct Controller {
     bus_free_at: Cycle,
     last_group: Option<usize>,
     stats: HbmStats,
+    /// Queue entries and bank records `schedule` and `next_event` have
+    /// examined, the close test included.
+    probes: Cell<u64>,
 }
 
 impl Controller {
@@ -212,12 +216,22 @@ impl Controller {
             bus_free_at: 0,
             last_group: None,
             stats: HbmStats::default(),
+            probes: Cell::new(0),
         }
     }
 
     /// Statistics gathered so far.
     pub(crate) fn stats(&self) -> HbmStats {
         self.stats
+    }
+
+    /// Queue entries and bank records the scheduler has examined so far.
+    pub(crate) fn probes(&self) -> u64 {
+        self.probes.get()
+    }
+
+    fn probe(&self, n: usize) {
+        self.probes.set(self.probes.get() + n as u64);
     }
 
     /// `true` when the request queue cannot take another entry.
@@ -268,8 +282,14 @@ impl Controller {
             b.next_act_at.max(b.next_cas_at)
         };
         let issue = match cfg.sched_policy {
-            SchedPolicy::FrFcfs => self.queue.iter().map(ready).min(),
-            SchedPolicy::Fcfs => self.queue.first().map(ready),
+            SchedPolicy::FrFcfs => {
+                self.probe(self.queue.len());
+                self.queue.iter().map(ready).min()
+            }
+            SchedPolicy::Fcfs => {
+                self.probe(self.queue.len().min(1));
+                self.queue.first().map(ready)
+            }
         };
         let retire = self.in_flight.front().map(|&(complete_at, _)| complete_at);
         issue.into_iter().chain(retire).min()
@@ -287,7 +307,9 @@ impl Controller {
             SchedPolicy::FrFcfs => {
                 let mut first_ready = None;
                 let mut row_hit = None;
+                let mut examined = 0;
                 for (i, q) in self.queue.iter().enumerate() {
+                    examined += 1;
                     let b = &self.banks[q.bank];
                     // Row test first: it fails for almost every entry of
                     // a conflict-bound queue, so the branch predicts.
@@ -302,14 +324,17 @@ impl Controller {
                         first_ready = Some(i);
                     }
                 }
+                self.probe(examined);
                 row_hit.or(first_ready)
             }
             // Strict order: only the head of the queue may issue.
-            SchedPolicy::Fcfs => self
-                .queue
-                .first()
-                .filter(|q| ready(&self.banks[q.bank]))
-                .map(|_| 0),
+            SchedPolicy::Fcfs => {
+                self.probe(self.queue.len().min(1));
+                self.queue
+                    .first()
+                    .filter(|q| ready(&self.banks[q.bank]))
+                    .map(|_| 0)
+            }
         };
         let Some(i) = pick else { return };
         let q = self.queue.remove(i);
@@ -358,10 +383,15 @@ impl Controller {
         let close = match cfg.page_policy {
             PagePolicy::Open => false,
             PagePolicy::Closed => true,
-            PagePolicy::OpenAdaptive => !self
-                .queue
-                .iter()
-                .any(|other| other.bank == q.bank && other.row == q.row),
+            PagePolicy::OpenAdaptive => {
+                let mut examined = 0;
+                let hit = self.queue.iter().any(|other| {
+                    examined += 1;
+                    other.bank == q.bank && other.row == q.row
+                });
+                self.probes.set(self.probes.get() + examined);
+                !hit
+            }
         };
         if close {
             bank.open_row = None;
@@ -392,5 +422,6 @@ impl Controller {
         self.bus_free_at = 0;
         self.last_group = None;
         self.stats = HbmStats::default();
+        self.probes.set(0);
     }
 }

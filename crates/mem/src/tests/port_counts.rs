@@ -10,6 +10,8 @@
 //! the failure message prints the measured rows in source form, so a
 //! deliberate timing change re-pins by copy and paste.
 
+use std::fmt::Debug;
+
 use super::*;
 
 /// `[final cycle, traffic bytes, reads, writes, row hits, row conflicts,
@@ -157,6 +159,143 @@ const PINNED: &[Row] = &[
     ("write mix", "hbm x8, queue depth 2", "trickle", [22165, 38400, 300, 300, 0, 0, 600, 38400, 1200, 835614685750090588]),
 ];
 
+/// `(trace, port, arrival pattern, [probes of the ticking driver, probes
+/// of the skipping driver])`: the queue entries and bank records the
+/// controllers' schedulers examined over the trace's 600 requests
+/// (`HbmChannel::sched_probes`). The two drivers make different numbers
+/// of calls, so only each driver's own count is pinned.
+type ProbeRow = (&'static str, &'static str, &'static str, [u64; 2]);
+
+#[rustfmt::skip]
+const PROBES: &[ProbeRow] = &[
+    ("stream", "hbm x1 FrFcfs OpenAdaptive", "at once", [14303, 37469]),
+    ("stream", "hbm x1 FrFcfs OpenAdaptive", "bursts", [39838, 15614]),
+    ("stream", "hbm x1 FrFcfs OpenAdaptive", "trickle", [12765, 2959]),
+    ("stream", "hbm x1 FrFcfs Open", "at once", [10325, 34999]),
+    ("stream", "hbm x1 FrFcfs Open", "bursts", [22174, 13622]),
+    ("stream", "hbm x1 FrFcfs Open", "trickle", [600, 600]),
+    ("stream", "hbm x1 FrFcfs Closed", "at once", [153456, 296310]),
+    ("stream", "hbm x1 FrFcfs Closed", "bursts", [183788, 47070]),
+    ("stream", "hbm x1 FrFcfs Closed", "trickle", [22940, 4550]),
+    ("stream", "hbm x1 Fcfs OpenAdaptive", "at once", [4516, 7148]),
+    ("stream", "hbm x1 Fcfs OpenAdaptive", "bursts", [4786, 2848]),
+    ("stream", "hbm x1 Fcfs OpenAdaptive", "trickle", [12617, 2848]),
+    ("stream", "hbm x1 Fcfs Open", "at once", [3106, 5950]),
+    ("stream", "hbm x1 Fcfs Open", "bursts", [3106, 2268]),
+    ("stream", "hbm x1 Fcfs Open", "trickle", [600, 600]),
+    ("stream", "hbm x1 Fcfs Closed", "at once", [23642, 44888]),
+    ("stream", "hbm x1 Fcfs Closed", "bursts", [23642, 41858]),
+    ("stream", "hbm x1 Fcfs Closed", "trickle", [23494, 9497]),
+    ("stream", "hbm x8 FrFcfs OpenAdaptive", "at once", [13456, 26976]),
+    ("stream", "hbm x8 FrFcfs OpenAdaptive", "bursts", [10664, 7704]),
+    ("stream", "hbm x8 FrFcfs OpenAdaptive", "trickle", [600, 600]),
+    ("stream", "hbm x8 FrFcfs Open", "at once", [1184, 1808]),
+    ("stream", "hbm x8 FrFcfs Open", "bursts", [968, 1240]),
+    ("stream", "hbm x8 FrFcfs Open", "trickle", [600, 600]),
+    ("stream", "hbm x8 FrFcfs Closed", "at once", [145800, 260632]),
+    ("stream", "hbm x8 FrFcfs Closed", "bursts", [10664, 7704]),
+    ("stream", "hbm x8 FrFcfs Closed", "trickle", [600, 600]),
+    ("stream", "hbm x8 Fcfs OpenAdaptive", "at once", [5208, 9784]),
+    ("stream", "hbm x8 Fcfs OpenAdaptive", "bursts", [10664, 7704]),
+    ("stream", "hbm x8 Fcfs OpenAdaptive", "trickle", [600, 600]),
+    ("stream", "hbm x8 Fcfs Open", "at once", [1136, 1712]),
+    ("stream", "hbm x8 Fcfs Open", "bursts", [968, 1240]),
+    ("stream", "hbm x8 Fcfs Open", "trickle", [600, 600]),
+    ("stream", "hbm x8 Fcfs Closed", "at once", [23504, 32640]),
+    ("stream", "hbm x8 Fcfs Closed", "bursts", [10664, 7704]),
+    ("stream", "hbm x8 Fcfs Closed", "trickle", [600, 600]),
+    ("stream", "hbm x1, queue depth 2", "at once", [8261, 15833]),
+    ("stream", "hbm x1, queue depth 2", "bursts", [8334, 15498]),
+    ("stream", "hbm x1, queue depth 2", "trickle", [12765, 2959]),
+    ("stream", "hbm x8, queue depth 2", "at once", [12608, 24368]),
+    ("stream", "hbm x8, queue depth 2", "bursts", [10664, 7704]),
+    ("stream", "hbm x8, queue depth 2", "trickle", [600, 600]),
+    ("random", "hbm x1 FrFcfs OpenAdaptive", "at once", [71288, 122512]),
+    ("random", "hbm x1 FrFcfs OpenAdaptive", "bursts", [11956, 7687]),
+    ("random", "hbm x1 FrFcfs OpenAdaptive", "trickle", [815, 764]),
+    ("random", "hbm x1 FrFcfs Open", "at once", [51210, 99364]),
+    ("random", "hbm x1 FrFcfs Open", "bursts", [8101, 5370]),
+    ("random", "hbm x1 FrFcfs Open", "trickle", [600, 600]),
+    ("random", "hbm x1 FrFcfs Closed", "at once", [56455, 108620]),
+    ("random", "hbm x1 FrFcfs Closed", "bursts", [10847, 6558]),
+    ("random", "hbm x1 FrFcfs Closed", "trickle", [815, 764]),
+    ("random", "hbm x1 Fcfs OpenAdaptive", "at once", [23350, 28460]),
+    ("random", "hbm x1 Fcfs OpenAdaptive", "bursts", [7240, 4899]),
+    ("random", "hbm x1 Fcfs OpenAdaptive", "trickle", [815, 764]),
+    ("random", "hbm x1 Fcfs Open", "at once", [4651, 8912]),
+    ("random", "hbm x1 Fcfs Open", "bursts", [3912, 2354]),
+    ("random", "hbm x1 Fcfs Open", "trickle", [600, 600]),
+    ("random", "hbm x1 Fcfs Closed", "at once", [5630, 10764]),
+    ("random", "hbm x1 Fcfs Closed", "bursts", [4902, 2562]),
+    ("random", "hbm x1 Fcfs Closed", "trickle", [815, 764]),
+    ("random", "hbm x8 FrFcfs OpenAdaptive", "at once", [6316, 11301]),
+    ("random", "hbm x8 FrFcfs OpenAdaptive", "bursts", [1772, 1500]),
+    ("random", "hbm x8 FrFcfs OpenAdaptive", "trickle", [630, 624]),
+    ("random", "hbm x8 FrFcfs Open", "at once", [2965, 5295]),
+    ("random", "hbm x8 FrFcfs Open", "bursts", [1263, 1017]),
+    ("random", "hbm x8 FrFcfs Open", "trickle", [600, 600]),
+    ("random", "hbm x8 FrFcfs Closed", "at once", [5892, 11072]),
+    ("random", "hbm x8 FrFcfs Closed", "bursts", [1748, 1476]),
+    ("random", "hbm x8 FrFcfs Closed", "trickle", [630, 624]),
+    ("random", "hbm x8 Fcfs OpenAdaptive", "at once", [8314, 12382]),
+    ("random", "hbm x8 Fcfs OpenAdaptive", "bursts", [1750, 1505]),
+    ("random", "hbm x8 Fcfs OpenAdaptive", "trickle", [630, 624]),
+    ("random", "hbm x8 Fcfs Open", "at once", [2945, 5551]),
+    ("random", "hbm x8 Fcfs Open", "bursts", [1241, 1026]),
+    ("random", "hbm x8 Fcfs Open", "trickle", [600, 600]),
+    ("random", "hbm x8 Fcfs Closed", "at once", [4855, 9267]),
+    ("random", "hbm x8 Fcfs Closed", "bursts", [1711, 1466]),
+    ("random", "hbm x8 Fcfs Closed", "trickle", [630, 624]),
+    ("random", "hbm x1, queue depth 2", "at once", [8728, 16192]),
+    ("random", "hbm x1, queue depth 2", "bursts", [6902, 10732]),
+    ("random", "hbm x1, queue depth 2", "trickle", [815, 764]),
+    ("random", "hbm x8, queue depth 2", "at once", [3630, 6451]),
+    ("random", "hbm x8, queue depth 2", "bursts", [1772, 1500]),
+    ("random", "hbm x8, queue depth 2", "trickle", [630, 624]),
+    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "at once", [56815, 97126]),
+    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "bursts", [1206, 1026]),
+    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "trickle", [660, 636]),
+    ("write mix", "hbm x1 FrFcfs Open", "at once", [16352, 38634]),
+    ("write mix", "hbm x1 FrFcfs Open", "bursts", [972, 852]),
+    ("write mix", "hbm x1 FrFcfs Open", "trickle", [600, 600]),
+    ("write mix", "hbm x1 FrFcfs Closed", "at once", [48206, 93304]),
+    ("write mix", "hbm x1 FrFcfs Closed", "bursts", [1092, 912]),
+    ("write mix", "hbm x1 FrFcfs Closed", "trickle", [660, 636]),
+    ("write mix", "hbm x1 Fcfs OpenAdaptive", "at once", [19504, 21307]),
+    ("write mix", "hbm x1 Fcfs OpenAdaptive", "bursts", [1734, 1666]),
+    ("write mix", "hbm x1 Fcfs OpenAdaptive", "trickle", [660, 636]),
+    ("write mix", "hbm x1 Fcfs Open", "at once", [1932, 3693]),
+    ("write mix", "hbm x1 Fcfs Open", "bursts", [972, 966]),
+    ("write mix", "hbm x1 Fcfs Open", "trickle", [600, 600]),
+    ("write mix", "hbm x1 Fcfs Closed", "at once", [1976, 3779]),
+    ("write mix", "hbm x1 Fcfs Closed", "bursts", [1092, 1024]),
+    ("write mix", "hbm x1 Fcfs Closed", "trickle", [660, 636]),
+    ("write mix", "hbm x8 FrFcfs OpenAdaptive", "at once", [8000, 14785]),
+    ("write mix", "hbm x8 FrFcfs OpenAdaptive", "bursts", [6247, 4207]),
+    ("write mix", "hbm x8 FrFcfs OpenAdaptive", "trickle", [600, 600]),
+    ("write mix", "hbm x8 FrFcfs Open", "at once", [1056, 1512]),
+    ("write mix", "hbm x8 FrFcfs Open", "bursts", [1020, 1142]),
+    ("write mix", "hbm x8 FrFcfs Open", "trickle", [600, 600]),
+    ("write mix", "hbm x8 FrFcfs Closed", "at once", [7940, 15130]),
+    ("write mix", "hbm x8 FrFcfs Closed", "bursts", [6240, 4200]),
+    ("write mix", "hbm x8 FrFcfs Closed", "trickle", [600, 600]),
+    ("write mix", "hbm x8 Fcfs OpenAdaptive", "at once", [5230, 9408]),
+    ("write mix", "hbm x8 Fcfs OpenAdaptive", "bursts", [6047, 4076]),
+    ("write mix", "hbm x8 Fcfs OpenAdaptive", "trickle", [600, 600]),
+    ("write mix", "hbm x8 Fcfs Open", "at once", [1048, 1501]),
+    ("write mix", "hbm x8 Fcfs Open", "bursts", [1012, 1131]),
+    ("write mix", "hbm x8 Fcfs Open", "trickle", [600, 600]),
+    ("write mix", "hbm x8 Fcfs Closed", "at once", [7494, 12031]),
+    ("write mix", "hbm x8 Fcfs Closed", "bursts", [6040, 4069]),
+    ("write mix", "hbm x8 Fcfs Closed", "trickle", [600, 600]),
+    ("write mix", "hbm x1, queue depth 2", "at once", [4295, 7351]),
+    ("write mix", "hbm x1, queue depth 2", "bursts", [1206, 1026]),
+    ("write mix", "hbm x1, queue depth 2", "trickle", [660, 636]),
+    ("write mix", "hbm x8, queue depth 2", "at once", [7706, 14170]),
+    ("write mix", "hbm x8, queue depth 2", "bursts", [6247, 4207]),
+    ("write mix", "hbm x8, queue depth 2", "trickle", [600, 600]),
+];
+
 /// FNV-1a over every response's delivery cycle and tag, in delivery
 /// order.
 fn delivery_digest(delivered: &[(Cycle, WideResponse)]) -> u64 {
@@ -185,6 +324,25 @@ fn counts(o: &Observed) -> Counts {
     ]
 }
 
+/// Compares rows by their source form, so a measured row's `String`
+/// port name matches a pinned `&str`.
+fn check(what: &str, pinned: &[impl Debug], measured: &[impl Debug]) {
+    let drifted: Vec<String> = measured
+        .iter()
+        .enumerate()
+        .map(|(i, row)| (pinned.get(i).map(|p| format!("{p:?}")), format!("{row:?}")))
+        .filter(|(pinned, row)| pinned.as_ref() != Some(row))
+        .map(|(_, row)| format!("    {row},"))
+        .collect();
+    assert!(
+        drifted.is_empty() && pinned.len() == measured.len(),
+        "{what} drifted ({} of {} rows); measured rows:\n{}",
+        drifted.len(),
+        measured.len(),
+        drifted.join("\n")
+    );
+}
+
 #[test]
 fn every_port_matches_the_pinned_table() {
     let mut measured = Vec::new();
@@ -199,21 +357,23 @@ fn every_port_matches_the_pinned_table() {
             }
         }
     }
-    let drifted: Vec<String> = measured
-        .iter()
-        .enumerate()
-        .filter(|&(i, (t, p, a, c))| {
-            PINNED
-                .get(i)
-                .is_none_or(|row| (row.0, row.1, row.2, &row.3) != (*t, p.as_str(), *a, c))
-        })
-        .map(|(_, (t, p, a, c))| format!("    ({t:?}, {p:?}, {a:?}, {c:?}),"))
-        .collect();
-    assert!(
-        drifted.is_empty() && PINNED.len() == measured.len(),
-        "port counts drifted ({} of {} rows); measured rows:\n{}",
-        drifted.len(),
-        measured.len(),
-        drifted.join("\n")
-    );
+    check("port counts", PINNED, &measured);
+}
+
+#[test]
+fn scheduler_probes_match_the_pinned_table() {
+    let mut measured = Vec::new();
+    for (trace_name, trace) in traces() {
+        for (port, cfg, channels) in policy_ports().into_iter().chain(depth_two_ports()) {
+            for (pattern, arrivals) in arrival_patterns(trace.len()) {
+                let probes = [false, true].map(|skip| {
+                    let mut chan = HbmChannel::interleaved(cfg.clone(), image(), channels);
+                    drive(&mut chan, &trace, &arrivals, skip);
+                    chan.sched_probes()
+                });
+                measured.push((trace_name, port.clone(), pattern, probes));
+            }
+        }
+    }
+    check("scheduler probes", PROBES, &measured);
 }
