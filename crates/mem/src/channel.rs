@@ -65,6 +65,9 @@ pub struct HbmChannel {
     /// `delivered` of this run.
     reorder: VecDeque<PendingRead>,
     delivered: usize,
+    /// The earliest [`Controller::next_event`] over the controllers
+    /// (`Cycle::MAX` when none): `tick` visits no controller before it.
+    due_at: Cycle,
 }
 
 impl HbmChannel {
@@ -79,15 +82,18 @@ impl HbmChannel {
     ///
     /// # Panics
     ///
-    /// Panics if `channels` is zero.
+    /// Panics if `channels` is zero or `cfg` fails
+    /// [`HbmConfig::assert_valid`].
     pub fn interleaved(cfg: HbmConfig, memory: Memory, channels: usize) -> Self {
         assert!(channels > 0, "at least one channel");
+        cfg.assert_valid();
         Self {
             ctrls: vec![Controller::new(&cfg); channels],
             cfg,
             memory,
             reorder: VecDeque::new(),
             delivered: 0,
+            due_at: Cycle::MAX,
         }
     }
 
@@ -107,6 +113,12 @@ impl HbmChannel {
         self.ctrls
             .iter()
             .fold(HbmStats::default(), |acc, c| acc.merge(&c.stats()))
+    }
+
+    /// Each controller's commands this run, in issue order.
+    #[cfg(test)]
+    pub(crate) fn command_logs(&self) -> Vec<&[crate::controller::Command]> {
+        self.ctrls.iter().map(Controller::commands).collect()
     }
 
     /// Queue entries and bank records the controllers' schedulers have
@@ -142,18 +154,29 @@ impl ChannelPort for HbmChannel {
                 None
             }
         };
-        self.ctrls[ch].accept(&self.cfg, local, read_seq);
+        let ctrl = &mut self.ctrls[ch];
+        ctrl.accept(&self.cfg, local, read_seq);
+        self.due_at = self.due_at.min(ctrl.next_event());
         Ok(())
     }
 
     fn tick(&mut self, now: Cycle) {
-        for ctrl in &mut self.ctrls {
-            while let Some(seq) = ctrl.pop_completed(now) {
-                let read = &mut self.reorder[seq - self.delivered];
-                read.data = Some(self.memory.read_block(read.addr));
-            }
-            ctrl.schedule(&self.cfg, now);
+        if now < self.due_at {
+            debug_assert!(self.ctrls.iter().all(|c| c.next_event() > now));
+            return;
         }
+        let mut due_at = Cycle::MAX;
+        for ctrl in &mut self.ctrls {
+            if ctrl.next_event() <= now {
+                while let Some(seq) = ctrl.pop_completed(now) {
+                    let read = &mut self.reorder[seq - self.delivered];
+                    read.data = Some(self.memory.read_block(read.addr));
+                }
+                ctrl.schedule(&self.cfg, now);
+            }
+            due_at = due_at.min(ctrl.next_event());
+        }
+        self.due_at = due_at;
     }
 
     fn pop_response(&mut self, _now: Cycle) -> Option<WideResponse> {
@@ -173,10 +196,21 @@ impl ChannelPort for HbmChannel {
         if self.reorder.front().is_some_and(|r| r.data.is_some()) {
             return Some(0);
         }
-        self.ctrls
-            .iter()
-            .filter_map(|c| c.next_event(&self.cfg))
-            .min()
+        #[cfg(debug_assertions)]
+        for ctrl in &self.ctrls {
+            // Checks the controller's caches against its whole queue.
+            ctrl.scan_pick(&self.cfg, 0);
+        }
+        debug_assert_eq!(
+            self.due_at,
+            self.ctrls
+                .iter()
+                .map(Controller::next_event)
+                .min()
+                .unwrap_or(Cycle::MAX),
+            "cached port event"
+        );
+        (self.due_at != Cycle::MAX).then_some(self.due_at)
     }
 
     fn is_idle(&self) -> bool {
@@ -209,6 +243,7 @@ impl ChannelPort for HbmChannel {
             ctrl.reset();
         }
         self.delivered = 0;
+        self.due_at = Cycle::MAX;
     }
 }
 
@@ -359,6 +394,42 @@ mod tests {
         addrs.extend((0..12u64).map(|i| i * 64));
         let (resps, _) = run_reads(&mut chan, &addrs);
         assert_eq!(resps.len(), 13);
+    }
+
+    fn build_with(field: impl FnOnce(&mut HbmConfig)) -> HbmChannel {
+        let mut cfg = HbmConfig::default();
+        field(&mut cfg);
+        fresh(cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "HbmConfig: banks must be > 0")]
+    fn zero_banks_are_rejected() {
+        build_with(|c| c.banks = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HbmConfig: banks_per_group must be > 0")]
+    fn zero_banks_per_group_are_rejected() {
+        build_with(|c| c.banks_per_group = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HbmConfig: row_bytes must be > 0")]
+    fn a_zero_byte_row_is_rejected() {
+        build_with(|c| c.row_bytes = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HbmConfig: queue_depth must be > 0")]
+    fn a_zero_entry_queue_is_rejected() {
+        build_with(|c| c.queue_depth = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HbmConfig: t_bl must be > 0")]
+    fn a_zero_cycle_burst_is_rejected() {
+        build_with(|c| c.t_bl = 0);
     }
 
     #[test]

@@ -44,7 +44,10 @@
 //! HBM port takes the minimum over its controllers of the first
 //! completion in flight and, for each queued access, the cycle its bank
 //! becomes eligible under the configured scheduler; a filled reorder head
-//! answers "now". The ideal port takes its next issue slot when something
+//! answers "now". Both halves are cached — each controller keeps its
+//! earliest issue cycle, the port the minimum over its controllers — so
+//! the query costs O(1), and `tick` visits only the controllers that are
+//! due. The ideal port takes its next issue slot when something
 //! is queued and its first completion in flight.
 //!
 //! The contract a driver relies on, pinned by this crate's tests on

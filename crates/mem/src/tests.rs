@@ -7,6 +7,7 @@ use nmpic_sim::{Cycle, SimClock, SimRng};
 
 use super::*;
 
+mod legality;
 mod port_counts;
 
 #[test]

@@ -168,131 +168,131 @@ type ProbeRow = (&'static str, &'static str, &'static str, [u64; 2]);
 
 #[rustfmt::skip]
 const PROBES: &[ProbeRow] = &[
-    ("stream", "hbm x1 FrFcfs OpenAdaptive", "at once", [14303, 37469]),
-    ("stream", "hbm x1 FrFcfs OpenAdaptive", "bursts", [39838, 15614]),
-    ("stream", "hbm x1 FrFcfs OpenAdaptive", "trickle", [12765, 2959]),
-    ("stream", "hbm x1 FrFcfs Open", "at once", [10325, 34999]),
-    ("stream", "hbm x1 FrFcfs Open", "bursts", [22174, 13622]),
-    ("stream", "hbm x1 FrFcfs Open", "trickle", [600, 600]),
-    ("stream", "hbm x1 FrFcfs Closed", "at once", [153456, 296310]),
-    ("stream", "hbm x1 FrFcfs Closed", "bursts", [183788, 47070]),
-    ("stream", "hbm x1 FrFcfs Closed", "trickle", [22940, 4550]),
-    ("stream", "hbm x1 Fcfs OpenAdaptive", "at once", [4516, 7148]),
-    ("stream", "hbm x1 Fcfs OpenAdaptive", "bursts", [4786, 2848]),
-    ("stream", "hbm x1 Fcfs OpenAdaptive", "trickle", [12617, 2848]),
-    ("stream", "hbm x1 Fcfs Open", "at once", [3106, 5950]),
-    ("stream", "hbm x1 Fcfs Open", "bursts", [3106, 2268]),
-    ("stream", "hbm x1 Fcfs Open", "trickle", [600, 600]),
-    ("stream", "hbm x1 Fcfs Closed", "at once", [23642, 44888]),
-    ("stream", "hbm x1 Fcfs Closed", "bursts", [23642, 41858]),
-    ("stream", "hbm x1 Fcfs Closed", "trickle", [23494, 9497]),
-    ("stream", "hbm x8 FrFcfs OpenAdaptive", "at once", [13456, 26976]),
-    ("stream", "hbm x8 FrFcfs OpenAdaptive", "bursts", [10664, 7704]),
+    ("stream", "hbm x1 FrFcfs OpenAdaptive", "at once", [3054, 3054]),
+    ("stream", "hbm x1 FrFcfs OpenAdaptive", "bursts", [1648, 1648]),
+    ("stream", "hbm x1 FrFcfs OpenAdaptive", "trickle", [674, 674]),
+    ("stream", "hbm x1 FrFcfs Open", "at once", [2914, 2914]),
+    ("stream", "hbm x1 FrFcfs Open", "bursts", [1162, 1162]),
+    ("stream", "hbm x1 FrFcfs Open", "trickle", [1162, 1162]),
+    ("stream", "hbm x1 FrFcfs Closed", "at once", [2814, 2814]),
+    ("stream", "hbm x1 FrFcfs Closed", "bursts", [1044, 1044]),
+    ("stream", "hbm x1 FrFcfs Closed", "trickle", [674, 674]),
+    ("stream", "hbm x1 Fcfs OpenAdaptive", "at once", [2253, 2253]),
+    ("stream", "hbm x1 Fcfs OpenAdaptive", "bursts", [1048, 1048]),
+    ("stream", "hbm x1 Fcfs OpenAdaptive", "trickle", [74, 74]),
+    ("stream", "hbm x1 Fcfs Open", "at once", [2235, 2235]),
+    ("stream", "hbm x1 Fcfs Open", "bursts", [524, 524]),
+    ("stream", "hbm x1 Fcfs Open", "trickle", [0, 0]),
+    ("stream", "hbm x1 Fcfs Closed", "at once", [1692, 1692]),
+    ("stream", "hbm x1 Fcfs Closed", "bursts", [1640, 1640]),
+    ("stream", "hbm x1 Fcfs Closed", "trickle", [1229, 1229]),
+    ("stream", "hbm x8 FrFcfs OpenAdaptive", "at once", [1376, 1376]),
+    ("stream", "hbm x8 FrFcfs OpenAdaptive", "bursts", [600, 600]),
     ("stream", "hbm x8 FrFcfs OpenAdaptive", "trickle", [600, 600]),
-    ("stream", "hbm x8 FrFcfs Open", "at once", [1184, 1808]),
-    ("stream", "hbm x8 FrFcfs Open", "bursts", [968, 1240]),
-    ("stream", "hbm x8 FrFcfs Open", "trickle", [600, 600]),
-    ("stream", "hbm x8 FrFcfs Closed", "at once", [145800, 260632]),
-    ("stream", "hbm x8 FrFcfs Closed", "bursts", [10664, 7704]),
+    ("stream", "hbm x8 FrFcfs Open", "at once", [1160, 1160]),
+    ("stream", "hbm x8 FrFcfs Open", "bursts", [1160, 1160]),
+    ("stream", "hbm x8 FrFcfs Open", "trickle", [1160, 1160]),
+    ("stream", "hbm x8 FrFcfs Closed", "at once", [2016, 2016]),
+    ("stream", "hbm x8 FrFcfs Closed", "bursts", [600, 600]),
     ("stream", "hbm x8 FrFcfs Closed", "trickle", [600, 600]),
-    ("stream", "hbm x8 Fcfs OpenAdaptive", "at once", [5208, 9784]),
-    ("stream", "hbm x8 Fcfs OpenAdaptive", "bursts", [10664, 7704]),
-    ("stream", "hbm x8 Fcfs OpenAdaptive", "trickle", [600, 600]),
-    ("stream", "hbm x8 Fcfs Open", "at once", [1136, 1712]),
-    ("stream", "hbm x8 Fcfs Open", "bursts", [968, 1240]),
-    ("stream", "hbm x8 Fcfs Open", "trickle", [600, 600]),
-    ("stream", "hbm x8 Fcfs Closed", "at once", [23504, 32640]),
-    ("stream", "hbm x8 Fcfs Closed", "bursts", [10664, 7704]),
-    ("stream", "hbm x8 Fcfs Closed", "trickle", [600, 600]),
-    ("stream", "hbm x1, queue depth 2", "at once", [8261, 15833]),
-    ("stream", "hbm x1, queue depth 2", "bursts", [8334, 15498]),
-    ("stream", "hbm x1, queue depth 2", "trickle", [12765, 2959]),
-    ("stream", "hbm x8, queue depth 2", "at once", [12608, 24368]),
-    ("stream", "hbm x8, queue depth 2", "bursts", [10664, 7704]),
+    ("stream", "hbm x8 Fcfs OpenAdaptive", "at once", [704, 704]),
+    ("stream", "hbm x8 Fcfs OpenAdaptive", "bursts", [0, 0]),
+    ("stream", "hbm x8 Fcfs OpenAdaptive", "trickle", [0, 0]),
+    ("stream", "hbm x8 Fcfs Open", "at once", [40, 40]),
+    ("stream", "hbm x8 Fcfs Open", "bursts", [0, 0]),
+    ("stream", "hbm x8 Fcfs Open", "trickle", [0, 0]),
+    ("stream", "hbm x8 Fcfs Closed", "at once", [1344, 1344]),
+    ("stream", "hbm x8 Fcfs Closed", "bursts", [0, 0]),
+    ("stream", "hbm x8 Fcfs Closed", "trickle", [0, 0]),
+    ("stream", "hbm x1, queue depth 2", "at once", [1236, 1236]),
+    ("stream", "hbm x1, queue depth 2", "bursts", [1162, 1162]),
+    ("stream", "hbm x1, queue depth 2", "trickle", [674, 674]),
+    ("stream", "hbm x8, queue depth 2", "at once", [1192, 1192]),
+    ("stream", "hbm x8, queue depth 2", "bursts", [600, 600]),
     ("stream", "hbm x8, queue depth 2", "trickle", [600, 600]),
-    ("random", "hbm x1 FrFcfs OpenAdaptive", "at once", [71288, 122512]),
-    ("random", "hbm x1 FrFcfs OpenAdaptive", "bursts", [11956, 7687]),
-    ("random", "hbm x1 FrFcfs OpenAdaptive", "trickle", [815, 764]),
-    ("random", "hbm x1 FrFcfs Open", "at once", [51210, 99364]),
-    ("random", "hbm x1 FrFcfs Open", "bursts", [8101, 5370]),
-    ("random", "hbm x1 FrFcfs Open", "trickle", [600, 600]),
-    ("random", "hbm x1 FrFcfs Closed", "at once", [56455, 108620]),
-    ("random", "hbm x1 FrFcfs Closed", "bursts", [10847, 6558]),
-    ("random", "hbm x1 FrFcfs Closed", "trickle", [815, 764]),
-    ("random", "hbm x1 Fcfs OpenAdaptive", "at once", [23350, 28460]),
-    ("random", "hbm x1 Fcfs OpenAdaptive", "bursts", [7240, 4899]),
-    ("random", "hbm x1 Fcfs OpenAdaptive", "trickle", [815, 764]),
-    ("random", "hbm x1 Fcfs Open", "at once", [4651, 8912]),
-    ("random", "hbm x1 Fcfs Open", "bursts", [3912, 2354]),
-    ("random", "hbm x1 Fcfs Open", "trickle", [600, 600]),
-    ("random", "hbm x1 Fcfs Closed", "at once", [5630, 10764]),
-    ("random", "hbm x1 Fcfs Closed", "bursts", [4902, 2562]),
-    ("random", "hbm x1 Fcfs Closed", "trickle", [815, 764]),
-    ("random", "hbm x8 FrFcfs OpenAdaptive", "at once", [6316, 11301]),
-    ("random", "hbm x8 FrFcfs OpenAdaptive", "bursts", [1772, 1500]),
-    ("random", "hbm x8 FrFcfs OpenAdaptive", "trickle", [630, 624]),
-    ("random", "hbm x8 FrFcfs Open", "at once", [2965, 5295]),
-    ("random", "hbm x8 FrFcfs Open", "bursts", [1263, 1017]),
-    ("random", "hbm x8 FrFcfs Open", "trickle", [600, 600]),
-    ("random", "hbm x8 FrFcfs Closed", "at once", [5892, 11072]),
-    ("random", "hbm x8 FrFcfs Closed", "bursts", [1748, 1476]),
-    ("random", "hbm x8 FrFcfs Closed", "trickle", [630, 624]),
-    ("random", "hbm x8 Fcfs OpenAdaptive", "at once", [8314, 12382]),
-    ("random", "hbm x8 Fcfs OpenAdaptive", "bursts", [1750, 1505]),
-    ("random", "hbm x8 Fcfs OpenAdaptive", "trickle", [630, 624]),
-    ("random", "hbm x8 Fcfs Open", "at once", [2945, 5551]),
-    ("random", "hbm x8 Fcfs Open", "bursts", [1241, 1026]),
-    ("random", "hbm x8 Fcfs Open", "trickle", [600, 600]),
-    ("random", "hbm x8 Fcfs Closed", "at once", [4855, 9267]),
-    ("random", "hbm x8 Fcfs Closed", "bursts", [1711, 1466]),
-    ("random", "hbm x8 Fcfs Closed", "trickle", [630, 624]),
-    ("random", "hbm x1, queue depth 2", "at once", [8728, 16192]),
-    ("random", "hbm x1, queue depth 2", "bursts", [6902, 10732]),
-    ("random", "hbm x1, queue depth 2", "trickle", [815, 764]),
-    ("random", "hbm x8, queue depth 2", "at once", [3630, 6451]),
-    ("random", "hbm x8, queue depth 2", "bursts", [1772, 1500]),
-    ("random", "hbm x8, queue depth 2", "trickle", [630, 624]),
-    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "at once", [56815, 97126]),
-    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "bursts", [1206, 1026]),
-    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "trickle", [660, 636]),
-    ("write mix", "hbm x1 FrFcfs Open", "at once", [16352, 38634]),
-    ("write mix", "hbm x1 FrFcfs Open", "bursts", [972, 852]),
+    ("random", "hbm x1 FrFcfs OpenAdaptive", "at once", [7725, 7725]),
+    ("random", "hbm x1 FrFcfs OpenAdaptive", "bursts", [1565, 1565]),
+    ("random", "hbm x1 FrFcfs OpenAdaptive", "trickle", [600, 600]),
+    ("random", "hbm x1 FrFcfs Open", "at once", [7527, 7527]),
+    ("random", "hbm x1 FrFcfs Open", "bursts", [1567, 1567]),
+    ("random", "hbm x1 FrFcfs Open", "trickle", [610, 610]),
+    ("random", "hbm x1 FrFcfs Closed", "at once", [6628, 6628]),
+    ("random", "hbm x1 FrFcfs Closed", "bursts", [1509, 1509]),
+    ("random", "hbm x1 FrFcfs Closed", "trickle", [600, 600]),
+    ("random", "hbm x1 Fcfs OpenAdaptive", "at once", [9129, 9129]),
+    ("random", "hbm x1 Fcfs OpenAdaptive", "bursts", [2051, 2051]),
+    ("random", "hbm x1 Fcfs OpenAdaptive", "trickle", [0, 0]),
+    ("random", "hbm x1 Fcfs Open", "at once", [9114, 9114]),
+    ("random", "hbm x1 Fcfs Open", "bursts", [2048, 2048]),
+    ("random", "hbm x1 Fcfs Open", "trickle", [0, 0]),
+    ("random", "hbm x1 Fcfs Closed", "at once", [8025, 8025]),
+    ("random", "hbm x1 Fcfs Closed", "bursts", [1909, 1909]),
+    ("random", "hbm x1 Fcfs Closed", "trickle", [0, 0]),
+    ("random", "hbm x8 FrFcfs OpenAdaptive", "at once", [1157, 1157]),
+    ("random", "hbm x8 FrFcfs OpenAdaptive", "bursts", [624, 624]),
+    ("random", "hbm x8 FrFcfs OpenAdaptive", "trickle", [600, 600]),
+    ("random", "hbm x8 FrFcfs Open", "at once", [933, 933]),
+    ("random", "hbm x8 FrFcfs Open", "bursts", [682, 682]),
+    ("random", "hbm x8 FrFcfs Open", "trickle", [664, 664]),
+    ("random", "hbm x8 FrFcfs Closed", "at once", [1123, 1123]),
+    ("random", "hbm x8 FrFcfs Closed", "bursts", [624, 624]),
+    ("random", "hbm x8 FrFcfs Closed", "trickle", [600, 600]),
+    ("random", "hbm x8 Fcfs OpenAdaptive", "at once", [3125, 3125]),
+    ("random", "hbm x8 Fcfs OpenAdaptive", "bursts", [39, 39]),
+    ("random", "hbm x8 Fcfs OpenAdaptive", "trickle", [0, 0]),
+    ("random", "hbm x8 Fcfs Open", "at once", [1158, 1158]),
+    ("random", "hbm x8 Fcfs Open", "bursts", [23, 23]),
+    ("random", "hbm x8 Fcfs Open", "trickle", [0, 0]),
+    ("random", "hbm x8 Fcfs Closed", "at once", [3085, 3085]),
+    ("random", "hbm x8 Fcfs Closed", "bursts", [39, 39]),
+    ("random", "hbm x8 Fcfs Closed", "trickle", [0, 0]),
+    ("random", "hbm x1, queue depth 2", "at once", [1194, 1194]),
+    ("random", "hbm x1, queue depth 2", "bursts", [988, 988]),
+    ("random", "hbm x1, queue depth 2", "trickle", [600, 600]),
+    ("random", "hbm x8, queue depth 2", "at once", [769, 769]),
+    ("random", "hbm x8, queue depth 2", "bursts", [624, 624]),
+    ("random", "hbm x8, queue depth 2", "trickle", [600, 600]),
+    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "at once", [9938, 9938]),
+    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "bursts", [714, 714]),
+    ("write mix", "hbm x1 FrFcfs OpenAdaptive", "trickle", [600, 600]),
+    ("write mix", "hbm x1 FrFcfs Open", "at once", [12715, 12715]),
+    ("write mix", "hbm x1 FrFcfs Open", "bursts", [714, 714]),
     ("write mix", "hbm x1 FrFcfs Open", "trickle", [600, 600]),
-    ("write mix", "hbm x1 FrFcfs Closed", "at once", [48206, 93304]),
-    ("write mix", "hbm x1 FrFcfs Closed", "bursts", [1092, 912]),
-    ("write mix", "hbm x1 FrFcfs Closed", "trickle", [660, 636]),
-    ("write mix", "hbm x1 Fcfs OpenAdaptive", "at once", [19504, 21307]),
-    ("write mix", "hbm x1 Fcfs OpenAdaptive", "bursts", [1734, 1666]),
-    ("write mix", "hbm x1 Fcfs OpenAdaptive", "trickle", [660, 636]),
-    ("write mix", "hbm x1 Fcfs Open", "at once", [1932, 3693]),
-    ("write mix", "hbm x1 Fcfs Open", "bursts", [972, 966]),
-    ("write mix", "hbm x1 Fcfs Open", "trickle", [600, 600]),
-    ("write mix", "hbm x1 Fcfs Closed", "at once", [1976, 3779]),
-    ("write mix", "hbm x1 Fcfs Closed", "bursts", [1092, 1024]),
-    ("write mix", "hbm x1 Fcfs Closed", "trickle", [660, 636]),
-    ("write mix", "hbm x8 FrFcfs OpenAdaptive", "at once", [8000, 14785]),
-    ("write mix", "hbm x8 FrFcfs OpenAdaptive", "bursts", [6247, 4207]),
+    ("write mix", "hbm x1 FrFcfs Closed", "at once", [9117, 9117]),
+    ("write mix", "hbm x1 FrFcfs Closed", "bursts", [714, 714]),
+    ("write mix", "hbm x1 FrFcfs Closed", "trickle", [600, 600]),
+    ("write mix", "hbm x1 Fcfs OpenAdaptive", "at once", [9797, 9797]),
+    ("write mix", "hbm x1 Fcfs OpenAdaptive", "bursts", [642, 642]),
+    ("write mix", "hbm x1 Fcfs OpenAdaptive", "trickle", [0, 0]),
+    ("write mix", "hbm x1 Fcfs Open", "at once", [9553, 9553]),
+    ("write mix", "hbm x1 Fcfs Open", "bursts", [642, 642]),
+    ("write mix", "hbm x1 Fcfs Open", "trickle", [0, 0]),
+    ("write mix", "hbm x1 Fcfs Closed", "at once", [9206, 9206]),
+    ("write mix", "hbm x1 Fcfs Closed", "bursts", [642, 642]),
+    ("write mix", "hbm x1 Fcfs Closed", "trickle", [0, 0]),
+    ("write mix", "hbm x8 FrFcfs OpenAdaptive", "at once", [1103, 1103]),
+    ("write mix", "hbm x8 FrFcfs OpenAdaptive", "bursts", [607, 607]),
     ("write mix", "hbm x8 FrFcfs OpenAdaptive", "trickle", [600, 600]),
-    ("write mix", "hbm x8 FrFcfs Open", "at once", [1056, 1512]),
-    ("write mix", "hbm x8 FrFcfs Open", "bursts", [1020, 1142]),
-    ("write mix", "hbm x8 FrFcfs Open", "trickle", [600, 600]),
-    ("write mix", "hbm x8 FrFcfs Closed", "at once", [7940, 15130]),
-    ("write mix", "hbm x8 FrFcfs Closed", "bursts", [6240, 4200]),
+    ("write mix", "hbm x8 FrFcfs Open", "at once", [1141, 1141]),
+    ("write mix", "hbm x8 FrFcfs Open", "bursts", [1141, 1141]),
+    ("write mix", "hbm x8 FrFcfs Open", "trickle", [1136, 1136]),
+    ("write mix", "hbm x8 FrFcfs Closed", "at once", [1125, 1125]),
+    ("write mix", "hbm x8 FrFcfs Closed", "bursts", [607, 607]),
     ("write mix", "hbm x8 FrFcfs Closed", "trickle", [600, 600]),
-    ("write mix", "hbm x8 Fcfs OpenAdaptive", "at once", [5230, 9408]),
-    ("write mix", "hbm x8 Fcfs OpenAdaptive", "bursts", [6047, 4076]),
-    ("write mix", "hbm x8 Fcfs OpenAdaptive", "trickle", [600, 600]),
-    ("write mix", "hbm x8 Fcfs Open", "at once", [1048, 1501]),
-    ("write mix", "hbm x8 Fcfs Open", "bursts", [1012, 1131]),
-    ("write mix", "hbm x8 Fcfs Open", "trickle", [600, 600]),
-    ("write mix", "hbm x8 Fcfs Closed", "at once", [7494, 12031]),
-    ("write mix", "hbm x8 Fcfs Closed", "bursts", [6040, 4069]),
-    ("write mix", "hbm x8 Fcfs Closed", "trickle", [600, 600]),
-    ("write mix", "hbm x1, queue depth 2", "at once", [4295, 7351]),
-    ("write mix", "hbm x1, queue depth 2", "bursts", [1206, 1026]),
-    ("write mix", "hbm x1, queue depth 2", "trickle", [660, 636]),
-    ("write mix", "hbm x8, queue depth 2", "at once", [7706, 14170]),
-    ("write mix", "hbm x8, queue depth 2", "bursts", [6247, 4207]),
+    ("write mix", "hbm x8 Fcfs OpenAdaptive", "at once", [821, 821]),
+    ("write mix", "hbm x8 Fcfs OpenAdaptive", "bursts", [7, 7]),
+    ("write mix", "hbm x8 Fcfs OpenAdaptive", "trickle", [0, 0]),
+    ("write mix", "hbm x8 Fcfs Open", "at once", [5, 5]),
+    ("write mix", "hbm x8 Fcfs Open", "bursts", [5, 5]),
+    ("write mix", "hbm x8 Fcfs Open", "trickle", [0, 0]),
+    ("write mix", "hbm x8 Fcfs Closed", "at once", [3508, 3508]),
+    ("write mix", "hbm x8 Fcfs Closed", "bursts", [7, 7]),
+    ("write mix", "hbm x8 Fcfs Closed", "trickle", [0, 0]),
+    ("write mix", "hbm x1, queue depth 2", "at once", [1183, 1183]),
+    ("write mix", "hbm x1, queue depth 2", "bursts", [714, 714]),
+    ("write mix", "hbm x1, queue depth 2", "trickle", [600, 600]),
+    ("write mix", "hbm x8, queue depth 2", "at once", [1067, 1067]),
+    ("write mix", "hbm x8, queue depth 2", "bursts", [607, 607]),
     ("write mix", "hbm x8, queue depth 2", "trickle", [600, 600]),
 ];
 
