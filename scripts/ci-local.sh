@@ -9,8 +9,10 @@
 #   test        release build + quick-scale test suite (stable, plus the
 #               MSRV toolchain when rustup has it installed), and the
 #               debug-profile step whose assertions check the baseline's
-#               skipped cycles, every replayed run_into pass and the
-#               coalescer block table's probe bound and stamp wrap
+#               skipped cycles, every replayed run_into pass, the
+#               coalescer block table's probe bound and stamp wrap, and
+#               each HBM controller's cached issue cycle against a scan
+#               of its queue
 #   benchmark   the benchmark/ package's own tests + a 1 s smoke run of
 #               every BENCHMARK.json workload (build, golden checks and
 #               determinism guard of the benchmark driver)
@@ -50,10 +52,11 @@ run_test() {
     cargo build --release --workspace --all-targets
     step "test: quick-scale suite (stable)"
     NMPIC_QUICK=1 cargo test -q --release --workspace
-    step "test: debug profile (checked baseline skips, run_into replays and block table)"
+    step "test: debug profile (checked baseline skips, run_into replays, block table and controller caches)"
     NMPIC_QUICK=1 cargo test -q -p nmpic-core -p nmpic-model -p nmpic-mem -p nmpic-system --lib
     NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --doc
     cargo test -q -p nmpic-system --test base_counts --test engine_counts --test solve --test replay
+    cargo test -q -p nmpic-core --test burst_counts --test coalescer_counts
     step "test: self-checking example (adapter asserts dst == src)"
     cargo run --release -p nmpic-system --example adapter
     # The MSRV leg runs only when the pinned toolchain is available, so
