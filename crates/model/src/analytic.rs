@@ -19,7 +19,7 @@
 //!   constant ([`ChannelModel`]).
 //!
 //! Result *values* are never modeled: the engine computes them exactly
-//! with each system's native kernel (`Csr::spmv_fast_into` for base and
+//! with each system's value kernel (`Csr::spmv_into` for base and
 //! sharded, `Sell::spmv_into` for pack), so analytic runs stay verified
 //! and iterative solvers reproduce their cycle-accurate residual
 //! trajectories bit for bit. Only the cost metrics are approximate, within

@@ -50,8 +50,10 @@ impl Csr {
         if row_ptr.windows(2).any(|w| w[0] > w[1]) {
             return Err(FormatError::BadRowPtr);
         }
-        // nmpic-lint: allow(L2) — invariant: the `first() == Some(&0)` check above already proved row_ptr nonempty
-        if *row_ptr.last().expect("nonempty") as usize != col_idx.len() {
+        let Some(&nnz) = row_ptr.last() else {
+            return Err(FormatError::BadRowPtr);
+        };
+        if nnz as usize != col_idx.len() {
             return Err(FormatError::BadRowPtr);
         }
         if col_idx.len() != values.len() {
@@ -162,8 +164,8 @@ impl Csr {
         }
     }
 
-    /// Fast native SpMV `y = A·x`, **byte-identical** to the golden
-    /// [`Csr::spmv`].
+    /// Fast native SpMV `y = A·x` into a caller-preallocated buffer,
+    /// **byte-identical** to the golden [`Csr::spmv`].
     ///
     /// Same math as the golden model with two mechanical speedups (the
     /// row-blocked parallel CSR kernel from the shared-memory SpMV
@@ -177,21 +179,8 @@ impl Csr {
     ///   writes only its own `y` slice, so the reduction order is fixed
     ///   and the output does not depend on the worker count.
     ///
-    /// This is the verification reference and host-side compute of the
-    /// engine's analytic execution mode, where it replaces both hot
-    /// serial loops (golden SpMV + per-cycle stepping) at sweep scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != cols`.
-    pub fn spmv_fast(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows];
-        self.spmv_fast_into(x, &mut y);
-        y
-    }
-
-    /// [`Csr::spmv_fast`] into a caller-preallocated buffer — the
-    /// zero-realloc form iterative solvers drive per iteration.
+    /// A native throughput reference: the engine computes values with
+    /// the serial, allocation-free [`Csr::spmv_into`].
     ///
     /// # Panics
     ///
@@ -527,9 +516,11 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "jobs={jobs} must be byte-identical to golden");
         }
+        let mut y = vec![f64::NAN; rows];
+        m.spmv_fast_into(&x, &mut y);
         let same = golden
             .iter()
-            .zip(m.spmv_fast(&x).iter())
+            .zip(&y)
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same);
     }
@@ -537,9 +528,11 @@ mod tests {
     #[test]
     fn spmv_fast_handles_degenerate_shapes() {
         let empty = Csr::from_parts(0, 3, vec![0], vec![], vec![]).unwrap();
-        assert!(empty.spmv_fast(&[1.0, 2.0, 3.0]).is_empty());
+        empty.spmv_fast_into(&[1.0, 2.0, 3.0], &mut []);
         let m = Csr::from_parts(3, 3, vec![0, 0, 1, 1], vec![2], vec![9.0]).unwrap();
-        assert_eq!(m.spmv_fast(&[0.0, 0.0, 2.0]), vec![0.0, 18.0, 0.0]);
+        let mut y = vec![f64::NAN; 3];
+        m.spmv_fast_into(&[0.0, 0.0, 2.0], &mut y);
+        assert_eq!(y, vec![0.0, 18.0, 0.0]);
     }
 
     #[test]

@@ -25,8 +25,8 @@ use nmpic_model::BaseAddrs;
 use nmpic_sim::{Cycle, SimClock};
 use nmpic_sparse::Csr;
 
-use crate::engine::{issue_write_back, ExecMode, Executor, PlanFacts};
-use crate::report::{bits_equal, IterReport};
+use crate::engine::{issue_write_back, Executor, PlanFacts, ValueKernel};
+use crate::report::IterReport;
 
 /// Configuration of the baseline system.
 #[derive(Debug, Clone)]
@@ -125,7 +125,6 @@ fn base_memory_size(csr: &Csr) -> usize {
 /// The baseline system's prepared plan: matrix image resident in a warm
 /// channel, LLC allocated once.
 pub(crate) struct BasePlan {
-    mode: ExecMode,
     cfg: BaseConfig,
     backend: BackendConfig,
     csr: Csr,
@@ -144,16 +143,10 @@ impl BasePlan {
     /// # Panics
     ///
     /// Panics on an empty matrix.
-    pub(crate) fn prepare(
-        csr: &Csr,
-        cfg: BaseConfig,
-        backend: &BackendConfig,
-        mode: ExecMode,
-    ) -> Self {
+    pub(crate) fn prepare(csr: &Csr, cfg: BaseConfig, backend: &BackendConfig) -> Self {
         let mut chan = backend.build(Memory::new(base_memory_size(csr)));
         let layout = layout_base(&mut *chan, csr);
         Self {
-            mode,
             llc: Cache::new(cfg.llc),
             cfg,
             backend: backend.clone(),
@@ -163,20 +156,16 @@ impl BasePlan {
         }
     }
 
-    fn model_params(&self) -> nmpic_model::BaseParams {
-        let cfg = &self.cfg;
-        nmpic_model::BaseParams {
-            chunk: cfg.chunk,
-            llc_hit_latency: cfg.llc_hit_latency,
-            gather_issue_interval: cfg.gather_issue_interval,
-            macs_per_cycle: cfg.macs_per_cycle as u64,
-            row_overhead_cycles: cfg.row_overhead_cycles,
-            chan: nmpic_model::ChannelModel::of(&self.backend),
-        }
+    /// Invalidates the LLC lines of the vector, which every pass
+    /// rewrites (none are cached on a cold LLC).
+    fn invalidate_x(&mut self) {
+        let vec_base = self.layout.vec_base;
+        self.llc
+            .invalidate_range(vec_base, vec_base + 8 * self.csr.cols() as u64);
     }
 }
 
-/// No `replay_kernel`: the LLC keeps matrix lines across `run_into`
+/// No `timing_is_constant`: the LLC keeps matrix lines across `run_into`
 /// calls, so a pass's report depends on what earlier passes cached, not
 /// on the plan alone. The first `run_into` on a fresh plan finds a cold
 /// LLC; only from the second on are the reports equal
@@ -193,41 +182,38 @@ impl Executor for BasePlan {
         self.llc.reset();
     }
 
-    fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
-        assert_eq!(xs.len(), 1, "the baseline multiplies one vector per pass");
-        let (x, y) = (xs[0], &mut *ys[0]);
-        let BaseAddrs { vec_base, .. } = self.layout;
-        // Only the rewritten vector's lines are stale (none on a cold
-        // cache).
-        self.llc
-            .invalidate_range(vec_base, vec_base + 8 * self.csr.cols() as u64);
-        match self.mode {
-            ExecMode::CycleAccurate => {
-                self.chan.reset_run_state();
-                self.chan.memory_mut().write_f64_slice(vec_base, x);
-                exec_base(self, x, y)
-            }
-            ExecMode::Analytic => {
-                // The model replays the access stream against the same
-                // stateful LLC, so it is evaluated per vector.
-                let cost = nmpic_model::base_cost(
-                    &self.model_params(),
-                    &self.layout,
-                    self.csr.row_ptr(),
-                    self.csr.col_idx(),
-                    &mut self.llc,
-                );
-                self.csr.spmv_fast_into(x, y);
-                IterReport::modelled(&cost)
-            }
-        }
+    fn value_kernel(&self) -> ValueKernel<'_> {
+        ValueKernel::Csr(&self.csr)
     }
 
-    fn verify(&self, x: &[f64], y: &[f64]) -> bool {
-        // The golden reference runs through the parallel native kernel —
-        // byte-identical to `Csr::spmv` (pinned in nmpic-sparse's tests)
-        // and much faster on large matrices.
-        self.mode == ExecMode::Analytic || bits_equal(y, &self.csr.spmv_fast(x))
+    fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        assert_eq!(xs.len(), 1, "the baseline multiplies one vector per pass");
+        self.invalidate_x();
+        exec_base(self, xs[0], ys[0])
+    }
+
+    /// The model replays the access stream against the same stateful
+    /// LLC, so it is evaluated per vector.
+    fn model(&mut self, vectors: usize) -> IterReport {
+        assert_eq!(vectors, 1, "the baseline multiplies one vector per pass");
+        self.invalidate_x();
+        let cfg = &self.cfg;
+        let params = nmpic_model::BaseParams {
+            chunk: cfg.chunk,
+            llc_hit_latency: cfg.llc_hit_latency,
+            gather_issue_interval: cfg.gather_issue_interval,
+            macs_per_cycle: cfg.macs_per_cycle as u64,
+            row_overhead_cycles: cfg.row_overhead_cycles,
+            chan: nmpic_model::ChannelModel::of(&self.backend),
+        };
+        let cost = nmpic_model::base_cost(
+            &params,
+            &self.layout,
+            self.csr.row_ptr(),
+            self.csr.col_idx(),
+            &mut self.llc,
+        );
+        IterReport::modelled(&cost)
     }
 }
 
@@ -250,9 +236,9 @@ fn layout_base(chan: &mut dyn ChannelPort, csr: &Csr) -> BaseAddrs {
     layout
 }
 
-/// Executes one baseline SpMV against an already laid-out memory image,
-/// starting the channel clock (and, the caller having reset the channel,
-/// its traffic counter) at 0. The result is accumulated into the
+/// Executes one baseline SpMV against an already laid-out memory image:
+/// resets the channel (clock and traffic counter start at 0) and writes
+/// `x` into its home. The result is accumulated into the
 /// caller's `y` buffer (overwritten, not accumulated into) in row-major
 /// element order — byte-identical to [`Csr::spmv`] — so a solver loop
 /// reuses one preallocated buffer instead of receiving a fresh vector
@@ -271,6 +257,8 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
         vec_base,
         res_base,
     } = plan.layout;
+    chan.reset_run_state();
+    chan.memory_mut().write_f64_slice(vec_base, x);
     let values = csr.values();
     let mut acc_row = 0usize;
 

@@ -20,6 +20,11 @@
 //!   amortize each tile's contiguous streams across the batch on the
 //!   pack system and keep the LLC's matrix lines warm on the baseline.
 //!
+//! Each system is one value kernel and two cost sources, a simulator and
+//! a closed-form model. By its [`ExecMode`] a plan takes `y` from the
+//! kernel and the cost from the model, or simulates and checks each `y`
+//! against the kernel bit for bit (`run_into` may replay instead).
+//!
 //! # Example
 //!
 //! ```
@@ -52,7 +57,8 @@ use nmpic_sparse::{Csr, Sell};
 
 use crate::base::BasePlan;
 use crate::pack::PackPlan;
-use crate::report::{same_bits, IterReport, RunReport, ShardDetail};
+use crate::replay::Replay;
+use crate::report::{IterReport, RunReport, ShardDetail};
 use crate::shard::{PartitionStrategy, ShardedPlan};
 use crate::{BaseConfig, PackConfig};
 
@@ -104,8 +110,8 @@ pub enum ExecMode {
     #[default]
     CycleAccurate,
     /// Replace per-cycle stepping with the closed-form traffic/latency
-    /// model in [`nmpic_model::analytic`]; compute result values natively
-    /// with [`Csr::spmv_fast`] (byte-identical to the golden kernel).
+    /// model in [`nmpic_model::analytic`]; compute result values with the
+    /// system's value kernel ([`Csr::spmv_into`] / [`Sell::spmv_into`]).
     /// Cost metrics agree with cycle-accurate mode within
     /// [`nmpic_model::analytic::PINNED_REL_TOL`]; wall-clock cost drops
     /// by orders of magnitude, unlocking million-row sweeps.
@@ -272,19 +278,13 @@ impl SpmvEngine {
     /// Panics on an empty matrix.
     pub fn prepare(&self, csr: &Csr) -> SpmvPlan {
         match &self.system {
-            SystemKind::Base => self.plan(BasePlan::prepare(
-                csr,
-                self.base.clone(),
-                &self.backend,
-                self.exec_mode,
-            )),
+            SystemKind::Base => self.plan(BasePlan::prepare(csr, self.base.clone(), &self.backend)),
             SystemKind::Pack(adapter) => self.plan(PackPlan::prepare(
                 Sell::from_csr_default(csr),
                 self.pack.clone(),
                 adapter,
                 &self.backend,
                 self.batch_capacity,
-                self.exec_mode,
             )),
             SystemKind::Sharded { units, strategy } => self.plan(ShardedPlan::prepare(
                 csr,
@@ -293,19 +293,16 @@ impl SpmvEngine {
                 &self.sharded_adapter,
                 &self.backend,
                 self.shard_workers,
-                self.exec_mode,
             )),
         }
     }
 
-    fn plan(&self, sys: impl Executor + 'static) -> SpmvPlan {
+    pub(crate) fn plan(&self, sys: impl Executor + 'static) -> SpmvPlan {
         SpmvPlan {
             mode: self.exec_mode,
             facts: sys.facts(),
             sys: Box::new(sys),
-            recorded: None,
-            replayed: 0,
-            audit_y: Vec::new(),
+            replay: Replay::default(),
         }
     }
 }
@@ -347,60 +344,56 @@ impl PlanFacts {
     }
 }
 
-/// The contract each system implements exactly once. [`SpmvPlan::run`],
-/// [`SpmvPlan::run_batch`] and [`SpmvPlan::run_into`] all reach the same
-/// `exec`; the system consults its [`ExecMode`] (fixed at prepare) there
-/// to either step the simulators or evaluate the closed-form model in
-/// [`nmpic_model::analytic`], filling the same [`IterReport`] either way.
+/// The contract each system implements exactly once: one value kernel
+/// and two cost sources, which [`SpmvPlan`] alone composes, by its
+/// [`ExecMode`] (see the module doc).
 pub(crate) trait Executor: Send {
     /// The plan's static facts, read once at prepare.
     fn facts(&self) -> PlanFacts;
 
-    /// Returns plan-resident state that survives an `exec` to the
+    /// Returns plan-resident state that survives a pass to the
     /// deterministic cold start every `run`/`run_batch` begins from
     /// (`run_into` deliberately keeps it warm).
     fn cold_start(&mut self) {}
 
-    /// Most vectors one `exec` call multiplies.
+    /// Most vectors one pass multiplies.
     fn chunk_capacity(&self) -> usize {
         1
     }
 
-    /// Multiplies every vector of `xs` (at most
+    /// The native kernel whose bits every simulated `y` must carry.
+    fn value_kernel(&self) -> ValueKernel<'_>;
+
+    /// Simulates one pass of every vector of `xs` (at most
     /// [`Executor::chunk_capacity`]) against the resident matrix image,
-    /// overwriting the matching buffer of `ys`, and reports the cost of
-    /// the whole chunk.
-    fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport;
+    /// overwriting the matching buffer of `ys` with the simulated result,
+    /// and reports the cost of the whole pass.
+    fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport;
 
-    /// `true` iff `y`, as produced by the `exec` that just ran `x`, is
-    /// bit-identical to the system's golden kernel (see
-    /// [`crate::report::bits_equal`]). Analytic plans compute `y` with
-    /// that kernel in the first place and answer `true` without a
-    /// second pass.
-    fn verify(&self, x: &[f64], y: &[f64]) -> bool;
+    /// The closed-form cost ([`nmpic_model::analytic`]) of one pass of
+    /// `vectors` vectors (at most [`Executor::chunk_capacity`]).
+    fn model(&mut self, vectors: usize) -> IterReport;
 
-    /// Multi-unit detail of the last `exec`, scaled to a run of
-    /// `vectors` such executions.
+    /// Multi-unit detail of the last pass, scaled to a run of `vectors`
+    /// such passes.
     fn shard_detail(&self, _vectors: usize) -> Option<ShardDetail> {
         None
     }
 
-    /// Opts the system into [`SpmvPlan::run_into`] replay by naming the
-    /// native kernel that writes the bits its cycle-accurate `exec`
-    /// writes. Only a system whose cycle-accurate `exec` report is a
-    /// function of the plan alone — not of the values of `x`, nor of
-    /// what earlier passes left in plan state — may return `Some`. The
-    /// default `None` keeps every pass simulated.
-    fn replay_kernel(&self) -> Option<ValueKernel<'_>> {
-        None
+    /// `true` iff the report of [`Executor::simulate`] is a function of
+    /// the plan alone — not of the values of `x`, nor of what earlier
+    /// passes left in plan state. Only such a system replays
+    /// [`SpmvPlan::run_into`]; the default keeps every pass simulated.
+    fn timing_is_constant(&self) -> bool {
+        false
     }
 }
 
-/// The native value kernel a replayed [`SpmvPlan::run_into`] computes
-/// `y` with. It runs on the calling thread and allocates nothing.
+/// A system's native value kernel. It runs on the calling thread and
+/// allocates nothing.
 pub(crate) enum ValueKernel<'a> {
     /// [`Csr::spmv_into`]: each row from `+0.0` in CSR order, which is
-    /// what every shard's sink accumulates.
+    /// what the baseline and every shard's sink accumulate.
     Csr(&'a Csr),
     /// [`Sell::spmv_into`]: the pack VPC's per-row order, padding
     /// skipped.
@@ -408,20 +401,13 @@ pub(crate) enum ValueKernel<'a> {
 }
 
 impl ValueKernel<'_> {
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn apply(&self, x: &[f64], y: &mut [f64]) {
         match self {
             ValueKernel::Csr(csr) => csr.spmv_into(x, y),
             ValueKernel::Sell(sell) => sell.spmv_into(x, y),
         }
     }
 }
-
-/// Every `AUDIT_STRIDE`-th replayed [`SpmvPlan::run_into`] pass of a
-/// plan is also simulated in full and must reproduce the recorded report
-/// and the kernel's `y` bit for bit. A constant, not an option: a model
-/// change that makes timing depend on data fails loudly instead of
-/// replaying a stale report.
-const AUDIT_STRIDE: u64 = 64;
 
 /// The result write-back port the base and pack systems share: offers the
 /// oldest pending write to the channel, one attempt per cycle, in issue
@@ -446,13 +432,8 @@ pub struct SpmvPlan {
     mode: ExecMode,
     facts: PlanFacts,
     sys: Box<dyn Executor>,
-    /// The report of the plan's first `run_into`, kept once it has one
-    /// and replays (see [`SpmvPlan::run_into`]).
-    recorded: Option<IterReport>,
-    /// `run_into` passes that returned `recorded`.
-    replayed: u64,
-    /// Result buffer of audit simulations, allocated at the first audit.
-    audit_y: Vec<f64>,
+    /// The check of simulated passes and the `run_into` record.
+    replay: Replay,
 }
 
 impl SpmvPlan {
@@ -506,31 +487,20 @@ impl SpmvPlan {
     /// request comes from the index array and the resident layout, and
     /// the packer restores stream order, so a pass's timing depends on
     /// the plan, not on the values of `x`. Such a plan simulates its
-    /// first `run_into` and records the report. Every later call
-    /// computes `y` with the system's native kernel on the calling
-    /// thread, allocating nothing (the SELL loop with padding skipped
-    /// for pack, the CSR row loop for sharded), and returns the
-    /// recorded report. [`SpmvPlan::replayed_passes`] counts these
-    /// calls. The replay is audited, always:
-    ///
-    /// * every 64th replayed pass is also simulated in full, and debug
-    ///   builds simulate every replayed pass;
-    /// * an audited pass panics, printing both values, unless the
-    ///   simulation reproduces the recorded report and the kernel's `y`
-    ///   bit for bit (any NaN matches any NaN: Rust does not specify the
-    ///   sign or payload of a NaN that arithmetic returns).
-    ///
-    /// Three paths always simulate: [`SpmvPlan::run`] and
-    /// [`SpmvPlan::run_batch`] (their golden verification reads what the
-    /// simulated datapath wrote, e.g. the array the sharded scatter unit
-    /// wrote back), analytic mode (its cost comes from the closed-form
-    /// model and its values from the native kernel already), and the
-    /// baseline, whose LLC warms across `run_into` calls, so its report
-    /// is not a function of the plan alone.
+    /// first `run_into` and records the report; every later call
+    /// computes `y` with the system's value kernel on the calling thread,
+    /// allocating nothing, and returns the record
+    /// ([`SpmvPlan::replayed_passes`] counts these calls). Every 64th
+    /// replayed pass, and in debug builds every one, is simulated again
+    /// and panics, printing both values, unless it reproduces the record
+    /// and the kernel's `y` bit for bit (any NaN matches any NaN).
+    /// [`SpmvPlan::run`] / [`SpmvPlan::run_batch`] (whose check reads
+    /// what the datapath wrote), analytic mode and the baseline (whose
+    /// LLC warms across calls) never replay.
     ///
     /// The result bytes are identical to [`SpmvPlan::run`] on the same
     /// plan (pinned by tests); unlike `run` this path performs **no
-    /// golden-model verification** and returns the lean [`IterReport`]
+    /// per-pass verification** and returns the lean [`IterReport`]
     /// instead of a [`RunReport`] — a solver checks convergence, not
     /// per-iteration golden equality.
     ///
@@ -544,55 +514,20 @@ impl SpmvPlan {
     pub fn run_into(&mut self, x: &[f64], y: &mut [f64]) -> IterReport {
         assert_eq!(x.len(), self.cols(), "vector length must equal cols");
         assert_eq!(y.len(), self.rows(), "result buffer length must equal rows");
-        let kernel = match self.mode {
-            ExecMode::CycleAccurate => self.sys.replay_kernel(),
-            ExecMode::Analytic => None,
-        };
-        let replays = kernel.is_some();
-        let (Some(kernel), Some(recorded)) = (kernel, self.recorded) else {
-            let report = self.sys.exec(&[x], &mut [y]);
-            if replays {
-                self.recorded = Some(report);
+        match self.mode {
+            ExecMode::CycleAccurate => {
+                self.replay
+                    .run_into(&mut *self.sys, &self.facts.label, x, y)
             }
-            return report;
-        };
-        kernel.apply(x, y);
-        self.replayed += 1;
-        if cfg!(debug_assertions) || self.replayed.is_multiple_of(AUDIT_STRIDE) {
-            self.audit(x, y, recorded);
+            ExecMode::Analytic => modelled(&mut *self.sys, &[x], &mut [y]),
         }
-        recorded
     }
 
     /// How many [`SpmvPlan::run_into`] calls on this plan returned the
     /// recorded report of a replaying plan instead of simulating (see
     /// *Replay* there). Audited passes count as replayed.
     pub fn replayed_passes(&self) -> u64 {
-        self.replayed
-    }
-
-    /// Simulates a replayed pass in full and panics unless it reproduces
-    /// the `recorded` report and the kernel's `y` bit for bit.
-    fn audit(&mut self, x: &[f64], y: &[f64], recorded: IterReport) {
-        let mut simulated_y = std::mem::take(&mut self.audit_y);
-        simulated_y.resize(y.len(), 0.0);
-        let simulated = self.sys.exec(&[x], &mut [simulated_y.as_mut_slice()]);
-        let row = y
-            .iter()
-            .zip(&simulated_y)
-            .position(|(&a, &b)| !same_bits(a, b));
-        assert!(
-            simulated == recorded && row.is_none(),
-            "replay audit of {} failed on replayed pass {}: recorded {recorded:?}, simulated \
-             {simulated:?}; {}",
-            self.facts.label,
-            self.replayed,
-            row.map_or("y matches".to_string(), |r| format!(
-                "y[{r}] is {:e} from the kernel, {:e} simulated",
-                y[r], simulated_y[r]
-            )),
-        );
-        self.audit_y = simulated_y;
+        self.replay.replayed()
     }
 
     /// The plan's execution mode (inherited from the engine).
@@ -622,14 +557,13 @@ impl SpmvPlan {
 
     /// The one driver behind [`SpmvPlan::run`] and
     /// [`SpmvPlan::run_batch`]: cold start, then per chunk allocate the
-    /// result vectors, execute into them, accumulate and verify.
+    /// result vectors, execute into them, verify and accumulate.
     fn run_vectors(&mut self, xs: &[&[f64]]) -> RunReport {
         assert!(!xs.is_empty(), "at least one vector");
         for x in xs {
             assert_eq!(x.len(), self.cols(), "vector length must equal cols");
         }
-        let facts = &self.facts;
-        let sys = &mut *self.sys;
+        let (facts, sys, replay) = (&self.facts, &mut *self.sys, &mut self.replay);
         sys.cold_start();
         let mut total = IterReport::default();
         let mut verified = true;
@@ -638,15 +572,19 @@ impl SpmvPlan {
             let done = ys.len();
             ys.extend(chunk.iter().map(|_| vec![0.0f64; facts.rows]));
             let mut bufs: Vec<&mut [f64]> = ys[done..].iter_mut().map(Vec::as_mut_slice).collect();
-            let cost = sys.exec(chunk, &mut bufs);
+            let cost = match self.mode {
+                ExecMode::CycleAccurate => {
+                    let cost = sys.simulate(chunk, &mut bufs);
+                    for (x, y) in chunk.iter().zip(&bufs) {
+                        verified &= replay.verifies(sys.value_kernel(), x, y);
+                    }
+                    cost
+                }
+                ExecMode::Analytic => modelled(sys, chunk, &mut bufs),
+            };
             total.cycles += cost.cycles;
             total.indir_cycles += cost.indir_cycles;
             total.offchip_bytes += cost.offchip_bytes;
-            // Verified before the next chunk executes: a system may check
-            // state the chunk left in its memory image.
-            for (x, y) in chunk.iter().zip(&ys[done..]) {
-                verified &= sys.verify(x, y);
-            }
         }
         RunReport {
             label: facts.label.clone(),
@@ -662,6 +600,14 @@ impl SpmvPlan {
             ys,
         }
     }
+}
+
+/// An analytic pass: `y` from the value kernel, the cost from the model.
+fn modelled(sys: &mut dyn Executor, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+    for (x, y) in xs.iter().zip(ys.iter_mut()) {
+        sys.value_kernel().apply(x, y);
+    }
+    sys.model(xs.len())
 }
 
 /// One SpMV of the golden vector on `plan` — how the system modules'
@@ -832,13 +778,19 @@ mod tests {
         }
     }
 
-    /// The one verification rule is bit equality for every system: a
-    /// result one ulp off the golden kernel's must not pass (the pack
-    /// system used to accept anything within 1e-9 relative).
+    /// The one verification rule is bit equality with the value kernel: a
+    /// simulated `y` one ulp off must fail `run` and a chunked `run_batch`
+    /// (pack used to accept 1e-9 relative). Real plans verify, and their
+    /// `ys` are the kernel's bits in either mode.
     #[test]
     fn verification_rejects_a_one_ulp_deviation() {
+        use crate::replay::tests::{probe_plan, Fault};
         let csr = banded_fem(192, 6, 16, 4);
         let x = x_for(&csr);
+        let mut probe = probe_plan(&csr, Fault::OneUlpOff).0;
+        assert!(!probe.run(&x).verified, "run accepted a 1-ulp error");
+        let batch = probe.run_batch(&vec![x.clone(); 3]).verified;
+        assert!(!batch, "run_batch accepted a 1-ulp error");
         for system in [
             SystemKind::Base,
             SystemKind::Pack(AdapterConfig::mlp(64)),
@@ -847,95 +799,18 @@ mod tests {
                 strategy: PartitionStrategy::ByNnz,
             },
         ] {
-            let mut plan = SpmvEngine::builder()
-                .system(system.clone())
-                .build()
-                .prepare(&csr);
-            let r = plan.run(&x);
-            assert!(r.verified && plan.sys.verify(&x, r.y()), "{system}");
-            let mut off = r.y().to_vec();
-            off[17] = f64::from_bits(off[17].to_bits() + 1);
-            assert!(
-                !plan.sys.verify(&x, &off),
-                "{system}: accepted a 1-ulp error"
-            );
-        }
-    }
-
-    /// A system with CSR values whose timing is 7 cycles per pass, or
-    /// `x[0]` cycles if `data_dependent` — the case replay must never
-    /// meet. Counts its simulated passes.
-    struct Probe {
-        csr: Csr,
-        data_dependent: bool,
-        execs: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    }
-
-    impl Executor for Probe {
-        fn facts(&self) -> PlanFacts {
-            PlanFacts::of_csr("probe".to_string(), &self.csr)
-        }
-
-        fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
-            use std::sync::atomic::Ordering;
-            // Relaxed: a counter read by the same thread after the run.
-            self.execs.fetch_add(1, Ordering::Relaxed);
-            self.csr.spmv_into(xs[0], ys[0]);
-            IterReport {
-                cycles: if self.data_dependent {
-                    xs[0][0] as u64
-                } else {
-                    7
-                },
-                ..IterReport::default()
+            for mode in [ExecMode::CycleAccurate, ExecMode::Analytic] {
+                let mut plan = SpmvEngine::builder()
+                    .system(system.clone())
+                    .exec_mode(mode)
+                    .build()
+                    .prepare(&csr);
+                let r = plan.run(&x);
+                let kernel = plan.sys.value_kernel();
+                assert!(r.verified, "{system}, {mode}");
+                assert!(plan.replay.verifies(kernel, &x, r.y()), "{system}, {mode}");
             }
         }
-
-        fn verify(&self, _x: &[f64], _y: &[f64]) -> bool {
-            true
-        }
-
-        fn replay_kernel(&self) -> Option<ValueKernel<'_>> {
-            Some(ValueKernel::Csr(&self.csr))
-        }
-    }
-
-    /// Runs `passes` `run_into` calls with distinct vectors on a probe
-    /// plan; returns the plan and the probe's simulated-pass counter.
-    fn probe_passes(data_dependent: bool, passes: u64) -> (SpmvPlan, u64) {
-        let csr = banded_fem(64, 4, 8, 1);
-        let execs = std::sync::Arc::default();
-        let mut plan = SpmvEngine::builder().build().plan(Probe {
-            csr: csr.clone(),
-            data_dependent,
-            execs: std::sync::Arc::clone(&execs),
-        });
-        let mut y = vec![0.0; csr.rows()];
-        for k in 0..passes {
-            let x: Vec<f64> = (0..csr.cols()).map(|i| (i as u64 + k) as f64).collect();
-            plan.run_into(&x, &mut y);
-            assert_eq!(y, csr.spmv(&x), "pass {k}");
-        }
-        // Relaxed: every increment happened on this thread.
-        let execs = execs.load(std::sync::atomic::Ordering::Relaxed);
-        (plan, execs)
-    }
-
-    /// The first pass simulates; of the replayed ones, release builds
-    /// simulate every 64th again and debug builds every one.
-    #[test]
-    fn the_audit_simulates_every_64th_replayed_pass() {
-        let replays = 2 * AUDIT_STRIDE + 5;
-        let (plan, execs) = probe_passes(false, 1 + replays);
-        assert_eq!(plan.replayed_passes(), replays);
-        let audits = if cfg!(debug_assertions) { replays } else { 2 };
-        assert_eq!(execs, 1 + audits);
-    }
-
-    #[test]
-    #[should_panic(expected = "replay audit of probe failed")]
-    fn the_audit_catches_timing_that_depends_on_x() {
-        probe_passes(true, 1 + AUDIT_STRIDE);
     }
 
     #[test]

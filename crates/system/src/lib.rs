@@ -62,6 +62,7 @@
 mod base;
 mod engine;
 mod pack;
+mod replay;
 mod report;
 mod service;
 mod shard;

@@ -20,7 +20,7 @@
 //!
 //! The simulation moves real data end to end: the packed vector values
 //! delivered by the adapter are combined with the nonzeros to produce the
-//! result vector, which is checked against the golden CSR/SELL SpMV.
+//! result vector, which must carry the bits of [`Sell::spmv_into`].
 
 use std::collections::VecDeque;
 
@@ -30,8 +30,8 @@ use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
 use nmpic_sim::SimClock;
 use nmpic_sparse::Sell;
 
-use crate::engine::{issue_write_back, ExecMode, Executor, PlanFacts, ValueKernel};
-use crate::report::{bits_equal, IterReport};
+use crate::engine::{issue_write_back, Executor, PlanFacts, ValueKernel};
+use crate::report::IterReport;
 
 /// Tuning of the pack system; the adapter variant is chosen by
 /// [`crate::SystemKind::Pack`].
@@ -96,7 +96,6 @@ fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
 /// The pack system's prepared plan: SELL image resident in a warm
 /// channel, stream-position map and adapter unit built once.
 pub(crate) struct PackPlan {
-    mode: ExecMode,
     cfg: PackConfig,
     backend: BackendConfig,
     sell: Sell,
@@ -119,12 +118,10 @@ impl PackPlan {
         adapter: &AdapterConfig,
         backend: &BackendConfig,
         slots: usize,
-        mode: ExecMode,
     ) -> Self {
         let mut chan = backend.build(Memory::new(pack_plan_memory_size(&sell, slots)));
         let layout = layout_pack(&mut *chan, &sell, slots);
         Self {
-            mode,
             row_of: row_map(&sell),
             unit: IndirectStreamUnit::new(adapter.clone()),
             cfg,
@@ -132,20 +129,6 @@ impl PackPlan {
             sell,
             chan,
             layout,
-        }
-    }
-
-    fn model_params(&self, vectors: usize) -> nmpic_model::PackParams {
-        nmpic_model::PackParams {
-            tile_entries: self.cfg.tile_entries_batched(vectors).max(64),
-            ptr_count: self.sell.slice_ptr().len(),
-            rows: self.sell.rows(),
-            vectors,
-            compute_elems_per_cycle: self.cfg.compute_elems_per_cycle,
-            adapter: self.unit.config().clone(),
-            chan: nmpic_model::ChannelModel::of(&self.backend),
-            idx_base: self.layout.idx_base,
-            vec_bases: self.layout.vec_bases[..vectors].to_vec(),
         }
     }
 }
@@ -169,36 +152,39 @@ impl Executor for PackPlan {
         self.layout.vec_bases.len()
     }
 
-    fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
-        match self.mode {
-            ExecMode::CycleAccurate => {
-                self.chan.reset_run_state();
-                self.unit.reset();
-                for (x, &vec_base) in xs.iter().zip(&self.layout.vec_bases) {
-                    self.chan.memory_mut().write_f64_slice(vec_base, x);
-                }
-                exec_pack(self, xs, ys)
-            }
-            ExecMode::Analytic => {
-                let cost =
-                    nmpic_model::pack_cost(&self.model_params(xs.len()), self.sell.col_idx());
-                for (x, y) in xs.iter().zip(ys.iter_mut()) {
-                    self.sell.spmv_into(x, y);
-                }
-                IterReport::modelled(&cost)
-            }
-        }
+    fn value_kernel(&self) -> ValueKernel<'_> {
+        ValueKernel::Sell(&self.sell)
     }
 
-    fn verify(&self, x: &[f64], y: &[f64]) -> bool {
-        self.mode == ExecMode::Analytic || bits_equal(y, &self.sell.spmv(x))
+    fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        self.chan.reset_run_state();
+        self.unit.reset();
+        for (x, &vec_base) in xs.iter().zip(&self.layout.vec_bases) {
+            self.chan.memory_mut().write_f64_slice(vec_base, x);
+        }
+        exec_pack(self, xs, ys)
+    }
+
+    fn model(&mut self, vectors: usize) -> IterReport {
+        let params = nmpic_model::PackParams {
+            tile_entries: self.cfg.tile_entries_batched(vectors).max(64),
+            ptr_count: self.sell.slice_ptr().len(),
+            rows: self.sell.rows(),
+            vectors,
+            compute_elems_per_cycle: self.cfg.compute_elems_per_cycle,
+            adapter: self.unit.config().clone(),
+            chan: nmpic_model::ChannelModel::of(&self.backend),
+            idx_base: self.layout.idx_base,
+            vec_bases: self.layout.vec_bases[..vectors].to_vec(),
+        };
+        IterReport::modelled(&nmpic_model::pack_cost(&params, self.sell.col_idx()))
     }
 
     /// Every request of a pass comes from the SELL arrays and the fixed
-    /// layout, and `exec` resets the channel and the unit first, so the
-    /// report depends on the plan alone.
-    fn replay_kernel(&self) -> Option<ValueKernel<'_>> {
-        Some(ValueKernel::Sell(&self.sell))
+    /// layout, and `simulate` resets the channel and the unit first, so
+    /// the report depends on the plan alone.
+    fn timing_is_constant(&self) -> bool {
+        true
     }
 }
 
@@ -290,7 +276,6 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
     // VPC state.
     let mut computed_tiles = 0usize;
     let mut vpc_busy_until = 0u64;
-    let mut vpc_running = false;
     let mut cur_tile: Option<TileData> = None;
     let mut pos_cursor = 0usize; // global stream position of computed data
     let mut rows_written = 0usize;
@@ -366,16 +351,13 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
 
         // --- VPC compute: start when a tile is buffered, finish after the
         // tile's compute time (one pass per batch vector).
-        if !vpc_running {
+        if cur_tile.is_none() {
             if let Some(tile) = ready_tiles.pop_front() {
                 let n = tile.0.len() * b_n;
                 vpc_busy_until = now + (n as f64 / cfg.compute_elems_per_cycle).ceil() as u64;
                 cur_tile = Some(tile);
-                vpc_running = true;
             }
-        } else if now >= vpc_busy_until {
-            // nmpic-lint: allow(L2) — invariant: `vpc_running` is only set where `cur_tile` was populated
-            let (vals, vecs) = cur_tile.take().expect("running tile");
+        } else if let Some((vals, vecs)) = cur_tile.take_if(|_| now >= vpc_busy_until) {
             for (b, vecs_b) in vecs.iter().enumerate() {
                 debug_assert_eq!(vals.len(), vecs_b.len());
                 for k in 0..vals.len() {
@@ -391,7 +373,6 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
                 }
             }
             pos_cursor += vals.len();
-            vpc_running = false;
             computed_tiles += 1;
             // Write back completed result rows, one 64 B line per vector
             // at a time.
@@ -556,7 +537,6 @@ mod tests {
                 &adapter,
                 &BackendConfig::hbm(),
                 1,
-                ExecMode::CycleAccurate,
             );
             assert_eq!(plan.facts().label, want);
         }

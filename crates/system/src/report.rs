@@ -69,7 +69,9 @@ pub struct RunReport {
     /// Compulsory off-chip bytes for the whole batch: matrix arrays once,
     /// each vector and result once.
     pub ideal_bytes: u64,
-    /// Whether every computed result vector matched the golden SpMV.
+    /// Whether every simulated result vector carried the bits of the
+    /// system's value kernel (an analytic run's vectors come from that
+    /// kernel, so it is always `true` there).
     pub verified: bool,
     /// The computed result vectors, one per input vector.
     pub ys: Vec<Vec<f64>>,
@@ -206,24 +208,6 @@ impl IterReport {
 pub fn golden_x(i: usize) -> f64 {
     // Keep magnitudes tame so accumulation order effects stay tiny.
     0.5 + ((i as u64).wrapping_mul(2654435761) % 1000) as f64 * 1e-3
-}
-
-/// `true` iff two result vectors are **bit-identical** — the one rule
-/// every system's golden verification applies: each datapath reproduces
-/// its golden kernel's accumulation order exactly ([`nmpic_sparse::Csr::spmv`]
-/// for base and sharded, [`nmpic_sparse::Sell::spmv`] for pack). Compared
-/// entry by entry with [`same_bits`].
-pub(crate) fn bits_equal(got: &[f64], want: &[f64]) -> bool {
-    got.len() == want.len() && got.iter().zip(want).all(|(&a, &b)| same_bits(a, b))
-}
-
-/// `true` iff `a` and `b` have the same bits, or are both NaN. Rust
-/// leaves the sign and payload of a NaN that arithmetic returns
-/// unspecified: two loops with the same operation order can differ
-/// there, e.g. in which operand of an add the compiler commuted
-/// propagates its NaN.
-pub(crate) fn same_bits(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
 #[cfg(test)]

@@ -24,10 +24,10 @@
 //!    [`ScatterUnit`] burst that writes the global result array with
 //!    coalesced wide writes.
 //!
-//! The engine moves real data end to end: the result array read back
-//! from the collection channel must be **byte-identical** to the golden
-//! [`Csr::spmv`] (shards accumulate in the same per-row order, so even
-//! floating-point rounding matches).
+//! The engine moves real data end to end: a pass's `y` is the result
+//! array read back from the collection channel, and it must be
+//! **byte-identical** to [`Csr::spmv_into`] (shards accumulate in the
+//! same per-row order, so even floating-point rounding matches).
 
 use std::fmt;
 
@@ -42,8 +42,8 @@ use nmpic_sim::stats::Extrema;
 use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
 use nmpic_sparse::Csr;
 
-use crate::engine::{ExecMode, Executor, PlanFacts, ValueKernel};
-use crate::report::{bits_equal, same_bits, IterReport, ShardDetail};
+use crate::engine::{Executor, PlanFacts, ValueKernel};
+use crate::report::{IterReport, ShardDetail};
 
 /// How rows are divided across units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -125,7 +125,6 @@ struct CollectOut {
 /// The sharded system's prepared plan: one warm channel/unit pair per
 /// shard plus the single-channel write-back port.
 pub(crate) struct ShardedPlan {
-    mode: ExecMode,
     adapter: AdapterConfig,
     backend: BackendConfig,
     csr: Csr,
@@ -136,17 +135,11 @@ pub(crate) struct ShardedPlan {
     collect_idx_base: u64,
     collect_res_base: u64,
     merge_rows: Vec<u32>,
-    /// Merge-order result bits staged for the collection phase, reused
-    /// across runs so the solver hot path allocates nothing per
-    /// iteration.
-    merge_bits: Vec<u64>,
     /// Worker-thread override for the per-shard fan-out (`None` = the
     /// shared pool's `NMPIC_JOBS` policy).
     workers: Option<usize>,
-    /// Per-shard and collection outcome of the last `exec` (`outs` is
-    /// empty before the first). The analytic outcome depends on plan
-    /// state only — not on vector values — so that mode evaluates it on
-    /// the first `exec` and keeps it.
+    /// Per-shard and collection outcome of the last pass (`outs` is
+    /// empty before the first).
     outs: Vec<ShardOut>,
     collect: CollectOut,
 }
@@ -166,7 +159,6 @@ impl ShardedPlan {
         adapter: &AdapterConfig,
         backend: &BackendConfig,
         workers: Option<usize>,
-        mode: ExecMode,
     ) -> Self {
         assert!(units > 0, "at least one unit");
         assert!(csr.rows() > 0 && csr.nnz() > 0, "empty matrix");
@@ -224,7 +216,6 @@ impl ShardedPlan {
         mem.write_u32_slice(collect_idx_base, &merge_rows);
 
         Self {
-            mode,
             adapter: adapter.clone(),
             backend: backend.clone(),
             csr: csr.clone(),
@@ -235,7 +226,6 @@ impl ShardedPlan {
             collect_idx_base,
             collect_res_base,
             merge_rows,
-            merge_bits: vec![0; rows],
             workers,
             outs: Vec::new(),
             collect: CollectOut::default(),
@@ -248,10 +238,40 @@ impl ShardedPlan {
         self.workers.unwrap_or_else(pool::parallel_jobs)
     }
 
-    /// Cycle-accurate SpMV: parallel per-shard gathers into the slots'
-    /// resident `local_y` buffers, merge into `y`, then the merged
-    /// write-back phase.
-    fn simulate(&mut self, x: &[f64], y: &mut [f64]) {
+    /// The cost of the last pass. Units share nothing, so the gather
+    /// phase lasts as long as its slowest shard; collection starts once
+    /// that one has drained.
+    fn last_pass(&self) -> IterReport {
+        let gather = self.outs.iter().map(|o| o.cycles).max().unwrap_or(0);
+        let shard_bytes: u64 = self.outs.iter().map(|o| o.data_bytes).sum();
+        IterReport {
+            cycles: gather + self.collect.cycles,
+            indir_cycles: gather,
+            offchip_bytes: shard_bytes + self.collect.data_bytes,
+        }
+    }
+}
+
+impl Executor for ShardedPlan {
+    fn facts(&self) -> PlanFacts {
+        let label = format!(
+            "sharded x{} ({}, {})",
+            self.slots.len(),
+            self.adapter.label(),
+            self.backend.label()
+        );
+        PlanFacts::of_csr(label, &self.csr)
+    }
+
+    fn value_kernel(&self) -> ValueKernel<'_> {
+        ValueKernel::Csr(&self.csr)
+    }
+
+    /// Parallel per-shard gathers, merged into `y`, then the write-back
+    /// phase, which reads `y` back from the result array it wrote.
+    fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        assert_eq!(xs.len(), 1, "the units gather one vector per pass");
+        let (x, y) = (xs[0], &mut *ys[0]);
         // Every shard's unit simulation runs on its own worker thread.
         // Each worker owns its slot exclusively (channel, unit, and a
         // local accumulation buffer), so the simulations are bit-for-bit
@@ -267,17 +287,19 @@ impl ShardedPlan {
         for slot in &self.slots {
             y[slot.row_start..slot.row_start + slot.rows].copy_from_slice(&slot.local_y);
         }
-
-        self.merge_bits.clear();
-        self.merge_bits
-            .extend(self.merge_rows.iter().map(|&r| y[r as usize].to_bits()));
-        self.collect = exec_merged_writeback(self);
+        self.collect = exec_merged_writeback(self, y);
+        self.last_pass()
     }
 
     /// Analytic costs: the gather phase replays each shard's index
     /// stream through the coalescer traffic model, the collection phase
-    /// streams the merged result rows.
-    fn model(&mut self) {
+    /// streams the merged result rows. Both depend on the plan alone, so
+    /// they are evaluated once and kept in `outs` / `collect`.
+    fn model(&mut self, vectors: usize) -> IterReport {
+        assert_eq!(vectors, 1, "the units gather one vector per pass");
+        if !self.outs.is_empty() {
+            return self.last_pass();
+        }
         let unit_chan = nmpic_model::ChannelModel::of(&self.backend.split(self.slots.len()));
         let collect_chan =
             nmpic_model::ChannelModel::of(&self.backend.split(self.backend.kind.channels()));
@@ -317,58 +339,7 @@ impl ShardedPlan {
             data_bytes: collect.offchip_bytes,
             scatter: ScatterStats::default(),
         };
-    }
-}
-
-impl Executor for ShardedPlan {
-    fn facts(&self) -> PlanFacts {
-        let label = format!(
-            "sharded x{} ({}, {})",
-            self.slots.len(),
-            self.adapter.label(),
-            self.backend.label()
-        );
-        PlanFacts::of_csr(label, &self.csr)
-    }
-
-    fn exec(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
-        assert_eq!(xs.len(), 1, "the units gather one vector per pass");
-        let (x, y) = (xs[0], &mut *ys[0]);
-        match self.mode {
-            ExecMode::CycleAccurate => self.simulate(x, y),
-            ExecMode::Analytic => {
-                if self.outs.is_empty() {
-                    self.model();
-                }
-                self.csr.spmv_fast_into(x, y);
-            }
-        }
-        // Units share nothing, so the gather phase lasts as long as its
-        // slowest shard; collection starts once that one has drained.
-        let gather = self.outs.iter().map(|o| o.cycles).max().unwrap_or(0);
-        let shard_bytes: u64 = self.outs.iter().map(|o| o.data_bytes).sum();
-        IterReport {
-            cycles: gather + self.collect.cycles,
-            indir_cycles: gather,
-            offchip_bytes: shard_bytes + self.collect.data_bytes,
-        }
-    }
-
-    /// Both the merged vector handed to the caller and the result array
-    /// the scatter unit wrote back must carry the golden bits.
-    fn verify(&self, x: &[f64], y: &[f64]) -> bool {
-        if self.mode == ExecMode::Analytic {
-            return true;
-        }
-        let golden = self.csr.spmv_fast(x);
-        let mem = self.collect_chan.memory();
-        bits_equal(y, &golden)
-            && golden.iter().enumerate().all(|(r, want)| {
-                same_bits(
-                    f64::from_bits(mem.read_u64(self.collect_res_base + 8 * r as u64)),
-                    *want,
-                )
-            })
+        self.last_pass()
     }
 
     /// Gather timing, DRAM counters and scatter statistics do not depend
@@ -428,10 +399,10 @@ impl Executor for ShardedPlan {
     }
 
     /// Each shard's gather stream comes from its index array, the
-    /// write-back from the merge order, and `exec` resets every channel
-    /// and unit first, so the report depends on the plan alone.
-    fn replay_kernel(&self) -> Option<ValueKernel<'_>> {
-        Some(ValueKernel::Csr(&self.csr))
+    /// write-back from the merge order, and `simulate` resets every
+    /// channel and unit first, so the report depends on the plan alone.
+    fn timing_is_constant(&self) -> bool {
+        true
     }
 }
 
@@ -504,26 +475,29 @@ fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], values: &[f64]) -> ShardOu
     }
 }
 
-/// Streams the plan's staged `merge_bits` through its warm scatter unit
-/// (the merge-order index array was written at prepare time) into the
-/// result array, without reading the array back: the caller already
-/// holds the merged `y`, and golden verification reads the array back
-/// separately.
-fn exec_merged_writeback(plan: &mut ShardedPlan) -> CollectOut {
+/// Streams the merged `y` in merge order through the plan's warm scatter
+/// unit (the merge-order index array was written at prepare time) into
+/// the result array, then reads that array back into `y`.
+fn exec_merged_writeback(plan: &mut ShardedPlan, y: &mut [f64]) -> CollectOut {
     let (chan, unit) = (&mut *plan.collect_chan, &mut plan.scatter);
     chan.reset_run_state();
     unit.reset();
     let req = ScatterRequest {
         idx_base: plan.collect_idx_base,
         idx_size: ElemSize::B4,
-        count: plan.merge_bits.len() as u64,
+        count: plan.merge_rows.len() as u64,
         elem_base: plan.collect_res_base,
         elem_size: ElemSize::B8,
     };
+    let merged = plan.merge_rows.iter().map(|&r| y[r as usize].to_bits());
     let cycles = unit
-        .run_burst(chan, req, plan.merge_bits.iter().copied())
+        .run_burst(chan, req, merged)
         // nmpic-lint: allow(L2) — invariant: the scatter unit was reset just above and a prepared plan has at least one row, so the burst is accepted
         .expect("reset scatter unit accepts a non-empty burst");
+    let mem = chan.memory();
+    for (r, out) in y.iter_mut().enumerate() {
+        *out = mem.read_f64(plan.collect_res_base + 8 * r as u64);
+    }
 
     CollectOut {
         cycles,

@@ -1,16 +1,16 @@
 //! Analytic execution mode + native kernel acceptance tests:
 //!
-//! 1. [`Csr::spmv_fast`] is byte-identical to the golden [`Csr::spmv`]
-//!    at every worker count (1/2/4/8) on structured and hub/power-law
-//!    matrices — row-blocked parallelism must not change the reduction
-//!    order;
+//! 1. [`Csr::spmv_fast_into`] is byte-identical to the golden
+//!    [`Csr::spmv`] at every worker count (1/2/4/8) on structured and
+//!    hub/power-law matrices — row-blocked parallelism must not change
+//!    the reduction order;
 //! 2. an [`ExecMode::Analytic`] plan fills the same [`RunReport`]
 //!    cost fields within the pinned relative tolerance
 //!    (`nmpic_model::PINNED_REL_TOL`) of [`ExecMode::CycleAccurate`]
 //!    across every backend × system, with bit-identical result vectors;
 //! 3. a CG solve in analytic mode reproduces the cycle-accurate
-//!    residual trajectory exactly — values come from `spmv_fast`, only
-//!    the cost metrics are modeled.
+//!    residual trajectory exactly — values come from the plan's value
+//!    kernel, only the cost metrics are modeled.
 
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
@@ -82,9 +82,11 @@ fn spmv_fast_is_byte_identical_to_golden_at_every_worker_count() {
     for (name, a) in &matrices {
         let x: Vec<f64> = (0..a.cols()).map(golden_x).collect();
         let golden = a.spmv(&x);
+        let mut y = vec![0.0; a.rows()];
+        a.spmv_fast_into(&x, &mut y);
         assert_eq!(
             bits(&golden),
-            bits(&a.spmv_fast(&x)),
+            bits(&y),
             "{name}: spmv_fast (default workers) diverged from golden"
         );
         for jobs in [1usize, 2, 4, 8] {

@@ -9,7 +9,9 @@
 #   test        release build + quick-scale test suite (stable, plus the
 #               MSRV toolchain when rustup has it installed), and the
 #               debug-profile step whose assertions check the baseline's
-#               skipped cycles, every replayed run_into pass, the
+#               skipped cycles, every replayed run_into pass (and what
+#               it allocates), both exec modes' check against the value
+#               kernel, the
 #               coalescer block table's probe bound and stamp wrap, and
 #               each HBM controller's cached issue cycle against a scan
 #               of its queue
@@ -55,7 +57,7 @@ run_test() {
     step "test: debug profile (checked baseline skips, run_into replays, block table and controller caches)"
     NMPIC_QUICK=1 cargo test -q -p nmpic-core -p nmpic-model -p nmpic-mem -p nmpic-system --lib
     NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --doc
-    cargo test -q -p nmpic-system --test base_counts --test engine_counts --test solve --test replay
+    cargo test -q -p nmpic-system --test base_counts --test engine_counts --test solve --test replay --test host_alloc --test exec_mode
     cargo test -q -p nmpic-core --test burst_counts --test coalescer_counts
     step "test: self-checking example (adapter asserts dst == src)"
     cargo run --release -p nmpic-system --example adapter
