@@ -1,4 +1,5 @@
-//! Pinned simulated counts of the cycle-accurate baseline system.
+//! Pinned simulated counts of the baseline system, cycle-accurate
+//! (`PINNED`) and analytic (`ANALYTIC`).
 //!
 //! One factor at a time around `BaseConfig::default()` — `chunk`
 //! {8, 32, 64}, `mshrs` {2, 8, 16}, `vlsu_outstanding` {1, 8},
@@ -6,9 +7,11 @@
 //! three generators × {ideal, hbm, hbm x8}. Each row holds the exact
 //! `(cycles, indir_cycles, offchip_bytes)` of `run` on a fresh plan and
 //! of the second `run_into` on another fresh plan (warm matrix lines).
-//! The literals were recorded from the baseline's per-cycle loop before
-//! it learnt to skip idle cycles; a change to that loop must leave this
-//! file untouched and green.
+//! The `PINNED` literals were recorded from the baseline's per-cycle
+//! loop before it learnt to skip idle cycles; a change to that loop must
+//! leave them untouched and green. The `ANALYTIC` literals were recorded
+//! from the model's per-element LLC replay; a change to the replay must
+//! leave them untouched and green.
 //!
 //! On a mismatch the failure message prints the measured rows in source
 //! form, so a deliberate model change re-pins by copy and paste.
@@ -16,7 +19,7 @@
 use nmpic_mem::{BackendConfig, CacheConfig};
 use nmpic_sparse::gen::{banded_fem, circuit, random_uniform};
 use nmpic_sparse::Csr;
-use nmpic_system::{golden_x, BaseConfig, IterReport, SpmvEngine, SystemKind};
+use nmpic_system::{golden_x, BaseConfig, ExecMode, IterReport, SpmvEngine, SystemKind};
 
 /// `(cycles, indir_cycles, offchip_bytes)`.
 type Counts = (u64, u64, u64);
@@ -100,6 +103,86 @@ const PINNED: &[Row] = &[
     ("llc8k", "random_uniform", "hbm x8", [(47223, 34454, 97856), (47223, 34454, 97856)]),
 ];
 
+/// The same grid under `ExecMode::Analytic`: the model's replay of the
+/// per-chunk LLC access order, recorded before that replay walked lines
+/// instead of elements. The `llc8k` rows evict, so they pin the LRU
+/// order the replay leaves behind, not only hit and miss counts.
+#[rustfmt::skip]
+const ANALYTIC: &[Row] = &[
+    ("default", "banded_fem", "ideal", [(65450, 51974, 102464), (58092, 45330, 12288)]),
+    ("default", "banded_fem", "hbm", [(72083, 58402, 102464), (58118, 45330, 12288)]),
+    ("default", "banded_fem", "hbm x8", [(70321, 57087, 102464), (58118, 45330, 12288)]),
+    ("chunk8", "banded_fem", "ideal", [(106703, 83210, 102464), (85745, 72530, 12288)]),
+    ("chunk8", "banded_fem", "hbm", [(131988, 96912, 102464), (86744, 73503, 12288)]),
+    ("chunk8", "banded_fem", "hbm x8", [(130142, 96139, 102464), (86658, 73417, 12288)]),
+    ("chunk64", "banded_fem", "ideal", [(58670, 45646, 102464), (53572, 40810, 12288)]),
+    ("chunk64", "banded_fem", "hbm", [(62365, 49249, 102464), (53598, 40810, 12288)]),
+    ("chunk64", "banded_fem", "hbm x8", [(60603, 47652, 102464), (53598, 40810, 12288)]),
+    ("mshrs2", "banded_fem", "ideal", [(65450, 51974, 102464), (58092, 45330, 12288)]),
+    ("mshrs2", "banded_fem", "hbm", [(72083, 58402, 102464), (58118, 45330, 12288)]),
+    ("mshrs2", "banded_fem", "hbm x8", [(70321, 57087, 102464), (58118, 45330, 12288)]),
+    ("mshrs16", "banded_fem", "ideal", [(65450, 51974, 102464), (58092, 45330, 12288)]),
+    ("mshrs16", "banded_fem", "hbm", [(72083, 58402, 102464), (58118, 45330, 12288)]),
+    ("mshrs16", "banded_fem", "hbm x8", [(70321, 57087, 102464), (58118, 45330, 12288)]),
+    ("vlsu1", "banded_fem", "ideal", [(65450, 51974, 102464), (58092, 45330, 12288)]),
+    ("vlsu1", "banded_fem", "hbm", [(72083, 58402, 102464), (58118, 45330, 12288)]),
+    ("vlsu1", "banded_fem", "hbm x8", [(70321, 57087, 102464), (58118, 45330, 12288)]),
+    ("gii1", "banded_fem", "ideal", [(36450, 22974, 102464), (29092, 16330, 12288)]),
+    ("gii1", "banded_fem", "hbm", [(44685, 31005, 102464), (30721, 17933, 12288)]),
+    ("gii1", "banded_fem", "hbm x8", [(42839, 29604, 102464), (30635, 17847, 12288)]),
+    ("llc8k", "banded_fem", "ideal", [(65450, 51974, 102464), (65450, 51974, 102464)]),
+    ("llc8k", "banded_fem", "hbm", [(72083, 58402, 102464), (72083, 58402, 102464)]),
+    ("llc8k", "banded_fem", "hbm x8", [(70321, 57087, 102464), (70321, 57087, 102464)]),
+    ("default", "circuit", "ideal", [(49919, 36840, 76928), (44679, 32050, 12288)]),
+    ("default", "circuit", "hbm", [(54636, 41419, 76928), (44705, 32050, 12288)]),
+    ("default", "circuit", "hbm x8", [(53374, 40437, 76928), (44705, 32050, 12288)]),
+    ("chunk8", "circuit", "ideal", [(79039, 58984, 76928), (64199, 51250, 12288)]),
+    ("chunk8", "circuit", "hbm", [(97071, 68997, 76928), (65060, 52085, 12288)]),
+    ("chunk8", "circuit", "hbm x8", [(95723, 68391, 76928), (64974, 51999, 12288)]),
+    ("chunk64", "circuit", "ideal", [(45119, 32360, 76928), (41479, 28850, 12288)]),
+    ("chunk64", "circuit", "hbm", [(47756, 34939, 76928), (41505, 28850, 12288)]),
+    ("chunk64", "circuit", "hbm x8", [(46494, 33757, 76928), (41505, 28850, 12288)]),
+    ("mshrs2", "circuit", "ideal", [(49919, 36840, 76928), (44679, 32050, 12288)]),
+    ("mshrs2", "circuit", "hbm", [(54636, 41419, 76928), (44705, 32050, 12288)]),
+    ("mshrs2", "circuit", "hbm x8", [(53374, 40437, 76928), (44705, 32050, 12288)]),
+    ("mshrs16", "circuit", "ideal", [(49919, 36840, 76928), (44679, 32050, 12288)]),
+    ("mshrs16", "circuit", "hbm", [(54636, 41419, 76928), (44705, 32050, 12288)]),
+    ("mshrs16", "circuit", "hbm x8", [(53374, 40437, 76928), (44705, 32050, 12288)]),
+    ("vlsu1", "circuit", "ideal", [(49919, 36840, 76928), (44679, 32050, 12288)]),
+    ("vlsu1", "circuit", "hbm", [(54636, 41419, 76928), (44705, 32050, 12288)]),
+    ("vlsu1", "circuit", "hbm x8", [(53374, 40437, 76928), (44705, 32050, 12288)]),
+    ("gii1", "circuit", "ideal", [(29443, 16364, 76928), (24203, 11574, 12288)]),
+    ("gii1", "circuit", "hbm", [(35107, 21889, 76928), (25176, 12521, 12288)]),
+    ("gii1", "circuit", "hbm x8", [(33759, 20823, 76928), (25090, 12435, 12288)]),
+    ("llc8k", "circuit", "ideal", [(49919, 36840, 100928), (49919, 36840, 100928)]),
+    ("llc8k", "circuit", "hbm", [(54636, 41419, 100928), (54636, 41419, 100928)]),
+    ("llc8k", "circuit", "hbm x8", [(53374, 40437, 100928), (53374, 40437, 100928)]),
+    ("default", "random_uniform", "ideal", [(46070, 33090, 70656), (41366, 28770, 12288)]),
+    ("default", "random_uniform", "hbm", [(50311, 37209, 70656), (41407, 28785, 12288)]),
+    ("default", "random_uniform", "hbm x8", [(49156, 36294, 70656), (41392, 28770, 12288)]),
+    ("chunk8", "random_uniform", "ideal", [(72278, 52578, 70656), (58934, 46050, 12288)]),
+    ("chunk8", "random_uniform", "hbm", [(88349, 60871, 70656), (59573, 46663, 12288)]),
+    ("chunk8", "random_uniform", "hbm x8", [(87123, 60305, 70656), (59487, 46577, 12288)]),
+    ("chunk64", "random_uniform", "ideal", [(41750, 29058, 70656), (38486, 25890, 12288)]),
+    ("chunk64", "random_uniform", "hbm", [(44104, 31362, 70656), (38512, 25890, 12288)]),
+    ("chunk64", "random_uniform", "hbm x8", [(42964, 30282, 70656), (38512, 25890, 12288)]),
+    ("mshrs2", "random_uniform", "ideal", [(46070, 33090, 70656), (41366, 28770, 12288)]),
+    ("mshrs2", "random_uniform", "hbm", [(50311, 37209, 70656), (41407, 28785, 12288)]),
+    ("mshrs2", "random_uniform", "hbm x8", [(49156, 36294, 70656), (41392, 28770, 12288)]),
+    ("mshrs16", "random_uniform", "ideal", [(46070, 33090, 70656), (41366, 28770, 12288)]),
+    ("mshrs16", "random_uniform", "hbm", [(50311, 37209, 70656), (41407, 28785, 12288)]),
+    ("mshrs16", "random_uniform", "hbm x8", [(49156, 36294, 70656), (41392, 28770, 12288)]),
+    ("vlsu1", "random_uniform", "ideal", [(46070, 33090, 70656), (41366, 28770, 12288)]),
+    ("vlsu1", "random_uniform", "hbm", [(50311, 37209, 70656), (41407, 28785, 12288)]),
+    ("vlsu1", "random_uniform", "hbm x8", [(49156, 36294, 70656), (41392, 28770, 12288)]),
+    ("gii1", "random_uniform", "ideal", [(27762, 14782, 70656), (23058, 10462, 12288)]),
+    ("gii1", "random_uniform", "hbm", [(32483, 19381, 70656), (23579, 10957, 12288)]),
+    ("gii1", "random_uniform", "hbm x8", [(31257, 18395, 70656), (23493, 10871, 12288)]),
+    ("llc8k", "random_uniform", "ideal", [(46070, 33090, 97344), (46070, 33090, 97344)]),
+    ("llc8k", "random_uniform", "hbm", [(50311, 37209, 97344), (50311, 37209, 97344)]),
+    ("llc8k", "random_uniform", "hbm x8", [(49156, 36294, 97344), (49156, 36294, 97344)]),
+];
+
 const CONFIGS: [&str; 8] = [
     "default", "chunk8", "chunk64", "mshrs2", "mshrs16", "vlsu1", "gii1", "llc8k",
 ];
@@ -156,10 +239,11 @@ fn of_iter(r: &IterReport) -> Counts {
     (r.cycles, r.indir_cycles, r.offchip_bytes)
 }
 
-fn measure(cfg: &str, csr: &Csr, backend_name: &str) -> [Counts; 2] {
+fn measure(mode: ExecMode, cfg: &str, csr: &Csr, backend_name: &str) -> [Counts; 2] {
     let engine = SpmvEngine::builder()
         .backend(backend(backend_name))
         .system(SystemKind::Base)
+        .exec_mode(mode)
         .base_config(config(cfg))
         .build();
     let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
@@ -176,17 +260,17 @@ fn measure(cfg: &str, csr: &Csr, backend_name: &str) -> [Counts; 2] {
     ]
 }
 
-#[test]
-fn baseline_counts_match_the_pinned_table() {
+/// Measures the whole grid in `mode` and compares it with `table`.
+fn check_grid(mode: ExecMode, table: &[Row]) {
     let mut drifted = Vec::new();
     let mut measured = Vec::new();
     for m in MATRICES {
         let csr = matrix(m);
         for cfg in CONFIGS {
             for b in BACKENDS {
-                let got = measure(cfg, &csr, b);
+                let got = measure(mode, cfg, &csr, b);
                 let row = format!("    ({cfg:?}, {m:?}, {b:?}, {got:?}),");
-                let want = PINNED
+                let want = table
                     .iter()
                     .find(|r| (r.0, r.1, r.2) == (cfg, m, b))
                     .map(|r| r.3);
@@ -199,13 +283,23 @@ fn baseline_counts_match_the_pinned_table() {
     }
     assert!(
         drifted.is_empty(),
-        "baseline counts drifted; drifted rows:\n{}\nall measured rows:\n{}",
+        "{mode} baseline counts drifted; drifted rows:\n{}\nall measured rows:\n{}",
         drifted.join("\n"),
         measured.join("\n")
     );
     assert_eq!(
-        PINNED.len(),
+        table.len(),
         measured.len(),
         "8 configs x 3 matrices x 3 backends"
     );
+}
+
+#[test]
+fn baseline_counts_match_the_pinned_table() {
+    check_grid(ExecMode::CycleAccurate, PINNED);
+}
+
+#[test]
+fn analytic_baseline_counts_match_the_pinned_table() {
+    check_grid(ExecMode::Analytic, ANALYTIC);
 }
