@@ -145,12 +145,15 @@ impl Cache {
         (first..first + self.cfg.ways, line >> self.set_shift)
     }
 
-    /// The slot holding `tag` within `set`, if any.
+    /// The slot holding `tag` within `set`, if any. Tags are unique
+    /// within a set, so the scan visits every way without an early exit
+    /// and compiles to selects rather than branches.
     fn find(&self, set: &std::ops::Range<usize>, tag: u64) -> Option<usize> {
-        self.tags[set.clone()]
-            .iter()
-            .position(|&t| t == tag)
-            .map(|w| set.start + w)
+        let mut hit = usize::MAX;
+        for (slot, &t) in set.clone().zip(&self.tags[set.clone()]) {
+            hit = if t == tag { slot } else { hit };
+        }
+        (hit != usize::MAX).then_some(hit)
     }
 
     /// Looks up `addr`; updates LRU on hit. Returns `true` on hit.
@@ -177,16 +180,17 @@ impl Cache {
         // Already present (e.g. a second miss to an in-flight line filled
         // by the first): just touch it. Otherwise the first empty way, or
         // the least recently used one: an empty way's stamp is 0 and a
-        // valid way's at least 1.
-        let slot = self.find(&set, tag).unwrap_or_else(|| {
-            let mut victim = set.start;
-            for slot in set {
-                if self.stamps[slot] < self.stamps[victim] {
-                    victim = slot;
-                }
-            }
-            victim
-        });
+        // valid way's at least 1. One pass looks for both.
+        let (mut hit, mut victim) = (usize::MAX, set.start);
+        for slot in set {
+            hit = if self.tags[slot] == tag { slot } else { hit };
+            victim = if self.stamps[slot] < self.stamps[victim] {
+                slot
+            } else {
+                victim
+            };
+        }
+        let slot = if hit == usize::MAX { victim } else { hit };
         self.tags[slot] = tag;
         self.stamps[slot] = self.tick;
     }

@@ -186,6 +186,159 @@ pub struct BaseAddrs {
     pub res_base: u64,
 }
 
+/// The accesses one stream makes to one line within a chunk: the line
+/// and its first and last position in the chunk's access order.
+#[derive(Debug, Clone, Copy)]
+struct LineRun {
+    line: u64,
+    first: u64,
+    last: u64,
+    is_idx: bool,
+}
+
+/// The line runs of one array of `1 << elem_shift`-byte elements
+/// streamed over elements `k..k1`. Element `k`'s access sits at position
+/// `2 * (k - k0) + slot` of the chunk's access order, which interleaves
+/// the index (`slot` 0) and value (`slot` 1) streams. Addresses only
+/// grow, so each line forms one run.
+#[derive(Debug, Clone)]
+struct StreamRuns {
+    base: u64,
+    elem_shift: u32,
+    k: u64,
+    k0: u64,
+    k1: u64,
+    slot: u64,
+}
+
+impl Iterator for StreamRuns {
+    type Item = LineRun;
+
+    fn next(&mut self) -> Option<LineRun> {
+        if self.k >= self.k1 {
+            return None;
+        }
+        let line = line_of(self.base + (self.k << self.elem_shift));
+        // The last element whose first byte lies on `line`; the line
+        // holds the element `k`, so `line + LINE - 1 >= base`.
+        let last = ((line + LINE - 1 - self.base) >> self.elem_shift).min(self.k1 - 1);
+        let run = LineRun {
+            line,
+            first: 2 * (self.k - self.k0) + self.slot,
+            last: 2 * (last - self.k0) + self.slot,
+            is_idx: self.slot == 0,
+        };
+        self.k = last + 1;
+        Some(run)
+    }
+}
+
+/// Calls `f` on the runs of `a` and `b` in ascending `key` order (every
+/// position is unique, so there are no ties).
+fn merge_runs(
+    mut a: impl Iterator<Item = LineRun>,
+    mut b: impl Iterator<Item = LineRun>,
+    key: fn(&LineRun) -> u64,
+    mut f: impl FnMut(LineRun),
+) {
+    let (mut x, mut y) = (a.next(), b.next());
+    loop {
+        match (x, y) {
+            (Some(p), Some(q)) if key(&p) < key(&q) => {
+                f(p);
+                x = a.next();
+            }
+            (_, Some(q)) => {
+                f(q);
+                y = b.next();
+            }
+            (Some(p), None) => {
+                f(p);
+                x = a.next();
+            }
+            (None, None) => return,
+        }
+    }
+}
+
+/// Phase 1 of a baseline chunk: the LLC lookups of the index, value and
+/// row-pointer streams. Element by element, the chunk reads the index
+/// line then the value line of each `k` in `k0..k1`, then the
+/// row-pointer line of row `rows_retired`; a hit refreshes the line's
+/// LRU stamp, a miss is fetched once. This looks each stream line up
+/// once instead, in last-access order, and leaves `fetch` holding the
+/// missed lines as `(line, is_index_or_row_pointer)` in first-access
+/// order, the order DRAM sees them.
+///
+/// The walk is exact, not an approximation of the per-element one:
+/// nothing is filled during phase 1, so a line hits or misses on every
+/// access alike, and an LRU victim depends only on the order of the
+/// stamps within a set, not on their values. Touching each hit line once
+/// at its last access position reproduces that order.
+pub fn stream_lines(
+    llc: &mut Cache,
+    a: &BaseAddrs,
+    k0: usize,
+    k1: usize,
+    rows_retired: usize,
+    fetch: &mut Vec<(u64, bool)>,
+) {
+    fetch.clear();
+    let (k0, k1) = (k0 as u64, k1 as u64);
+    let stream = |base, elem_shift, slot| StreamRuns {
+        base,
+        elem_shift,
+        k: k0,
+        k0,
+        k1,
+        slot,
+    };
+    let idx = stream(a.idx_base, 2, 0);
+    // The row-pointer read comes after every element's, so it merges as
+    // the value stream's tail.
+    let at = 2 * (k1 - k0);
+    let ptr = LineRun {
+        line: line_of(a.ptr_base + 4 * rows_retired as u64),
+        first: at,
+        last: at,
+        is_idx: true,
+    };
+    let val = stream(a.val_base, 3, 1).chain(std::iter::once(ptr));
+
+    // One lookup per run, in last-access order: a hit refreshes the
+    // line's stamp (a line two streams share is touched twice, and its
+    // later touch is the one that stands), a miss is listed once.
+    merge_runs(
+        idx.clone(),
+        val.clone(),
+        |r| r.last,
+        |r| {
+            if !llc.access(r.line) && !fetch.iter().any(|&(l, _)| l == r.line) {
+                fetch.push((r.line, r.is_idx));
+            }
+        },
+    );
+    if fetch.is_empty() {
+        return;
+    }
+    // Reorder the misses to first-access order, in place: walking the
+    // runs in that order, each listed line not yet placed moves to the
+    // front, taking the stream of its first access.
+    let mut placed = 0;
+    merge_runs(
+        idx,
+        val,
+        |r| r.first,
+        |r| {
+            if let Some(i) = fetch[placed..].iter().position(|&(l, _)| l == r.line) {
+                fetch.swap(placed, placed + i);
+                fetch[placed].1 = r.is_idx;
+                placed += 1;
+            }
+        },
+    );
+}
+
 /// Predicts one baseline SpMV on an already-laid-out image, replaying
 /// the executor's per-chunk LLC access order (index/value/row-pointer
 /// stream lines, then per-element vector gathers) against the caller's
@@ -218,20 +371,8 @@ pub fn base_cost(
         let k1 = (k0 + p.chunk.max(1)).min(nnz);
         let n = (k1 - k0) as u64;
 
-        // Phase 1: stream-line fetch, same access/dedup order as the
-        // executor's `push_line`.
-        fetch.clear();
-        let push_line = |fetch: &mut Vec<(u64, bool)>, llc: &mut Cache, addr: u64, idx: bool| {
-            let line = line_of(addr);
-            if !llc.access(line) && !fetch.iter().any(|&(l, _)| l == line) {
-                fetch.push((line, idx));
-            }
-        };
-        for k in k0..k1 {
-            push_line(&mut fetch, llc, a.idx_base + 4 * k as u64, true);
-            push_line(&mut fetch, llc, a.val_base + 8 * k as u64, false);
-        }
-        push_line(&mut fetch, llc, a.ptr_base + 4 * rows_retired as u64, true);
+        // Phase 1: stream-line fetch, the executor's own walk.
+        stream_lines(llc, a, k0, k1, rows_retired, &mut fetch);
         for &(l, _) in &fetch {
             llc.fill(l);
         }
@@ -249,15 +390,19 @@ pub fn base_cost(
         // Phase 2: per-element vector gather. Accesses replay one by
         // one; a line missed twice in the same chunk merges with the
         // in-flight fill (one line of traffic), so fills are deferred
-        // to the chunk boundary.
+        // to the chunk boundary. With no fill inside the phase, a gather
+        // to the previous gather's line changes nothing: a hit is
+        // already the most recent line, a miss already recorded.
         miss_lines.clear();
+        let mut prev_line = None;
         for &col in &col_idx[k0..k1] {
-            let addr = a.vec_base + 8 * col as u64;
-            if !llc.access(addr) {
-                let line = line_of(addr);
-                if !miss_lines.contains(&line) {
-                    miss_lines.push(line);
-                }
+            let line = line_of(a.vec_base + 8 * col as u64);
+            if prev_line == Some(line) {
+                continue;
+            }
+            prev_line = Some(line);
+            if !llc.access(line) && !miss_lines.contains(&line) {
+                miss_lines.push(line);
             }
         }
         for &l in &miss_lines {
@@ -519,6 +664,86 @@ mod tests {
         let warm = base_cost(&p, &a, &row_ptr, &col_idx, &mut llc);
         assert!(warm.offchip_bytes < cold.offchip_bytes / 4);
         assert!(warm.cycles < cold.cycles);
+    }
+
+    /// The per-element walk [`stream_lines`] replaces: one LLC lookup per
+    /// access, in access order, each miss fetched once.
+    fn stream_lines_per_element(
+        llc: &mut Cache,
+        a: &BaseAddrs,
+        k0: usize,
+        k1: usize,
+        rows_retired: usize,
+        fetch: &mut Vec<(u64, bool)>,
+    ) {
+        fetch.clear();
+        let mut push_line = |llc: &mut Cache, addr: u64, idx: bool| {
+            let line = line_of(addr);
+            if !llc.access(line) && !fetch.iter().any(|&(l, _)| l == line) {
+                fetch.push((line, idx));
+            }
+        };
+        for k in k0..k1 {
+            push_line(llc, a.idx_base + 4 * k as u64, true);
+            push_line(llc, a.val_base + 8 * k as u64, false);
+        }
+        push_line(llc, a.ptr_base + 4 * rows_retired as u64, true);
+    }
+
+    /// The line walk against the per-element reference on small, hot
+    /// caches: unaligned (and possibly line-sharing) array bases, chunks
+    /// of 1 to 128 elements at any offset, 2 or 4 sets of 2 ways. Both
+    /// must fetch the same lines in the same order and leave the same
+    /// LRU order, which filling conflicting lines afterwards exposes.
+    #[test]
+    fn stream_lines_matches_the_per_element_walk() {
+        let mut rng = nmpic_sim::SimRng::new(39);
+        // Addresses stay within 64 lines, so every set sees conflicts.
+        let span = 64 * LINE;
+        for case in 0..20_000 {
+            let sets = if case % 2 == 0 { 2 } else { 4 };
+            let mut reference = Cache::new(CacheConfig {
+                size_bytes: sets * 2 * 64,
+                ways: 2,
+                line_bytes: 64,
+            });
+            for _ in 0..rng.gen_u64(0, 12) {
+                reference.fill(rng.gen_u64(0, span));
+            }
+            let mut walked = reference.clone();
+            let a = BaseAddrs {
+                ptr_base: rng.gen_u64(0, span / 4),
+                idx_base: rng.gen_u64(0, span / 4),
+                val_base: rng.gen_u64(0, span / 4),
+                vec_base: 0,
+                res_base: 0,
+            };
+            // Short chunks often miss on one line only, possibly one
+            // two streams share.
+            let k0 = rng.gen_u64(0, 64) as usize;
+            let k1 = k0 + rng.gen_u64(1, if case % 4 < 2 { 9 } else { 129 }) as usize;
+            let rows_retired = rng.gen_u64(0, 256) as usize;
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            stream_lines_per_element(&mut reference, &a, k0, k1, rows_retired, &mut want);
+            stream_lines(&mut walked, &a, k0, k1, rows_retired, &mut got);
+            assert_eq!(got, want, "case {case}: fetch list");
+            for &(line, _) in &want {
+                reference.fill(line);
+                walked.fill(line);
+            }
+            for _ in 0..rng.gen_u64(1, 4) {
+                let line = line_of(rng.gen_u64(0, span));
+                reference.fill(line);
+                walked.fill(line);
+            }
+            for line in (0..span).step_by(64) {
+                assert_eq!(
+                    walked.contains(line),
+                    reference.contains(line),
+                    "case {case}: residency of line {line:#x}"
+                );
+            }
+        }
     }
 
     #[test]

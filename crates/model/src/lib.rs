@@ -32,8 +32,8 @@ mod energy;
 mod table1;
 
 pub use analytic::{
-    base_cost, collect_cost, pack_cost, shard_gather_cost, AnalyticCost, BaseAddrs, BaseParams,
-    ChannelModel, PackParams, PINNED_REL_TOL,
+    base_cost, collect_cost, pack_cost, shard_gather_cost, stream_lines, AnalyticCost, BaseAddrs,
+    BaseParams, ChannelModel, PackParams, PINNED_REL_TOL,
 };
 pub use area::{
     adapter_area, AreaBreakdown, COAL_KGE_POINTS, ELE_GEN_KGE, GE_UM2, IDX_QUEUE_KGE_REF,

@@ -240,6 +240,16 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, MmError> {
             })
         };
         let (r0, c0) = (to_idx(r)?, to_idx(c)?);
+        // Checked against the declared shape here, so a stray entry gets
+        // a typed error instead of tripping `Coo::push`'s bounds
+        // assertion (a panic) from library code.
+        let (rows, cols, _) = size.unwrap_or_default();
+        if r > rows as u64 || c > cols as u64 {
+            return Err(MmError::Parse {
+                line: lineno + 1,
+                what: format!("entry ({r}, {c}) lies outside the declared {rows}x{cols} matrix"),
+            });
+        }
         // A skew-symmetric matrix satisfies A = −Aᵀ, which forces a zero
         // diagonal; a nonzero diagonal entry cannot be mirrored
         // consistently and is a malformed file, not data.
@@ -432,6 +442,53 @@ mod tests {
         let err = read_matrix_market(text.as_bytes()).unwrap_err();
         assert!(matches!(err, MmError::Parse { line: 3, .. }), "{err}");
         assert!(err.to_string().contains("32 b index limit"), "{err}");
+    }
+
+    /// Regression: an entry outside the declared shape used to reach
+    /// `Coo::push`'s bounds assertion and panic out of the parser.
+    #[test]
+    fn rejects_entry_outside_declared_shape() {
+        for (entry, line) in [("5 1 1.0", 3), ("1 4 1.0", 3)] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n3 3 1\n{entry}\n");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, MmError::Parse { line: l, .. } if l == line),
+                "{err}"
+            );
+            assert!(
+                err.to_string().contains("outside the declared 3x3"),
+                "{err}"
+            );
+        }
+        // A declared 0x0 matrix admits no entry at all.
+        let text = "%%MatrixMarket matrix coordinate real general\n0 0 1\n1 1 1.0\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert!(matches!(err, MmError::Parse { line: 3, .. }), "{err}");
+    }
+
+    /// CRLF line endings (files written on Windows) read like LF ones.
+    #[test]
+    fn reads_crlf_line_endings() {
+        let text = "%%MatrixMarket matrix coordinate real general\r\n% comment\r\n2 2 2\r\n\
+                    1 2 3.5\r\n2 1 -1.0\r\n";
+        let m = read_matrix_market(text.as_bytes()).unwrap();
+        assert_eq!((m.rows(), m.cols(), m.nnz()), (2, 2, 2));
+        assert_eq!(m.spmv(&[1.0, 2.0]), vec![7.0, -1.0]);
+    }
+
+    /// A file cut off inside its last entry line is a parse error on that
+    /// line, whether the cut drops fields or splits a number.
+    #[test]
+    fn rejects_an_entry_truncated_mid_line() {
+        for last in ["2", "2 2", "2 2 1.5e"] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n{last}");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, MmError::Parse { line: 4, .. }),
+                "`{last}`: {err}"
+            );
+        }
     }
 
     /// Regression: an oversized size line used to reach `Coo::new`'s

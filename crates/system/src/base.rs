@@ -122,7 +122,7 @@ fn base_memory_size(csr: &Csr) -> usize {
     (need.next_multiple_of(BLOCK_BYTES as u64) as usize).next_power_of_two()
 }
 
-/// The baseline system's prepared plan: matrix image resident in a warm
+/// The baseline system's prepared plan: matrix image laid out in a warm
 /// channel, LLC allocated once.
 pub(crate) struct BasePlan {
     cfg: BaseConfig,
@@ -132,6 +132,10 @@ pub(crate) struct BasePlan {
     /// DRAM home locations of the five arrays — one type for the
     /// simulator and the analytic model that replays its accesses.
     layout: BaseAddrs,
+    /// Whether the matrix image is in the channel's memory. The first
+    /// `simulate` writes it; the model reads addresses only, so an
+    /// analytic plan never touches those pages.
+    image_written: bool,
     /// Plan-resident (rather than per-call) so the hot path reallocates
     /// nothing; see [`Executor::cold_start`] for its lifecycle.
     llc: Cache,
@@ -145,7 +149,7 @@ impl BasePlan {
     /// Panics on an empty matrix.
     pub(crate) fn prepare(csr: &Csr, cfg: BaseConfig, backend: &BackendConfig) -> Self {
         let mut chan = backend.build(Memory::new(base_memory_size(csr)));
-        let layout = layout_base(&mut *chan, csr);
+        let layout = layout_base(chan.memory_mut(), csr);
         Self {
             llc: Cache::new(cfg.llc),
             cfg,
@@ -153,7 +157,20 @@ impl BasePlan {
             csr: csr.clone(),
             chan,
             layout,
+            image_written: false,
         }
+    }
+
+    /// Writes the matrix image (row pointers, column indices, values)
+    /// into the channel's memory unless an earlier pass did.
+    fn write_image(&mut self) {
+        if std::mem::replace(&mut self.image_written, true) {
+            return;
+        }
+        let (mem, a) = (self.chan.memory_mut(), &self.layout);
+        mem.write_u32_slice(a.ptr_base, self.csr.row_ptr());
+        mem.write_u32_slice(a.idx_base, self.csr.col_idx());
+        mem.write_f64_slice(a.val_base, self.csr.values());
     }
 
     /// Invalidates the LLC lines of the vector, which every pass
@@ -188,6 +205,7 @@ impl Executor for BasePlan {
 
     fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
         assert_eq!(xs.len(), 1, "the baseline multiplies one vector per pass");
+        self.write_image();
         self.invalidate_x();
         exec_base(self, xs[0], ys[0])
     }
@@ -217,26 +235,21 @@ impl Executor for BasePlan {
     }
 }
 
-/// Allocates the baseline arrays in the channel's memory and writes the
-/// **matrix** image (row pointers, column indices, values). The vector is
-/// written separately, per run.
-fn layout_base(chan: &mut dyn ChannelPort, csr: &Csr) -> BaseAddrs {
+/// Allocates the baseline arrays in `mem`. The matrix image is written
+/// by the first simulated pass ([`BasePlan::write_image`]), the vector
+/// per pass.
+fn layout_base(mem: &mut Memory, csr: &Csr) -> BaseAddrs {
     assert!(csr.nnz() > 0, "empty matrix");
-    let mem = chan.memory_mut();
-    let layout = BaseAddrs {
+    BaseAddrs {
         ptr_base: mem.alloc_array(csr.rows() as u64 + 1, 4),
         idx_base: mem.alloc_array(csr.nnz() as u64, 4),
         val_base: mem.alloc_array(csr.nnz() as u64, 8),
         vec_base: mem.alloc_array(csr.cols() as u64, 8),
         res_base: mem.alloc_array(csr.rows() as u64, 8),
-    };
-    mem.write_u32_slice(layout.ptr_base, csr.row_ptr());
-    mem.write_u32_slice(layout.idx_base, csr.col_idx());
-    mem.write_f64_slice(layout.val_base, csr.values());
-    layout
+    }
 }
 
-/// Executes one baseline SpMV against an already laid-out memory image:
+/// Executes one baseline SpMV against an already written memory image:
 /// resets the channel (clock and traffic counter start at 0) and writes
 /// `x` into its home. The result is accumulated into the
 /// caller's `y` buffer (overwritten, not accumulated into) in row-major
@@ -251,11 +264,7 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
     assert_eq!(y.len(), rows, "result buffer length must equal rows");
     y.fill(0.0);
     let BaseAddrs {
-        ptr_base,
-        idx_base,
-        val_base,
-        vec_base,
-        res_base,
+        vec_base, res_base, ..
     } = plan.layout;
     chan.reset_run_state();
     chan.memory_mut().write_f64_slice(vec_base, x);
@@ -280,21 +289,10 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
         // Each phase waits for its own fills, so none is left over.
         debug_assert!(mshrs.is_empty() && hits.is_empty());
 
-        // --- Phase 1: demand-fetch this chunk's index/value/row-ptr lines.
+        // --- Phase 1: demand-fetch this chunk's index/value/row-ptr lines
+        // (row pointers consumed as rows advance: cheap, sequential).
         let phase_start = clk.now();
-        fetch.clear();
-        let mut push_line = |llc: &mut Cache, addr: u64, is_idx: bool| {
-            let line = addr & !(BLOCK_BYTES as u64 - 1);
-            if !llc.access(line) && !fetch.iter().any(|&(l, _)| l == line) {
-                fetch.push((line, is_idx));
-            }
-        };
-        for k in k0..k1 {
-            push_line(llc, idx_base + 4 * k as u64, true);
-            push_line(llc, val_base + 8 * k as u64, false);
-        }
-        // Row pointers consumed as rows advance (cheap, sequential).
-        push_line(llc, ptr_base + 4 * rows_retired as u64, true);
+        nmpic_model::stream_lines(llc, &plan.layout, k0, k1, rows_retired, &mut fetch);
 
         let mut idx_done_at = clk.now();
         let mut next_fetch = 0usize;

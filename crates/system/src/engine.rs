@@ -11,8 +11,9 @@
 //!   AXI-Pack system with a chosen adapter, or the sharded multi-unit
 //!   engine).
 //! * [`SpmvEngine::prepare`] → [`SpmvPlan`] — performs partitioning,
-//!   format conversion and DRAM layout **once** per matrix. The matrix
-//!   image stays resident in the plan's warm backend.
+//!   format conversion and DRAM layout **once** per matrix. The first
+//!   simulated pass writes the matrix image, which then stays resident
+//!   in the plan's warm backend; an analytic plan never writes it.
 //! * [`SpmvPlan::run`] / [`SpmvPlan::run_batch`] — execute SpMVs against
 //!   the warm state: only the vector region of memory is rewritten, the
 //!   controller/unit state is reset to a deterministic cold start, and a
@@ -270,8 +271,8 @@ impl SpmvEngine {
     /// Prepares a plan for `csr`: partitioning (sharded), format
     /// conversion (pack converts to SELL), and DRAM layout of the matrix
     /// image all happen here, **once** — every subsequent
-    /// [`SpmvPlan::run`] reuses the warm state and rewrites only the
-    /// vector.
+    /// [`SpmvPlan::run`] reuses the warm state. The first simulated pass
+    /// writes the image, every pass the vector.
     ///
     /// # Panics
     ///
@@ -365,8 +366,8 @@ pub(crate) trait Executor: Send {
     fn value_kernel(&self) -> ValueKernel<'_>;
 
     /// Simulates one pass of every vector of `xs` (at most
-    /// [`Executor::chunk_capacity`]) against the resident matrix image,
-    /// overwriting the matching buffer of `ys` with the simulated result,
+    /// [`Executor::chunk_capacity`]) against the resident matrix image
+    /// (written by the plan's first pass), overwriting the matching buffer of `ys` with the simulated result,
     /// and reports the cost of the whole pass.
     fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport;
 

@@ -93,7 +93,7 @@ fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
     (need.next_multiple_of(BLOCK_BYTES as u64) as usize).next_power_of_two()
 }
 
-/// The pack system's prepared plan: SELL image resident in a warm
+/// The pack system's prepared plan: SELL image laid out in a warm
 /// channel, stream-position map and adapter unit built once.
 pub(crate) struct PackPlan {
     cfg: PackConfig,
@@ -102,6 +102,9 @@ pub(crate) struct PackPlan {
     row_of: Vec<u32>,
     chan: Box<dyn ChannelPort>,
     layout: PackLayout,
+    /// Whether the SELL image is in the channel's memory: written by the
+    /// first `simulate`, never by an analytic plan.
+    image_written: bool,
     unit: IndirectStreamUnit,
 }
 
@@ -120,7 +123,7 @@ impl PackPlan {
         slots: usize,
     ) -> Self {
         let mut chan = backend.build(Memory::new(pack_plan_memory_size(&sell, slots)));
-        let layout = layout_pack(&mut *chan, &sell, slots);
+        let layout = layout_pack(chan.memory_mut(), &sell, slots);
         Self {
             row_of: row_map(&sell),
             unit: IndirectStreamUnit::new(adapter.clone()),
@@ -129,7 +132,20 @@ impl PackPlan {
             sell,
             chan,
             layout,
+            image_written: false,
         }
+    }
+
+    /// Writes the SELL image (slice pointers, column indices, values)
+    /// into the channel's memory unless an earlier pass did.
+    fn write_image(&mut self) {
+        if std::mem::replace(&mut self.image_written, true) {
+            return;
+        }
+        let (mem, a) = (self.chan.memory_mut(), &self.layout);
+        mem.write_u32_slice(a.ptr_base, self.sell.slice_ptr());
+        mem.write_u32_slice(a.idx_base, self.sell.col_idx());
+        mem.write_f64_slice(a.val_base, self.sell.values());
     }
 }
 
@@ -157,6 +173,7 @@ impl Executor for PackPlan {
     }
 
     fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
+        self.write_image();
         self.chan.reset_run_state();
         self.unit.reset();
         for (x, &vec_base) in xs.iter().zip(&self.layout.vec_bases) {
@@ -200,30 +217,21 @@ struct PackLayout {
 }
 
 /// Allocates the pack arrays (with `slots` resident vector/result pairs)
-/// and writes the **matrix** image. Vectors are written separately, per
-/// run.
-fn layout_pack(chan: &mut dyn ChannelPort, sell: &Sell, slots: usize) -> PackLayout {
+/// in `mem`. The matrix image is written by the first simulated pass
+/// ([`PackPlan::write_image`]), vectors per pass.
+fn layout_pack(mem: &mut Memory, sell: &Sell, slots: usize) -> PackLayout {
     assert!(sell.padded_len() > 0, "empty matrix");
     let slots = slots.max(1);
-    let mem = chan.memory_mut();
-    let ptr_base = mem.alloc_array(sell.slice_ptr().len() as u64, 4);
-    let idx_base = mem.alloc_array(sell.padded_len() as u64, 4);
-    let val_base = mem.alloc_array(sell.padded_len() as u64, 8);
-    let vec_bases: Vec<u64> = (0..slots)
-        .map(|_| mem.alloc_array(sell.cols() as u64, 8))
-        .collect();
-    let res_bases: Vec<u64> = (0..slots)
-        .map(|_| mem.alloc_array(sell.rows() as u64, 8))
-        .collect();
-    mem.write_u32_slice(ptr_base, sell.slice_ptr());
-    mem.write_u32_slice(idx_base, sell.col_idx());
-    mem.write_f64_slice(val_base, sell.values());
     PackLayout {
-        ptr_base,
-        idx_base,
-        val_base,
-        vec_bases,
-        res_bases,
+        ptr_base: mem.alloc_array(sell.slice_ptr().len() as u64, 4),
+        idx_base: mem.alloc_array(sell.padded_len() as u64, 4),
+        val_base: mem.alloc_array(sell.padded_len() as u64, 8),
+        vec_bases: (0..slots)
+            .map(|_| mem.alloc_array(sell.cols() as u64, 8))
+            .collect(),
+        res_bases: (0..slots)
+            .map(|_| mem.alloc_array(sell.rows() as u64, 8))
+            .collect(),
     }
 }
 

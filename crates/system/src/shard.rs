@@ -135,6 +135,10 @@ pub(crate) struct ShardedPlan {
     collect_idx_base: u64,
     collect_res_base: u64,
     merge_rows: Vec<u32>,
+    /// Whether the index arrays (every shard's gather stream, the merge
+    /// order) are in the channels' memories: written by the first
+    /// `simulate`, never by an analytic plan.
+    image_written: bool,
     /// Worker-thread override for the per-shard fan-out (`None` = the
     /// shared pool's `NMPIC_JOBS` policy).
     workers: Option<usize>,
@@ -146,7 +150,7 @@ pub(crate) struct ShardedPlan {
 
 impl ShardedPlan {
     /// Partitions `csr` across `units` units, each on its
-    /// [`BackendConfig::split`] share of `backend`, and writes every
+    /// [`BackendConfig::split`] share of `backend`, and lays out every
     /// index array (per-shard gather streams, merged write-back order).
     ///
     /// # Panics
@@ -176,7 +180,6 @@ impl ShardedPlan {
                 let mem = chan.memory_mut();
                 let idx_base = mem.alloc_array(indices.len().max(1) as u64, 4);
                 let x_base = mem.alloc_array(csr.cols() as u64, 8);
-                mem.write_u32_slice(idx_base, indices);
                 let row_start = shard.rows().start;
                 // Stream positions map to rows *local to the shard*, so a
                 // worker thread can accumulate into its own buffer and the
@@ -205,7 +208,7 @@ impl ShardedPlan {
         // The write-back port is one channel wide: splitting by the full
         // channel count leaves exactly one channel of the configured
         // kind. Its index array (the merge order) depends only on the
-        // partition, so it is written once, here.
+        // partition, so it is computed once, here.
         let rows = csr.rows();
         let collect_backend = backend.split(backend.kind.channels());
         let mut collect_chan = collect_backend.build(Memory::new(stream_memory_size(rows, rows)));
@@ -213,7 +216,6 @@ impl ShardedPlan {
         let mem = collect_chan.memory_mut();
         let collect_idx_base = mem.alloc_array(rows as u64, 4);
         let collect_res_base = mem.alloc_array(rows as u64, 8);
-        mem.write_u32_slice(collect_idx_base, &merge_rows);
 
         Self {
             adapter: adapter.clone(),
@@ -226,10 +228,29 @@ impl ShardedPlan {
             collect_idx_base,
             collect_res_base,
             merge_rows,
+            image_written: false,
             workers,
             outs: Vec::new(),
             collect: CollectOut::default(),
         }
+    }
+
+    /// Writes every index array (each shard's gather stream, the merged
+    /// write-back order) into its channel's memory unless an earlier pass
+    /// did.
+    fn write_image(&mut self) {
+        if std::mem::replace(&mut self.image_written, true) {
+            return;
+        }
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let indices = self.partition.csr_shard(&self.csr, i).col_idx();
+            slot.chan
+                .memory_mut()
+                .write_u32_slice(slot.idx_base, indices);
+        }
+        self.collect_chan
+            .memory_mut()
+            .write_u32_slice(self.collect_idx_base, &self.merge_rows);
     }
 
     /// The one place the per-shard fan-out width is decided, for the
@@ -271,6 +292,7 @@ impl Executor for ShardedPlan {
     /// phase, which reads `y` back from the result array it wrote.
     fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
         assert_eq!(xs.len(), 1, "the units gather one vector per pass");
+        self.write_image();
         let (x, y) = (xs[0], &mut *ys[0]);
         // Every shard's unit simulation runs on its own worker thread.
         // Each worker owns its slot exclusively (channel, unit, and a
@@ -431,7 +453,7 @@ fn merge_order(partition: &Partition, units: usize) -> Vec<u32> {
 }
 
 /// Runs one shard's indirect gather of `x` on its warm channel/unit pair
-/// (the index array at `idx_base` was written at prepare time) and
+/// (the index array at `idx_base` was written by the plan's first pass) and
 /// accumulates the shard's rows into its `local_y`; `values` are the
 /// shard's nonzeros in stream order.
 fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], values: &[f64]) -> ShardOut {
@@ -476,8 +498,8 @@ fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], values: &[f64]) -> ShardOu
 }
 
 /// Streams the merged `y` in merge order through the plan's warm scatter
-/// unit (the merge-order index array was written at prepare time) into
-/// the result array, then reads that array back into `y`.
+/// unit (the merge-order index array was written by the plan's first
+/// pass) into the result array, then reads that array back into `y`.
 fn exec_merged_writeback(plan: &mut ShardedPlan, y: &mut [f64]) -> CollectOut {
     let (chan, unit) = (&mut *plan.collect_chan, &mut plan.scatter);
     chan.reset_run_state();
