@@ -367,8 +367,9 @@ pub(crate) trait Executor: Send {
 
     /// Simulates one pass of every vector of `xs` (at most
     /// [`Executor::chunk_capacity`]) against the resident matrix image
-    /// (written by the plan's first pass), overwriting the matching buffer of `ys` with the simulated result,
-    /// and reports the cost of the whole pass.
+    /// (written by the plan's first pass), overwriting the matching
+    /// buffer of `ys` with the simulated result, and reports the cost of
+    /// the whole pass.
     fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport;
 
     /// The closed-form cost ([`nmpic_model::analytic`]) of one pass of
