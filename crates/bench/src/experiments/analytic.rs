@@ -5,9 +5,8 @@
 
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
-use nmpic_model::PINNED_REL_TOL;
 use nmpic_sim::pool::parallel_map;
-use nmpic_system::{golden_x, ExecMode, PartitionStrategy, SpmvEngine, SystemKind};
+use nmpic_system::{golden_x, ExecMode, PartitionStrategy, SpmvEngine, SystemKind, PINNED_REL_TOL};
 
 use super::{col, ExperimentOpts, Outcome, Section};
 use crate::output::{f, Table};

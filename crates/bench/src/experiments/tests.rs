@@ -37,7 +37,7 @@ fn analytic_validation_is_within_pinned_tolerance() {
             r.rel_err_cycles,
             r.rel_err_bytes,
             r.rel_err_gbps,
-            nmpic_model::analytic::PINNED_REL_TOL
+            nmpic_system::PINNED_REL_TOL
         );
     }
 }

@@ -1,6 +1,7 @@
-//! # nmpic-model — area, storage and efficiency models
+//! # nmpic-model — area, storage, energy and efficiency models
 //!
-//! The non-cycle-accurate models behind the paper's Fig. 6 and Table I:
+//! The non-cycle-accurate models behind the paper's Table I, Fig. 6 and
+//! the Fig. 5b energy remark:
 //!
 //! * [`adapter_area`] — analytic kGE/mm² area model of the adapter,
 //!   calibrated to the paper's GF 12 nm implementation (Fig. 6a).
@@ -8,9 +9,11 @@
 //!   comparison points of Fig. 6b.
 //! * [`render_table1`] — the Table I parameter dump with derived on-chip
 //!   storage.
-//! * [`analytic`] — the closed-form traffic/latency model behind the
-//!   engine's analytic execution mode ([`base_cost`], [`pack_cost`],
-//!   [`shard_gather_cost`], [`collect_cost`]).
+//! * [`EnergyModel`] — data-movement energy of a run's reported
+//!   traffic.
+//!
+//! The closed-form cost models behind the engine's analytic execution
+//! mode are not here: each sits beside its simulator in `nmpic-system`.
 //!
 //! # Example
 //!
@@ -25,16 +28,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytic;
 mod area;
 mod efficiency;
 mod energy;
 mod table1;
 
-pub use analytic::{
-    base_cost, collect_cost, pack_cost, shard_gather_cost, stream_lines, AnalyticCost, BaseAddrs,
-    BaseParams, ChannelModel, PackParams, PINNED_REL_TOL,
-};
 pub use area::{
     adapter_area, AreaBreakdown, COAL_KGE_POINTS, ELE_GEN_KGE, GE_UM2, IDX_QUEUE_KGE_REF,
     OTHERS_KGE,

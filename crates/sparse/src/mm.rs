@@ -16,7 +16,8 @@ pub enum MmError {
     Io(std::io::Error),
     /// The `%%MatrixMarket` banner is missing or unsupported.
     BadHeader(String),
-    /// The size line or an entry line failed to parse.
+    /// The size line or an entry line failed to parse, or the size line
+    /// declares zero rows or columns.
     Parse {
         /// 1-based line number.
         line: usize,
@@ -185,9 +186,17 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, MmError> {
                     ),
                 });
             }
+            // A matrix with no rows or no columns has nothing to multiply;
+            // reading it as 1x1 would invent a row and a column.
+            if r == 0 || c == 0 {
+                return Err(MmError::Parse {
+                    line: lineno + 1,
+                    what: format!("dimensions {r}x{c} declare an empty matrix"),
+                });
+            }
             size = Some((r, c, n));
             expected = n;
-            coo = Some(Coo::new(r.max(1), c.max(1)));
+            coo = Some(Coo::new(r, c));
             continue;
         }
 
@@ -463,7 +472,22 @@ mod tests {
         // A declared 0x0 matrix admits no entry at all.
         let text = "%%MatrixMarket matrix coordinate real general\n0 0 1\n1 1 1.0\n";
         let err = read_matrix_market(text.as_bytes()).unwrap_err();
-        assert!(matches!(err, MmError::Parse { line: 3, .. }), "{err}");
+        assert!(matches!(err, MmError::Parse { line: 2, .. }), "{err}");
+    }
+
+    /// Regression: a size line with no rows or no columns used to read as
+    /// a 1x1 matrix.
+    #[test]
+    fn rejects_zero_dimensions() {
+        for size in ["0 0 0", "0 3 0"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, MmError::Parse { line: 2, .. }),
+                "`{size}`: {err}"
+            );
+            assert!(err.to_string().contains("empty matrix"), "`{size}`: {err}");
+        }
     }
 
     /// CRLF line endings (files written on Windows) read like LF ones.

@@ -19,12 +19,13 @@
 //! stayed quiet.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use nmpic_mem::{BackendConfig, Cache, CacheConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
-use nmpic_model::BaseAddrs;
 use nmpic_sim::{Cycle, SimClock};
 use nmpic_sparse::Csr;
 
+use crate::cost::{line_of, ChannelModel, LINE};
 use crate::engine::{issue_write_back, Executor, PlanFacts, ValueKernel};
 use crate::report::IterReport;
 
@@ -44,9 +45,10 @@ pub struct BaseConfig {
     /// VLSU outstanding element loads: every gather, hit or miss, holds a
     /// slot from issue to data return.
     pub vlsu_outstanding: usize,
-    /// Strip-mine chunk length (vector elements per iteration).
+    /// Strip-mine chunk length (vector elements per iteration); must be
+    /// positive.
     pub chunk: usize,
-    /// MAC throughput (elements per cycle, 16 lanes).
+    /// MAC throughput (elements per cycle, 16 lanes); must be positive.
     pub macs_per_cycle: usize,
     /// Fixed cycles per matrix row for the coupled scalar work: row
     /// pointer reads, `vsetvl`, and the row reduction.
@@ -65,6 +67,17 @@ impl Default for BaseConfig {
             macs_per_cycle: 16,
             row_overhead_cycles: 16,
         }
+    }
+}
+
+impl BaseConfig {
+    /// The strip-mined chunks of an `nnz`-element stream, in order: the
+    /// one chunking rule the simulator and the model both follow.
+    fn chunks(&self, nnz: usize) -> impl Iterator<Item = Range<usize>> {
+        let chunk = self.chunk;
+        (0..nnz)
+            .step_by(chunk)
+            .map(move |k0| k0..(k0 + chunk).min(nnz))
     }
 }
 
@@ -126,12 +139,13 @@ fn base_memory_size(csr: &Csr) -> usize {
 /// channel, LLC allocated once.
 pub(crate) struct BasePlan {
     cfg: BaseConfig,
-    backend: BackendConfig,
+    /// The closed-form view of the backend `chan` is built from.
+    memory: ChannelModel,
     csr: Csr,
     chan: Box<dyn ChannelPort>,
-    /// DRAM home locations of the five arrays — one type for the
-    /// simulator and the analytic model that replays its accesses.
-    layout: BaseAddrs,
+    /// DRAM home locations of the five arrays, read by the simulator and
+    /// by the model that replays its accesses.
+    layout: BaseLayout,
     /// Whether the matrix image is in the channel's memory. The first
     /// `simulate` writes it; the model reads addresses only, so an
     /// analytic plan never touches those pages.
@@ -153,7 +167,7 @@ impl BasePlan {
         Self {
             llc: Cache::new(cfg.llc),
             cfg,
-            backend: backend.clone(),
+            memory: ChannelModel::of(backend),
             csr: csr.clone(),
             chan,
             layout,
@@ -215,32 +229,32 @@ impl Executor for BasePlan {
     fn model(&mut self, vectors: usize) -> IterReport {
         assert_eq!(vectors, 1, "the baseline multiplies one vector per pass");
         self.invalidate_x();
-        let cfg = &self.cfg;
-        let params = nmpic_model::BaseParams {
-            chunk: cfg.chunk,
-            llc_hit_latency: cfg.llc_hit_latency,
-            gather_issue_interval: cfg.gather_issue_interval,
-            macs_per_cycle: cfg.macs_per_cycle as u64,
-            row_overhead_cycles: cfg.row_overhead_cycles,
-            chan: nmpic_model::ChannelModel::of(&self.backend),
-        };
-        let cost = nmpic_model::base_cost(
-            &params,
+        base_cost(
+            &self.cfg,
+            &self.memory,
             &self.layout,
-            self.csr.row_ptr(),
-            self.csr.col_idx(),
+            &self.csr,
             &mut self.llc,
-        );
-        IterReport::modelled(&cost)
+        )
     }
+}
+
+/// DRAM base addresses of the baseline arrays (the plan's layout).
+#[derive(Debug, Clone, Copy)]
+struct BaseLayout {
+    ptr_base: u64,
+    idx_base: u64,
+    val_base: u64,
+    vec_base: u64,
+    res_base: u64,
 }
 
 /// Allocates the baseline arrays in `mem`. The matrix image is written
 /// by the first simulated pass ([`BasePlan::write_image`]), the vector
 /// per pass.
-fn layout_base(mem: &mut Memory, csr: &Csr) -> BaseAddrs {
+fn layout_base(mem: &mut Memory, csr: &Csr) -> BaseLayout {
     assert!(csr.nnz() > 0, "empty matrix");
-    BaseAddrs {
+    BaseLayout {
         ptr_base: mem.alloc_array(csr.rows() as u64 + 1, 4),
         idx_base: mem.alloc_array(csr.nnz() as u64, 4),
         val_base: mem.alloc_array(csr.nnz() as u64, 8),
@@ -263,7 +277,7 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
     let rows = csr.rows();
     assert_eq!(y.len(), rows, "result buffer length must equal rows");
     y.fill(0.0);
-    let BaseAddrs {
+    let BaseLayout {
         vec_base, res_base, ..
     } = plan.layout;
     chan.reset_run_state();
@@ -283,16 +297,14 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
     let mut rows_retired = 0usize;
     let col_idx = csr.col_idx();
 
-    let mut k0 = 0usize;
-    while k0 < nnz {
-        let k1 = (k0 + cfg.chunk).min(nnz);
+    for Range { start: k0, end: k1 } in cfg.chunks(nnz) {
         // Each phase waits for its own fills, so none is left over.
         debug_assert!(mshrs.is_empty() && hits.is_empty());
 
         // --- Phase 1: demand-fetch this chunk's index/value/row-ptr lines
         // (row pointers consumed as rows advance: cheap, sequential).
         let phase_start = clk.now();
-        nmpic_model::stream_lines(llc, &plan.layout, k0, k1, rows_retired, &mut fetch);
+        stream_lines(llc, &plan.layout, k0, k1, rows_retired, &mut fetch);
 
         let mut idx_done_at = clk.now();
         let mut next_fetch = 0usize;
@@ -346,7 +358,7 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
             let mut blocked = false;
             if issued < total && now >= next_issue && issued - done < cfg.vlsu_outstanding {
                 let addr = vec_base + 8 * col_idx[k0 + issued] as u64;
-                let line = addr & !(BLOCK_BYTES as u64 - 1);
+                let line = line_of(addr);
                 let accepted = if llc.access(addr) {
                     hits.push_back(now + cfg.llc_hit_latency);
                     true
@@ -418,11 +430,10 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
             rows_retired += 1;
             clk.advance(cfg.row_overhead_cycles);
             if rows_retired.is_multiple_of(8) || rows_retired == rows {
-                let line = (res_base + 8 * (rows_retired as u64 - 1)) & !(BLOCK_BYTES as u64 - 1);
+                let line = line_of(res_base + 8 * (rows_retired as u64 - 1));
                 pending_writes.push_back(WideRequest::write(line, 0, [0u8; BLOCK_BYTES]));
             }
         }
-        k0 = k1;
     }
 
     // Drain result writes.
@@ -441,6 +452,264 @@ fn exec_base(plan: &mut BasePlan, x: &[f64], y: &mut [f64]) -> IterReport {
         cycles: clk.now(),
         indir_cycles,
         offchip_bytes: chan.data_bytes(),
+    }
+}
+
+/// The accesses one stream makes to one line within a chunk: the line
+/// and its first and last position in the chunk's access order.
+#[derive(Debug, Clone, Copy)]
+struct LineRun {
+    line: u64,
+    first: u64,
+    last: u64,
+    is_idx: bool,
+}
+
+/// The line runs of one array of `1 << elem_shift`-byte elements
+/// streamed over elements `k..k1`. Element `k`'s access sits at position
+/// `2 * (k - k0) + slot` of the chunk's access order, which interleaves
+/// the index (`slot` 0) and value (`slot` 1) streams. Addresses only
+/// grow, so each line forms one run.
+#[derive(Debug, Clone)]
+struct StreamRuns {
+    base: u64,
+    elem_shift: u32,
+    k: u64,
+    k0: u64,
+    k1: u64,
+    slot: u64,
+}
+
+impl Iterator for StreamRuns {
+    type Item = LineRun;
+
+    fn next(&mut self) -> Option<LineRun> {
+        if self.k >= self.k1 {
+            return None;
+        }
+        let line = line_of(self.base + (self.k << self.elem_shift));
+        // The last element whose first byte lies on `line`; the line
+        // holds the element `k`, so `line + LINE - 1 >= base`.
+        let last = ((line + LINE - 1 - self.base) >> self.elem_shift).min(self.k1 - 1);
+        let run = LineRun {
+            line,
+            first: 2 * (self.k - self.k0) + self.slot,
+            last: 2 * (last - self.k0) + self.slot,
+            is_idx: self.slot == 0,
+        };
+        self.k = last + 1;
+        Some(run)
+    }
+}
+
+/// Calls `f` on the runs of `a` and `b` in ascending `key` order (every
+/// position is unique, so there are no ties).
+fn merge_runs(
+    mut a: impl Iterator<Item = LineRun>,
+    mut b: impl Iterator<Item = LineRun>,
+    key: fn(&LineRun) -> u64,
+    mut f: impl FnMut(LineRun),
+) {
+    let (mut x, mut y) = (a.next(), b.next());
+    loop {
+        match (x, y) {
+            (Some(p), Some(q)) if key(&p) < key(&q) => {
+                f(p);
+                x = a.next();
+            }
+            (_, Some(q)) => {
+                f(q);
+                y = b.next();
+            }
+            (Some(p), None) => {
+                f(p);
+                x = a.next();
+            }
+            (None, None) => return,
+        }
+    }
+}
+
+/// Phase 1 of a baseline chunk: the LLC lookups of the index, value and
+/// row-pointer streams. Element by element, the chunk reads the index
+/// line then the value line of each `k` in `k0..k1`, then the
+/// row-pointer line of row `rows_retired`; a hit refreshes the line's
+/// LRU stamp, a miss is fetched once. This looks each stream line up
+/// once instead, in last-access order, and leaves `fetch` holding the
+/// missed lines as `(line, is_index_or_row_pointer)` in first-access
+/// order, the order DRAM sees them.
+///
+/// The walk is exact, not an approximation of the per-element one:
+/// nothing is filled during phase 1, so a line hits or misses on every
+/// access alike, and an LRU victim depends only on the order of the
+/// stamps within a set, not on their values. Touching each hit line once
+/// at its last access position reproduces that order.
+fn stream_lines(
+    llc: &mut Cache,
+    a: &BaseLayout,
+    k0: usize,
+    k1: usize,
+    rows_retired: usize,
+    fetch: &mut Vec<(u64, bool)>,
+) {
+    fetch.clear();
+    let (k0, k1) = (k0 as u64, k1 as u64);
+    let stream = |base, elem_shift, slot| StreamRuns {
+        base,
+        elem_shift,
+        k: k0,
+        k0,
+        k1,
+        slot,
+    };
+    let idx = stream(a.idx_base, 2, 0);
+    // The row-pointer read comes after every element's, so it merges as
+    // the value stream's tail.
+    let at = 2 * (k1 - k0);
+    let ptr = LineRun {
+        line: line_of(a.ptr_base + 4 * rows_retired as u64),
+        first: at,
+        last: at,
+        is_idx: true,
+    };
+    let val = stream(a.val_base, 3, 1).chain(std::iter::once(ptr));
+
+    // One lookup per run, in last-access order: a hit refreshes the
+    // line's stamp (a line two streams share is touched twice, and its
+    // later touch is the one that stands), a miss is listed once.
+    merge_runs(
+        idx.clone(),
+        val.clone(),
+        |r| r.last,
+        |r| {
+            if !llc.access(r.line) && !fetch.iter().any(|&(l, _)| l == r.line) {
+                fetch.push((r.line, r.is_idx));
+            }
+        },
+    );
+    if fetch.is_empty() {
+        return;
+    }
+    // Reorder the misses to first-access order, in place: walking the
+    // runs in that order, each listed line not yet placed moves to the
+    // front, taking the stream of its first access.
+    let mut placed = 0;
+    merge_runs(
+        idx,
+        val,
+        |r| r.first,
+        |r| {
+            if let Some(i) = fetch[placed..].iter().position(|&(l, _)| l == r.line) {
+                fetch.swap(placed, placed + i);
+                fetch[placed].1 = r.is_idx;
+                placed += 1;
+            }
+        },
+    );
+}
+
+/// The baseline's closed-form cost: one SpMV on the image laid out at
+/// `a`, replaying the executor's per-chunk LLC access order
+/// (index/value/row-pointer stream lines, then per-element vector
+/// gathers) against the plan's `llc` — the same [`Cache`] state machine
+/// [`exec_base`] drives, so batch warmth and solver-loop reuse carry
+/// over exactly when the caller manages `llc` the same way (reset per
+/// batch, vector-range invalidation between runs).
+fn base_cost(
+    cfg: &BaseConfig,
+    chan: &ChannelModel,
+    a: &BaseLayout,
+    csr: &Csr,
+    llc: &mut Cache,
+) -> IterReport {
+    let (row_ptr, col_idx) = (csr.row_ptr(), csr.col_idx());
+    let rows = csr.rows();
+    let line_stream = chan.stream_cycles(LINE);
+    let line_scatter = chan.scatter_cycles(LINE);
+    let mut cycles = 0.0f64;
+    let mut indir_cycles = 0.0f64;
+    let mut read_lines = 0u64;
+    let mut rows_retired = 0usize;
+    let mut last_write_line = u64::MAX;
+    let mut write_lines = 0u64;
+    // Per-chunk scratch, allocated once per replay.
+    let mut fetch: Vec<(u64, bool)> = Vec::new();
+    let mut miss_lines: Vec<u64> = Vec::new();
+
+    for Range { start: k0, end: k1 } in cfg.chunks(csr.nnz()) {
+        let n = (k1 - k0) as u64;
+
+        // Phase 1: stream-line fetch, the executor's own walk.
+        stream_lines(llc, a, k0, k1, rows_retired, &mut fetch);
+        for &(l, _) in &fetch {
+            llc.fill(l);
+        }
+        let misses = fetch.len() as u64;
+        read_lines += misses;
+        if misses > 0 {
+            cycles += chan.latency as f64 + misses as f64 * line_stream;
+            // In-order responses: the indirect share runs until the
+            // last index-stream line returns.
+            if let Some(last_idx) = fetch.iter().rposition(|&(_, idx)| idx) {
+                indir_cycles += chan.latency as f64 + (last_idx as f64 + 1.0) * line_stream;
+            }
+        }
+
+        // Phase 2: per-element vector gather. Accesses replay one by
+        // one; a line missed twice in the same chunk merges with the
+        // in-flight fill (one line of traffic), so fills are deferred
+        // to the chunk boundary. With no fill inside the phase, a gather
+        // to the previous gather's line changes nothing: a hit is
+        // already the most recent line, a miss already recorded.
+        miss_lines.clear();
+        let mut prev_line = None;
+        for &col in &col_idx[k0..k1] {
+            let line = line_of(a.vec_base + 8 * col as u64);
+            if prev_line == Some(line) {
+                continue;
+            }
+            prev_line = Some(line);
+            if !llc.access(line) && !miss_lines.contains(&line) {
+                miss_lines.push(line);
+            }
+        }
+        for &l in &miss_lines {
+            llc.fill(l);
+        }
+        let vec_miss = miss_lines.len() as u64;
+        read_lines += vec_miss;
+        let issue_bound = n as f64 * cfg.gather_issue_interval as f64;
+        let miss_bound = if vec_miss > 0 {
+            chan.latency as f64 + vec_miss as f64 * line_scatter
+        } else {
+            0.0
+        };
+        let t2 = issue_bound.max(miss_bound) + cfg.llc_hit_latency as f64;
+        cycles += t2;
+        indir_cycles += t2;
+
+        // Phase 3: MACs + row retirement + result-line writes.
+        cycles += (n as f64 / cfg.macs_per_cycle as f64).ceil();
+        while rows_retired < rows && row_ptr[rows_retired + 1] as usize <= k1 {
+            rows_retired += 1;
+            cycles += cfg.row_overhead_cycles as f64;
+            if rows_retired.is_multiple_of(8) || rows_retired == rows {
+                let line = line_of(a.res_base + 8 * (rows_retired as u64 - 1));
+                if line != last_write_line {
+                    last_write_line = line;
+                    write_lines += 1;
+                }
+            }
+        }
+    }
+
+    // Result writes drain opportunistically alongside the read phases;
+    // only the final line's flush lands on the critical path.
+    cycles += chan.latency as f64;
+    IterReport {
+        cycles: cycles.round() as u64,
+        indir_cycles: indir_cycles.round() as u64,
+        offchip_bytes: (read_lines + write_lines) * LINE,
     }
 }
 
@@ -534,6 +803,137 @@ mod tests {
             },
         );
         assert!(many.cycles <= few.cycles);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk must be positive")]
+    fn zero_chunk_is_rejected_by_the_builder() {
+        let _ = crate::SpmvEngine::builder().base_config(BaseConfig {
+            chunk: 0,
+            ..BaseConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MAC throughput must be positive")]
+    fn zero_mac_throughput_is_rejected_by_the_builder() {
+        let _ = crate::SpmvEngine::builder().base_config(BaseConfig {
+            macs_per_cycle: 0,
+            ..BaseConfig::default()
+        });
+    }
+
+    #[test]
+    fn base_cost_scales_with_work_and_tracks_traffic() {
+        // 64 rows × 8 nnz, sequential columns: streams dominate.
+        let rows = 64usize;
+        let per = 8usize;
+        let row_ptr: Vec<u32> = (0..=rows).map(|i| (i * per) as u32).collect();
+        let col_idx: Vec<u32> = (0..rows * per).map(|k| (k % rows) as u32).collect();
+        let csr = Csr::from_parts(rows, rows, row_ptr, col_idx, vec![1.0; rows * per]).unwrap();
+        let a = BaseLayout {
+            ptr_base: 0,
+            idx_base: 4096,
+            val_base: 8192,
+            vec_base: 16384,
+            res_base: 32768,
+        };
+        // Chunks of 32, LLC hits in 40 cycles, a gather every 5 cycles,
+        // 16 MACs per cycle, 16 cycles per row.
+        let p = BaseConfig::default();
+        let chan = ChannelModel::of(&BackendConfig::ideal());
+        let mut llc = Cache::new(CacheConfig::paper_llc());
+        let cold = base_cost(&p, &chan, &a, &csr, &mut llc);
+        assert!(cold.cycles > 0);
+        assert!(cold.indir_cycles <= cold.cycles);
+        // Matrix stream ≈ 12 B/nnz + vector + result lines.
+        let nnz = (rows * per) as u64;
+        assert!(cold.offchip_bytes as f64 >= 12.0 * nnz as f64 * 0.9);
+        // A second pass with a warm LLC moves far less data (only the
+        // vector range was invalidated in a batch — here nothing).
+        let warm = base_cost(&p, &chan, &a, &csr, &mut llc);
+        assert!(warm.offchip_bytes < cold.offchip_bytes / 4);
+        assert!(warm.cycles < cold.cycles);
+    }
+
+    /// The per-element walk [`stream_lines`] replaces: one LLC lookup per
+    /// access, in access order, each miss fetched once.
+    fn stream_lines_per_element(
+        llc: &mut Cache,
+        a: &BaseLayout,
+        k0: usize,
+        k1: usize,
+        rows_retired: usize,
+        fetch: &mut Vec<(u64, bool)>,
+    ) {
+        fetch.clear();
+        let mut push_line = |llc: &mut Cache, addr: u64, idx: bool| {
+            let line = line_of(addr);
+            if !llc.access(line) && !fetch.iter().any(|&(l, _)| l == line) {
+                fetch.push((line, idx));
+            }
+        };
+        for k in k0..k1 {
+            push_line(llc, a.idx_base + 4 * k as u64, true);
+            push_line(llc, a.val_base + 8 * k as u64, false);
+        }
+        push_line(llc, a.ptr_base + 4 * rows_retired as u64, true);
+    }
+
+    /// The line walk against the per-element reference on small, hot
+    /// caches: unaligned (and possibly line-sharing) array bases, chunks
+    /// of 1 to 128 elements at any offset, 2 or 4 sets of 2 ways. Both
+    /// must fetch the same lines in the same order and leave the same
+    /// LRU order, which filling conflicting lines afterwards exposes.
+    #[test]
+    fn stream_lines_matches_the_per_element_walk() {
+        let mut rng = nmpic_sim::SimRng::new(39);
+        // Addresses stay within 64 lines, so every set sees conflicts.
+        let span = 64 * LINE;
+        for case in 0..20_000 {
+            let sets = if case % 2 == 0 { 2 } else { 4 };
+            let mut reference = Cache::new(CacheConfig {
+                size_bytes: sets * 2 * 64,
+                ways: 2,
+                line_bytes: 64,
+            });
+            for _ in 0..rng.gen_u64(0, 12) {
+                reference.fill(rng.gen_u64(0, span));
+            }
+            let mut walked = reference.clone();
+            let a = BaseLayout {
+                ptr_base: rng.gen_u64(0, span / 4),
+                idx_base: rng.gen_u64(0, span / 4),
+                val_base: rng.gen_u64(0, span / 4),
+                vec_base: 0,
+                res_base: 0,
+            };
+            // Short chunks often miss on one line only, possibly one
+            // two streams share.
+            let k0 = rng.gen_u64(0, 64) as usize;
+            let k1 = k0 + rng.gen_u64(1, if case % 4 < 2 { 9 } else { 129 }) as usize;
+            let rows_retired = rng.gen_u64(0, 256) as usize;
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            stream_lines_per_element(&mut reference, &a, k0, k1, rows_retired, &mut want);
+            stream_lines(&mut walked, &a, k0, k1, rows_retired, &mut got);
+            assert_eq!(got, want, "case {case}: fetch list");
+            for &(line, _) in &want {
+                reference.fill(line);
+                walked.fill(line);
+            }
+            for _ in 0..rng.gen_u64(1, 4) {
+                let line = line_of(rng.gen_u64(0, span));
+                reference.fill(line);
+                walked.fill(line);
+            }
+            for line in (0..span).step_by(64) {
+                assert_eq!(
+                    walked.contains(line),
+                    reference.contains(line),
+                    "case {case}: residency of line {line:#x}"
+                );
+            }
+        }
     }
 }
 

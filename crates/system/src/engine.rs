@@ -110,11 +110,13 @@ pub enum ExecMode {
     /// machine one simulated cycle at a time — the reference mode.
     #[default]
     CycleAccurate,
-    /// Replace per-cycle stepping with the closed-form traffic/latency
-    /// model in [`nmpic_model::analytic`]; compute result values with the
-    /// system's value kernel ([`Csr::spmv_into`] / [`Sell::spmv_into`]).
-    /// Cost metrics agree with cycle-accurate mode within
-    /// [`nmpic_model::analytic::PINNED_REL_TOL`]; wall-clock cost drops
+    /// Replace per-cycle stepping with the system's closed-form
+    /// traffic/latency model, which sits beside its simulator and replays
+    /// the same access streams through the LLC tag array or the
+    /// coalescer's window model; compute result values with the system's
+    /// value kernel ([`Csr::spmv_into`] / [`Sell::spmv_into`]). Cost
+    /// metrics agree with cycle-accurate mode within
+    /// [`PINNED_REL_TOL`](crate::PINNED_REL_TOL); wall-clock cost drops
     /// by orders of magnitude, unlocking million-row sweeps.
     Analytic,
 }
@@ -175,7 +177,18 @@ impl SpmvEngineBuilder {
     }
 
     /// Overrides the baseline system's tuning (LLC geometry, VLSU rates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.chunk` or `cfg.macs_per_cycle` is zero: a chunk of
+    /// no elements never advances the stream, and no MACs per cycle
+    /// never finish one.
     pub fn base_config(mut self, cfg: BaseConfig) -> Self {
+        assert!(cfg.chunk > 0, "base chunk must be positive");
+        assert!(
+            cfg.macs_per_cycle > 0,
+            "base MAC throughput must be positive"
+        );
         self.engine.base = cfg;
         self
     }
@@ -372,8 +385,8 @@ pub(crate) trait Executor: Send {
     /// the whole pass.
     fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport;
 
-    /// The closed-form cost ([`nmpic_model::analytic`]) of one pass of
-    /// `vectors` vectors (at most [`Executor::chunk_capacity`]).
+    /// The closed-form cost (see `cost.rs`) of one pass of `vectors`
+    /// vectors (at most [`Executor::chunk_capacity`]).
     fn model(&mut self, vectors: usize) -> IterReport;
 
     /// Multi-unit detail of the last pass, scaled to a run of `vectors`

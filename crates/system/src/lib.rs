@@ -60,6 +60,7 @@
 #![warn(missing_docs)]
 
 mod base;
+mod cost;
 mod engine;
 mod pack;
 mod replay;
@@ -69,6 +70,7 @@ mod shard;
 mod solve;
 
 pub use base::BaseConfig;
+pub use cost::PINNED_REL_TOL;
 pub use engine::{ExecMode, SpmvEngine, SpmvEngineBuilder, SpmvPlan, SystemKind};
 pub use pack::PackConfig;
 pub use report::{golden_x, IterReport, RunReport, ShardDetail};

@@ -23,13 +23,15 @@
 //! result vector, which must carry the bits of [`Sell::spmv_into`].
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use nmpic_axi::{ElemSize, PackRequest};
-use nmpic_core::{AdapterConfig, IndirectStreamUnit};
+use nmpic_core::{AdapterConfig, CoalescerTrafficModel, IndirectStreamUnit};
 use nmpic_mem::{BackendConfig, ChannelPort, Memory, WideRequest, BLOCK_BYTES};
 use nmpic_sim::SimClock;
 use nmpic_sparse::Sell;
 
+use crate::cost::{span_lines, ChannelModel, LINE};
 use crate::engine::{issue_write_back, Executor, PlanFacts, ValueKernel};
 use crate::report::IterReport;
 
@@ -61,6 +63,39 @@ impl PackConfig {
     pub fn tile_entries_batched(&self, vectors: usize) -> usize {
         let arrays = 4 + 2 * vectors.max(1);
         (self.l2_bytes / arrays) / 8
+    }
+
+    /// How one pass of `vectors` vectors tiles `sell`'s stream: the one
+    /// tile geometry the simulator and the model both follow.
+    fn tiling(&self, sell: &Sell, vectors: usize) -> Tiling {
+        let tile_entries = self.tile_entries_batched(vectors).max(64);
+        let n_tiles = sell.padded_len().div_ceil(tile_entries);
+        Tiling {
+            len: sell.padded_len(),
+            tile_entries,
+            n_tiles,
+            ptr_per_tile: sell.slice_ptr().len().div_ceil(n_tiles).max(1),
+        }
+    }
+}
+
+/// The tiles of one pass over a padded SELL stream.
+#[derive(Debug, Clone, Copy)]
+struct Tiling {
+    /// Stream entries.
+    len: usize,
+    /// Entries per tile (the last tile may hold fewer).
+    tile_entries: usize,
+    n_tiles: usize,
+    /// Slice-pointer entries fetched with each tile.
+    ptr_per_tile: usize,
+}
+
+impl Tiling {
+    /// The stream positions of tile `t`.
+    fn tile(&self, t: usize) -> Range<usize> {
+        let lo = t * self.tile_entries;
+        lo..(lo + self.tile_entries).min(self.len)
     }
 }
 
@@ -97,7 +132,8 @@ fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
 /// channel, stream-position map and adapter unit built once.
 pub(crate) struct PackPlan {
     cfg: PackConfig,
-    backend: BackendConfig,
+    /// The closed-form view of the backend `chan` is built from.
+    memory: ChannelModel,
     sell: Sell,
     row_of: Vec<u32>,
     chan: Box<dyn ChannelPort>,
@@ -128,7 +164,7 @@ impl PackPlan {
             row_of: row_map(&sell),
             unit: IndirectStreamUnit::new(adapter.clone()),
             cfg,
-            backend: backend.clone(),
+            memory: ChannelModel::of(backend),
             sell,
             chan,
             layout,
@@ -183,18 +219,14 @@ impl Executor for PackPlan {
     }
 
     fn model(&mut self, vectors: usize) -> IterReport {
-        let params = nmpic_model::PackParams {
-            tile_entries: self.cfg.tile_entries_batched(vectors).max(64),
-            ptr_count: self.sell.slice_ptr().len(),
-            rows: self.sell.rows(),
+        pack_cost(
+            &self.cfg,
+            self.unit.config(),
+            &self.memory,
+            &self.layout,
+            &self.sell,
             vectors,
-            compute_elems_per_cycle: self.cfg.compute_elems_per_cycle,
-            adapter: self.unit.config().clone(),
-            chan: nmpic_model::ChannelModel::of(&self.backend),
-            idx_base: self.layout.idx_base,
-            vec_bases: self.layout.vec_bases[..vectors].to_vec(),
-        };
-        IterReport::modelled(&nmpic_model::pack_cost(&params, self.sell.col_idx()))
+        )
     }
 
     /// Every request of a pass comes from the SELL arrays and the fixed
@@ -263,9 +295,9 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
     let rows = sell.rows();
     let n_ptr = sell.slice_ptr().len();
 
-    let tile_entries = cfg.tile_entries_batched(b_n).max(64);
-    let n_tiles = entries.div_ceil(tile_entries);
-    let ptr_per_tile = (n_ptr as u64).div_ceil(n_tiles as u64).max(1);
+    let tiling = cfg.tiling(sell, b_n);
+    let (tile_entries, n_tiles) = (tiling.tile_entries, tiling.n_tiles);
+    let ptr_per_tile = tiling.ptr_per_tile as u64;
 
     // Prefetcher state.
     let mut pf_tile = 0usize; // tile currently being fetched
@@ -297,8 +329,7 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
         // --- Prefetcher: fetch tiles while fewer than two are buffered
         // (double buffering).
         if pf_tile < n_tiles && fetched_tiles - computed_tiles < 2 {
-            let lo = pf_tile * tile_entries;
-            let hi = ((pf_tile + 1) * tile_entries).min(entries);
+            let Range { start: lo, end: hi } = tiling.tile(pf_tile);
             let count = (hi - lo) as u64;
             if !burst_begun {
                 let req = match stage {
@@ -412,6 +443,85 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
         cycles: clk.now(),
         indir_cycles,
         offchip_bytes: chan.data_bytes(),
+    }
+}
+
+/// The pack system's closed-form cost: one batched pass of `vectors`
+/// vectors over the padded SELL entry stream laid out at `layout`. Per
+/// tile, the prefetcher's contiguous pointer/value fetch and one
+/// indirect burst per vector (element-gather traffic from the
+/// coalescer's structural window model), double-buffered against the
+/// VPC's compute.
+fn pack_cost(
+    cfg: &PackConfig,
+    adapter: &AdapterConfig,
+    chan: &ChannelModel,
+    layout: &PackLayout,
+    sell: &Sell,
+    vectors: usize,
+) -> IterReport {
+    let col_idx = sell.col_idx();
+    let tiling = cfg.tiling(sell, vectors);
+    let ptr_count = sell.slice_ptr().len();
+    let mut indir_cycles = 0.0f64;
+    let mut read_lines = 0u64;
+    let mut ptr_fetched = 0usize;
+    let mut prev_compute = 0.0f64;
+    let mut pipelined = 0.0f64;
+    // One window model for the whole call: every burst ends in a
+    // `flush`, so each starts from a fresh window, and its wide requests
+    // are the growth of the running count.
+    let mut coal = CoalescerTrafficModel::new(adapter);
+
+    for t in 0..tiling.n_tiles {
+        let Range { start: lo, end: hi } = tiling.tile(t);
+        let count = hi - lo;
+
+        // Contiguous stages: slice pointers + nonzero values.
+        let ptr_n = tiling.ptr_per_tile.min(ptr_count - ptr_fetched);
+        let ptr_lines = span_lines(4 * ptr_fetched as u64, ptr_n, 4);
+        ptr_fetched += ptr_n;
+        let val_lines = span_lines(8 * lo as u64, count, 8);
+        read_lines += ptr_lines + val_lines;
+        let t_contig = chan.latency as f64 + chan.stream_cycles((ptr_lines + val_lines) * LINE);
+
+        // One indirect burst per batch vector: index stream lines plus
+        // the element gathers the coalescer window model predicts.
+        let mut t_ind_total = 0.0f64;
+        for &vec_base in &layout.vec_bases[..vectors] {
+            let idx_lines = span_lines(layout.idx_base + 4 * lo as u64, count, 4);
+            let before = coal.counts().wide_requests;
+            for &c in &col_idx[lo..hi] {
+                coal.push(vec_base + 8 * c as u64);
+            }
+            coal.flush();
+            let wide = coal.counts().wide_requests - before;
+            read_lines += idx_lines + wide;
+            let upstream_beats = (count as u64).div_ceil(8) as f64;
+            let dram = chan.stream_cycles(idx_lines * LINE) + chan.scatter_cycles(wide * LINE);
+            t_ind_total += chan.latency as f64 + upstream_beats.max(dram);
+        }
+        indir_cycles += t_ind_total;
+
+        let fetch_t = t_contig + t_ind_total;
+        let compute_t = (count as f64 * vectors as f64 / cfg.compute_elems_per_cycle).ceil();
+        if t == 0 {
+            pipelined += fetch_t;
+        } else {
+            pipelined += fetch_t.max(prev_compute);
+        }
+        prev_compute = compute_t;
+    }
+    pipelined += prev_compute;
+
+    // Result writeback: one masked 64 B line per 8 rows per vector,
+    // overlapped with compute except for the final flush.
+    let write_lines = (sell.rows() as u64).div_ceil(8) * vectors as u64;
+    let cycles = pipelined + chan.latency as f64;
+    IterReport {
+        cycles: cycles.round() as u64,
+        indir_cycles: indir_cycles.round() as u64,
+        offchip_bytes: (read_lines + write_lines) * LINE,
     }
 }
 
@@ -570,6 +680,31 @@ mod tests {
             last = done;
         }
         assert_eq!(complete_rows(&s, s.padded_len()), 100);
+    }
+
+    #[test]
+    fn pack_cost_amortizes_streams_across_batch() {
+        // 512 rows of 8 entries: a 4096-entry stream with no padding.
+        let (rows, per) = (512usize, 8usize);
+        let row_ptr: Vec<u32> = (0..=rows).map(|i| (i * per) as u32).collect();
+        let col_idx: Vec<u32> = (0..rows * per).map(|k| (k % 512) as u32).collect();
+        let csr = nmpic_sparse::Csr::from_parts(rows, 512, row_ptr, col_idx, vec![1.0; rows * per])
+            .unwrap();
+        let sell = Sell::from_csr_default(&csr);
+        let layout = layout_pack(&mut Memory::new(pack_plan_memory_size(&sell, 4)), &sell, 4);
+        // 1024-entry tiles for one vector, at 4 elements per cycle.
+        let cfg = PackConfig {
+            l2_bytes: 48 * 1024,
+            ..PackConfig::default()
+        };
+        let adapter = AdapterConfig::mlp(256);
+        let chan = ChannelModel::of(&BackendConfig::ideal());
+        let one = pack_cost(&cfg, &adapter, &chan, &layout, &sell, 1);
+        let four = pack_cost(&cfg, &adapter, &chan, &layout, &sell, 4);
+        // Four vectors reuse the pointer/value streams: cheaper than 4×.
+        assert!(four.cycles < 4 * one.cycles);
+        assert!(four.offchip_bytes < 4 * one.offchip_bytes);
+        assert!(one.indir_cycles > 0);
     }
 }
 

@@ -183,16 +183,6 @@ pub struct IterReport {
 }
 
 impl IterReport {
-    /// The report of an SpMV whose cost the closed-form model predicted
-    /// (cycle figures rounded to whole cycles).
-    pub(crate) fn modelled(cost: &nmpic_model::AnalyticCost) -> Self {
-        Self {
-            cycles: cost.cycles.round() as u64,
-            indir_cycles: cost.indir_cycles.round() as u64,
-            offchip_bytes: cost.offchip_bytes,
-        }
-    }
-
     /// Delivered off-chip bandwidth in GB/s at 1 GHz.
     pub fn gbps(&self) -> f64 {
         if self.cycles == 0 {

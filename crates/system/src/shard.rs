@@ -33,8 +33,8 @@ use std::fmt;
 
 use nmpic_axi::{ElemSize, PackRequest};
 use nmpic_core::{
-    stream_memory_size, AdapterConfig, AdapterStats, IndirectStreamUnit, ScatterRequest,
-    ScatterStats, ScatterUnit,
+    stream_memory_size, AdapterConfig, AdapterStats, CoalescerTrafficModel, IndirectStreamUnit,
+    ScatterRequest, ScatterStats, ScatterUnit,
 };
 use nmpic_mem::{BackendConfig, ChannelPort, HbmStats, Memory, BLOCK_BYTES};
 use nmpic_sim::pool;
@@ -42,6 +42,7 @@ use nmpic_sim::stats::Extrema;
 use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
 use nmpic_sparse::Csr;
 
+use crate::cost::{span_lines, ChannelModel, LINE};
 use crate::engine::{Executor, PlanFacts, ValueKernel};
 use crate::report::{IterReport, ShardDetail};
 
@@ -322,9 +323,8 @@ impl Executor for ShardedPlan {
         if !self.outs.is_empty() {
             return self.last_pass();
         }
-        let unit_chan = nmpic_model::ChannelModel::of(&self.backend.split(self.slots.len()));
-        let collect_chan =
-            nmpic_model::ChannelModel::of(&self.backend.split(self.backend.kind.channels()));
+        let unit_chan = ChannelModel::of(&self.backend.split(self.slots.len()));
+        let collect_chan = ChannelModel::of(&self.backend.split(self.backend.kind.channels()));
         // Each shard's replay is independent; fan them across the work
         // pool (this is the analytic path's dominant cost on large
         // matrices). The jobs carry plain data only: the slots also own
@@ -341,23 +341,17 @@ impl Executor for ShardedPlan {
                 return ShardOut::default();
             }
             let shard = partition.csr_shard(csr, i);
-            let cost = nmpic_model::shard_gather_cost(
-                adapter,
-                &unit_chan,
-                idx_base,
-                x_base,
-                shard.col_idx(),
-            );
+            let cost = shard_gather_cost(adapter, &unit_chan, idx_base, x_base, shard.col_idx());
             ShardOut {
-                cycles: cost.cycles.round() as u64,
+                cycles: cost.cycles,
                 payload_bytes: 8 * nnz,
                 data_bytes: cost.offchip_bytes,
                 ..ShardOut::default()
             }
         });
-        let collect = nmpic_model::collect_cost(self.csr.rows(), &collect_chan);
+        let collect = collect_cost(self.csr.rows(), &collect_chan);
         self.collect = CollectOut {
-            cycles: collect.cycles.round() as u64,
+            cycles: collect.cycles,
             data_bytes: collect.offchip_bytes,
             scatter: ScatterStats::default(),
         };
@@ -525,6 +519,62 @@ fn exec_merged_writeback(plan: &mut ShardedPlan, y: &mut [f64]) -> CollectOut {
         cycles,
         data_bytes: chan.data_bytes(),
         scatter: unit.stats(),
+    }
+}
+
+/// Elements per cycle a shard unit's gather pipeline sustains: results
+/// drain through the element-output path one element per cycle, which
+/// bounds the burst regardless of coalescing (calibrated against
+/// [`exec_shard_gather`]).
+const SHARD_ELEMS_PER_CYCLE: f64 = 1.4;
+
+/// The closed-form cost of one shard's gather burst: the unit fetches
+/// its shard-local index stream at `idx_base`, gathers `x` elements from
+/// `x_base` through the coalescer (window model), and packs results
+/// upstream. `cycles` is the shard's gather-phase length; the sharded
+/// pass's gather phase is the max across shards.
+fn shard_gather_cost(
+    adapter: &AdapterConfig,
+    chan: &ChannelModel,
+    idx_base: u64,
+    x_base: u64,
+    col_idx: &[u32],
+) -> IterReport {
+    let count = col_idx.len();
+    let idx_lines = span_lines(idx_base, count, 4);
+    let mut coal = CoalescerTrafficModel::new(adapter);
+    for &c in col_idx {
+        coal.push(x_base + 8 * c as u64);
+    }
+    coal.flush();
+    let wide = coal.counts().wide_requests;
+    let pipeline_bound = count as f64 / SHARD_ELEMS_PER_CYCLE;
+    // Wide fetches count as *streams*, not scatters: the coalescer
+    // emits each distinct line once, in the quasi-ascending order the
+    // window marches through the shard's x slice, which is row-hit
+    // friendly on the unit's private channel split.
+    let dram = chan.stream_cycles((idx_lines + wide) * LINE);
+    let cycles = (chan.latency as f64 + pipeline_bound.max(dram)).round() as u64;
+    IterReport {
+        cycles,
+        indir_cycles: cycles,
+        offchip_bytes: (idx_lines + wide) * LINE,
+    }
+}
+
+/// The closed-form cost of the merged-collection phase over `rows`
+/// result rows: the scatter unit streams the merged row-index array and
+/// writes one masked 64 B result line per 8 rows through the collect
+/// channel.
+fn collect_cost(rows: usize, chan: &ChannelModel) -> IterReport {
+    let idx_lines = (4 * rows as u64).div_ceil(LINE);
+    let write_lines = (rows as u64).div_ceil(8);
+    let upstream_beats = (rows as u64).div_ceil(8) as f64;
+    let dram = chan.stream_cycles((idx_lines + write_lines) * LINE);
+    IterReport {
+        cycles: (chan.latency as f64 + upstream_beats.max(dram)).round() as u64,
+        indir_cycles: 0,
+        offchip_bytes: (idx_lines + write_lines) * LINE,
     }
 }
 
@@ -721,6 +771,34 @@ mod tests {
             19, 20, 21, 22,                 // shard 1: its last 4 rows
         ];
         assert_eq!(merge_order(&partition, 4), want);
+    }
+
+    #[test]
+    fn shard_gather_is_pipeline_bound_on_local_streams() {
+        let chan = ChannelModel::of(&BackendConfig::ideal());
+        let cfg = AdapterConfig::mlp(256);
+        // Highly local: every gather hits a handful of blocks, so the
+        // element-drain pipeline — not DRAM — bounds the burst.
+        let local: Vec<u32> = (0..4096).map(|k| (k / 64) as u32).collect();
+        let c = shard_gather_cost(&cfg, &chan, 0, 1 << 20, &local);
+        let drain = 4096.0 / SHARD_ELEMS_PER_CYCLE;
+        assert!(c.cycles as f64 >= drain, "element drain bounds the burst");
+        assert!((c.cycles as f64) < drain + 2.0 * chan.latency as f64 + 1.0);
+        // Scattered: every element its own block → DRAM-bound.
+        let scattered: Vec<u32> = (0..4096).map(|k| (k * 8 % 32768) as u32).collect();
+        let s = shard_gather_cost(&cfg, &chan, 0, 1 << 20, &scattered);
+        assert!(s.cycles > c.cycles);
+        assert!(s.offchip_bytes > c.offchip_bytes);
+    }
+
+    #[test]
+    fn collect_cost_counts_result_lines() {
+        let ideal = ChannelModel::of(&BackendConfig::ideal());
+        let c = collect_cost(1024, &ideal);
+        // 1024 rows → 64 idx lines + 128 result lines.
+        assert_eq!(c.offchip_bytes, (64 + 128) * LINE);
+        assert!(c.cycles > 0);
+        assert_eq!(collect_cost(0, &ideal).offchip_bytes, 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!    the reduction order;
 //! 2. an [`ExecMode::Analytic`] plan fills the same [`RunReport`]
 //!    cost fields within the pinned relative tolerance
-//!    (`nmpic_model::PINNED_REL_TOL`) of [`ExecMode::CycleAccurate`]
+//!    (`nmpic_system::PINNED_REL_TOL`) of [`ExecMode::CycleAccurate`]
 //!    across every backend × system, with bit-identical result vectors;
 //! 3. a CG solve in analytic mode reproduces the cycle-accurate
 //!    residual trajectory exactly — values come from the plan's value
@@ -14,11 +14,11 @@
 
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
-use nmpic_model::PINNED_REL_TOL;
 use nmpic_sparse::gen::{banded_fem, circuit, spd, stencil27};
 use nmpic_sparse::Csr;
 use nmpic_system::{
     golden_x, ExecMode, PartitionStrategy, SolveOptions, Solver, SpmvEngine, SpmvPlan, SystemKind,
+    PINNED_REL_TOL,
 };
 
 fn backends() -> Vec<BackendConfig> {

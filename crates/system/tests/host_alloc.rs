@@ -191,14 +191,14 @@ fn warm_allocs(system: &str, csr: &Csr, backend_name: &str) -> (u64, Option<u64>
 const ANALYTIC_PINNED: &[Row] = &[
     ("base", 1536, "ideal", 2),
     ("base", 1536, "hbm x8", 2),
-    ("pack256", 1536, "ideal", 2),
-    ("pack256", 1536, "hbm x8", 2),
+    ("pack256", 1536, "ideal", 1),
+    ("pack256", 1536, "hbm x8", 1),
     ("sharded4", 1536, "ideal", 0),
     ("sharded4", 1536, "hbm x8", 0),
-    ("pack256", 512, "ideal", 2),
-    ("pack256", 512, "hbm x8", 2),
-    ("pack256", 6144, "ideal", 2),
-    ("pack256", 6144, "hbm x8", 2),
+    ("pack256", 512, "ideal", 1),
+    ("pack256", 512, "hbm x8", 1),
+    ("pack256", 6144, "ideal", 1),
+    ("pack256", 6144, "hbm x8", 1),
 ];
 
 /// Allocations of the first `run_into` after two `run`s on a fresh

@@ -11,8 +11,9 @@
 #               debug-profile step whose assertions check the baseline's
 #               skipped cycles, every replayed run_into pass (and what
 #               it allocates), both exec modes' check against the value
-#               kernel, the
-#               coalescer block table's probe bound and stamp wrap, and
+#               kernel, the coalescer block table's probe bound and
+#               stamp wrap (core's unit tests and nmpic-system's
+#               analytic-model tests, stream-line walk included), and
 #               each HBM controller's cached issue cycle against a scan
 #               of its queue
 #   benchmark   the benchmark/ package's own tests + a 1 s smoke run of
