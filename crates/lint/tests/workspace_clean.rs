@@ -35,7 +35,7 @@ fn workspace_has_zero_unsuppressed_violations() {
 /// Allow-markers in the workspace's `.rs` files. The count may only
 /// fall: a change that removes markers lowers this literal to the new
 /// count in the same commit.
-const MARKER_CEILING: usize = 68;
+const MARKER_CEILING: usize = 65;
 
 /// Directories the marker count skips, as `lint_workspace` does.
 const SKIP_DIRS: [&str; 4] = ["target", "results", "related", "node_modules"];

@@ -212,7 +212,9 @@ fn compact_trailing(boundaries: Vec<usize>, rows: usize, k: usize) -> Vec<usize>
 ///
 /// `col_idx`/`values` borrow the parent matrix's arrays; `row_ptr` keeps
 /// the parent's absolute offsets, and accessors rebase them, so no
-/// per-shard arrays are materialized.
+/// per-shard arrays are materialized. A consumer of the shard's stream
+/// finds each position's row by walking [`CsrShard::row_nnz`] in step
+/// with the positions.
 #[derive(Debug, Clone)]
 pub struct CsrShard<'a> {
     rows: Range<usize>,
@@ -258,31 +260,6 @@ impl<'a> CsrShard<'a> {
     /// Nonzeros of local row `r` (0-based within the shard).
     pub fn row_nnz(&self, r: usize) -> usize {
         (self.row_ptr[r + 1] - self.row_ptr[r]) as usize
-    }
-
-    /// Maps every stream position (0-based within the shard) to its
-    /// **global** row — the accumulation map a unit's result path uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a global row exceeds the 32 b row-id width (the map's
-    /// element type) — wrapping would silently misroute accumulation.
-    pub fn row_of_positions(&self) -> Vec<u32> {
-        let mut map = Vec::with_capacity(self.nnz());
-        for r in 0..self.n_rows() {
-            let global = match u32::try_from(self.rows.start + r) {
-                Ok(g) => g,
-                Err(_) => {
-                    // nmpic-lint: allow(L2) — documented panic: row ids in the accumulation map are 32 b by the paper's index-width contract; a wrapped id would misroute results
-                    panic!(
-                        "row {} does not fit the 32 b row-id width",
-                        self.rows.start + r
-                    )
-                }
-            };
-            map.extend(std::iter::repeat_n(global, self.row_nnz(r)));
-        }
-        map
     }
 
     /// Accumulates this shard's contribution `y[r] += A_shard[r]·x` into
@@ -401,23 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn row_of_positions_matches_stream_order() {
-        let csr = banded_fem(40, 4, 9, 7);
-        let p = by_nnz(&csr, 3);
-        for i in 0..3 {
-            let s = p.csr_shard(&csr, i);
-            let map = s.row_of_positions();
-            assert_eq!(map.len(), s.nnz());
-            // Positions are row-major: map is non-decreasing and covers
-            // exactly the shard's row range (skipping empty rows).
-            assert!(map.windows(2).all(|w| w[0] <= w[1]));
-            for &r in &map {
-                assert!(s.rows().contains(&(r as usize)));
-            }
-        }
-    }
-
-    #[test]
     fn more_shards_than_rows_leaves_trailing_empty_shards() {
         let csr = banded_fem(5, 2, 4, 1);
         let p = by_nnz(&csr, 8);
@@ -480,7 +440,6 @@ mod tests {
                         if p.range(i).is_empty() {
                             assert_eq!(s.nnz(), 0);
                             assert_eq!(s.n_rows(), 0);
-                            assert!(s.row_of_positions().is_empty());
                         }
                         s.spmv_into(&x, &mut y);
                     }

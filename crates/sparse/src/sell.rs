@@ -1,5 +1,7 @@
 //! Sliced ELLPACK (SELL) format with the paper's 32-row slices.
 
+use std::ops::Range;
+
 use crate::{Csr, FormatError};
 
 /// Slice height used throughout the paper's evaluation (32 rows per slice).
@@ -19,7 +21,8 @@ pub const DEFAULT_SLICE_HEIGHT: usize = 32;
 /// index stream (and coalesce perfectly, since they all hit block 0 of
 /// the vector) but contribute nothing to the result: [`Sell::spmv`] skips
 /// them by row length, so a non-finite `x[0]` cannot leak into a row
-/// through `0.0 * x[0]`.
+/// through `0.0 * x[0]`. A consumer of the stream learns each entry's
+/// row, and skips padding, through [`Sell::walk`].
 ///
 /// # Example
 ///
@@ -30,6 +33,10 @@ pub const DEFAULT_SLICE_HEIGHT: usize = 32;
 /// assert_eq!(sell.nnz(), 3);
 /// assert_eq!(sell.padded_len(), 4); // slice width 2 × 2 rows
 /// assert_eq!(sell.spmv(&[10.0, 100.0]), csr.spmv(&[10.0, 100.0]));
+/// // Positions 0, 1 and 3 hold rows 0, 1 and 1; 2 is row 0's padding.
+/// let mut seen = Vec::new();
+/// sell.walk(0..4, |pos, row| seen.push((pos, row)));
+/// assert_eq!(seen, [(0, 0), (1, 1), (3, 1)]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sell {
@@ -210,14 +217,47 @@ impl Sell {
         span / self.slice_height
     }
 
-    /// Stored (unpadded) nonzeros of row `r`: its first `row_nnz(r)`
-    /// positions in its slice hold entries, the rest are padding.
+    /// Visits the stream `positions` in order, calling `visit(pos, row)`
+    /// for each stored entry and skipping padding. Position
+    /// `slice_ptr[s] + j·h + lane` holds entry `j` of row `s·h + lane`;
+    /// code outside this file learns that only through this walk.
     ///
     /// # Panics
     ///
-    /// Panics if `r >= rows`.
-    pub fn row_nnz(&self, r: usize) -> usize {
-        self.row_len[r] as usize
+    /// Panics if `positions` ends past [`Sell::padded_len`].
+    pub fn walk(&self, positions: Range<usize>, mut visit: impl FnMut(usize, usize)) {
+        assert!(positions.end <= self.padded_len(), "walk past the stream");
+        let h = self.slice_height;
+        let (mut pos, mut s) = (positions.start, self.complete_slices(positions.start));
+        while pos < positions.end {
+            let base = self.slice_ptr[s] as usize;
+            let stop = positions.end.min(self.slice_ptr[s + 1] as usize);
+            let r0 = s * h;
+            // A partial last slice has fewer rows than lanes.
+            let lens = &self.row_len[r0..(r0 + h).min(self.rows)];
+            let (mut j, mut lane) = ((pos - base) / h, (pos - base) % h);
+            for p in pos..stop {
+                if lens.get(lane).is_some_and(|&len| j < len as usize) {
+                    visit(p, r0 + lane);
+                }
+                lane += 1;
+                if lane == h {
+                    (j, lane) = (j + 1, 0);
+                }
+            }
+            (pos, s) = (stop, s + 1);
+        }
+    }
+
+    /// Rows whose every stream position lies before `pos`: the rows of
+    /// the slices that end at or before it.
+    pub fn complete_rows(&self, pos: usize) -> usize {
+        (self.complete_slices(pos) * self.slice_height).min(self.rows)
+    }
+
+    /// Slices that end at or before stream position `pos`.
+    fn complete_slices(&self, pos: usize) -> usize {
+        self.slice_ptr[1..].partition_point(|&end| end as usize <= pos)
     }
 
     /// SpMV over the SELL layout, bit-identical to [`Csr::spmv`] for
@@ -320,6 +360,7 @@ impl Sell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nmpic_sim::SimRng;
 
     fn sample() -> Csr {
         // 5 rows, widths 2,1,3,0,1 — exercises padding and a short slice.
@@ -441,5 +482,102 @@ mod tests {
     #[should_panic(expected = "32 b offset limit")]
     fn from_csr_panics_instead_of_truncating() {
         let _ = Sell::from_csr(&just_over_the_edge(), 1 << 20);
+    }
+
+    /// Reference for [`Sell::walk`]: the row of every padded position
+    /// (`None` for padding), placed row by row from the layout rule.
+    fn row_map(sell: &Sell) -> Vec<Option<usize>> {
+        let mut map = vec![None; sell.padded_len()];
+        let h = sell.slice_height();
+        for r in 0..sell.rows() {
+            let first = sell.slice_ptr()[r / h] as usize + r % h;
+            for j in 0..sell.row_len[r] as usize {
+                map[first + j * h] = Some(r);
+            }
+        }
+        map
+    }
+
+    /// Reference for [`Sell::complete_rows`]: the leading rows whose
+    /// slices all end at or before `pos`, scanned from slice 0.
+    fn complete_rows(sell: &Sell, pos: usize) -> usize {
+        let h = sell.slice_height();
+        let mut done = 0usize;
+        for s in 0..sell.n_slices() {
+            if (sell.slice_ptr()[s + 1] as usize) <= pos {
+                done = ((s + 1) * h).min(sell.rows());
+            } else {
+                break;
+            }
+        }
+        done
+    }
+
+    /// A seeded matrix with short rows, hub rows and a run of empty rows
+    /// long enough to leave whole slices (zero width) empty.
+    fn random_csr(rng: &mut SimRng) -> Csr {
+        let rows = rng.gen_usize(0, 160);
+        let cols = rng.gen_usize(1, 40);
+        let empty_lo = rng.gen_usize(0, rows + 1);
+        let empty = empty_lo..empty_lo + rng.gen_usize(0, 100);
+        let mut row_ptr = vec![0u32];
+        let mut col_idx = Vec::new();
+        for r in 0..rows {
+            let width = match rng.gen_usize(0, 10) {
+                _ if empty.contains(&r) => 0,
+                0 => 0,
+                1 => rng.gen_usize(8, 40),
+                _ => rng.gen_usize(1, 5),
+            };
+            col_idx.extend((0..width).map(|_| rng.gen_usize(0, cols) as u32));
+            row_ptr.push(col_idx.len() as u32);
+        }
+        let values = (0..col_idx.len()).map(|k| k as f64 + 0.5).collect();
+        Csr::from_parts(rows, cols, row_ptr, col_idx, values).unwrap()
+    }
+
+    /// Differential test of [`Sell::walk`] and [`Sell::complete_rows`]
+    /// against the references: slice heights 1–40, consecutive windows
+    /// of random length (often empty, often starting or ending
+    /// mid-slice), checked at every window end.
+    #[test]
+    fn walk_matches_the_reference_row_map() {
+        let mut rng = SimRng::new(43);
+        let mut zero_width_slices = 0;
+        for h in 1..=40 {
+            for _ in 0..12 {
+                let sell = Sell::from_csr(&random_csr(&mut rng), h);
+                let map = row_map(&sell);
+                let stored = map.iter().flatten().count();
+                assert_eq!(stored, sell.nnz(), "h {h}: the map holds every entry");
+                zero_width_slices += (0..sell.n_slices())
+                    .filter(|&s| sell.slice_width(s) == 0)
+                    .count();
+                assert_eq!(sell.complete_rows(0), complete_rows(&sell, 0), "h {h}");
+                let (mut lo, mut skipped) = (0, 0);
+                while lo < sell.padded_len() {
+                    let end = (lo + rng.gen_usize(0, 3 * h + 2)).min(sell.padded_len());
+                    let mut seen = Vec::new();
+                    sell.walk(lo..end, |pos, row| seen.push((pos, row)));
+                    let want: Vec<(usize, usize)> = (lo..end)
+                        .filter_map(|pos| map[pos].map(|row| (pos, row)))
+                        .collect();
+                    assert_eq!(seen, want, "h {h}, window {lo}..{end}");
+                    skipped += end - lo - seen.len();
+                    assert_eq!(
+                        sell.complete_rows(end),
+                        complete_rows(&sell, end),
+                        "h {h}, window end {end}"
+                    );
+                    lo = end;
+                }
+                assert_eq!(skipped, sell.padded_len() - sell.nnz(), "h {h}: padding");
+                assert_eq!(sell.complete_rows(lo), sell.rows(), "h {h}");
+            }
+        }
+        assert!(
+            zero_width_slices > 100,
+            "{zero_width_slices} zero-width slices"
+        );
     }
 }

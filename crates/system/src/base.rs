@@ -823,6 +823,39 @@ mod tests {
         });
     }
 
+    /// The builder rejects every pack compute rate that is not finite
+    /// and positive; each case is its own test because each panics.
+    fn pack_rate(rate: f64) {
+        let _ = crate::SpmvEngine::builder().pack_config(crate::PackConfig {
+            compute_elems_per_cycle: rate,
+            ..crate::PackConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "pack compute rate must be finite and positive")]
+    fn zero_pack_rate_is_rejected_by_the_builder() {
+        pack_rate(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack compute rate must be finite and positive")]
+    fn nan_pack_rate_is_rejected_by_the_builder() {
+        pack_rate(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack compute rate must be finite and positive")]
+    fn negative_pack_rate_is_rejected_by_the_builder() {
+        pack_rate(-1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack compute rate must be finite and positive")]
+    fn infinite_pack_rate_is_rejected_by_the_builder() {
+        pack_rate(f64::INFINITY);
+    }
+
     #[test]
     fn base_cost_scales_with_work_and_tracks_traffic() {
         // 64 rows × 8 nnz, sequential columns: streams dominate.

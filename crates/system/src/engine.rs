@@ -194,7 +194,18 @@ impl SpmvEngineBuilder {
     }
 
     /// Overrides the pack system's tuning (L2 size, compute rate).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.compute_elems_per_cycle` is finite and
+    /// positive: a tile's compute time is its entries divided by the
+    /// rate, which is a cycle count for no other rate.
     pub fn pack_config(mut self, cfg: PackConfig) -> Self {
+        assert!(
+            cfg.compute_elems_per_cycle.is_finite() && cfg.compute_elems_per_cycle > 0.0,
+            "pack compute rate must be finite and positive, got {}",
+            cfg.compute_elems_per_cycle
+        );
         self.engine.pack = cfg;
         self
     }

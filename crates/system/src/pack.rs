@@ -129,13 +129,12 @@ fn pack_plan_memory_size(sell: &Sell, slots: usize) -> usize {
 }
 
 /// The pack system's prepared plan: SELL image laid out in a warm
-/// channel, stream-position map and adapter unit built once.
+/// channel and adapter unit built once.
 pub(crate) struct PackPlan {
     cfg: PackConfig,
     /// The closed-form view of the backend `chan` is built from.
     memory: ChannelModel,
     sell: Sell,
-    row_of: Vec<u32>,
     chan: Box<dyn ChannelPort>,
     layout: PackLayout,
     /// Whether the SELL image is in the channel's memory: written by the
@@ -161,7 +160,6 @@ impl PackPlan {
         let mut chan = backend.build(Memory::new(pack_plan_memory_size(&sell, slots)));
         let layout = layout_pack(chan.memory_mut(), &sell, slots);
         Self {
-            row_of: row_map(&sell),
             unit: IndirectStreamUnit::new(adapter.clone()),
             cfg,
             memory: ChannelModel::of(backend),
@@ -277,7 +275,7 @@ fn layout_pack(mem: &mut Memory, sell: &Sell, slots: usize) -> PackLayout {
 /// fresh vectors per call.
 fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
     let (chan, unit) = (&mut *plan.chan, &mut plan.unit);
-    let (sell, cfg, layout, row_of_pos) = (&plan.sell, &plan.cfg, &plan.layout, &plan.row_of);
+    let (sell, cfg, layout) = (&plan.sell, &plan.cfg, &plan.layout);
     assert!(sell.padded_len() > 0, "empty matrix");
     let b_n = xs.len();
     assert!(b_n >= 1, "at least one vector");
@@ -317,7 +315,6 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
     let mut computed_tiles = 0usize;
     let mut vpc_busy_until = 0u64;
     let mut cur_tile: Option<TileData> = None;
-    let mut pos_cursor = 0usize; // global stream position of computed data
     let mut rows_written = 0usize;
     let mut pending_writes: VecDeque<WideRequest> = VecDeque::new();
 
@@ -397,31 +394,20 @@ fn exec_pack(plan: &mut PackPlan, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterR
                 cur_tile = Some(tile);
             }
         } else if let Some((vals, vecs)) = cur_tile.take_if(|_| now >= vpc_busy_until) {
-            for (b, vecs_b) in vecs.iter().enumerate() {
-                debug_assert_eq!(vals.len(), vecs_b.len());
-                for k in 0..vals.len() {
-                    // Padding moved through the adapter like any entry
-                    // but contributes nothing: `0.0 * x[0]` is NaN for
-                    // a non-finite `x[0]`.
-                    let row = row_of_pos[pos_cursor + k];
-                    if row != PADDING {
-                        let a = f64::from_bits(vals[k]);
-                        let v = f64::from_bits(vecs_b[k]);
-                        ys[b][row as usize] += a * v;
-                    }
+            debug_assert!(vecs.iter().all(|v| v.len() == vals.len()));
+            // Padding moved through the adapter like any entry but the
+            // walk skips it: `0.0 * x[0]` is NaN for a non-finite `x[0]`.
+            let tile = tiling.tile(computed_tiles);
+            sell.walk(tile.clone(), |pos, row| {
+                let a = f64::from_bits(vals[pos - tile.start]);
+                for (y, v) in ys.iter_mut().zip(&vecs) {
+                    y[row] += a * f64::from_bits(v[pos - tile.start]);
                 }
-            }
-            pos_cursor += vals.len();
+            });
             computed_tiles += 1;
             // Write back completed result rows, one 64 B line per vector
             // at a time.
-            let rows_done = if computed_tiles == n_tiles {
-                rows
-            } else {
-                // Rows are complete once every stream position of all
-                // their slices has been consumed.
-                complete_rows(sell, pos_cursor)
-            };
+            let rows_done = sell.complete_rows(tile.end);
             while rows_written < rows_done {
                 for res_base in layout.res_bases.iter().take(b_n) {
                     let line = (res_base + 8 * rows_written as u64) & !(BLOCK_BYTES as u64 - 1);
@@ -525,41 +511,6 @@ fn pack_cost(
     }
 }
 
-/// The [`row_map`] entry of a padding position.
-const PADDING: u32 = u32::MAX;
-
-/// Maps each padded SELL stream position to its row, or to [`PADDING`].
-fn row_map(sell: &Sell) -> Vec<u32> {
-    if u32::try_from(sell.rows()).is_err() {
-        // nmpic-lint: allow(L2) — documented panic: row ids in the position map are 32 b by the paper's index-width contract, with u32::MAX marking padding; the former per-entry cast silently wrapped and misrouted accumulation instead
-        panic!("{} rows exceed the 32 b row-id width", sell.rows());
-    }
-    let mut map = vec![PADDING; sell.padded_len()];
-    let h = sell.slice_height();
-    for (r, id) in (0..sell.rows()).zip(0u32..) {
-        let first = sell.slice_ptr()[r / h] as usize + r % h;
-        for j in 0..sell.row_nnz(r) {
-            map[first + j * h] = id;
-        }
-    }
-    map
-}
-
-/// Number of leading rows whose slices have been fully consumed once the
-/// stream cursor reaches `pos`.
-fn complete_rows(sell: &Sell, pos: usize) -> usize {
-    let h = sell.slice_height();
-    let mut done = 0usize;
-    for s in 0..sell.n_slices() {
-        if (sell.slice_ptr()[s + 1] as usize) <= pos {
-            done = ((s + 1) * h).min(sell.rows());
-        } else {
-            break;
-        }
-    }
-    done
-}
-
 /// One golden-vector SpMV on a fresh pack plan with `adapter`, tuned by
 /// `cfg` — the in-module tests' way into the datapath.
 #[cfg(test)]
@@ -658,28 +609,6 @@ mod tests {
             );
             assert_eq!(plan.facts().label, want);
         }
-    }
-
-    #[test]
-    fn row_map_covers_all_positions() {
-        let s = sell(100);
-        let map = row_map(&s);
-        assert_eq!(map.len(), s.padded_len());
-        let stored: Vec<u32> = map.iter().copied().filter(|&r| r != PADDING).collect();
-        assert!(stored.iter().all(|&r| (r as usize) < s.rows()));
-        assert_eq!(stored.len(), s.nnz(), "exactly the padding is unmapped");
-    }
-
-    #[test]
-    fn complete_rows_monotone() {
-        let s = sell(100);
-        let mut last = 0;
-        for pos in (0..=s.padded_len()).step_by(64) {
-            let done = complete_rows(&s, pos);
-            assert!(done >= last);
-            last = done;
-        }
-        assert_eq!(complete_rows(&s, s.padded_len()), 100);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use nmpic_core::{
 use nmpic_mem::{BackendConfig, ChannelPort, HbmStats, Memory, BLOCK_BYTES};
 use nmpic_sim::pool;
 use nmpic_sim::stats::Extrema;
-use nmpic_sparse::partition::{by_nnz, by_rows, Partition};
+use nmpic_sparse::partition::{by_nnz, by_rows, CsrShard, Partition};
 use nmpic_sparse::Csr;
 
 use crate::cost::{span_lines, ChannelModel, LINE};
@@ -84,28 +84,21 @@ pub struct ShardReport {
     pub dram: Option<HbmStats>,
 }
 
-/// One unit's resident state: its slice of the memory system, its
-/// adapter, and where its rows land in the merged result.
+/// One unit's resident state: its slice of the memory system and its
+/// adapter.
 struct ShardSlot {
     chan: Box<dyn ChannelPort>,
     unit: IndirectStreamUnit,
     idx_base: u64,
     x_base: u64,
-    /// First global row of the shard (merge offset for the worker's
-    /// local accumulation buffer).
-    row_start: usize,
     rows: usize,
     nnz: u64,
-    /// Stream position → shard-local row.
-    row_of: Vec<u32>,
-    /// Worker-owned accumulation buffer, reused across runs so the
-    /// solver hot path allocates nothing per iteration.
-    local_y: Vec<f64>,
 }
 
 /// What one shard's gather contributed to the last SpMV: everything the
 /// reports need, computed entirely on state the shard's worker owned
-/// exclusively (the result rows themselves land in the slot's `local_y`).
+/// exclusively (the result rows themselves land in the worker's rows of
+/// `y`).
 #[derive(Default)]
 struct ShardOut {
     cycles: u64,
@@ -181,27 +174,13 @@ impl ShardedPlan {
                 let mem = chan.memory_mut();
                 let idx_base = mem.alloc_array(indices.len().max(1) as u64, 4);
                 let x_base = mem.alloc_array(csr.cols() as u64, 8);
-                let row_start = shard.rows().start;
-                // Stream positions map to rows *local to the shard*, so a
-                // worker thread can accumulate into its own buffer and the
-                // merge can place it by `row_start` — the per-worker unit
-                // state ownership the parallel executor relies on.
-                let row_of = shard
-                    .row_of_positions()
-                    .iter()
-                    // nmpic-lint: allow(L1) — in range: row_start ≤ every id in the (checked 32 b) position map, so the cast and subtraction cannot wrap
-                    .map(|&r| r - row_start as u32)
-                    .collect();
                 ShardSlot {
                     chan,
                     unit: IndirectStreamUnit::new(adapter.clone()),
                     idx_base,
                     x_base,
-                    row_start,
                     rows: shard.n_rows(),
                     nnz: shard.nnz() as u64,
-                    row_of,
-                    local_y: vec![0.0; shard.n_rows()],
                 }
             })
             .collect();
@@ -289,28 +268,34 @@ impl Executor for ShardedPlan {
         ValueKernel::Csr(&self.csr)
     }
 
-    /// Parallel per-shard gathers, merged into `y`, then the write-back
-    /// phase, which reads `y` back from the result array it wrote.
+    /// Parallel per-shard gathers into `y`, then the write-back phase,
+    /// which reads `y` back from the result array it wrote.
     fn simulate(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) -> IterReport {
         assert_eq!(xs.len(), 1, "the units gather one vector per pass");
         self.write_image();
-        let (x, y) = (xs[0], &mut *ys[0]);
+        let x = xs[0];
         // Every shard's unit simulation runs on its own worker thread.
-        // Each worker owns its slot exclusively (channel, unit, and a
-        // local accumulation buffer), so the simulations are bit-for-bit
-        // the same as a serial loop; the merge below walks shards in
-        // fixed index order, keeping reports and result bytes identical
-        // whatever the worker count.
+        // Each worker owns its slot (channel, unit) and its shard's
+        // contiguous rows of `y` exclusively, so the simulations are
+        // bit-for-bit the same as a serial loop and the reports and
+        // result bytes are identical whatever the worker count.
         let workers = self.workers();
         let (csr, partition) = (&self.csr, &self.partition);
-        let jobs: Vec<(usize, &mut ShardSlot)> = self.slots.iter_mut().enumerate().collect();
-        self.outs = pool::parallel_map_jobs(workers, jobs, |(i, slot)| {
-            exec_shard_gather(slot, x, partition.csr_shard(csr, i).values())
+        let mut rest = &mut *ys[0];
+        let jobs: Vec<(usize, &mut ShardSlot, &mut [f64])> = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .map(|(i, slot)| {
+                let (rows, tail) = std::mem::take(&mut rest).split_at_mut(slot.rows);
+                rest = tail;
+                (i, slot, rows)
+            })
+            .collect();
+        self.outs = pool::parallel_map_jobs(workers, jobs, |(i, slot, y)| {
+            exec_shard_gather(slot, x, &partition.csr_shard(csr, i), y)
         });
-        for slot in &self.slots {
-            y[slot.row_start..slot.row_start + slot.rows].copy_from_slice(&slot.local_y);
-        }
-        self.collect = exec_merged_writeback(self, y);
+        self.collect = exec_merged_writeback(self, ys[0]);
         self.last_pass()
     }
 
@@ -447,11 +432,13 @@ fn merge_order(partition: &Partition, units: usize) -> Vec<u32> {
 }
 
 /// Runs one shard's indirect gather of `x` on its warm channel/unit pair
-/// (the index array at `idx_base` was written by the plan's first pass) and
-/// accumulates the shard's rows into its `local_y`; `values` are the
-/// shard's nonzeros in stream order.
-fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], values: &[f64]) -> ShardOut {
-    slot.local_y.fill(0.0);
+/// (the index array at `idx_base` was written by the plan's first pass)
+/// and accumulates `shard`'s rows into `y`, those rows of the result
+/// (overwritten). A row cursor over the shard's row pointers follows the
+/// stream positions as they arrive.
+fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], shard: &CsrShard, y: &mut [f64]) -> ShardOut {
+    y.fill(0.0);
+    let values = shard.values();
     if values.is_empty() {
         return ShardOut::default();
     }
@@ -466,15 +453,18 @@ fn exec_shard_gather(slot: &mut ShardSlot, x: &[f64], values: &[f64]) -> ShardOu
         elem_base: slot.x_base,
         elem_size: ElemSize::B8,
     };
-    let (local_y, row_of) = (&mut slot.local_y, &slot.row_of);
-    let mut pos = 0usize;
+    let (mut pos, mut row, mut row_end) = (0usize, 0usize, shard.row_nnz(0));
     let cycles = unit
         .run_burst(chan, req, |beat| {
             for bits in beat.elements() {
                 // The packer restores stream order, so position `pos`
                 // pairs the gathered x element with its nonzero value;
                 // per-row accumulation order equals `Csr::spmv`'s.
-                local_y[row_of[pos] as usize] += values[pos] * f64::from_bits(bits);
+                while pos == row_end {
+                    row += 1;
+                    row_end += shard.row_nnz(row);
+                }
+                y[row] += values[pos] * f64::from_bits(bits);
                 pos += 1;
             }
         })

@@ -7,6 +7,8 @@
 //! kinds. Warm channel, unit and cache state must never leak into the
 //! numerics.
 
+mod common;
+
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
 use nmpic_sparse::{by_name, Csr};
@@ -28,6 +30,10 @@ fn systems() -> Vec<SystemKind> {
         SystemKind::Sharded {
             units: 4,
             strategy: PartitionStrategy::ByNnz,
+        },
+        SystemKind::Sharded {
+            units: 8,
+            strategy: PartitionStrategy::ByRows,
         },
     ]
 }
@@ -58,47 +64,48 @@ fn inputs(csr: &Csr) -> [Vec<f64>; 2] {
 
 #[test]
 fn plan_reuse_is_byte_deterministic_everywhere() {
-    let csr = matrix();
-    for x in &inputs(&csr) {
-        for backend in backends() {
-            for system in systems() {
-                let ctx = format!("{} on {}, x[0] = {}", system, backend.label(), x[0]);
-                let engine = SpmvEngine::builder()
-                    .backend(backend.clone())
-                    .system(system.clone())
-                    .build();
-                let mut plan = engine.prepare(&csr);
-                let first = plan.run(x);
-                let second = plan.run(x);
-                let batch = plan.run_batch(&[x.clone(), x.clone()]);
-                assert!(
-                    first.verified && second.verified && batch.verified,
-                    "{ctx}: golden verification failed"
-                );
-                // Warm-state reuse must not change the numerics...
-                assert_eq!(first.y_bits(), second.y_bits(), "{ctx}: runs diverged");
-                assert_eq!(
-                    first.y_bits(),
-                    bits(&batch.ys[0]),
-                    "{ctx}: batch vector 0 diverged"
-                );
-                assert_eq!(
-                    first.y_bits(),
-                    bits(&batch.ys[1]),
-                    "{ctx}: batch vector 1 diverged"
-                );
-                // ...nor the timing: identical inputs, identical reports.
-                assert_eq!(first.cycles, second.cycles, "{ctx}: cycle drift");
-                assert_eq!(
-                    first.offchip_bytes, second.offchip_bytes,
-                    "{ctx}: traffic drift"
-                );
-                // And the results equal the golden SpMV bit for bit.
-                assert_eq!(
-                    first.y_bits(),
-                    golden_bits(&csr, x),
-                    "{ctx}: diverged from golden SpMV"
-                );
+    for (name, csr) in [("HPCG", matrix()), ("degenerate", common::degenerate())] {
+        for x in &inputs(&csr) {
+            for backend in backends() {
+                for system in systems() {
+                    let ctx = format!("{name}: {system} on {}, x[0] = {}", backend.label(), x[0]);
+                    let engine = SpmvEngine::builder()
+                        .backend(backend.clone())
+                        .system(system.clone())
+                        .build();
+                    let mut plan = engine.prepare(&csr);
+                    let first = plan.run(x);
+                    let second = plan.run(x);
+                    let batch = plan.run_batch(&[x.clone(), x.clone()]);
+                    assert!(
+                        first.verified && second.verified && batch.verified,
+                        "{ctx}: golden verification failed"
+                    );
+                    // Warm-state reuse must not change the numerics...
+                    assert_eq!(first.y_bits(), second.y_bits(), "{ctx}: runs diverged");
+                    assert_eq!(
+                        first.y_bits(),
+                        bits(&batch.ys[0]),
+                        "{ctx}: batch vector 0 diverged"
+                    );
+                    assert_eq!(
+                        first.y_bits(),
+                        bits(&batch.ys[1]),
+                        "{ctx}: batch vector 1 diverged"
+                    );
+                    // ...nor the timing: identical inputs, identical reports.
+                    assert_eq!(first.cycles, second.cycles, "{ctx}: cycle drift");
+                    assert_eq!(
+                        first.offchip_bytes, second.offchip_bytes,
+                        "{ctx}: traffic drift"
+                    );
+                    // And the results equal the golden SpMV bit for bit.
+                    assert_eq!(
+                        first.y_bits(),
+                        golden_bits(&csr, x),
+                        "{ctx}: diverged from golden SpMV"
+                    );
+                }
             }
         }
     }

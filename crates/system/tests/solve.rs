@@ -12,6 +12,8 @@
 //!    across calls;
 //! 3. sharded solves are invariant to the worker count.
 
+mod common;
+
 use nmpic_core::AdapterConfig;
 use nmpic_mem::BackendConfig;
 use nmpic_sparse::gen::spd;
@@ -102,24 +104,35 @@ fn cg_trajectory_is_bitwise_identical_across_backends_and_systems() {
 
 /// `run_into` must hand back exactly the bytes `run` would, for every
 /// system kind and backend, on the same warm plan — and repeated calls
-/// (the solver's reuse pattern) must stay byte-stable.
+/// (the solver's reuse pattern) must stay byte-stable. The same holds on
+/// the degenerate matrix for 8 row-split shards, three of which own rows
+/// but no nonzeros and must still overwrite those rows.
 #[test]
 fn run_into_is_byte_identical_to_run() {
     let a = spd(96, 6, 8, 7);
-    let x: Vec<f64> = (0..a.cols()).map(golden_x).collect();
-    for system in systems() {
+    let sharded8 = SystemKind::Sharded {
+        units: 8,
+        strategy: PartitionStrategy::ByRows,
+    };
+    let cases = systems()
+        .into_iter()
+        .map(|system| (system, a.clone()))
+        .chain([(sharded8, common::degenerate())]);
+    for (system, a) in cases {
+        let x: Vec<f64> = (0..a.cols()).map(golden_x).collect();
         for backend in backends() {
             let label = format!("{system}/{}", backend.label());
             let mut plan = plan_for(&system, &backend, &a);
             let want = plan.run(&x);
             assert!(want.verified, "{label}");
-            let mut y = vec![0.0f64; a.rows()];
+            // The buffer is overwritten, not accumulated into: a dirty
+            // buffer yields the same bytes, also on the first call, which
+            // a cycle-accurate pack or sharded plan simulates.
+            let mut y = vec![f64::NAN; a.rows()];
             let iter = plan.run_into(&x, &mut y);
             assert_eq!(bits(&y), want.y_bits(), "{label}: run_into diverged");
             assert!(iter.cycles > 0 && iter.offchip_bytes > 0, "{label}");
             assert!(iter.indir_cycles <= iter.cycles, "{label}");
-            // The buffer is overwritten, not accumulated into: a dirty
-            // buffer yields the same bytes.
             y.fill(f64::NAN);
             plan.run_into(&x, &mut y);
             assert_eq!(bits(&y), want.y_bits(), "{label}: dirty-buffer reuse");

@@ -56,7 +56,7 @@ run_test() {
     step "test: quick-scale suite (stable)"
     NMPIC_QUICK=1 cargo test -q --release --workspace
     step "test: debug profile (checked baseline skips, run_into replays, block table and controller caches)"
-    NMPIC_QUICK=1 cargo test -q -p nmpic-core -p nmpic-model -p nmpic-mem -p nmpic-system --lib
+    NMPIC_QUICK=1 cargo test -q -p nmpic-core -p nmpic-model -p nmpic-mem -p nmpic-sparse -p nmpic-system --lib
     NMPIC_QUICK=1 cargo test -q -p nmpic-mem -p nmpic-system --doc
     cargo test -q -p nmpic-system --test base_counts --test engine_counts --test solve --test replay --test host_alloc --test exec_mode
     cargo test -q -p nmpic-core --test burst_counts --test coalescer_counts
