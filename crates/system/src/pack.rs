@@ -635,6 +635,31 @@ mod tests {
         assert!(four.offchip_bytes < 4 * one.offchip_bytes);
         assert!(one.indir_cycles > 0);
     }
+
+    #[test]
+    fn row_map_covers_all_positions() {
+        // The walk exec_pack follows names a row for exactly the stored
+        // entries of the stream; padding gets none.
+        let s = sell(100);
+        let mut visited = Vec::new();
+        s.walk(0..s.padded_len(), |pos, row| visited.push((pos, row)));
+        assert!(visited.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(visited.iter().all(|&(pos, _)| pos < s.padded_len()));
+        assert!(visited.iter().all(|&(_, row)| row < s.rows()));
+        assert_eq!(visited.len(), s.nnz(), "exactly the padding is unmapped");
+    }
+
+    #[test]
+    fn complete_rows_monotone() {
+        let s = sell(100);
+        let mut last = 0;
+        for pos in (0..=s.padded_len()).step_by(64) {
+            let done = s.complete_rows(pos);
+            assert!(done >= last);
+            last = done;
+        }
+        assert_eq!(s.complete_rows(s.padded_len()), 100);
+    }
 }
 
 #[cfg(test)]
