@@ -2,6 +2,10 @@
 
 use crate::FormatError;
 
+/// Rows the CSR kernel sums side by side, each into its own accumulator
+/// (see [`Csr::spmv_into`]). Chosen by direct timing: two beat four.
+const ROW_GROUP: usize = 2;
+
 /// A sparse matrix in compressed sparse row form.
 ///
 /// CSR is the paper's first storage format (Fig. 1): `row_ptr[i]` delimits
@@ -143,9 +147,15 @@ impl Csr {
         y
     }
 
-    /// [`Csr::spmv`] into a caller-preallocated buffer: the same serial
-    /// row loop, each row accumulated from `+0.0`, on the calling thread
-    /// and without allocating.
+    /// [`Csr::spmv`] into a caller-preallocated buffer, on the calling
+    /// thread and without allocating.
+    ///
+    /// Rows are summed two at a time, each into its own accumulator
+    /// starting at `+0.0`: the pair walks its rows' common prefix in
+    /// lockstep, so one row's gathers need not wait on the other row's
+    /// adds, then finishes each row's tail in order. Every row is still
+    /// summed left to right, so `y` carries exactly the bits of a
+    /// one-row-at-a-time loop.
     ///
     /// # Panics
     ///
@@ -153,31 +163,14 @@ impl Csr {
     pub fn spmv_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "vector length must equal cols");
         assert_eq!(y.len(), self.rows, "output length must equal rows");
-        for (i, out) in y.iter_mut().enumerate() {
-            let lo = self.row_ptr[i] as usize;
-            let hi = self.row_ptr[i + 1] as usize;
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *out = acc;
-        }
+        self.spmv_rows(0, x, y);
     }
 
-    /// Fast native SpMV `y = A·x` into a caller-preallocated buffer,
-    /// **byte-identical** to the golden [`Csr::spmv`].
-    ///
-    /// Same math as the golden model with two mechanical speedups (the
-    /// row-blocked parallel CSR kernel from the shared-memory SpMV
-    /// literature):
-    ///
-    /// * the inner loop is 4-way unrolled, but products are still added
-    ///   left to right into a single accumulator, so each row rounds
-    ///   exactly like the golden loop;
-    /// * rows are processed in disjoint blocks on the shared work pool
-    ///   (`nmpic_sim::pool`, bounded by `NMPIC_JOBS`); every worker
-    ///   writes only its own `y` slice, so the reduction order is fixed
-    ///   and the output does not depend on the worker count.
+    /// Parallel [`Csr::spmv_into`]: **byte-identical** to it, with rows
+    /// processed in disjoint blocks on the shared work pool
+    /// (`nmpic_sim::pool`, bounded by `NMPIC_JOBS`). Every worker runs
+    /// the same row-group kernel on its own `y` slice, so the output does
+    /// not depend on the worker count.
     ///
     /// A native throughput reference: the engine computes values with
     /// the serial, allocation-free [`Csr::spmv_into`].
@@ -207,37 +200,49 @@ impl Csr {
             .map(|(b, chunk)| (b * block, chunk))
             .collect();
         nmpic_sim::pool::parallel_map_jobs(jobs, tasks, |(row0, chunk)| {
-            for (i, out) in chunk.iter_mut().enumerate() {
-                *out = self.row_dot_unrolled(row0 + i, x);
-            }
+            self.spmv_rows(row0, x, chunk);
         });
     }
 
-    #[inline]
-    fn row_dot_unrolled(&self, i: usize, x: &[f64]) -> f64 {
-        let lo = self.row_ptr[i] as usize;
-        let hi = self.row_ptr[i + 1] as usize;
-        let cols = &self.col_idx[lo..hi];
-        let vals = &self.values[lo..hi];
-        let n = cols.len();
-        let mut acc = 0.0;
-        let mut k = 0;
-        // 4-way unrolled, still strictly left-to-right into one
-        // accumulator: any reassociation (multiple partial sums, SIMD
-        // tree reduction) would change rounding and break the
-        // byte-identity contract with the golden loop.
-        while k + 4 <= n {
-            acc += vals[k] * x[cols[k] as usize];
-            acc += vals[k + 1] * x[cols[k + 1] as usize];
-            acc += vals[k + 2] * x[cols[k + 2] as usize];
-            acc += vals[k + 3] * x[cols[k + 3] as usize];
-            k += 4;
+    /// Rows `row0..row0 + y.len()` of `A·x` into `y`: whole groups of
+    /// `ROW_GROUP` rows, then the leftover rows one at a time.
+    fn spmv_rows(&self, row0: usize, x: &[f64], y: &mut [f64]) {
+        let mut groups = y.chunks_exact_mut(ROW_GROUP);
+        let mut row = row0;
+        for out in &mut groups {
+            self.row_group::<ROW_GROUP>(row, x, out);
+            row += ROW_GROUP;
         }
-        while k < n {
-            acc += vals[k] * x[cols[k] as usize];
-            k += 1;
+        for out in groups.into_remainder().chunks_exact_mut(1) {
+            self.row_group::<1>(row, x, out);
+            row += 1;
         }
-        acc
+    }
+
+    /// The one CSR row loop: rows `row0..row0 + G` into `out`, each from
+    /// `+0.0` and left to right. The rows' common prefix is walked in
+    /// lockstep, one nonzero of each row per step, then each tail.
+    #[inline(always)]
+    fn row_group<const G: usize>(&self, row0: usize, x: &[f64], out: &mut [f64]) {
+        let ptr = &self.row_ptr[row0..=row0 + G];
+        let rows: [(&[u32], &[f64]); G] = std::array::from_fn(|j| {
+            let (lo, hi) = (ptr[j] as usize, ptr[j + 1] as usize);
+            (&self.col_idx[lo..hi], &self.values[lo..hi])
+        });
+        let common = rows.iter().map(|(c, _)| c.len()).min().unwrap_or(0);
+        let heads = rows.map(|(c, v)| (&c[..common], &v[..common]));
+        let mut acc = [0.0f64; G];
+        for k in 0..common {
+            for (a, (c, v)) in acc.iter_mut().zip(&heads) {
+                *a += v[k] * x[c[k] as usize];
+            }
+        }
+        for (a, (c, v)) in acc.iter_mut().zip(&rows) {
+            for (&c, &v) in c[common..].iter().zip(&v[common..]) {
+                *a += v * x[c as usize];
+            }
+        }
+        out.copy_from_slice(&acc);
     }
 
     /// A 64-bit content fingerprint: dimensions, nonzero count and an
@@ -362,6 +367,7 @@ pub struct CsrStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nmpic_sim::SimRng;
 
     fn small() -> Csr {
         // [[1, 0, 2],
@@ -483,8 +489,9 @@ mod tests {
 
     #[test]
     fn spmv_fast_is_byte_identical_to_golden() {
-        // Row lengths 0..=9 exercise every unroll remainder; values and
-        // x entries are "ugly" floats so any reassociation would show.
+        // Row lengths 0..=9 put every prefix/tail split inside a row
+        // group; values and x entries are "ugly" floats so any
+        // reassociation would show.
         let rows = 37;
         let mut row_ptr = vec![0u32];
         let mut col_idx = Vec::new();
@@ -523,6 +530,137 @@ mod tests {
             .zip(&y)
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same);
+    }
+
+    /// The row loop of the golden model before rows were grouped: one
+    /// row at a time, one accumulator from `+0.0`, left to right.
+    fn row_at_a_time(m: &Csr, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; m.rows()];
+        for (i, out) in y.iter_mut().enumerate() {
+            let lo = m.row_ptr()[i] as usize;
+            let hi = m.row_ptr()[i + 1] as usize;
+            let mut acc = 0.0;
+            for k in lo..hi {
+                acc += m.values()[k] * x[m.col_idx()[k] as usize];
+            }
+            *out = acc;
+        }
+        y
+    }
+
+    /// First index whose bits differ, a NaN matching any NaN (payloads
+    /// of NaN operands need not survive an add in a fixed order).
+    fn first_mismatch(got: &[f64], want: &[f64]) -> Option<usize> {
+        assert_eq!(got.len(), want.len());
+        got.iter()
+            .zip(want)
+            .position(|(a, b)| a.to_bits() != b.to_bits() && !(a.is_nan() && b.is_nan()))
+    }
+
+    /// A value for a matrix or `x`: mostly finite with random mantissas
+    /// and exponents spread over ±8 binary orders (products span 32,
+    /// inside one 53 b mantissa, so no term simply absorbs the rest and
+    /// summing a row in another order changes its bits); now and then
+    /// NaN, ±inf, −0.0 or a subnormal.
+    fn ugly(rng: &mut SimRng) -> f64 {
+        match rng.gen_usize(0, 100) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => f64::MIN_POSITIVE / (1u64 << rng.gen_usize(1, 52)) as f64,
+            _ => {
+                let mag = (1.0 + rng.gen_f64()) * 2f64.powi(rng.gen_usize(0, 17) as i32 - 8);
+                if rng.gen_usize(0, 2) == 0 {
+                    mag
+                } else {
+                    -mag
+                }
+            }
+        }
+    }
+
+    /// A seeded `rows` × `cols` matrix: short rows, empty rows (inside
+    /// groups too) and now and then a hub row far longer than its
+    /// neighbours. `dense` 0 gives no nonzeros at all.
+    fn grouped_case(rng: &mut SimRng, rows: usize, cols: usize, dense: usize) -> Csr {
+        let mut row_ptr = vec![0u32];
+        let mut col_idx = Vec::new();
+        for _ in 0..rows {
+            let width = match rng.gen_usize(0, 10) {
+                _ if dense == 0 => 0,
+                0 | 1 => 0,
+                2 => rng.gen_usize(20, 60),
+                _ => rng.gen_usize(1, dense + 1),
+            };
+            col_idx.extend((0..width).map(|_| rng.gen_usize(0, cols) as u32));
+            row_ptr.push(col_idx.len() as u32);
+        }
+        let values = (0..col_idx.len()).map(|_| ugly(rng)).collect();
+        Csr::from_parts(rows, cols, row_ptr, col_idx, values).unwrap()
+    }
+
+    /// Differential test of the row-group kernel (the golden model)
+    /// against the row-at-a-time loop it replaced: every row count
+    /// modulo the group size, zero rows, zero nonzeros, empty rows and
+    /// hub rows inside groups, 1×n and n×1 shapes, through
+    /// `spmv_into`, `spmv` and `spmv_fast_into_jobs`.
+    #[test]
+    fn row_groups_match_the_row_at_a_time_loop() {
+        let mut rng = SimRng::new(44);
+        let mut cases = Vec::new();
+        for rows in 0..=4 * ROW_GROUP + 3 {
+            for dense in [0, 3, 12] {
+                for _ in 0..8 {
+                    let cols = rng.gen_usize(1, 40);
+                    cases.push(grouped_case(&mut rng, rows, cols, dense));
+                }
+            }
+        }
+        for n in [1, 2, 3, 7, 40] {
+            cases.push(grouped_case(&mut rng, 1, n, 12));
+            cases.push(grouped_case(&mut rng, n, 1, 3));
+        }
+        for _ in 0..4 {
+            cases.push(grouped_case(&mut rng, 97, 64, 12));
+        }
+        let mut order_sensitive = 0;
+        let mut eligible = 0;
+        for (case, m) in cases.iter().enumerate() {
+            let x: Vec<f64> = (0..m.cols()).map(|_| ugly(&mut rng)).collect();
+            let want = row_at_a_time(m, &x);
+            let shape = format!("case {case} ({}×{})", m.rows(), m.cols());
+            let mut y = vec![f64::NAN; m.rows()];
+            m.spmv_into(&x, &mut y);
+            assert_eq!(first_mismatch(&y, &want), None, "{shape}: spmv_into");
+            assert_eq!(first_mismatch(&m.spmv(&x), &want), None, "{shape}: spmv");
+            for jobs in [1, 2, 3] {
+                let mut y = vec![f64::NAN; m.rows()];
+                m.spmv_fast_into_jobs(jobs, &x, &mut y);
+                let at = first_mismatch(&y, &want);
+                assert_eq!(at, None, "{shape}: spmv_fast_into_jobs({jobs})");
+            }
+            // The data is wide enough that another summation order shows:
+            // count the rows whose reversed sum has other bits.
+            for (i, &w) in want.iter().enumerate() {
+                if m.row_nnz(i) < 3 || !w.is_finite() {
+                    continue;
+                }
+                let row: Vec<(u32, f64)> = m.row(i).collect();
+                let reversed = row
+                    .iter()
+                    .rev()
+                    .fold(0.0, |acc, &(c, v)| acc + v * x[c as usize]);
+                eligible += 1;
+                order_sensitive += usize::from(reversed.to_bits() != w.to_bits());
+            }
+        }
+        // Reversing a row changes its bits in over a third of the rows
+        // with three or more finite terms.
+        assert!(
+            eligible > 400 && 3 * order_sensitive > eligible,
+            "{order_sensitive} order-sensitive rows of {eligible}"
+        );
     }
 
     #[test]

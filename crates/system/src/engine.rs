@@ -418,8 +418,9 @@ pub(crate) trait Executor: Send {
 /// A system's native value kernel. It runs on the calling thread and
 /// allocates nothing.
 pub(crate) enum ValueKernel<'a> {
-    /// [`Csr::spmv_into`]: each row from `+0.0` in CSR order, which is
-    /// what the baseline and every shard's sink accumulate.
+    /// [`Csr::spmv_into`], the golden row-group kernel: each row from
+    /// `+0.0` in CSR order, which is what the baseline and every shard's
+    /// sink accumulate.
     Csr(&'a Csr),
     /// [`Sell::spmv_into`]: the pack VPC's per-row order, padding
     /// skipped.

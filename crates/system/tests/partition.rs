@@ -97,8 +97,8 @@ fn partitions_are_disjoint_exact_covers() {
 
 /// Degenerate shapes — `k` far beyond the row count, zero-nnz matrices,
 /// single-row matrices — still produce disjoint exact covers whose empty
-/// shards all trail the non-empty ones, and empty `CsrShard` views run
-/// `spmv_into` as a no-op.
+/// shards all trail the non-empty ones, and the `CsrShard` views, empty
+/// ones included, abut and carry the parent's row lengths.
 #[test]
 fn degenerate_partitions_cover_with_trailing_empties() {
     let zero_nnz = Csr::from_parts(7, 3, vec![0; 8], vec![], vec![]).unwrap();
@@ -124,13 +124,18 @@ fn degenerate_partitions_cover_with_trailing_empties() {
                         assert!(!seen_empty, "{name} k={k}: empty shard {i} not trailing");
                     }
                 }
-                // Shard-wise SpMV equals golden even with empty views.
-                let x: Vec<f64> = (0..csr.cols()).map(golden_x).collect();
-                let mut y = vec![0.0; csr.rows()];
+                // The views, empty ones included, abut and carry the
+                // parent's row lengths over their ranges.
+                let mut next = 0;
                 for i in 0..k {
-                    p.csr_shard(csr, i).spmv_into(&x, &mut y);
+                    let s = p.csr_shard(csr, i);
+                    assert_eq!(s.rows().start, next, "{name} k={k}: shard {i} abuts");
+                    for (r, row) in s.rows().enumerate() {
+                        assert_eq!(s.row_nnz(r), csr.row_nnz(row), "{name} k={k}: row {row}");
+                    }
+                    next = s.rows().end;
                 }
-                assert_eq!(y, csr.spmv(&x), "{name} k={k}");
+                assert_eq!(next, csr.rows(), "{name} k={k}");
             }
         }
     }

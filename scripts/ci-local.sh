@@ -92,9 +92,9 @@ run_doc() {
 
 run_miri() {
     if cargo +nightly miri --version >/dev/null 2>&1; then
-        step "miri: sim + axi + mem + core + system (NMPIC_QUICK=1)"
+        step "miri: sim + axi + mem + core + sparse + system (NMPIC_QUICK=1)"
         NMPIC_QUICK=1 MIRIFLAGS="-Zmiri-disable-isolation" \
-            cargo +nightly miri test -p nmpic-sim -p nmpic-axi -p nmpic-mem -p nmpic-core -p nmpic-system
+            cargo +nightly miri test -p nmpic-sim -p nmpic-axi -p nmpic-mem -p nmpic-core -p nmpic-sparse -p nmpic-system
     else
         echo "note: nightly miri not installed; skipping (CI's nightly sanitizers job runs it)"
         echo "      (install with: rustup +nightly component add miri rust-src)"
